@@ -129,9 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="checkpoint directory (or journal.jsonl) of a "
                      "crashed run; completed tasks are restored, not rerun")
     run.add_argument("--reuse-cache", action="store_true",
-                     help="memoise cacheable stage outputs in a verified "
-                     "content-addressed cache shared across trials and "
-                     "runs (pairs with --stage-epochs)")
+                     help="share cacheable stages: identical stages of "
+                     "this study are joined into one task at submit, and "
+                     "every stage output is published to a verified "
+                     "content-addressed disk cache that later runs and "
+                     "other processes hit (pairs with --stage-epochs)")
     run.add_argument("--cache-dir", type=Path, default=None,
                      help="reuse-cache directory (default: "
                      "<checkpoint-dir>/reuse)")
@@ -140,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "entries are evicted past it (leased keys excepted)")
     run.add_argument("--stage-epochs", type=int, default=None,
                      help="decompose each trial into cacheable train "
-                     "stages of this many epochs; trials sharing a "
-                     "hyperparameter prefix reuse each other's blocks")
+                     "stages of this many epochs; with --reuse-cache, "
+                     "trials sharing a hyperparameter prefix share one "
+                     "task per common block (a graph join, no waiting)")
     run.add_argument("--verify-outputs", action="store_true",
                      help="checksum every task output at write time and "
                      "verify it at every consume point; corruption repairs "
@@ -262,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "reject submissions while over it")
     serve.add_argument("--reuse-cache", action="store_true",
                        help="share a verified stage cache across all "
-                       "tenants (anchored at <root>/reuse-cache); staged "
-                       "studies reuse each other's epoch blocks")
+                       "tenants (anchored at <root>/reuse-cache); a staged "
+                       "study joins its own identical stages at submit and "
+                       "reads other tenants' published blocks from disk "
+                       "(single-flight leases arbitrate concurrent writers)")
     serve.add_argument("--cache-max-bytes", type=int, default=None,
                        help="shared reuse-cache size ceiling (LRU)")
     serve.add_argument("--drain-deadline", type=float, default=30.0,
@@ -304,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--max-tenant-slots", type=int, default=None)
     submit.add_argument("--stage-epochs", type=int, default=None,
                         help="decompose trials into cacheable epoch "
-                        "blocks of this size (reuse across tenants when "
-                        "the daemon runs with --reuse-cache)")
+                        "blocks of this size (when the daemon runs with "
+                        "--reuse-cache: joined inside the study, shared "
+                        "across tenants through the disk cache)")
     submit.add_argument("--timeout", type=float, default=30.0,
                         help="seconds to wait for the admission verdict")
     submit.add_argument("--no-wait", action="store_true",

@@ -160,7 +160,8 @@ class PyCOMPSsRunner:
         chain of ``cacheable`` stage tasks (see :mod:`repro.hpo.stages`)
         instead of one monolithic ``experiment`` task.  With the
         runtime's reuse cache on, trials sharing a hyperparameter prefix
-        resolve their common blocks from the cache.  Staged trials are
+        share one task per common block (joined at submit; other studies
+        and processes resolve them from the disk cache).  Staged trials are
         not preemptible and ignore ``target_accuracy``; the configured
         ``objective`` is superseded by the plan's staged bodies.
     """
@@ -242,6 +243,9 @@ class PyCOMPSsRunner:
         )
         self.stage_plan = stage_plan
         self._warned_target = False
+        #: trial_id -> the invocations of its stage chain, kept until the
+        #: trial resolves so ``duration_s`` can sum their body times.
+        self._stage_chains: Dict[int, List[Any]] = {}
         if stage_plan is not None:
             train_body, final_body = STAGE_BODIES[stage_plan.objective]
             light = ResourceConstraint(cpu_units=1)
@@ -375,8 +379,8 @@ class PyCOMPSsRunner:
                 # restarts and async-ASHA rung promotions.
                 study.metadata["preemption"] = dict(self._preempt_stats)
             if runtime.reuse is not None:
-                # Verified hits, misses, corruption detections, evictions
-                # and lease traffic from the cross-trial reuse cache.
+                # Verified hits, misses, in-study joins, corruption
+                # detections, evictions and lease traffic of stage reuse.
                 study.metadata["reuse"] = runtime.reuse.stats()
             for cb in self.callbacks:
                 cb.on_study_end(study)
@@ -464,7 +468,8 @@ class PyCOMPSsRunner:
         The returned future is the final stage's; intermediate futures
         stay internal (the graph carries the chain).  Trials sharing a
         config prefix submit identical stage invocations whose content
-        keys collide — exactly what the reuse cache resolves.  No
+        keys collide; with the reuse cache on the runtime joins them, so
+        the futures below may belong to nodes a sibling submitted.  No
         preemption context is injected: block boundaries already bound
         the work a lost node can take.
         """
@@ -478,11 +483,16 @@ class PyCOMPSsRunner:
             )
         prep, params, epochs = split_config(trial.config)
         state = runtime.submit(self._stage_prepare_def, (prep,), {})
+        chain = [state.invocation]
         for start, end in self.stage_plan.blocks(epochs):
             state = runtime.submit(
                 self._stage_train_def, (state, params, start, end), {}
             )
-        return runtime.submit(self._stage_final_def, (state, params), {})
+            chain.append(state.invocation)
+        final = runtime.submit(self._stage_final_def, (state, params), {})
+        chain.append(final.invocation)
+        self._stage_chains[trial.trial_id] = chain
+        return final
 
     def _handle_suspension(
         self, runtime: COMPSsRuntime, study: Study, trial: Trial,
@@ -589,6 +599,7 @@ class PyCOMPSsRunner:
                 return self._submit_trial(runtime, trial)
             trial.status = TrialStatus.FAILED
             trial.error = str(exc)
+            self._stage_chains.pop(trial.trial_id, None)
             runtime.preemption.unregister(self._preempt_key(trial))
             return None
         invocation = fut.invocation
@@ -604,8 +615,16 @@ class PyCOMPSsRunner:
         result = TrialResult.from_mapping(payload)
         if result.node is None:
             result.node = invocation.node
-        if invocation.start_time is not None and invocation.end_time is not None:
-            result.duration_s = invocation.end_time - invocation.start_time
+        # A staged trial's time is the summed body time of its own chain
+        # (a block shared with siblings counts for each of them; restored
+        # and cache-hit stages never ran, so they add nothing).
+        chain = self._stage_chains.pop(trial.trial_id, None) or [invocation]
+        timed = [
+            t.end_time - t.start_time for t in chain
+            if t.start_time is not None and t.end_time is not None
+        ]
+        if timed:
+            result.duration_s = sum(timed)
         trial.result = result
         trial.status = TrialStatus.COMPLETED
         return None

@@ -6,10 +6,13 @@ every shared epoch.  This module splits a trial into a *prepare → train
 block → … → final* pipeline whose stages are declared ``cacheable``:
 the runtime keys each stage by a namespace-free content hash of its
 definition and arguments (futures digest as their producer's content
-key, so the hash pins the whole upstream chain), and the
-:class:`~repro.runtime.reuse.ReuseCache` resolves identical prefixes
-across trials — and across studies and ``repro serve`` tenants — from
-disk instead of recomputing them.
+key, so the hash pins the whole upstream chain).  With the reuse cache
+on, sibling trials of one study that submit an identical stage are
+joined onto one task — so the study's task graph *is* the stage tree,
+each ``(prefix, epoch block)`` node trained once however the trials are
+submitted — and the :class:`~repro.runtime.reuse.ReuseCache` resolves
+identical prefixes of other studies, ``repro serve`` tenants and
+processes from disk instead of recomputing them.
 
 Determinism contract: every stage here is a pure function of its
 arguments.  In particular the mock training curve is *cumulative* —
@@ -59,9 +62,9 @@ def _count_epochs(n: int) -> None:
 def executed_epochs() -> int:
     """Epochs actually trained in this process since the last reset.
 
-    Cache hits skip the stage body entirely, so the delta between a
-    cache-off and a cache-on study is exactly the redundant work the
-    reuse cache eliminated.
+    Joined and cache-hit stages never run a body, so the delta between
+    a cache-off and a cache-on study is exactly the redundant work
+    reuse eliminated.
     """
     with _epoch_lock:
         return _executed_epochs

@@ -183,12 +183,15 @@ class RuntimeConfig:
         journal memory while cutting write syscalls ~Nx in the
         ``journal_fsync="off"`` regime large studies use.
     reuse_cache:
-        Cross-trial computation reuse: memoise the outputs of
-        ``cacheable`` stage tasks in a content-addressed on-disk cache
-        (:class:`~repro.runtime.reuse.ReuseCache`) and resolve identical
-        stages — across trials, studies and ``repro serve`` tenants —
-        from verified cache entries instead of re-executing them.  Off
-        by default.
+        Cross-trial computation reuse for ``cacheable`` stage tasks.
+        Inside one study an identical stage is joined at submit (the
+        later submitter gets the earlier node's futures, no task is
+        created); every computed stage is also published to a
+        content-addressed on-disk cache
+        (:class:`~repro.runtime.reuse.ReuseCache`) from which later
+        studies, other processes and other ``repro serve`` tenants
+        resolve it — verified — instead of re-executing.  Off by
+        default.
     cache_dir:
         Cache root directory.  ``None`` places it under
         ``<checkpoint_dir>/reuse`` (requires ``checkpoint_dir``); the

@@ -5,8 +5,17 @@ the dispatch loop re-runs on every submission and completion, so "the
 next task is assigned a computational unit as soon as one is available"
 (paper §6.1).
 
-Thread backend: task bodies run in a thread pool; numpy releases the GIL
-inside BLAS so training tasks overlap genuinely.  Process backend: bodies
+Thread backend: task bodies run in a thread pool, which overlaps
+sleeping, I/O-bound and long-BLAS-call bodies but not CPU-bound Python:
+the zoo's small-batch training spends most of its time in interpreter
+code between short numpy calls, so two training threads contend for the
+GIL instead of overlapping.  The benchmark suite measures it
+(benchmarks/suite/README.md): on the 27-config real-training grid with
+2 slots, ``grid27_train_threads`` takes 7.0 s against 2.9 s for a plain
+serial loop and 1.5 s on ``backend="workers"``, with summed body time
+inflated x4.2-4.4 (``local.body_inflation``).  Use ``backend="workers"``
+for CPU-bound training; threads remain the default because they need no
+picklable bodies and start instantly.  Process backend: bodies
 are shipped to a :class:`concurrent.futures.ProcessPoolExecutor` (they
 must be picklable, i.e. module-level functions with picklable args); a
 worker crash breaks *that attempt only* — the broken pool is rebuilt and

@@ -73,6 +73,14 @@ class TaskGraph:
         tid = task.task_id
         if tid in self._tasks:
             raise ValueError(f"task {task.label} already in graph")
+        if self.stream_completed and task.state is TaskState.DONE:
+            # Restored / cache hit: it never reaches mark_done, so no
+            # later event could free it.  Treat it like a computed task
+            # that finished before its consumers were submitted.
+            self.freed_tasks += 1
+            if self.on_free is not None:
+                self.on_free(task)
+            return
         self._tasks[tid] = task
         self._succ[tid] = []
         pred_list: List[int] = []

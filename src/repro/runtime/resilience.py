@@ -103,13 +103,15 @@ SUSPEND_SPILL = "suspend_spill"
 RUNG_PROMOTION = "rung_promotion"
 STUDY_SUSPENDED = "study_suspended"
 #: Cross-trial reuse events: a stage resolved from the content-addressed
-#: cache after sidecar verification (hit), missed and was computed, an
+#: cache after sidecar verification (hit), missed and was computed, was
+#: a duplicate of a node its study already submitted (join — no task), an
 #: entry failed verification (corrupt/truncated — treated as a miss,
 #: quarantined after ``poison_threshold`` failures), an entry was shed by
 #: the LRU disk-pressure evictor, or a submitter waited on (or broke, or
 #: timed out against) another writer's single-flight lease.
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
+CACHE_JOIN = "cache_join"
 CACHE_CORRUPT = "cache_corrupt"
 CACHE_EVICT = "cache_evict"
 LEASE_WAIT = "lease_wait"
@@ -155,6 +157,7 @@ EVENT_KINDS = (
     STUDY_SUSPENDED,
     CACHE_HIT,
     CACHE_MISS,
+    CACHE_JOIN,
     CACHE_CORRUPT,
     CACHE_EVICT,
     LEASE_WAIT,

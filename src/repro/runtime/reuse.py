@@ -3,14 +3,21 @@
 Trials in an HPO grid share huge work prefixes — the same data prep, the
 same first N epochs when only ``num_epochs`` differs (a third of the
 paper's 27-config grid is prefix-redundant).  The runner splits trials
-into pipeline stages (see :mod:`repro.hpo.stages`) and the runtime
-memoises each stage's output here, keyed by the *content key* the
-checkpoint subsystem's :class:`~repro.runtime.checkpoint.TaskKeyer`
-derives from the stage's name and canonicalised arguments.  Common
-prefixes across trials — or across *tenants* of one ``repro serve``
-daemon, since content keys are deliberately namespace-free — merge into
-a stage tree: the second trial's prefix resolves from the cache instead
-of re-executing.
+into pipeline stages (see :mod:`repro.hpo.stages`) and the runtime keys
+each stage by the *content key* the checkpoint subsystem's
+:class:`~repro.runtime.checkpoint.TaskKeyer` derives from the stage's
+name and canonicalised arguments.
+
+Sharing *inside one study* does not go through this module: it is a
+graph join in :meth:`COMPSsRuntime.submit
+<repro.runtime.runtime.COMPSsRuntime.submit>` — a later submission of a
+key the study already submitted returns the earlier node's futures, so
+an all-at-once grid runs each shared stage once with no lease traffic
+(counted here as ``joined``).  This module is the path *between*
+studies, ``repro serve`` tenants and processes — content keys are
+deliberately namespace-free — and only a study's first submitter of a
+key consults it: every computed stage is published here, and a
+published stage resolves from disk instead of re-executing.
 
 A cache that returns a torn, stale or corrupt entry silently poisons
 every downstream trial — worse than no cache at all — so the layer is
@@ -34,7 +41,7 @@ engineered robustness-first:
   leaves a ``.tmp`` no reader ever opens.
 * **Single-flight leases.**  A writer claims ``<key>.lease`` with
   ``O_CREAT | O_EXCL`` before computing; concurrent identical stages
-  (other tenant threads, other processes) wait with seeded-jitter
+  of other tenants' threads or other processes wait with seeded-jitter
   backoff for the publication instead of duplicating the work.  Leases
   are judged stale by wall-clock age, so a crashed writer never wedges
   waiters: they break the stale lease and take over, or time out and
@@ -151,6 +158,9 @@ class ReuseCache:
         # ---- counters (stats() / study metadata / CLI report) ----
         self.hits = 0
         self.misses = 0
+        #: Submissions the runtime resolved by joining an identical node
+        #: of the same study — no consult, no task (see ``note_join``).
+        self.joined = 0
         self.corrupt = 0
         self.quarantined = 0
         self.published = 0
@@ -228,6 +238,19 @@ class ReuseCache:
             self._event(rsl.CACHE_MISS, detail="lease acquired", key=key)
             return MISS
         return self._wait_for_writer(key)
+
+    def note_join(self, key: str) -> None:
+        """Account a submission resolved as a graph join, not a consult.
+
+        The runtime joins identical stages of one study at submit, so
+        ``misses`` counts stages that were computed and ``joined`` the
+        duplicates that never became tasks.
+        """
+        from repro.runtime import resilience as rsl
+
+        with self._lock:
+            self.joined += 1
+        self._event(rsl.CACHE_JOIN, key=key)
 
     def _fetch_verified(self, key: str) -> Any:
         """Verified load of ``key``; corrupt/truncated/absent == MISS."""
@@ -539,6 +562,7 @@ class ReuseCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "joined": self.joined,
                 "corrupt": self.corrupt,
                 "quarantined": self.quarantined,
                 "published": self.published,
@@ -560,7 +584,8 @@ class ReuseCache:
         rate = (100.0 * s["hits"] / total) if total else 0.0
         return (
             f"reuse: {s['hits']} hits / {s['misses']} misses "
-            f"({rate:.0f}% hit rate), {s['corrupt']} corrupt, "
+            f"({rate:.0f}% hit rate), {s['joined']} joined in flight, "
+            f"{s['corrupt']} corrupt, "
             f"{s['quarantined']} quarantined, {s['evicted']} evicted, "
             f"{s['lease_waits']} lease waits, {s['bytes']} B cached"
         )

@@ -253,6 +253,9 @@ class COMPSsRuntime:
                 log=self.resilience,
                 clock=self.executor.clock,
             )
+        #: study id ("" outside service mode) -> content key -> the
+        #: study's live node for that key; see ``_join_in_flight``.
+        self._joins: Dict[str, Dict[str, TaskInvocation]] = {}
         #: Content-key canonicaliser for cacheable submissions.  Its own
         #: keyer (not the journal one): content keys touch no occurrence
         #: state and must exist even when journaling is off.
@@ -360,6 +363,7 @@ class COMPSsRuntime:
             for session in list(self._sessions.values()):
                 session.close()
             self._sessions.clear()
+            self._joins.clear()
             set_current(None)
             self._started = False
             if self._gc_managed:
@@ -404,18 +408,23 @@ class COMPSsRuntime:
             )
         else:
             keyer, journal, recovery = self.keyer, self.journal, self.recovery
-        # Cross-trial reuse: resolve the stage's content key and consult
-        # the cache BEFORE taking the runtime lock — a busy single-flight
-        # lease may be waited on (bounded, seeded-jitter backoff), and
-        # other studies' submissions/completions must keep flowing while
-        # this thread waits.  Every outcome is safe under concurrency:
-        # a verified value restores, anything else computes.
+        # Cross-trial reuse: a content key this study already submitted
+        # is joined onto that node (see _join_in_flight).  Only the first
+        # submitter consults the disk cache, and BEFORE taking the
+        # runtime lock — a busy cross-process lease may be waited on
+        # (bounded, seeded-jitter backoff), and other studies'
+        # submissions/completions must keep flowing while this thread
+        # waits.  Every outcome is safe under concurrency: a verified
+        # value restores, anything else computes.
         reuse = self.reuse
         content_key: Optional[str] = None
         cached: Any = _CACHE_MISS
         if reuse is not None and definition.cacheable:
             content_key = self._content_keyer.content_key_for(invocation)
             if content_key is not None:
+                joined = self._join_in_flight(invocation.study, content_key)
+                if joined is not None:
+                    return joined
                 cached = reuse.acquire(content_key)
         deps: Dict[int, TaskInvocation] = {}
         edge_labels: Dict[int, str] = {}
@@ -438,6 +447,12 @@ class COMPSsRuntime:
                 # register_output_future minus the unused label return.
                 self.access._info_for_future(fut)
             self._futures[invocation.task_id] = futures
+            if content_key is not None:
+                # Later identical submissions of this study join this
+                # node (a FAILED one is replaced by its retry here).
+                self._joins.setdefault(invocation.study, {})[
+                    content_key
+                ] = invocation
             if keyer is not None:
                 keyer.key_for(invocation)
                 if recovery is not None:
@@ -499,9 +514,39 @@ class COMPSsRuntime:
             self.gc_checkpoint()
         if restored is ckpt._MISSING:
             self.executor.notify_submitted(invocation)
+        return self._handle(futures)
+
+    @staticmethod
+    def _handle(futures: List[Future]):
+        """What ``submit`` returns for a task's future slots."""
         if not futures:
             return None
         return futures[0] if len(futures) == 1 else tuple(futures)
+
+    def _join_in_flight(self, study: str, content_key: str):
+        """The futures of ``study``'s live node for ``content_key``, if any.
+
+        In-study sharing is a graph join: the later submitter gets the
+        earlier node's futures and no task is created.  A stage's key
+        digests its input futures by their producer's key, so joining
+        one block makes the sibling's next block collide too and the
+        whole shared prefix runs exactly once.  Never a FAILED node (its
+        fail-soft retry builds a fresh one that siblings then join) and
+        never a streaming-freed one.  The map is per study: tenants and
+        processes share through the disk cache's leases, so per-study
+        fault isolation is untouched.
+        """
+        with self.lock:
+            prior = self._joins.get(study, {}).get(content_key)
+            if prior is None or prior.state is TaskState.FAILED:
+                return None
+            futures = self._futures.get(prior.task_id)
+        if futures is None:
+            return None
+        self.reuse.note_join(content_key)
+        # A joined node belongs to every TaskGroup open at this submit.
+        record_submission(prior)
+        return self._handle(futures)
 
     @staticmethod
     def _iter_param_accesses(
@@ -697,6 +742,10 @@ class COMPSsRuntime:
         tid = task.task_id
         self._futures.pop(tid, None)
         self.access.release_task(tid, task.definition.n_returns)
+        if task.content_key is not None:
+            joins = self._joins.get(task.study)
+            if joins is not None and joins.get(task.content_key) is task:
+                del joins[task.content_key]
 
     def _seal_outputs(self, task: TaskInvocation, result: Any) -> None:
         """Checksum ``task``'s freshly-written data versions (integrity).
@@ -926,6 +975,7 @@ class COMPSsRuntime:
         """Close a study session: flush its journal, drop its share lane."""
         with self.lock:
             session = self._sessions.pop(study_id, None)
+            self._joins.pop(study_id, None)
             self.dispatcher.unregister_study(study_id)
         if session is not None:
             session.close()

@@ -317,7 +317,8 @@ class TraceAnalysis:
     def reuse(self) -> Dict[str, int]:
         """Cross-trial reuse-cache summary (verified stage memoisation).
 
-        Counts of verified cache hits, misses, corrupt entries detected
+        Counts of verified cache hits, misses, submissions joined to an
+        identical in-flight node of their study, corrupt entries detected
         at verify time, LRU evictions and single-flight lease waits —
         the stage-reuse view of a run (all zero when the cache is off).
         """
@@ -327,6 +328,7 @@ class TraceAnalysis:
         return {
             "cache_hits": counts.get(rsl.CACHE_HIT, 0),
             "cache_misses": counts.get(rsl.CACHE_MISS, 0),
+            "joined": counts.get(rsl.CACHE_JOIN, 0),
             "cache_corrupt": counts.get(rsl.CACHE_CORRUPT, 0),
             "cache_evictions": counts.get(rsl.CACHE_EVICT, 0),
             "lease_waits": counts.get(rsl.LEASE_WAIT, 0),

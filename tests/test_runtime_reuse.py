@@ -6,13 +6,18 @@ Covers the tentpole contract of the content-addressed stage cache:
   quarantine after repeated failures, single-flight lease claim /
   stale-break / wait, LRU eviction that never evicts leased keys,
   atomic publication (torn temps invisible), offline ``scan`` / ``gc``;
-* integration — an epochs-varying grid resolves its shared prefixes
-  from cache (>= 30 % redundant-epoch reduction) while producing the
-  identical best configuration to the cache-off baseline;
+* integration — an epochs-varying grid submitted all at once trains
+  exactly its stage tree (identical stages joined at submit, zero lease
+  waits) while producing the identical answers to the cache-off
+  baseline and a serial loop; failed shared blocks, kill + resume,
+  task groups and streaming keep their guarantees through the join;
+  the disk-hit path is covered by one sequential streaming study and
+  by second studies over a populated cache;
 * chaos acceptance — 3 seeds x (10 % stochastic corruption + a
-  wedged lease + concurrent daemon tenants racing identical stages)
-  still match the cache-off best config, with zero unverified reads
-  and bit-identical same-seed reruns.
+  wedged lease), a scripted corruption met by the next study, and
+  daemon tenants racing identical stages still match the cache-off
+  best config, with zero unverified reads and bit-identical same-seed
+  reruns.
 """
 
 import os
@@ -345,13 +350,18 @@ class TestStages:
 # ----------------------------------------------------------------------
 # Integration: staged grid with reuse on vs off
 # ----------------------------------------------------------------------
+WIDE_SPACE = dict(SPACE, batch_size=[32, 64, 128])
+
+
 def staged_study(tmp_path, name, reuse, seed=0, injector=None,
-                 space=None, plan=None):
+                 space=None, plan=None, batch_size=None, **config_kw):
+    """One staged grid study, all trials submitted at once by default."""
     config = RuntimeConfig(
         cluster=local_machine(4),
         reuse_cache=reuse,
         cache_dir=str(tmp_path / "cache") if reuse else None,
         failure_injector=injector,
+        **config_kw,
     )
     runner = PyCOMPSsRunner(
         "grid",
@@ -359,7 +369,7 @@ def staged_study(tmp_path, name, reuse, seed=0, injector=None,
         runtime_config=config,
         stage_plan=plan or StagePlan(block_epochs=4),
         study_name=name,
-        batch_size=1,  # sequential trials: prefixes resolve before reuse
+        batch_size=batch_size,
     )
     return runner.run()
 
@@ -369,38 +379,228 @@ def best_of(study):
     return best.config, best.val_accuracy
 
 
+def accuracies(study):
+    return {t.trial_id: t.val_accuracy for t in study.completed()}
+
+
+def serial_reference(space):
+    """The grid's answers from a plain loop over the stage bodies."""
+    out = {}
+    for i, config in enumerate(SearchSpace.from_dict(space).grid(), 1):
+        prep, params, epochs = split_config(config)
+        state = stage_prepare(prep)
+        for start, stop in StagePlan(block_epochs=4).blocks(epochs):
+            state = stage_train_mock(state, params, start, stop)
+        out[i] = stage_final_mock(state, params)["val_accuracy"]
+    reset_epoch_counter()
+    return out
+
+
 class TestStagedGridReuse:
+    @pytest.mark.parametrize(
+        "space, monolithic, tree", [(SPACE, 72, 36), (WIDE_SPACE, 216, 108)]
+    )
+    def test_all_at_once_grid_trains_every_tree_node_once(
+        self, tmp_path, space, monolithic, tree
+    ):
+        reset_epoch_counter()
+        baseline = staged_study(tmp_path / "off", "off", reuse=False,
+                                space=space)
+        assert executed_epochs() == monolithic
+        reset_epoch_counter()
+        cached = staged_study(tmp_path / "on", "on", reuse=True, space=space)
+        # Per (everything-but-epochs) chain only the 12-epoch budget
+        # trains; the 4- and 8-epoch siblings joined its blocks.
+        assert executed_epochs() == tree
+        reset_epoch_counter()
+
+        # Same study, same results — reuse changes cost, never answers.
+        assert best_of(cached) == best_of(baseline)
+        assert accuracies(cached) == accuracies(baseline)
+        assert accuracies(cached) == serial_reference(space)
+        reuse = cached.metadata["reuse"]
+        assert reuse["lease_waits"] == 0
+        assert reuse["hits"] == 0  # nothing on disk to hit: all joins
+        # Every submission either computed its stage or joined one.
+        n_trials = len(cached.trials)
+        submitted = sum(
+            2 + t.config["num_epochs"] // 4 for t in cached.trials
+        )
+        assert reuse["misses"] == reuse["published"]
+        assert reuse["misses"] + reuse["joined"] == submitted
+        assert reuse["joined"] >= n_trials  # at least each shared prepare
+        assert reuse["unverified_hits"] == 0
+
     def test_prefix_reuse_cuts_redundant_epochs(self, tmp_path):
+        """The disk-hit path: a sequential study whose finished nodes
+        are freed (``stream_completed``) has nothing in flight to join,
+        so each later trial resolves its prefix from verified entries."""
         reset_epoch_counter()
         baseline = staged_study(tmp_path / "off", "off", reuse=False)
         epochs_off = executed_epochs()
         reset_epoch_counter()
-        cached = staged_study(tmp_path / "on", "on", reuse=True)
+        cached = staged_study(tmp_path / "on", "on", reuse=True,
+                              batch_size=1, stream_completed=True)
         epochs_on = executed_epochs()
         reset_epoch_counter()
 
-        # Same study, same results — cache changes cost, never answers.
         assert best_of(cached) == best_of(baseline)
-        off = {t.trial_id: t.val_accuracy for t in baseline.completed()}
-        on = {t.trial_id: t.val_accuracy for t in cached.completed()}
-        assert on == off
-
-        # The acceptance floor: >= 30 % of epochs were redundant.
-        # 3 optimizers x epochs {4,8,12}: 72 epochs monolithic, 36 with
-        # shared prefixes (per optimizer 4+8+12 -> 12).
-        assert epochs_off == 72
-        assert epochs_on <= epochs_off * 0.7
+        assert accuracies(cached) == accuracies(baseline)
+        assert (epochs_off, epochs_on) == (72, 36)
         reuse = cached.metadata["reuse"]
         assert reuse["hits"] > 0
         assert reuse["unverified_hits"] == 0
 
     def test_second_process_rides_the_populated_cache(self, tmp_path):
-        staged_study(tmp_path, "warm", reuse=True)
+        first = staged_study(tmp_path, "warm", reuse=True)
         reset_epoch_counter()
         again = staged_study(tmp_path, "ride", reuse=True)
         assert executed_epochs() == 0  # fully cache-resolved
         reset_epoch_counter()
-        assert again.metadata["reuse"]["misses"] == 0
+        reuse = again.metadata["reuse"]
+        assert reuse["misses"] == 0
+        # One verified disk hit per distinct stage; siblings join it.
+        assert reuse["hits"] == first.metadata["reuse"]["published"] == 19
+        assert reuse["unverified_hits"] == 0
+        assert accuracies(again) == accuracies(first)
+
+    def test_staged_duration_sums_the_trials_own_chain(self, tmp_path):
+        sleep_s = 0.01
+        study = staged_study(
+            tmp_path, "timed", reuse=True,
+            space={"optimizer": ["SGD"], "num_epochs": [4, 8],
+                   "epoch_sleep_s": [sleep_s]},
+        )
+        reset_epoch_counter()
+        short, long = study.completed()
+        # The shared [0, 4) block counts for both trials that consume it.
+        assert short.result.duration_s >= 4 * sleep_s
+        assert long.result.duration_s >= 8 * sleep_s
+        assert long.result.duration_s > short.result.duration_s
+
+    def test_failed_shared_block_is_retried_once_for_all_dependants(
+        self, tmp_path
+    ):
+        from repro.runtime.fault import RetryPolicy
+
+        # stage_train-2 is the [0, 4) block all three trials share.
+        plan = FailurePlan().fail_task("stage_train-2", 0, 1)
+        reset_epoch_counter()
+        study = staged_study(
+            tmp_path, "retry", reuse=True,
+            space={"optimizer": ["SGD"], "num_epochs": [4, 8, 12]},
+            injector=FailureInjector(plan=plan, seed=1),
+            retry_policy=RetryPolicy(same_node_retries=0, resubmissions=0),
+            max_trial_retries=1,
+        )
+        # The dead block took every dependant with it; each trial spent
+        # its one retry, the first rebuilt the block, the others joined.
+        assert study.metadata["resilience_events"]["trial_retry"] == 3
+        assert len(study.completed()) == 3
+        assert executed_epochs() == 12
+        reset_epoch_counter()
+        assert accuracies(study) == serial_reference(
+            {"optimizer": ["SGD"], "num_epochs": [4, 8, 12]}
+        )
+
+    def test_joined_submission_is_awaited_by_its_task_group(self, tmp_path):
+        from repro.pycompss_api.task import task
+        from repro.pycompss_api.task_group import (
+            TaskGroup, compss_barrier_group, reset_groups,
+        )
+        from repro.runtime.runtime import COMPSsRuntime
+
+        @task(returns=1, cacheable=True)
+        def slow_square(x):
+            time.sleep(0.2)
+            return x * x
+
+        reset_groups()
+        config = RuntimeConfig(
+            cluster=local_machine(2), reuse_cache=True,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        with COMPSsRuntime(config) as runtime:
+            first = slow_square(7)
+            with TaskGroup("joined") as group:
+                second = slow_square(7)
+            assert second is first  # no second task was created
+            assert group.tasks == [first.invocation]
+            compss_barrier_group("joined")
+            assert first.done and first.result() == 49
+            assert runtime.reuse.stats()["joined"] == 1
+            assert runtime.analysis().reuse()["joined"] == 1
+        reset_groups()
+
+    def test_concurrent_submitters_of_one_key_all_get_the_value(
+        self, tmp_path
+    ):
+        import sys
+        import threading
+
+        from repro.pycompss_api.task import task
+        from repro.runtime.runtime import COMPSsRuntime
+
+        @task(returns=1, cacheable=True)
+        def square(x):
+            return x * x
+
+        config = RuntimeConfig(
+            cluster=local_machine(4), reuse_cache=True,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        threads, rounds, keys = 8, 25, 5
+        wrong = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with COMPSsRuntime(config) as runtime:
+                def hammer():
+                    for i in range(rounds):
+                        x = i % keys
+                        if runtime.wait_on(square(x)) != x * x:
+                            wrong.append(x)
+
+                workers = [threading.Thread(target=hammer)
+                           for _ in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+                stats = runtime.reuse.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        # Racing first submitters may both compute (safe duplication),
+        # but no submission is lost or counted twice.
+        assert (stats["joined"] + stats["misses"] + stats["hits"]
+                == threads * rounds)
+        assert stats["joined"] >= threads * rounds - threads * keys
+        assert stats["unverified_hits"] == 0
+
+    def test_streaming_study_leaves_no_join_entries(self, tmp_path):
+        from repro.runtime.runtime import COMPSsRuntime
+
+        config = RuntimeConfig(
+            cluster=local_machine(4), reuse_cache=True,
+            cache_dir=str(tmp_path / "cache"), stream_completed=True,
+        )
+        reset_epoch_counter()
+        with COMPSsRuntime(config) as runtime:
+            study = PyCOMPSsRunner(
+                "grid", space=SearchSpace.from_dict(SPACE),
+                stage_plan=StagePlan(block_epochs=4), study_name="waves",
+                batch_size=3,  # one optimizer's {4, 8, 12} per wave
+            ).run()
+            assert len(study.completed()) == 9
+            assert study.metadata["reuse"]["joined"] > 0
+            # Every node was freed with its last consumer, and took its
+            # join entry along: nothing pins a result past its use.
+            assert runtime.graph.freed_tasks > 0
+            assert [list(j) for j in runtime._joins.values()] == [[]]
+        assert executed_epochs() == 36
+        reset_epoch_counter()
 
     def test_target_accuracy_warned_and_ignored(self, tmp_path):
         config = RuntimeConfig(cluster=local_machine(2))
@@ -416,6 +616,90 @@ class TestStagedGridReuse:
         runner.target_accuracy = 0.5  # would stop instantly if honoured
         study = runner.run()
         assert len(study.completed()) == 1
+
+
+RESUME_DRIVER = """\
+import os, sys
+from pathlib import Path
+
+from repro.hpo import PyCOMPSsRunner
+from repro.hpo.runner import StudyCallback
+from repro.hpo.space import SearchSpace
+from repro.hpo.stages import StagePlan
+from repro.runtime.config import RuntimeConfig
+from repro.simcluster.machines import local_machine
+
+workdir, die_after = Path(sys.argv[1]), int(sys.argv[2])
+
+
+class DieAfter(StudyCallback):
+    # A deterministic crash point: no flush, no cleanup, leases left.
+    def on_trial_complete(self, study, trial):
+        if die_after and len(study.completed()) >= die_after:
+            os._exit(9)
+
+
+study = PyCOMPSsRunner(
+    "grid",
+    space=SearchSpace.from_dict({
+        "optimizer": ["SGD", "Adam", "RMSprop"], "num_epochs": [4, 8, 12],
+        "epoch_sleep_s": [0.02],
+    }),
+    runtime_config=RuntimeConfig(
+        cluster=local_machine(2), checkpoint_dir=str(workdir),
+        reuse_cache=True,
+    ),
+    stage_plan=StagePlan(block_epochs=4),
+    callbacks=[DieAfter()],
+    resume_from=str(workdir) if (workdir / "journal.jsonl").exists() else None,
+    study_name="staged-crash",
+).run()
+print(len(study.completed()), study.best_trial().config["optimizer"])
+"""
+
+
+def test_killed_staged_study_resumes_without_rerunning_a_task_key(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.runtime import checkpoint as ckpt
+
+    driver = tmp_path / "driver.py"
+    driver.write_text(RESUME_DRIVER)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def run(die_after):
+        return subprocess.run(
+            [sys.executable, str(driver), str(tmp_path / "ckpt"),
+             str(die_after)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    assert run(die_after=2).returncode == 9
+    done = run(die_after=0)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["9", "Adam"]
+
+    records, _ = ckpt.WriteAheadJournal.replay(
+        tmp_path / "ckpt" / ckpt.JOURNAL_FILE
+    )
+    sessions = []
+    for r in records:
+        if r["rec"] == ckpt.SESSION:
+            sessions.append([])
+        elif r["rec"] == ckpt.COMPLETED and not (
+            r.get("restored") or r.get("cached")
+        ):
+            sessions[-1].append(r["key"])
+    first, second = sessions
+    assert first and second  # died mid-study; the rest ran after resume
+    executed = first + second
+    assert len(executed) == len(set(executed))  # no key ran twice
+    # 1 prepare + (3 blocks + 3 finals) x 3 optimizers: every tree node
+    # exactly once across the two processes.
+    assert len(executed) == 19
 
 
 # ----------------------------------------------------------------------
@@ -437,28 +721,34 @@ class TestChaosAcceptance:
                 plan=plan, seed=seed, cache_corrupt_prob=0.10
             )
 
-        chaotic = staged_study(
-            tmp_path / "on", "on", reuse=True, seed=seed,
-            injector=chaos_injector(),
-        )
-        reset_epoch_counter()
+        def chaotic_pair(root):
+            # The writer joins in flight and never reads its own
+            # entries; the rider over the same cache_dir is where the
+            # rotten ones and the wedged lease are met.
+            writer = staged_study(root, "on", reuse=True, seed=seed,
+                                  injector=chaos_injector())
+            rider = staged_study(root, "ride", reuse=True, seed=seed,
+                                 injector=chaos_injector())
+            reset_epoch_counter()
+            return writer, rider
 
-        assert best_of(chaotic) == best_of(baseline)
-        off = {t.trial_id: t.val_accuracy for t in baseline.completed()}
-        on = {t.trial_id: t.val_accuracy for t in chaotic.completed()}
-        assert on == off
-        reuse = chaotic.metadata["reuse"]
-        assert reuse["unverified_hits"] == 0
+        chaotic, rider = chaotic_pair(tmp_path / "on")
+        for study in (chaotic, rider):
+            assert best_of(study) == best_of(baseline)
+            assert accuracies(study) == accuracies(baseline)
+            assert study.metadata["reuse"]["unverified_hits"] == 0
+        assert chaotic.metadata["reuse"]["joined"] > 0
+        assert rider.metadata["reuse"]["hits"] > 0
 
         # Bit-identical same-seed rerun: same chaos draws, same stats
         # that matter, same study payload.
-        rerun = staged_study(
-            tmp_path / "rerun", "on", reuse=True, seed=seed,
-            injector=chaos_injector(),
-        )
-        reset_epoch_counter()
-        assert {t.trial_id: t.val_accuracy for t in rerun.completed()} == on
+        rerun, rerider = chaotic_pair(tmp_path / "rerun")
+        assert accuracies(rerun) == accuracies(chaotic)
         assert best_of(rerun) == best_of(chaotic)
+        assert accuracies(rerider) == accuracies(rider)
+        for key in ("hits", "misses", "joined", "corrupt"):
+            assert (rerider.metadata["reuse"][key]
+                    == rider.metadata["reuse"][key]), key
 
     def test_scripted_corruption_is_detected_and_survived(self, tmp_path):
         plan = (
@@ -474,7 +764,24 @@ class TestChaosAcceptance:
         assert injector.injected_cache_corruptions == ["stage_train-2"]
         assert injector.injected_cache_stalls == ["stage_prepare-1"]
         reuse = study.metadata["reuse"]
-        assert reuse["corrupt"] >= 1
+        assert reuse["joined"] > 0
+        assert reuse["unverified_hits"] == 0
+        # In-study siblings joined the live node, so the rot sits unread
+        # on disk and the prepare lease stays wedged with no entry.  The
+        # next study over the same cache_dir meets both: it waits out
+        # the wedged lease and recomputes unleased, and it detects the
+        # corrupt block at its hit and retrains exactly that block.
+        reset_epoch_counter()
+        rider = staged_study(tmp_path, "rider", reuse=True,
+                             cache_lease_wait_s=0.05)
+        assert executed_epochs() == 4
+        reset_epoch_counter()
+        assert best_of(rider) == best_of(baseline)
+        assert accuracies(rider) == accuracies(baseline)
+        reuse = rider.metadata["reuse"]
+        assert reuse["corrupt"] == 1
+        assert reuse["lease_timeouts"] == 1
+        assert reuse["hits"] > 0
         assert reuse["unverified_hits"] == 0
 
     def test_concurrent_tenants_race_identical_stages(self, tmp_path):
@@ -492,22 +799,32 @@ class TestChaosAcceptance:
         ).start()
         client = ServiceClient(service.paths.root, poll_s=0.01)
         space = {"optimizer": ["SGD", "Adam"], "num_epochs": [4, 8]}
+
+        def submit(sid, tenant):
+            client.submit(
+                proto.StudyRequest(
+                    study_id=sid, tenant=tenant, space=space,
+                    stage_epochs=4, objective="fast_mock",
+                ),
+                wait_admission=False,
+            )
+
         try:
-            for sid, tenant in (("tA", "a"), ("tB", "b")):
-                client.submit(
-                    proto.StudyRequest(
-                        study_id=sid, tenant=tenant, space=space,
-                        stage_epochs=4, objective="fast_mock",
-                    ),
-                    wait_admission=False,
-                )
+            submit("tA", "a")
+            submit("tB", "b")
+            service.run_until_idle(max_wait_s=120)
+            raced = service.runtime.reuse.stats()
+            # A third tenant after the race: everything it needs is
+            # published, so it resolves from verified disk entries.
+            submit("tC", "c")
             service.run_until_idle(max_wait_s=120)
             reuse_stats = service.runtime.reuse.stats()
+            assert not service.runtime._joins  # dropped at study close
         finally:
             service.shutdown()
 
         results = {}
-        for sid in ("tA", "tB"):
+        for sid in ("tA", "tB", "tC"):
             state = client.status(sid)
             assert state["status"] == proto.COMPLETED
             results[sid] = (
@@ -517,10 +834,14 @@ class TestChaosAcceptance:
             )
         # Identical studies, identical answers — racing the cache never
         # leaks one tenant's chaos into another's results.
-        assert results["tA"] == results["tB"]
+        assert results["tA"] == results["tB"] == results["tC"]
         assert reuse_stats["unverified_hits"] == 0
-        # The shared cache actually engaged across tenants.
-        assert reuse_stats["hits"] > 0
+        # Each racing tenant joined its own siblings; the join map is
+        # per study, so across tenants sharing stayed on the disk path.
+        assert raced["joined"] > 0
+        # tC: 1 prepare + (2 blocks + 2 finals) x 2 optimizers, all hits.
+        assert reuse_stats["hits"] - raced["hits"] == 9
+        assert reuse_stats["misses"] == raced["misses"]
         assert (tmp_path / "svc" / "reuse-cache").is_dir()
 
 
@@ -542,7 +863,11 @@ class TestReuseCli:
             "--reuse-cache", "--cache-dir", str(cache),
             "--checkpoint-dir", str(ckpt), "--out-dir", str(tmp_path / "out"),
         ]) == 0
-        capsys.readouterr()
+        # 9 stages computed, 5 submissions joined: prepare x3, and the
+        # [0, 4) block once per optimizer.
+        assert "9 misses (0% hit rate), 5 joined" in capsys.readouterr().out
+        assert main(["report", str(tmp_path / "out" / "study.json")]) == 0
+        assert "'joined': 5" in capsys.readouterr().out
 
         assert main([
             "recover", str(ckpt), "--cache-dir", str(cache)
