@@ -6,7 +6,9 @@ Implementation: a GP with an RBF kernel over the unit-hypercube embedding
 of the space, expected-improvement acquisition maximised over random
 candidates, and a constant-liar strategy so batches of parallel
 suggestions stay diverse (pending points are imputed with the current
-mean).  Pure numpy/scipy.
+mean).  Pure numpy/scipy; scipy is imported by the functions that call
+it, so ``import repro.hpo`` (every CLI start, every worker) does not pay
+for ``scipy.stats`` on behalf of an algorithm the study may never use.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm
 
 from repro.hpo.algorithms.base import SearchAlgorithm
 from repro.hpo.space import SearchSpace
@@ -50,6 +50,8 @@ class GaussianProcess:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Fit on observations (y standardised internally)."""
+        from scipy import linalg
+
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ValueError(f"bad shapes x={x.shape}, y={y.shape}")
         self._y_mean = float(y.mean())
@@ -64,6 +66,8 @@ class GaussianProcess:
 
     def predict(self, x: np.ndarray):
         """Posterior mean and std at rows of ``x`` (original y units)."""
+        from scipy import linalg
+
         if self._x is None:
             raise RuntimeError("predict() before fit()")
         ks = rbf_kernel(x, self._x, self.length_scale)
@@ -79,6 +83,8 @@ def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
 ) -> np.ndarray:
     """EI for maximisation: E[max(f − best − ξ, 0)]."""
+    from scipy.stats import norm
+
     std = np.maximum(std, 1e-12)
     z = (mean - best - xi) / std
     return (mean - best - xi) * norm.cdf(z) + std * norm.pdf(z)

@@ -1,15 +1,31 @@
 """Layer base classes.
 
 The framework uses explicit forward/backward methods (no autograd): each
-layer caches what it needs during ``forward`` and consumes it in
-``backward``.  That keeps the arithmetic transparent and the memory
-behaviour predictable — caches are plain ndarrays reused per batch.
+layer caches what it needs during ``forward`` (fresh arrays per batch,
+dropped in ``backward``) and consumes it in ``backward``.
+
+Parameter and gradient storage is allocated once.  A layer's ``build``
+hands its initialised arrays to :meth:`ParamLayer._register`, which also
+allocates one same-shaped gradient array per parameter; a standalone
+layer owns both.  :meth:`Sequential.build
+<repro.ml.model.Sequential.build>` then moves every layer's arrays into
+one contiguous float64 *parameter arena* and a same-shaped *gradient
+arena* (:meth:`ParamLayer.bind`), so ``params[k]`` / ``grads[k]`` are
+reshaped views and the optimiser updates the whole model in one call.
+Two rules follow for a new parameter layer:
+
+* ``backward`` writes each gradient **into** ``self._grads[k]``
+  (``np.matmul(..., out=)``, ``g.sum(axis=0, out=)``) and never rebinds
+  the dict entry — a rebound array would leave the arena stale;
+* ``backward`` takes ``need_input_grad`` and returns ``None`` without
+  computing dL/d(input) when it is false: the model passes ``False`` to
+  its first parameter layer, whose input gradient nothing consumes.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +73,11 @@ class Layer(abc.ABC):
         return {}
 
     @property
+    def buffers(self) -> Dict[str, np.ndarray]:
+        """Non-trainable state a resume must carry (e.g. running statistics)."""
+        return {}
+
+    @property
     def n_params(self) -> int:
         """Total number of scalar parameters."""
         return int(sum(p.size for p in self.params.values()))
@@ -76,9 +97,10 @@ class Layer(abc.ABC):
 class ParamLayer(Layer):
     """Base for layers with learnable parameters.
 
-    Provides dict-backed parameter/gradient storage; subclasses register
-    arrays in :attr:`_params` during :meth:`build` and write matching
-    entries in :attr:`_grads` during :meth:`backward`.
+    Provides dict-backed parameter/gradient storage; subclasses pass
+    their initialised arrays to :meth:`_register` during :meth:`build`
+    and write into the matching :attr:`_grads` entries during
+    :meth:`backward` (see the module docstring for the contract).
     """
 
     def __init__(self, name: Optional[str] = None):
@@ -94,6 +116,18 @@ class ParamLayer(Layer):
     def grads(self) -> Dict[str, np.ndarray]:
         return self._grads
 
+    def _register(self, params: Dict[str, np.ndarray]) -> None:
+        """Adopt freshly initialised ``params``; allocate their gradients."""
+        self._params = params
+        self._grads = {k: np.zeros_like(p) for k, p in params.items()}
+
+    def bind(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+        """Move parameter ``key`` into ``param`` (keeping its values) and
+        its gradient into ``grad`` — views of the owning model's arenas."""
+        param[...] = self._params[key]
+        self._params[key] = param
+        self._grads[key] = grad
+
     def set_params(self, new_params: Dict[str, np.ndarray]) -> None:
         """Overwrite parameters in place (used by serialisation/tests)."""
         for key, value in new_params.items():
@@ -105,22 +139,3 @@ class ParamLayer(Layer):
                     f"{self._params[key].shape} vs {value.shape}"
                 )
             self._params[key][...] = value
-
-
-def flat_param_list(layers: List[Layer]) -> List[Tuple[str, np.ndarray, np.ndarray]]:
-    """Flatten (qualified name, param, grad) triples across ``layers``.
-
-    Optimisers iterate this to apply updates; the qualified name
-    (``layername/paramname``) keys per-parameter optimiser state.
-    """
-    out: List[Tuple[str, np.ndarray, np.ndarray]] = []
-    for i, layer in enumerate(layers):
-        for key, p in layer.params.items():
-            g = layer.grads.get(key)
-            if g is None:
-                raise RuntimeError(
-                    f"layer {layer.name!r} has param {key!r} but no gradient; "
-                    "was backward() called?"
-                )
-            out.append((f"{i}:{layer.name}/{key}", p, g))
-    return out

@@ -8,7 +8,7 @@ better with it — one of the architecture knobs an HPO study sweeps.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +48,10 @@ class BatchNorm(ParamLayer):
         # Normalise over batch (+ spatial dims for images).
         self._axes = tuple(range(len(input_shape)))  # with batch axis at 0
         self._axes = (0,) + tuple(i + 1 for i in range(len(input_shape) - 1))
-        self._params = {
+        self._register({
             "gamma": np.ones(channels, dtype=np.float64),
             "beta": np.zeros(channels, dtype=np.float64),
-        }
+        })
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
         self.input_shape = tuple(input_shape)
@@ -78,24 +78,30 @@ class BatchNorm(ParamLayer):
             self._cache = (x_hat, inv_std)
         return gamma * x_hat + beta
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    @property
+    def buffers(self) -> Dict[str, np.ndarray]:
+        if self.running_mean is None or self.running_var is None:
+            return {}
+        return {"running_mean": self.running_mean, "running_var": self.running_var}
+
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self._require_built()
         if self._cache is None:
             raise RuntimeError("backward() before forward(training=True)")
         x_hat, inv_std = self._cache
-        gamma = self._params["gamma"]
+        self._cache = None
         axes = self._axes
-        n = float(np.prod([grad_out.shape[a] for a in axes]))
-        self._grads = {
-            "gamma": (grad_out * x_hat).sum(axis=axes),
-            "beta": grad_out.sum(axis=axes),
-        }
+        (grad_out * x_hat).sum(axis=axes, out=self._grads["gamma"])
+        grad_out.sum(axis=axes, out=self._grads["beta"])
+        if not need_input_grad:
+            return None
         # Standard batchnorm input gradient (vectorised over channels).
-        dxhat = grad_out * gamma
+        dxhat = grad_out * self._params["gamma"]
         grad_in = (
             dxhat
             - dxhat.mean(axis=axes, keepdims=True)
             - x_hat * (dxhat * x_hat).mean(axis=axes, keepdims=True)
         ) * inv_std
-        self._cache = None
         return grad_in

@@ -168,9 +168,10 @@ class Conv2D(ParamLayer):
             )
         kinit = get_initializer(self.kernel_initializer)
         binit = get_initializer(self.bias_initializer)
-        self._params = {"W": kinit((kh, kw, c, self.filters), rng)}
+        params = {"W": kinit((kh, kw, c, self.filters), rng)}
         if self.use_bias:
-            self._params["b"] = binit((self.filters,), rng)
+            params["b"] = binit((self.filters,), rng)
+        self._register(params)
         self.input_shape = (h, w, c)
         self.output_shape = (oh, ow, self.filters)
         self.built = True
@@ -188,21 +189,19 @@ class Conv2D(ParamLayer):
             self._x_shape = x.shape
         return out.reshape(x.shape[0], oh, ow, self.filters)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self._require_built()
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward() before forward(training=True)")
         kh, kw = self.kernel_size
-        n = grad_out.shape[0]
         g = grad_out.reshape(-1, self.filters)
-        w_grad = (self._cols.T @ g).reshape(self._params["W"].shape)
-        self._grads = {"W": w_grad}
+        np.matmul(self._cols.T, g, out=self._grads["W"].reshape(-1, self.filters))
         if self.use_bias:
-            self._grads["b"] = g.sum(axis=0)
+            g.sum(axis=0, out=self._grads["b"])
+        x_shape, self._cols, self._x_shape = self._x_shape, None, None
+        if not need_input_grad:
+            return None
         cols_grad = g @ self._params["W"].reshape(-1, self.filters).T
-        grad_in = col2im(
-            cols_grad, self._x_shape, kh, kw, self.strides, self._pad
-        )
-        self._cols = None
-        self._x_shape = None
-        return grad_in
+        return col2im(cols_grad, x_shape, kh, kw, self.strides, self._pad)

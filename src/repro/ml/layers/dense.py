@@ -49,9 +49,10 @@ class Dense(ParamLayer):
         in_features = int(input_shape[0])
         kinit = get_initializer(self.kernel_initializer)
         binit = get_initializer(self.bias_initializer)
-        self._params = {"W": kinit((in_features, self.units), rng)}
+        params = {"W": kinit((in_features, self.units), rng)}
         if self.use_bias:
-            self._params["b"] = binit((self.units,), rng)
+            params["b"] = binit((self.units,), rng)
+        self._register(params)
         self.input_shape = tuple(input_shape)
         self.output_shape = (self.units,)
         self.built = True
@@ -65,14 +66,16 @@ class Dense(ParamLayer):
             y += self._params["b"]
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self._require_built()
         if self._x is None:
             raise RuntimeError("backward() before forward(training=True)")
-        x = self._x
-        self._grads = {"W": x.T @ grad_out}
+        np.matmul(self._x.T, grad_out, out=self._grads["W"])
         if self.use_bias:
-            self._grads["b"] = grad_out.sum(axis=0)
-        grad_in = grad_out @ self._params["W"].T
+            grad_out.sum(axis=0, out=self._grads["b"])
         self._x = None  # release the cache promptly (memory hygiene)
-        return grad_in
+        if not need_input_grad:
+            return None
+        return grad_out @ self._params["W"].T

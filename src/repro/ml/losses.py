@@ -1,16 +1,17 @@
 """Loss functions.
 
 Each loss exposes ``value(y_true, y_pred)`` and ``gradient(y_true, y_pred)``
-where the gradient is dL/d(model output), averaged over the batch.
-:class:`CategoricalCrossentropy` supports ``from_logits=True`` which fuses
-softmax + cross-entropy for numerical stability (the gradient collapses to
-``(p − y) / n``).
+where the gradient is dL/d(model output), averaged over the batch, and
+``value_and_gradient`` which the training step calls to get both from one
+pass.  :class:`CategoricalCrossentropy` supports ``from_logits=True`` which
+fuses softmax + cross-entropy for numerical stability (the gradient
+collapses to ``(p − y) / n``).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -27,6 +28,12 @@ class Loss(abc.ABC):
     @abc.abstractmethod
     def gradient(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
         """dL/d(y_pred), already divided by the batch size."""
+
+    def value_and_gradient(
+        self, y_true: np.ndarray, y_pred: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        """``(value, gradient)`` of one batch; subclasses may share work."""
+        return self.value(y_true, y_pred), self.gradient(y_true, y_pred)
 
     @staticmethod
     def _check_shapes(y_true: np.ndarray, y_pred: np.ndarray) -> None:
@@ -76,6 +83,20 @@ class CategoricalCrossentropy(Loss):
             return (softmax(y_pred) - y_true) / n
         probs = self._probs(y_pred)
         return (-y_true / probs) / n
+
+    def value_and_gradient(
+        self, y_true: np.ndarray, y_pred: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        if not self.from_logits:
+            return super().value_and_gradient(y_true, y_pred)
+        # value() and gradient() above, sharing shifted / exp / row sums.
+        self._check_shapes(y_true, y_pred)
+        n = y_true.shape[0]
+        shifted = y_pred - y_pred.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        row_sum = e.sum(axis=-1, keepdims=True)
+        value = float(-(y_true * (shifted - np.log(row_sum))).sum() / n)
+        return value, (e / row_sum - y_true) / n
 
 
 class MeanSquaredError(Loss):

@@ -14,11 +14,12 @@ import numpy as np
 
 from repro.ml.callbacks import Callback
 from repro.ml.data import iterate_batches
-from repro.ml.layers.base import Layer, flat_param_list
+from repro.ml.layers.base import Layer
 from repro.ml.layers.activations import softmax
 from repro.ml.losses import Loss, get_loss
 from repro.ml.metrics import accuracy
 from repro.ml.optimizers import Optimizer, get_optimizer
+from repro.ml.optimizers.base import ARENA, Layout
 from repro.util.seeding import rng_from
 from repro.util.validation import check_positive
 
@@ -98,6 +99,11 @@ class Sequential:
         self._build_rng = None
         self._fit_rng = None
         self._pending_fit_rng_state = None
+        # Set by build(): the arenas every layer's params/grads view into.
+        self._layout: Layout = []
+        self._step_triple: List[Tuple[str, np.ndarray, np.ndarray]] = []
+        self._head: Optional[Layer] = None  # first parameter layer
+        self._tail: List[Layer] = []  # the layers after it, last first
 
     # ------------------------------------------------------------------
     # Construction
@@ -122,7 +128,38 @@ class Sequential:
             layer.build(shape, rng)
             assert layer.output_shape is not None
             shape = layer.output_shape
+        self._bind_arenas()
         self.built = True
+
+    def _bind_arenas(self) -> None:
+        """Move all parameters into one flat array, gradients into another."""
+        total = sum(layer.n_params for layer in self.layers)
+        params, grads = np.empty(total), np.zeros(total)
+        self._layout = []
+        offset = 0
+        for i, layer in enumerate(self.layers):
+            for key, p in list(layer.params.items()):
+                where = slice(offset, offset + p.size)
+                layer.bind(
+                    key, params[where].reshape(p.shape), grads[where].reshape(p.shape)
+                )
+                self._layout.append((f"{i}:{layer.name}/{key}", where, p.shape))
+                offset += p.size
+        self._step_triple = [(ARENA, params, grads)] if total else []
+        # Nothing consumes dL/d(input) of the first parameter layer, so
+        # the backward pass ends there without computing it.
+        first = next(
+            (i for i, layer in enumerate(self.layers) if layer.params), None
+        )
+        self._head = None if first is None else self.layers[first]
+        self._tail = self.layers[::-1] if first is None else self.layers[:first:-1]
+
+    def __setstate__(self, state: Dict) -> None:
+        # Pickling and deepcopy turn the views into separate arrays:
+        # give the copy arenas of its own, filled from those arrays.
+        self.__dict__.update(state)
+        if self.built:
+            self._bind_arenas()
 
     def compile(
         self,
@@ -190,11 +227,12 @@ class Sequential:
         if self.optimizer is None or self.loss is None:
             raise RuntimeError("call compile() before training")
         out = self.forward(x, training=True)
-        loss_value = self.loss.value(y, out)
-        grad = self.loss.gradient(y, out)
-        for layer in reversed(self.layers):
+        loss_value, grad = self.loss.value_and_gradient(y, out)
+        for layer in self._tail:
             grad = layer.backward(grad)
-        self.optimizer.apply_gradients(flat_param_list(self.layers))
+        if self._head is not None:
+            self._head.backward(grad, need_input_grad=False)
+        self.optimizer.apply_gradients(self._step_triple)
         return {"loss": loss_value, "accuracy": accuracy(y, out)}
 
     def fit(
@@ -302,7 +340,9 @@ class Sequential:
 
         ``epoch`` is the cursor: the number of *completed* epochs (the
         resumed fit passes it as ``initial_epoch``).  Captures weights,
-        the optimiser's step counter and moment state, both RNG streams
+        non-trainable layer buffers (a ``"buffers"`` key, present only
+        when some layer has any), the optimiser's step counter and moment
+        state in per-parameter form, both RNG streams
         (build-time — shared by stochastic layers — and shuffle), and the
         accumulated history, so a restore is byte-identical to having
         never stopped.
@@ -314,12 +354,14 @@ class Sequential:
             "epoch": int(epoch),
             "weights": self.get_weights(),
             "optimizer_iterations": int(self.optimizer.iterations),
-            "optimizer_state": {
-                name: {k: v.copy() for k, v in slots.items()}
-                for name, slots in self.optimizer._state.items()
-            },
+            "optimizer_state": self.optimizer.export_state(self._layout),
             "history": history.as_dict() if history is not None else None,
         }
+        if any(layer.buffers for layer in self.layers):
+            state["buffers"] = [
+                {k: v.copy() for k, v in layer.buffers.items()}
+                for layer in self.layers
+            ]
         if self._build_rng is not None:
             state["build_rng_state"] = self._build_rng.bit_generator.state
         if self._fit_rng is not None:
@@ -337,10 +379,11 @@ class Sequential:
             raise RuntimeError("cannot restore state before build() and compile()")
         self.set_weights(state["weights"])
         self.optimizer.iterations = int(state["optimizer_iterations"])
-        self.optimizer._state = {
-            name: {k: np.asarray(v).copy() for k, v in slots.items()}
-            for name, slots in state["optimizer_state"].items()
-        }
+        self.optimizer.import_state(self._layout, state["optimizer_state"])
+        # Absent in states of buffer-free models and in older spills.
+        for layer, saved in zip(self.layers, state.get("buffers", [])):
+            for key, value in saved.items():
+                layer.buffers[key][...] = value
         if state.get("build_rng_state") is not None and self._build_rng is not None:
             self._build_rng.bit_generator.state = state["build_rng_state"]
         if state.get("fit_rng_state") is not None:

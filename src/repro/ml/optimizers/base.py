@@ -1,19 +1,31 @@
 """Optimiser base class.
 
 Optimisers receive ``(name, param, grad)`` triples each step and update the
-parameter arrays **in place** (no reallocation on the hot path — the
-in-place-operations idiom from the HPC guide).  Per-parameter state (moment
-estimates etc.) is keyed by the qualified parameter name.
+parameter arrays **in place**; slot arrays (moment estimates etc.) are
+allocated on a name's first step, keyed by that name, and updated in place
+afterwards (the element-wise temporaries of an update are still fresh
+arrays).  :class:`~repro.ml.model.Sequential` passes a single triple —
+``(ARENA, parameter arena, gradient arena)`` — so every update rule runs
+once per step over the whole model; element-wise arithmetic gives each
+parameter the bits it would get from its own triple.  The arena's slots
+cross the suspend/resume boundary in per-parameter form through
+:meth:`Optimizer.export_state` / :meth:`Optimizer.import_state`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.util.validation import check_positive
+
+
+#: State key of a model's flat parameter arena.
+ARENA = "arena"
+#: ``(qualified name, arena slice, shape)`` per parameter, in arena order.
+Layout = Sequence[Tuple[str, slice, Tuple[int, ...]]]
 
 
 class Optimizer(abc.ABC):
@@ -49,6 +61,30 @@ class Optimizer(abc.ABC):
         """Drop all accumulated state (moments, step count)."""
         self.iterations = 0
         self._state.clear()
+
+    def export_state(self, layout: Layout) -> Dict[str, Dict[str, np.ndarray]]:
+        """Copy of the arena's slots cut per parameter: ``{name: {slot: array}}``
+        (empty before the first step)."""
+        slots = self._state.get(ARENA)
+        if slots is None:
+            return {}
+        return {
+            name: {k: v[where].reshape(shape).copy() for k, v in slots.items()}
+            for name, where, shape in layout
+        }
+
+    def import_state(
+        self, layout: Layout, state: Dict[str, Dict[str, np.ndarray]]
+    ) -> None:
+        """Replace all state with an :meth:`export_state` dict for ``layout``."""
+        self._state = {}
+        if not state:
+            return
+        slots = self._state[ARENA] = {}
+        total = layout[-1][1].stop  # slices tile the arena in order
+        for name, where, _ in layout:
+            for k, v in state[name].items():
+                slots.setdefault(k, np.zeros(total))[where] = np.asarray(v).reshape(-1)
 
     @property
     def config(self) -> Dict[str, float]:

@@ -41,7 +41,9 @@ def save_weights(model: Sequential, path: Union[str, Path]) -> Path:
     path = Path(path)
     arrays = {}
     for i, layer in enumerate(model.layers):
-        for key, value in layer.params.items():
+        # Buffers (non-trainable state) share the key scheme; their names
+        # never collide with a layer's parameter names.
+        for key, value in {**layer.params, **layer.buffers}.items():
             arrays[f"{i}:{key}"] = value
     arrays["__meta__"] = np.frombuffer(
         json.dumps(_fingerprint(model)).encode("utf-8"), dtype=np.uint8
@@ -89,4 +91,7 @@ def load_weights(model: Sequential, path: Union[str, Path]) -> Sequential:
                         f"{list(layer.params[key].shape)} in model"
                     )
                 layer.params[key][...] = data[f"{i}:{key}"]
+            for key, buffer in layer.buffers.items():
+                if f"{i}:{key}" in data.files:  # absent in older files
+                    buffer[...] = data[f"{i}:{key}"]
     return model

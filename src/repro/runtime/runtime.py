@@ -480,6 +480,14 @@ class COMPSsRuntime:
             if self._locality is not None:
                 self._locality.register_dependencies(invocation, dep_list)
             self.graph.add_task(invocation, dep_list, edge_labels)
+            for dep in dep_list:
+                if dep.state is TaskState.FAILED:
+                    # The producer died before this consumer reached the
+                    # graph (e.g. a join onto a node that then failed), so
+                    # its fail_descendants pass missed it: fail it now
+                    # rather than leave it pending forever.
+                    self.fail_descendants(dep, self.executor.clock())
+                    break
             if restored is not ckpt._MISSING:
                 Executor.fan_out_result(invocation, futures, restored)
                 # Restored outputs verified at spill load; seal them so

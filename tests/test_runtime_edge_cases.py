@@ -1,5 +1,5 @@
 """Edge-case tests: varargs dependency detection, multinode node failure,
-requeue fairness, zero-duration tasks."""
+requeue fairness, zero-duration tasks, consumers of dead producers."""
 
 import pytest
 
@@ -74,6 +74,38 @@ class TestMultinodeNodeFailure:
             assert rt.virtual_time == pytest.approx(150.0, abs=3.0)
         finally:
             rt.stop(wait=False)
+
+
+class TestConsumerOfDeadProducer:
+    @pytest.mark.parametrize("executor", ["local", "simulated"])
+    def test_consumer_submitted_after_the_failure_fails_instead_of_hanging(
+        self, executor
+    ):
+        # The producer's fail_descendants pass ran before the consumer
+        # existed; the consumer used to sit in SUBMITTED forever.
+        from repro.runtime.fault import (
+            RetryPolicy, TaskFailedError, UpstreamFailureError,
+        )
+
+        @task(returns=int)
+        def boom(x):
+            raise RuntimeError("dead")
+
+        @task(returns=int)
+        def inc(x):
+            return x + 1
+
+        cfg = RuntimeConfig(
+            cluster=local_machine(2), executor=executor, execute_bodies=True,
+            retry_policy=RetryPolicy(same_node_retries=0, resubmissions=0),
+        )
+        with COMPSsRuntime(cfg):
+            dead = boom(1)
+            with pytest.raises(TaskFailedError):
+                compss_wait_on(dead)
+            with pytest.raises(TaskFailedError) as err:
+                compss_wait_on(inc(inc(dead)))
+            assert isinstance(err.value.cause, UpstreamFailureError)
 
 
 class TestRequeueFairness:
