@@ -560,7 +560,8 @@ def cmd_recover(args) -> int:
         f"/ {spills['missing']} missing"
         + (" (corrupt spills re-execute on resume)" if spills["corrupt"] else "")
     )
-    print(f"  frontier (will re-execute on resume): {summary['frontier']}")
+    print("  unfinished in journal (failed or in flight at a crash): "
+          f"{summary['frontier']}")
     if cache is not None:
         print(
             f"  reuse cache: {cache['entries']} entries, {cache['bytes']} B, "
@@ -595,8 +596,8 @@ def cmd_gc(args) -> int:
     except JournalCorruptError as exc:
         print(f"journal corrupt: {exc}", file=sys.stderr)
         return 2
-    # Every key with *any* journal record stays: completed spills a
-    # resume restores, and in-flight keys a parked study may yet finish.
+    # Every key with a journal record stays: a completed spill is what a
+    # resume restores.
     referenced = set(recovery.states)
     # Honour active leases generically: a fresh .lease next to a spill
     # means some process is mid-write on that key.

@@ -223,10 +223,10 @@ class AccessProcessor:
         mode.
         """
         out: List[Tuple[int, DataVersion]] = []
-        for (task_id, index), info in self._future_data.items():
-            if task_id == task.task_id:
+        for index in range(task.definition.n_returns):
+            info = self._future_data.get((task.task_id, index))
+            if info is not None:
                 out.append((index, info.versions[0]))
-        out.sort(key=lambda pair: pair[0])
         return out
 
     def invalidate_versions_written_by(self, tasks) -> List[str]:

@@ -6,9 +6,9 @@ the driver process is SIGKILLed, or a node is lost together with the data
 versions it held.  Three cooperating pieces:
 
 * :class:`WriteAheadJournal` — an append-only JSONL file with one record
-  per task lifecycle transition (``submitted`` / ``started`` /
-  ``completed`` / ``failed``), fsync'd on commit records so a crash can
-  lose at most the in-flight tail.  Tasks are keyed by
+  per task (``completed`` / ``failed``; replay also reads the
+  ``submitted`` / ``started`` lines of older journals), fsync'd so a
+  crash can lose at most the record being written.  Tasks are keyed by
   :class:`TaskKeyer`'s deterministic ids (task name + parameter digest +
   occurrence index), which are stable across processes — re-running the
   same driver program regenerates the same keys in the same order.
@@ -61,8 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _log = get_logger("runtime.checkpoint")
 
-#: Journal record kinds (one per task lifecycle transition, plus session
-#: markers so replay can tell which process wrote which records).
+#: Journal record kinds: ``completed`` / ``failed`` per task, plus session
+#: markers so replay can tell which process wrote which records.
+#: ``submitted`` / ``started`` are only read, from older journals.
 SUBMITTED = "submitted"
 STARTED = "started"
 COMPLETED = "completed"
@@ -77,6 +78,20 @@ JOURNAL_FILE = "journal.jsonl"
 OUTPUTS_DIR = "outputs"
 
 _MISSING = object()
+
+#: Types whose canonical form is their ``repr``.  The exact-type set is
+#: checked before the ``isinstance`` ladder; subclasses (``np.float64``,
+#: ``IntEnum``) take the ladder and get the string they always got.
+_PRIMITIVES = (int, float, complex, bool, str, bytes, type(None))
+_PRIMITIVE_TYPES = frozenset(_PRIMITIVES)
+
+# ``json.dumps(..., sort_keys=True)`` builds a ``JSONEncoder`` per call.
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+_escape = json.encoder.encode_basestring_ascii
+#: The per-task ``completed`` record is formatted by hand, to the bytes
+#: ``_encode_record`` gives for the same fields.
+_COMMIT_FIELDS = frozenset({"task", "node", "stored"})
+_COMMIT_LINE = '{"key": %s, "node": %s, "rec": %s, "seq": %d, "stored": %s, "task": %s}'
 
 
 def sidecar_digest(payload: bytes) -> str:
@@ -138,32 +153,30 @@ class TaskKeyer:
 
     def __init__(self, namespace: str = "") -> None:
         self.namespace = namespace
-        # Occurrence counters keyed by a 64-bit slot derived from
-        # (name, param digest) rather than the strings themselves: the
+        # Occurrence counters, definition name -> 64-bit slot (the head of
+        # the param digest) -> count, rather than the digest strings: the
         # keyer is the one journal-path structure that must persist for
         # the whole session (a counter per *distinct* submission), and at
-        # 1M tasks the string tuples retained ~270 B/task.  A slot
-        # collision merely inflates the colliding task's occurrence index
-        # — and deterministically so (same driver program, same hashes,
-        # same collision), so keys still match across sessions.
-        self._occurrences: Dict[int, int] = {}
+        # 1M tasks string keys retained ~270 B/task.  A slot collision
+        # merely inflates the colliding task's occurrence index — and
+        # deterministically so (same driver program, same hashes, same
+        # collision), so keys still match across sessions.
+        self._occurrences: Dict[str, Dict[int, int]] = {}
 
     def key_for(self, task: TaskInvocation) -> str:
         """Compute (and memoise on the invocation) the task's key."""
         if task.task_key is not None:
             return task.task_key
+        name = task.definition.name
         digest = self._params_digest(task.args, task.kwargs)
-        raw = f"{task.definition.name}|{digest}"
+        counts = self._occurrences.setdefault(name, {})
+        slot = int(digest[:16], 16)
+        occurrence = counts.get(slot, 0)
+        counts[slot] = occurrence + 1
+        raw = f"{name}|{digest}|{occurrence}"
         if self.namespace:
             raw = f"{self.namespace}::{raw}"
-        slot = int.from_bytes(
-            hashlib.sha1(raw.encode("utf-8")).digest()[:8], "big"
-        )
-        occurrence = self._occurrences.get(slot, 0)
-        self._occurrences[slot] = occurrence + 1
-        task.task_key = hashlib.sha1(
-            f"{raw}|{occurrence}".encode("utf-8")
-        ).hexdigest()[:16]
+        task.task_key = hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
         return task.task_key
 
     def content_key_for(self, task: TaskInvocation) -> Optional[str]:
@@ -196,19 +209,7 @@ class TaskKeyer:
         if not definition.cacheable:
             return None
         try:
-            h = hashlib.sha1()
-            for a in task.args:
-                h.update(self._canonical_content(a).encode("utf-8", "replace"))
-                h.update(b"\x00")
-            for k in sorted(task.kwargs):
-                h.update(k.encode("utf-8"))
-                h.update(b"=")
-                h.update(
-                    self._canonical_content(task.kwargs[k]).encode(
-                        "utf-8", "replace"
-                    )
-                )
-                h.update(b"\x00")
+            digest = self._params_digest(task.args, task.kwargs, content=True)
         except _UnstableArgument:
             return None
         func = definition.func
@@ -216,70 +217,61 @@ class TaskKeyer:
             f"{getattr(func, '__module__', '')}."
             f"{getattr(func, '__qualname__', definition.name)}"
         )
-        raw = f"{qualified}|{definition.name}|{h.hexdigest()}"
+        raw = f"{qualified}|{definition.name}|{digest}"
         task.content_key = hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
         return task.content_key
 
-    def _canonical_content(self, obj: Any) -> str:
-        """Like :meth:`_canonical`, but refuses unstable forms."""
+    def _params_digest(
+        self, args: Tuple[Any, ...], kwargs: Dict[str, Any], content: bool = False
+    ) -> str:
+        h = hashlib.sha1()
+        canonical = self._canonical
+        for a in args:
+            h.update(canonical(a, content).encode("utf-8", "replace") + b"\x00")
+        for k in sorted(kwargs):
+            h.update(k.encode("utf-8") + b"=")
+            h.update(canonical(kwargs[k], content).encode("utf-8", "replace") + b"\x00")
+        return h.hexdigest()
+
+    def _canonical(self, obj: Any, content: bool = False) -> str:
+        """Stable textual form of one argument (recursive, bounded).
+
+        For a content key (``content``) futures digest by their
+        producer's content key and a form that is not process-stable
+        raises :class:`_UnstableArgument` instead of being approximated.
+        """
+        if type(obj) in _PRIMITIVE_TYPES:
+            return repr(obj)
         if is_future(obj):
             producer = obj.invocation
-            key = self.content_key_for(producer)
-            if key is None:
-                raise _UnstableArgument(
-                    f"future of non-cacheable task {producer.label}"
-                )
+            if not content:
+                key = producer.task_key or self.key_for(producer)
+            else:
+                key = self.content_key_for(producer)
+                if key is None:
+                    raise _UnstableArgument(
+                        f"future of non-cacheable task {producer.label}"
+                    )
             return f"<fut:{key}:{obj.index}>"
         if isinstance(obj, Mapping):
             inner = ",".join(
-                f"{self._canonical_content(k)}:{self._canonical_content(obj[k])}"
+                f"{self._canonical(k, content)}:{self._canonical(obj[k], content)}"
                 for k in sorted(obj, key=repr)
             )
             return "{" + inner + "}"
         if isinstance(obj, (list, tuple)):
-            inner = ",".join(self._canonical_content(i) for i in obj)
+            inner = ",".join(self._canonical(i, content) for i in obj)
             return ("[" if isinstance(obj, list) else "(") + inner
         if isinstance(obj, (set, frozenset)):
             return "{" + ",".join(
-                sorted(self._canonical_content(i) for i in obj)
+                sorted(self._canonical(i, content) for i in obj)
             ) + "}"
-        if isinstance(obj, (int, float, complex, bool, str, bytes, type(None))):
+        if isinstance(obj, _PRIMITIVES):
             return repr(obj)
-        raise _UnstableArgument(
-            f"{type(obj).__name__} has no stable canonical form"
-        )
-
-    def _params_digest(self, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> str:
-        h = hashlib.sha1()
-        for a in args:
-            h.update(self._canonical(a).encode("utf-8", "replace"))
-            h.update(b"\x00")
-        for k in sorted(kwargs):
-            h.update(k.encode("utf-8"))
-            h.update(b"=")
-            h.update(self._canonical(kwargs[k]).encode("utf-8", "replace"))
-            h.update(b"\x00")
-        return h.hexdigest()
-
-    def _canonical(self, obj: Any) -> str:
-        """Stable textual form of one argument (recursive, bounded)."""
-        if is_future(obj):
-            producer = obj.invocation
-            key = producer.task_key or self.key_for(producer)
-            return f"<fut:{key}:{obj.index}>"
-        if isinstance(obj, Mapping):
-            inner = ",".join(
-                f"{self._canonical(k)}:{self._canonical(obj[k])}"
-                for k in sorted(obj, key=repr)
+        if content:
+            raise _UnstableArgument(
+                f"{type(obj).__name__} has no stable canonical form"
             )
-            return "{" + inner + "}"
-        if isinstance(obj, (list, tuple)):
-            inner = ",".join(self._canonical(i) for i in obj)
-            return ("[" if isinstance(obj, list) else "(") + inner
-        if isinstance(obj, (set, frozenset)):
-            return "{" + ",".join(sorted(self._canonical(i) for i in obj)) + "}"
-        if isinstance(obj, (int, float, complex, bool, str, bytes, type(None))):
-            return repr(obj)
         # Arbitrary object: type plus repr, truncated so huge arrays don't
         # dominate hashing time.  Address-bearing default reprs make the
         # key unstable, which degrades to re-execution, never corruption.
@@ -290,7 +282,7 @@ class TaskKeyer:
 # Write-ahead journal
 # ----------------------------------------------------------------------
 class WriteAheadJournal:
-    """Append-only JSONL journal of task lifecycle transitions.
+    """Append-only JSONL journal: one record per task outcome.
 
     Parameters
     ----------
@@ -300,17 +292,17 @@ class WriteAheadJournal:
         by a ``session`` marker record.
     fsync:
         ``"always"`` — fsync after every record; ``"commit"`` (default) —
-        fsync after ``completed``/``failed`` records only (losing a
-        ``submitted``/``started`` tail is harmless: the resumed driver
-        re-submits deterministically); ``"off"`` — leave flushing to the
-        OS (tests / throwaway runs).
+        fsync after ``completed``/``failed``/``session`` records, which
+        are the only kinds the runtime writes, so the two modes differ
+        only for callers appending other kinds; ``"off"`` — leave
+        flushing to the OS (tests / throwaway runs).
     buffer_records:
         Serialised records accumulate in a bounded in-memory buffer and
         hit the file every this-many records — and always before an
-        fsync point and on close.  Durability is unchanged (an fsync
-        point flushes the buffer first); only non-durable tail records
-        can sit in memory, exactly the ones the policy already allowed
-        the OS to lose.
+        fsync point and on close.  Under ``"commit"`` / ``"always"`` no
+        completion ever waits here, so a SIGKILL loses at most the
+        record being written; under ``"off"`` up to this many completions
+        may be lost and are re-executed on resume.
     """
 
     FSYNC_MODES = ("always", "commit", "off")
@@ -342,8 +334,17 @@ class WriteAheadJournal:
             if self._fh is None:
                 return
             self._seq += 1
-            record = {"rec": kind, "key": key, "seq": self._seq, **fields}
-            self._buffer.append(json.dumps(record, sort_keys=True))
+            if fields.keys() == _COMMIT_FIELDS and type(fields["stored"]) is bool:
+                line = _COMMIT_LINE % (
+                    _escape(key), _escape(fields["node"]), _escape(kind),
+                    self._seq, "true" if fields["stored"] else "false",
+                    _escape(fields["task"]),
+                )
+            else:
+                line = _encode_record(
+                    {"rec": kind, "key": key, "seq": self._seq, **fields}
+                )
+            self._buffer.append(line)
             if self.fsync == "always" or (
                 self.fsync == "commit" and kind in (COMPLETED, FAILED, SESSION)
             ):
@@ -352,12 +353,14 @@ class WriteAheadJournal:
                 self._flush_locked(sync=False)
 
     def _flush_locked(self, sync: bool) -> None:
-        """Drain the buffer to the file; optionally fsync.  Lock held."""
+        """Hand the buffer to the OS (past Python's own 8 kB file buffer,
+        so a killed process loses at most ``buffer_records`` records);
+        optionally fsync.  Lock held."""
         if self._buffer:
             self._fh.write("\n".join(self._buffer) + "\n")
             self._buffer.clear()
+        self._fh.flush()
         if sync:
-            self._fh.flush()
             os.fsync(self._fh.fileno())
 
     def open_session(self, **fields: Any) -> None:
@@ -367,10 +370,7 @@ class WriteAheadJournal:
     def close(self) -> None:
         with self._lock:
             if self._fh is not None:
-                if self._buffer:
-                    self._fh.write("\n".join(self._buffer) + "\n")
-                    self._buffer.clear()
-                self._fh.flush()
+                self._flush_locked(sync=False)
                 try:
                     os.fsync(self._fh.fileno())
                 except OSError:  # pragma: no cover - closed/odd fds
@@ -707,7 +707,9 @@ class RecoveryManager:
         return value
 
     def frontier(self) -> List[str]:
-        """Keys journaled as submitted/started but never completed."""
+        """Keys with a record (``failed``, or an older journal's
+        ``submitted``/``started``) but no completion.  A task in flight at
+        a crash leaves no record, so this is not all that is left to run."""
         return [
             key for key, state in self.states.items()
             if state not in (COMPLETED,)

@@ -94,19 +94,21 @@ class RuntimeConfig:
         (:class:`~repro.hpo.runner.PyCOMPSsRunner`).
     checkpoint_dir:
         Directory for the crash-consistency layer: a write-ahead journal
-        (``journal.jsonl``) of task lifecycle transitions plus spilled
+        (``journal.jsonl``, one record per task) plus spilled
         task outputs (``outputs/``).  ``None`` (default) disables
         journaling.  Pass the same directory as
         ``COMPSsRuntime(resume_from=...)`` after a crash to resume.
     checkpoint_every:
         Output-spill cadence: ``1`` checkpoints every completed task,
-        ``N`` every Nth completion, ``None`` journals lifecycle records
+        ``N`` every Nth completion, ``None`` journals completions
         only (resume then knows what completed but re-executes it).
     journal_fsync:
-        Journal durability: ``"always"`` fsyncs every record,
-        ``"commit"`` (default) only ``completed``/``failed`` records
-        (a lost ``submitted`` tail is regenerated by the resumed
-        driver), ``"off"`` leaves flushing to the OS.
+        Journal durability: ``"commit"`` (default) and ``"always"``
+        fsync every ``completed``/``failed`` record, so a killed driver
+        loses at most the record being written; ``"off"`` hands full
+        buffers to the OS without fsync and may lose up to
+        ``journal_buffer_records`` completions, which re-execute on
+        resume.
     verify_outputs:
         End-to-end data integrity: every data version a task produces is
         checksummed at write time (real pickled bytes on the local

@@ -19,6 +19,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import COMPSsRuntime
 
 
+# Module-level, never closures of ``resolve_arguments``: two recursive
+# closures per call are a reference cycle per executed task, which the
+# frozen heap of ``manage_gc`` pins until ``stop()``.
+def _contains_future(v: Any) -> bool:
+    if is_future(v):
+        return True
+    if isinstance(v, (list, tuple, set)):
+        return any(_contains_future(i) for i in v)
+    if isinstance(v, dict):
+        return any(_contains_future(i) for i in v.values())
+    return False
+
+
+def _resolve(v: Any) -> Any:
+    if is_future(v):
+        return v.result()
+    if not _contains_future(v):
+        return v
+    if isinstance(v, list):
+        return [_resolve(i) for i in v]
+    if isinstance(v, tuple):
+        return tuple(_resolve(i) for i in v)
+    if isinstance(v, set):
+        return {_resolve(i) for i in v}
+    if isinstance(v, dict):
+        return {k: _resolve(i) for k, i in v.items()}
+    return v
+
+
 class Executor(abc.ABC):
     """Abstract execution engine."""
 
@@ -111,38 +140,11 @@ class Executor(abc.ABC):
         """Replace future arguments with their resolved values.
 
         Dependencies guarantee producers completed before this is called.
+        Only containers that hold a future are rebuilt — anything else,
+        ``task.args`` and ``task.kwargs`` included, is passed through as
+        the same object, so INOUT mutations land on the caller's object.
         """
-
-        def contains_future(v: Any) -> bool:
-            if is_future(v):
-                return True
-            if isinstance(v, (list, tuple, set)):
-                return any(contains_future(i) for i in v)
-            if isinstance(v, dict):
-                return any(contains_future(i) for i in v.values())
-            return False
-
-        def resolve(v: Any) -> Any:
-            if is_future(v):
-                return v.result()
-            # Rebuild containers only when they actually hold futures —
-            # otherwise the original object must be passed through so
-            # INOUT mutations land on the caller's object.
-            if not contains_future(v):
-                return v
-            if isinstance(v, list):
-                return [resolve(i) for i in v]
-            if isinstance(v, tuple):
-                return tuple(resolve(i) for i in v)
-            if isinstance(v, set):
-                return {resolve(i) for i in v}
-            if isinstance(v, dict):
-                return {k: resolve(i) for k, i in v.items()}
-            return v
-
-        args = tuple(resolve(a) for a in task.args)
-        kwargs = {k: resolve(v) for k, v in task.kwargs.items()}
-        return args, kwargs
+        return _resolve(task.args), _resolve(task.kwargs)
 
     @staticmethod
     def fan_out_result(task: TaskInvocation, futures: List[Future], result: Any) -> None:

@@ -327,7 +327,6 @@ class LocalExecutor(Executor):
             self._active.setdefault(task.task_id, []).append(attempt)
             if not speculative:
                 task.node = alloc.node
-                self.runtime.journal_task_event(task, ckpt.STARTED, node=alloc.node)
         if self.runtime.tracer.enabled:
             self.runtime.tracer.record_event(
                 start, "task_start", task.label, alloc.node

@@ -725,8 +725,6 @@ class SimulatedExecutor(Executor):
         task.state = TaskState.RUNNING
         if not speculative:
             task.node = node
-            if runtime.journal is not None:
-                runtime.journal_task_event(task, ckpt.STARTED, node=node)
         config = self._find_config(task)
         staging = self._staging_time(task, node, config) + transfer
         duration = self._duration(task, node_spec, alloc, config)

@@ -503,17 +503,12 @@ class COMPSsRuntime:
                         invocation.label,
                         detail=f"key={invocation.task_key}",
                     )
-            if journal is not None:
+            if journal is not None and restored is not ckpt._MISSING:
                 journal.append(
-                    ckpt.SUBMITTED, invocation.task_key, task=invocation.label
+                    ckpt.COMPLETED, invocation.task_key,
+                    task=invocation.label,
+                    **({"cached": True} if cache_hit else {"restored": True}),
                 )
-                if restored is not ckpt._MISSING:
-                    journal.append(
-                        ckpt.COMPLETED, invocation.task_key,
-                        task=invocation.label,
-                        **({"cached": True} if cache_hit
-                           else {"restored": True}),
-                    )
         # Attach to any open TaskGroup (selective barriers).
         record_submission(invocation)
         if invocation.task_id & 0xFFF == 0:
@@ -833,7 +828,7 @@ class COMPSsRuntime:
     def journal_task_event(
         self, task: TaskInvocation, kind: str, node: str = ""
     ) -> None:
-        """Append a task lifecycle record (executors journal start/failure)."""
+        """Append a task record (executors journal failed attempts)."""
         if kind == ckpt.FAILED and self.reuse is not None:
             if task.content_key is not None:
                 # A terminally-failed stage never publishes: surrender the

@@ -201,6 +201,27 @@ class TestRecoverCommand:
         assert summary["spill_integrity"]["corrupt"] == 0
 
 
+    def test_one_record_per_task_journal_reads_back_and_survives_gc(
+        self, config_path, tmp_path, capsys
+    ):
+        ckpt_dir = self._checkpointed_run(config_path, tmp_path)
+        spills = sorted((ckpt_dir / "outputs").glob("*.pkl"))
+        kinds = [
+            json.loads(line)["rec"]
+            for line in (ckpt_dir / "journal.jsonl").read_text().splitlines()
+        ]
+        assert kinds == ["session"] + ["completed"] * len(spills)
+        capsys.readouterr()
+        assert main(["recover", str(ckpt_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"completed: {len(spills)}" in out
+        assert "unfinished in journal (failed or in flight at a crash): 0" in out
+        # gc protects a spill through its completed record alone.
+        assert main(["gc", str(ckpt_dir)]) == 0
+        assert "0 orphan(s)" in capsys.readouterr().out
+        assert sorted((ckpt_dir / "outputs").glob("*.pkl")) == spills
+
+
 class TestDescribeCluster:
     def test_describe(self, capsys):
         code = main(["describe-cluster", "--cluster", "power9", "--nodes", "2"])

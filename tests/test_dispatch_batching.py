@@ -196,9 +196,12 @@ class TestJournalBuffering:
             for line in path.read_text().splitlines():
                 if line.strip():
                     records.append(json.loads(line))
-        kinds = [r.get("rec") for r in records]
-        assert kinds.count("submitted") == n
-        assert kinds.count("completed") == n
+        # One record per task: a session marker, then n completions with
+        # distinct keys and strictly increasing seq — nothing lost by stop().
+        assert [r["rec"] for r in records] == ["session"] + ["completed"] * n
+        assert len({r["key"] for r in records[1:]}) == n
+        seqs = [r["seq"] for r in records]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
 
 
 class TestManageGC:
