@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=["local", "simulated"], default="local"
     )
     run.add_argument(
-        "--backend", choices=["threads", "processes", "workers"],
+        "--backend", choices=["threads", "workers"],
         default="threads",
         help="local-executor body backend; 'workers' is the supervised "
         "worker-process pool (crash containment, hard-kill deadlines, "
@@ -243,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=["local", "simulated"], default="local"
     )
     serve.add_argument(
-        "--backend", choices=["threads", "processes", "workers"],
-        default="threads",
+        "--backend", choices=["threads", "workers"], default="threads"
     )
     serve.add_argument("--scheduler",
                        choices=["fifo", "priority", "locality", "lpt"],

@@ -2,7 +2,7 @@
 task (Listing 2).
 
 Module-level and picklable so it runs under every executor backend
-(threads, processes, simulated-with-bodies).  Builds a fresh model from
+(threads, workers, simulated-with-bodies).  Builds a fresh model from
 the config via :func:`repro.ml.create_model` ("new model created every
 time with different parameters"), trains it, and returns the validation
 metrics plus training history.

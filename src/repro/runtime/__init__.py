@@ -2,7 +2,7 @@
 
 Builds the dynamic dependency graph from ``@task`` calls, schedules tasks
 over resource-constrained workers, executes them (really, on threads or
-processes; or virtually, on a simulated cluster), retries failures, and
+worker processes; or virtually, on a simulated cluster), retries failures, and
 records Extrae-style traces.
 """
 

@@ -30,12 +30,12 @@ class RuntimeConfig:
     scheduler:
         ``"fifo"`` / ``"priority"`` / ``"locality"`` or a Scheduler object.
     executor:
-        ``"local"`` (real threads/processes) or ``"simulated"`` (virtual
-        time over the cluster model), or an Executor object.
+        ``"local"`` (real threads or worker processes) or
+        ``"simulated"`` (virtual time over the cluster model), or an
+        Executor object.
     backend:
-        Local executor body backend: ``"threads"`` (in-driver threads),
-        ``"processes"`` (shared ``ProcessPoolExecutor``), or
-        ``"workers"`` (supervised long-lived worker-process pool with
+        Local executor body backend: ``"threads"`` (in-driver threads)
+        or ``"workers"`` (supervised long-lived worker-process pool with
         crash containment, hard-kill deadlines, and poison-task
         quarantine — see
         :class:`~repro.runtime.executor.workers.WorkerPoolExecutor`).
@@ -287,10 +287,7 @@ class RuntimeConfig:
         # Knob names are fully qualified so a validation error raised deep
         # inside a service daemon still tells the operator exactly which
         # RuntimeConfig field (and received value) to fix.
-        check_one_of(
-            "RuntimeConfig.backend", self.backend,
-            ["threads", "processes", "workers"],
-        )
+        check_one_of("RuntimeConfig.backend", self.backend, ["threads", "workers"])
         check_one_of(
             "RuntimeConfig.journal_fsync", self.journal_fsync,
             ["always", "commit", "off"],

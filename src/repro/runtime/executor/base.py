@@ -1,22 +1,49 @@
-"""Executor interface and shared helpers.
+"""Executor interface and the shared attempt lifecycle.
 
 An executor owns *when and where task bodies run*; the runtime owns the
-graph and data bookkeeping.  Both executors share the same scheduler and
-resource pool, so scheduling behaviour (FIFO waves, constraint matching,
-fault handling) is identical between real and simulated execution — only
+graph and data bookkeeping.  Every executor places tasks through the same
+dispatch engine and resource pool, and every executor settles its attempts
+through the lifecycle written once in :class:`Executor`, so scheduling and
+fault handling are identical between real and simulated execution — only
 the clock differs.
+
+The lifecycle owns an attempt from registration to its end: the registry
+of in-flight attempts (:class:`Attempt`), the trace record, failure
+accounting (attempt count, node health, ``TIMEOUT`` / ``BACKOFF_WAIT``
+events, the sibling-still-racing rule), the retry decision
+(:func:`~repro.runtime.fault.decide_failure`), give-up with upstream
+cancellation, requeueing, the starvation reap, graceful drains, backup
+placement for speculation and the injected-fault queries.  Each executor
+keeps only how an attempt runs (:meth:`Executor._start`: a pool thread, a
+worker process or a simulator event), how a wait happens
+(:meth:`Executor._after`: a timer or a scheduled event) and its clock.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.runtime import checkpoint as ckpt
+from repro.runtime import resilience as rsl
+from repro.runtime.fault import (
+    FaultAction,
+    ResourceStarvationError,
+    TaskTimeoutError,
+    decide_failure,
+)
 from repro.runtime.future import Future, is_future
-from repro.runtime.task_definition import TaskInvocation
+from repro.runtime.scheduler.base import Assignment, release_assignment
+from repro.runtime.task_definition import TaskInvocation, TaskState
+from repro.runtime.tracing.extrae import TaskRecord
+from repro.util.logging_utils import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import COMPSsRuntime
+
+_log = get_logger("runtime.executor")
+
+_RESOLVED = (TaskState.DONE, TaskState.FAILED)
 
 
 # Module-level, never closures of ``resolve_arguments``: two recursive
@@ -48,11 +75,47 @@ def _resolve(v: Any) -> Any:
     return v
 
 
+class Attempt:
+    """One in-flight attempt of a task (primary or speculative backup).
+
+    The three handles are the simulated executor's pending events for the
+    attempt (completion, deadline, straggler check); the local executors
+    leave them unset.
+    """
+
+    __slots__ = ("assignment", "start", "speculative", "handle",
+                 "timeout_handle", "spec_check")
+
+    def __init__(self, assignment: Assignment, start: float, speculative: bool):
+        self.assignment = assignment
+        self.start = start
+        self.speculative = speculative
+        self.handle: Any = None
+        self.timeout_handle: Any = None
+        self.spec_check: Any = None
+
+    def cancel_events(self) -> None:
+        for handle in (self.handle, self.timeout_handle, self.spec_check):
+            if handle is not None:
+                handle.cancel()
+        self.handle = self.timeout_handle = self.spec_check = None
+
+
 class Executor(abc.ABC):
-    """Abstract execution engine."""
+    """Abstract execution engine plus the shared attempt lifecycle.
+
+    The threaded executors call the registry, failure, retry, drain and
+    speculation methods with the runtime lock held; the simulated
+    executor is single-threaded.
+    """
 
     def __init__(self) -> None:
         self.runtime: Optional["COMPSsRuntime"] = None
+        #: task_id -> attempts in flight (usually one; two while a
+        #: speculative backup races the original).
+        self._attempts: Dict[int, List[Attempt]] = {}
+        #: node -> armed drain-deadline handle (graceful drain in progress).
+        self._draining: Dict[str, Any] = {}
 
     def bind(self, runtime: "COMPSsRuntime") -> None:
         """Attach to a runtime (graph, pool, scheduler, tracer, policy)."""
@@ -84,38 +147,19 @@ class Executor(abc.ABC):
         The dispatch engine has already buffered the wake via the pool's
         listener protocol; this hook gives the executor a chance to run a
         scheduling round *now* so waiting tasks reach the new capacity
-        without waiting for the next completion.  The default is a no-op
-        (executors whose event loop polls, e.g. during ``wait_for``,
-        pick the wake up there).
+        without waiting for the next completion.
         """
+        self._dispatch()
 
     def notify_task_resolutions(self) -> None:
         """Task states changed outside the executor's completion paths.
 
         Called after out-of-band terminal transitions — e.g. the service
-        layer abandoning a whole study — so blocked ``wait_for`` calls
-        rescan and observe the failures.  Default no-op (polling
-        executors pick the change up on their next scan).
+        layer abandoning a whole study — and after every give-up, so
+        blocked ``wait_for`` calls rescan and observe the failures.
+        Default no-op (polling executors pick the change up on their
+        next scan).
         """
-
-    def drain_node(self, node: str, deadline_s: float) -> None:
-        """Begin honouring a drain: finish ``node``'s running tasks, then
-        retire it; escalate to a node failure at ``deadline_s``.
-
-        The pool state (DRAINING) and data spill are handled by the
-        runtime before this is called; executors that track in-flight
-        attempts override this to watch for the last one finishing and to
-        arm the deadline.  The default retires the node immediately when
-        it is idle and otherwise leaves it DRAINING (a conservative,
-        deadline-less drain).
-        """
-        runtime = self.runtime
-        if runtime is not None and not self.node_busy(node):
-            runtime.finish_drain(node)
-
-    def node_busy(self, node: str) -> bool:
-        """Whether the executor has attempts in flight on ``node``."""
-        return False
 
     def abort_task(self, task: TaskInvocation) -> bool:
         """Cancel the in-flight attempts of ``task`` (lineage recovery).
@@ -131,7 +175,314 @@ class Executor(abc.ABC):
         return False
 
     # ------------------------------------------------------------------
-    # Shared helpers
+    # How each executor runs an attempt, waits, and schedules
+    # ------------------------------------------------------------------
+    def _start(self, assignment: Assignment, speculative: bool = False) -> None:
+        """Run ``assignment`` as a new attempt."""
+        raise NotImplementedError
+
+    def _dispatch(self) -> None:
+        """Run one scheduling round."""
+        raise NotImplementedError
+
+    def _after(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
+        """Call ``fn(*args)`` after ``delay`` s of this executor's clock.
+
+        Returns a handle with ``cancel()``.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Attempt registry
+    # ------------------------------------------------------------------
+    def _detach(self, task_id: int, attempt: Attempt) -> bool:
+        """Remove ``attempt`` from the active set; False if already gone."""
+        attempts = self._attempts.get(task_id)
+        if not attempts or attempt not in attempts:
+            return False
+        attempts.remove(attempt)
+        if not attempts:
+            del self._attempts[task_id]
+        return True
+
+    def node_busy(self, node: str) -> bool:
+        """Whether the executor has attempts in flight on ``node``."""
+        return any(
+            al.node == node
+            for attempts in self._attempts.values()
+            for attempt in attempts
+            for al in attempt.assignment.all_allocations
+        )
+
+    def _record(
+        self,
+        task: TaskInvocation,
+        assignment: Assignment,
+        start: float,
+        end: float,
+        success: bool,
+    ) -> None:
+        assert self.runtime is not None
+        if not self.runtime.tracer.enabled:
+            # Zero-cost when tracing is off: no TaskRecord construction,
+            # no buffer append on the fast path.
+            return
+        for alloc in assignment.all_allocations:
+            self.runtime.tracer.record_task(
+                TaskRecord(
+                    task_label=task.label,
+                    task_name=task.definition.name,
+                    node=alloc.node,
+                    cpu_ids=alloc.cpu_ids,
+                    gpu_ids=alloc.gpu_ids,
+                    start=start,
+                    end=end,
+                    success=success,
+                    attempt=task.attempts,
+                )
+            )
+
+    # ------------------------------------------------------------------
+    # Injected faults (primary attempts only: a speculative backup is a
+    # clean re-execution on another node)
+    # ------------------------------------------------------------------
+    def _injected_failure(self, task: TaskInvocation) -> Optional[RuntimeError]:
+        """The failure the injector scripts for this attempt, if any."""
+        assert self.runtime is not None
+        if self.runtime.failure_injector.should_fail(task.label, task.attempts):
+            return RuntimeError(f"injected failure for {task.label}")
+        return None
+
+    def _injected_delay(self, task: TaskInvocation) -> Tuple[bool, float]:
+        """``(hangs, slowdown factor)`` the injector scripts for this attempt."""
+        assert self.runtime is not None
+        injector = self.runtime.failure_injector
+        return (
+            injector.should_hang(task.label, task.attempts),
+            injector.slow_factor(task.label),
+        )
+
+    # ------------------------------------------------------------------
+    # Failure, retry, give-up
+    # ------------------------------------------------------------------
+    def _attempt_failed(
+        self,
+        attempt: Attempt,
+        exc: BaseException,
+        now: float,
+        lost_node: Optional[str] = None,
+    ) -> None:
+        """Settle one failed attempt that the caller already detached.
+
+        Counts and traces it, hands its resources back (except those
+        stranded on ``lost_node``, which the pool resets when the node
+        recovers; a multinode task may have lost one of several) and
+        feeds node health.  Unless a sibling attempt is still racing, the
+        retry policy then decides: retry in place, resubmit elsewhere —
+        after the backoff, with the slot already free — or give up.
+        """
+        assert self.runtime is not None
+        runtime = self.runtime
+        assignment = attempt.assignment
+        task = assignment.task
+        node = assignment.allocation.node
+        failed_on = lost_node or node
+        task.attempts += 1
+        self._record(task, assignment, attempt.start, now, success=False)
+        for alloc in assignment.all_allocations:
+            if alloc.node != lost_node:
+                runtime.pool.release(alloc)
+        kind = "failure"
+        if lost_node is not None:
+            kind = "node-failure"
+        elif isinstance(exc, TaskTimeoutError):
+            kind = "timeout"
+            timeout = float(runtime.config.task_timeout_s or 0.0)
+            runtime.resilience.record(
+                now, rsl.TIMEOUT, task.label, node,
+                detail=f"deadline {timeout:.0f}s",
+            )
+        runtime.node_health.record_failure(failed_on, kind=kind)
+        if task.task_id in self._attempts or task.state in _RESOLVED:
+            # Another attempt already resolved (or is still racing) this
+            # task: this failure must not consume the retry budget's
+            # terminal decision.
+            task.attempt_history.append(
+                f"attempt {task.attempts} on {failed_on}: {exc!r} -> "
+                "backup still running"
+            )
+            return
+        action, delay, line = decide_failure(
+            runtime.retry_policy, task, exc, node, lost_node is not None
+        )
+        task.attempt_history.append(line)
+        _log.info(
+            "t=%.1f task %s failed (attempt %d): %s -> %s",
+            now, task.label, task.attempts, exc, action.value,
+        )
+        if action is FaultAction.GIVE_UP:
+            self._give_up(task, exc, node, now)
+            return
+        retry = (
+            self._retry_same_node
+            if action is FaultAction.RETRY_SAME_NODE
+            else self._requeue
+        )
+        if delay > 0.0:
+            runtime.resilience.record(
+                now, rsl.BACKOFF_WAIT, task.label, node,
+                detail=f"{delay:.2f}s before {action.value}",
+            )
+            self._after(delay, retry, assignment)
+        else:
+            retry(assignment)
+
+    def _retry_same_node(self, assignment: Assignment) -> None:
+        """Reacquire the failed attempt's node and rerun there.
+
+        Paper: "tries to start the same task in the same node".  When the
+        node is gone or full by now, the task moves on to another node.
+        """
+        assert self.runtime is not None
+        pool = self.runtime.pool
+        node = assignment.allocation.node
+        alloc = pool.try_allocate(
+            assignment.implementation.constraint, preferred=[node]
+        )
+        if alloc is None or alloc.node != node:
+            if alloc is not None:
+                pool.release(alloc)
+            self._requeue(assignment)
+            return
+        self._start(Assignment(assignment.task, alloc, assignment.implementation))
+
+    def _requeue(self, assignment: Assignment) -> None:
+        """Send the task back to the ready queue, away from its failed node."""
+        assert self.runtime is not None
+        task = assignment.task
+        task.failed_nodes.append(assignment.allocation.node)
+        task.state = TaskState.READY
+        self.runtime.graph.requeue([task])
+        self._dispatch()
+
+    def _give_up(
+        self, task: TaskInvocation, exc: BaseException, node: str, now: float
+    ) -> None:
+        """Fail ``task`` terminally and cancel its transitive consumers."""
+        assert self.runtime is not None
+        task.state = TaskState.FAILED
+        task.error = exc
+        self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
+        self.runtime.fail_descendants(task, now)
+        self.notify_task_resolutions()
+
+    def _fail_starved(self, now: float) -> None:
+        """Fail every task whose constraint class starved past the timeout."""
+        assert self.runtime is not None
+        for task, waited in self.runtime.dispatcher.reap_starved():
+            names = ", ".join(
+                impl.constraint.describe()
+                for impl in task.definition.all_candidates()
+            )
+            exc = ResourceStarvationError(task.label, names, waited)
+            task.attempt_history.append(f"starved for {waited:g}s: {exc}")
+            self._give_up(task, exc, "", now)
+
+    # ------------------------------------------------------------------
+    # Speculative re-execution
+    # ------------------------------------------------------------------
+    def _backup(
+        self, attempt: Attempt, threshold: float, now: float
+    ) -> Optional[Assignment]:
+        """Place a backup of a straggling attempt on another node, if any."""
+        assert self.runtime is not None
+        assignment = attempt.assignment
+        origin = assignment.allocation.node
+        pool = self.runtime.pool
+        others = [w.name for w in pool.available_workers() if w.name != origin]
+        if not others:
+            return None
+        alloc = pool.try_allocate(
+            assignment.implementation.constraint, preferred=others
+        )
+        if alloc is None:
+            return None
+        if alloc.node == origin:
+            pool.release(alloc)
+            return None
+        task = assignment.task
+        self.runtime.resilience.record(
+            now, rsl.SPECULATION_LAUNCHED, task.label, alloc.node,
+            detail=f"running {now - attempt.start:.1f}s > {threshold:.1f}s "
+            f"threshold on {origin}",
+        )
+        return Assignment(task, alloc, assignment.implementation)
+
+    def _settle_race(self, attempt: Attempt, now: float) -> None:
+        """``attempt`` finished first: cancel its siblings, log a backup's win."""
+        assert self.runtime is not None
+        runtime = self.runtime
+        task = attempt.assignment.task
+        node = attempt.assignment.allocation.node
+        for loser in self._attempts.pop(task.task_id, ()):
+            loser.cancel_events()
+            release_assignment(runtime.pool, loser.assignment)
+            runtime.resilience.record(
+                now, rsl.SPECULATION_CANCELLED, task.label,
+                loser.assignment.allocation.node,
+                detail=f"lost to attempt on {node}",
+            )
+        if attempt.speculative:
+            runtime.resilience.record(
+                now, rsl.SPECULATION_WON, task.label, node,
+                detail=f"backup finished first after {now - attempt.start:.1f}s",
+            )
+
+    # ------------------------------------------------------------------
+    # Graceful drain
+    # ------------------------------------------------------------------
+    def drain_node(self, node: str, deadline_s: float) -> None:
+        """Honour a drain: finish ``node``'s running attempts, then retire
+        it; arm ``_drain_deadline`` to fire at ``deadline_s``.
+
+        The pool state (DRAINING) and data spill are handled by the
+        runtime before this is called.
+        """
+        assert self.runtime is not None
+        if not self.node_busy(node):
+            self.runtime.finish_drain(node)
+            self._dispatch()
+            return
+        previous = self._draining.pop(node, None)
+        if previous is not None:
+            previous.cancel()
+        self._draining[node] = self._after(
+            float(deadline_s), self._drain_deadline, node
+        )
+        self._dispatch()
+
+    def _drain_deadline(self, node: str) -> None:
+        """The drain window of ``node`` closed with attempts still on it."""
+        raise NotImplementedError
+
+    def _check_drains(self) -> None:
+        """Complete any drain whose node has gone idle."""
+        if not self._draining:
+            return
+        assert self.runtime is not None
+        for node in sorted(self._draining):
+            if self.node_busy(node):
+                continue
+            self._draining.pop(node).cancel()
+            self.runtime.finish_drain(node)
+
+    def _cancel_drains(self) -> None:
+        for handle in self._draining.values():
+            handle.cancel()
+        self._draining.clear()
+
+    # ------------------------------------------------------------------
+    # Argument and result plumbing
     # ------------------------------------------------------------------
     @staticmethod
     def resolve_arguments(

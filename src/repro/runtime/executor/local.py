@@ -1,80 +1,53 @@
-"""Real local execution on threads (optionally process-backed bodies).
+"""Real local execution: task bodies on a thread pool.
 
 Tasks run eagerly as resources free up, exactly like the COMPSs worker:
 the dispatch loop re-runs on every submission and completion, so "the
 next task is assigned a computational unit as soon as one is available"
 (paper §6.1).
 
-Thread backend: task bodies run in a thread pool, which overlaps
-sleeping, I/O-bound and long-BLAS-call bodies but not CPU-bound Python:
-the zoo's small-batch training spends most of its time in interpreter
-code between short numpy calls, so two training threads contend for the
-GIL instead of overlapping.  The benchmark suite measures it
-(benchmarks/suite/README.md): on the 27-config real-training grid with
-2 slots, ``grid27_train_threads`` takes 7.0 s against 2.9 s for a plain
-serial loop and 1.5 s on ``backend="workers"``, with summed body time
-inflated x4.2-4.4 (``local.body_inflation``).  Use ``backend="workers"``
-for CPU-bound training; threads remain the default because they need no
-picklable bodies and start instantly.  Process backend: bodies
-are shipped to a :class:`concurrent.futures.ProcessPoolExecutor` (they
-must be picklable, i.e. module-level functions with picklable args); a
-worker crash breaks *that attempt only* — the broken pool is rebuilt and
-the attempt becomes a retryable
-:class:`~repro.runtime.fault.WorkerCrashError`.
+Bodies run in a thread pool, which overlaps sleeping, I/O-bound and
+long-BLAS-call bodies but not CPU-bound Python: the zoo's small-batch
+training spends most of its time in interpreter code between short numpy
+calls, so two training threads contend for the GIL instead of
+overlapping.  The benchmark suite measures it (benchmarks/suite/README.md):
+on the 27-config real-training grid with 2 slots,
+``grid27_train_threads`` takes 7.0 s against 2.9 s for a plain serial
+loop and 1.5 s on ``backend="workers"``, with summed body time inflated
+x4.2-4.4 (``local.body_inflation``).  Use ``backend="workers"``
+(:class:`~repro.runtime.executor.workers.WorkerPoolExecutor`, which
+replaces only where bodies run) for CPU-bound training; threads remain
+the default because they need no picklable bodies and start instantly.
 
-Resilience: with ``task_timeout_s`` set, bodies run behind a wall-clock
-deadline — a hung body becomes a retryable
-:class:`~repro.runtime.fault.TaskTimeoutError`.  On the *thread* backend
-the abandoned body keeps its thread until it returns (CPython threads
-cannot be killed), so the deadline frees the task but not the OS
-resources; the supervised worker pool
-(:class:`~repro.runtime.executor.workers.WorkerPoolExecutor`,
-``backend="workers"``) lifts that limitation by hard-killing the worker
-process at the deadline.  With ``speculation_multiplier`` set, a
-watchdog thread backs up straggling tasks on another node and the first
-finisher wins.  Retries honour the policy's exponential backoff, and
-every attempt outcome feeds the runtime's node-health tracker.
+Retries, backoff, speculation, drains and the starvation reap follow the
+shared attempt lifecycle (:mod:`repro.runtime.executor.base`) in
+wall-clock time.  Backoff waits and drain deadlines are timers, so a
+failed attempt's slot and pool thread are free while it waits.  With
+``task_timeout_s`` set, bodies run behind a wall-clock deadline — a hung
+body becomes a retryable :class:`~repro.runtime.fault.TaskTimeoutError`,
+but the abandoned body keeps its thread until it returns (CPython
+threads cannot be killed; the worker pool hard-kills the process
+instead).  With ``speculation_multiplier`` set, a watchdog thread backs
+up straggling tasks on another node and the first finisher wins.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from repro.runtime import checkpoint as ckpt
 from repro.runtime import integrity as igr
 from repro.runtime import resilience as rsl
-from repro.runtime.executor.base import Executor
-from repro.runtime.fault import (
-    FaultAction,
-    ResourceStarvationError,
-    TaskFailedError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
-from repro.runtime.resources import Allocation
+from repro.runtime.executor.base import Attempt, Executor
+from repro.runtime.fault import TaskFailedError, TaskTimeoutError
 from repro.runtime.scheduler.base import Assignment, release_assignment
 from repro.runtime.task_definition import TaskInvocation, TaskState
-from repro.runtime.tracing.extrae import TaskRecord
 from repro.util.logging_utils import get_logger
-from repro.util.validation import check_one_of, check_positive
+from repro.util.validation import check_positive
 
 _log = get_logger("runtime.executor.local")
-
-
-class _LocalAttempt:
-    """Bookkeeping for one in-flight attempt (primary or backup)."""
-
-    __slots__ = ("assignment", "start", "speculative")
-
-    def __init__(self, assignment: Assignment, start: float, speculative: bool):
-        self.assignment = assignment
-        self.start = start
-        self.speculative = speculative
 
 
 class LocalExecutor(Executor):
@@ -82,8 +55,6 @@ class LocalExecutor(Executor):
 
     Parameters
     ----------
-    backend:
-        ``"threads"`` (default) or ``"processes"`` for the task bodies.
     max_parallel:
         Cap on simultaneously-running bodies (defaults to the pool's
         task-usable CPU count, min 1).
@@ -92,25 +63,16 @@ class LocalExecutor(Executor):
     #: Watchdog poll interval for straggler detection (seconds).
     SPECULATION_POLL_S = 0.02
 
-    def __init__(self, backend: str = "threads", max_parallel: Optional[int] = None):
+    def __init__(self, max_parallel: Optional[int] = None):
         super().__init__()
-        check_one_of("backend", backend, ["threads", "processes"])
-        self.backend = backend
         self.max_parallel = max_parallel
-        self._procs_lock = threading.Lock()
-        self._procs_workers = 1
         self._lock = threading.RLock()
         self._done_cond = threading.Condition(self._lock)
         self._threads: Optional[ThreadPoolExecutor] = None
-        self._procs: Optional[ProcessPoolExecutor] = None
         #: Deadline-guarded bodies run here (created when timeouts are on).
         self._bodies: Optional[ThreadPoolExecutor] = None
         self._watchdog: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
-        #: task_id -> attempts currently in flight (two while a backup races).
-        self._active: Dict[int, List[_LocalAttempt]] = {}
-        #: node -> armed drain-deadline timer (graceful drain in progress).
-        self._draining: Dict[str, threading.Timer] = {}
         #: Bumped (under the lock) whenever a task resolves; lets
         #: ``wait_for`` skip rescans on pure-timeout wake-ups.
         self._resolutions = 0
@@ -141,10 +103,7 @@ class LocalExecutor(Executor):
     def _bind_backend(self, n: int) -> None:
         """Create the body-execution backend (hook for subclasses)."""
         assert self.runtime is not None
-        if self.backend == "processes":
-            self._procs_workers = n
-            self._procs = ProcessPoolExecutor(max_workers=n)
-        if self.runtime.config.task_timeout_s is not None and self._procs is None:
+        if self.runtime.config.task_timeout_s is not None:
             # Bodies get their own pool so a worker thread can abandon a
             # hung body at the deadline; a few spare slots absorb
             # abandoned-but-still-running bodies.
@@ -152,28 +111,8 @@ class LocalExecutor(Executor):
                 max_workers=n + 4, thread_name_prefix="repro-body"
             )
 
-    def _rebuild_procs(self, broken: ProcessPoolExecutor) -> None:
-        """Replace a broken process pool so one crash poisons one attempt.
-
-        A worker crash marks the whole ``ProcessPoolExecutor`` broken:
-        every later ``submit`` raises :class:`BrokenProcessPool`.  All
-        concurrently-failed attempts race here; the identity check makes
-        exactly one of them rebuild.
-        """
-        with self._procs_lock:
-            if self._procs is broken:
-                broken.shutdown(wait=False)
-                self._procs = ProcessPoolExecutor(max_workers=self._procs_workers)
-                _log.warning(
-                    "process pool broken by a worker crash; rebuilt with %d workers",
-                    self._procs_workers,
-                )
-
-    def _now(self) -> float:
-        return time.perf_counter() - self._epoch
-
     def clock(self) -> float:
-        return self._now()
+        return time.perf_counter() - self._epoch
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -181,14 +120,8 @@ class LocalExecutor(Executor):
     def notify_submitted(self, task: TaskInvocation) -> None:
         self._dispatch()
 
-    def notify_topology_change(self) -> None:
-        """Run a scheduling round now (node added / drained / rejoined)."""
-        self._dispatch()
-
     def notify_task_resolutions(self) -> None:
-        """Wake blocked waiters after out-of-band terminal transitions."""
-        if self._done_cond is None:
-            return
+        """Wake blocked waiters after a terminal transition."""
         with self._done_cond:
             self._resolutions += 1
             self._done_cond.notify_all()
@@ -204,72 +137,53 @@ class LocalExecutor(Executor):
         drain whose node went idle and reaps starved-out classes.
         """
         assert self.runtime is not None and self._threads is not None
-        self._check_drains()
-        self._reap_starved()
         with self._lock:
             if self._shutdown:
                 return
+            self._check_drains()
+            self._reap_starved()
             runtime = self.runtime
             runtime.dispatcher.ingest(runtime.graph.pop_ready())
             for assignment in runtime.dispatcher.schedule_round():
                 assignment.task.state = TaskState.RUNNING
                 self._threads.submit(self._run_attempt, assignment)
 
+    def _start(self, assignment: Assignment, speculative: bool = False) -> None:
+        assert self.runtime is not None and self._threads is not None
+        if self._shutdown:
+            release_assignment(self.runtime.pool, assignment)
+            return
+        assignment.task.state = TaskState.RUNNING
+        self._threads.submit(self._run_attempt, assignment, speculative)
+
+    def _after(self, delay: float, fn: Callable[..., None], *args: Any):
+        timer = threading.Timer(delay, self._call_locked, (fn,) + args)
+        timer.daemon = True
+        timer.start()
+        return timer
+
+    def _call_locked(self, fn: Callable[..., None], *args: Any) -> None:
+        with self._lock:
+            if not self._shutdown:
+                fn(*args)
+
     # ------------------------------------------------------------------
     # Graceful drain / starvation watchdog
     # ------------------------------------------------------------------
-    def node_busy(self, node: str) -> bool:
-        with self._lock:
-            return any(
-                al.node == node
-                for attempts in self._active.values()
-                for attempt in attempts
-                for al in attempt.assignment.all_allocations
-            )
-
     def drain_node(self, node: str, deadline_s: float) -> None:
-        """Honour a drain: watch for the last attempt, arm the deadline."""
-        assert self.runtime is not None
-        if not self.node_busy(node):
-            self.runtime.finish_drain(node)
-            self._dispatch()
-            return
         with self._lock:
-            previous = self._draining.pop(node, None)
-            if previous is not None:
-                previous.cancel()
-            timer = threading.Timer(
-                float(deadline_s), self._drain_deadline, args=(node,)
-            )
-            timer.daemon = True
-            self._draining[node] = timer
-            timer.start()
-
-    def _check_drains(self) -> None:
-        """Complete any drain whose node has gone idle."""
-        assert self.runtime is not None
-        with self._lock:
-            if not self._draining:
-                return
-            idle = [n for n in sorted(self._draining) if not self.node_busy(n)]
-            for node in idle:
-                self._draining.pop(node).cancel()
-        for node in idle:
-            self.runtime.finish_drain(node)
+            super().drain_node(node, deadline_s)
 
     def _drain_deadline(self, node: str) -> None:
         """The drain window closed (timer thread); force the node out."""
         assert self.runtime is not None
         runtime = self.runtime
-        with self._lock:
-            if self._shutdown or node not in self._draining:
-                return
-            del self._draining[node]
-            worker = runtime.pool.workers.get(node)
-            if worker is None or not worker.draining:
-                return
-            busy = self.node_busy(node)
-        if not busy:
+        if self._draining.pop(node, None) is None:
+            return
+        worker = runtime.pool.workers.get(node)
+        if worker is None or not worker.draining:
+            return
+        if not self.node_busy(node):
             runtime.finish_drain(node)
             self._dispatch()
             return
@@ -278,7 +192,7 @@ class LocalExecutor(Executor):
         # the slots are simply gone for future placements.
         flagged = runtime.preemption.suspended_count()
         runtime.resilience.record(
-            self._now(), rsl.DRAIN_DEADLINE, "", node,
+            self.clock(), rsl.DRAIN_DEADLINE, "", node,
             detail="attempts still running; node forcibly retired"
             + (f"; {flagged} suspend-flagged trial(s) warm-resumable"
                if flagged else ""),
@@ -287,57 +201,48 @@ class LocalExecutor(Executor):
         self._dispatch()
 
     def _reap_starved(self) -> None:
-        """Fail every task whose constraint class starved past the timeout."""
         assert self.runtime is not None
-        runtime = self.runtime
-        deadline = runtime.dispatcher.next_starvation_deadline()
-        if deadline is None or self._now() < deadline:
-            return
-        with self._lock:
-            victims = runtime.dispatcher.reap_starved()
-            for task, waited in victims:
-                names = ", ".join(
-                    impl.constraint.describe()
-                    for impl in task.definition.all_candidates()
-                )
-                exc = ResourceStarvationError(task.label, names, waited)
-                task.attempt_history.append(f"starved for {waited:g}s: {exc}")
-                task.state = TaskState.FAILED
-                task.error = exc
-                runtime.journal_task_event(task, ckpt.FAILED, node="")
-                runtime.fail_descendants(task, self._now())
-            if victims:
-                self._resolutions += 1
-                self._done_cond.notify_all()
+        deadline = self.runtime.dispatcher.next_starvation_deadline()
+        if deadline is not None and self.clock() >= deadline:
+            self._fail_starved(self.clock())
 
     # ------------------------------------------------------------------
     # Attempt execution
     # ------------------------------------------------------------------
     def _run_attempt(self, assignment: Assignment, speculative: bool = False) -> None:
         assert self.runtime is not None
+        runtime = self.runtime
         task = assignment.task
-        alloc = assignment.allocation
-        start = self._now()
-        attempt = _LocalAttempt(assignment, start, speculative)
+        attempt = Attempt(assignment, self.clock(), speculative)
         with self._lock:
             if task.state in (TaskState.DONE, TaskState.FAILED):
                 # The task resolved before this (backup) attempt started.
-                release_assignment(self.runtime.pool, assignment)
+                release_assignment(runtime.pool, assignment)
                 return
-            self._active.setdefault(task.task_id, []).append(attempt)
+            self._attempts.setdefault(task.task_id, []).append(attempt)
             if not speculative:
-                task.node = alloc.node
-        if self.runtime.tracer.enabled:
-            self.runtime.tracer.record_event(
-                start, "task_start", task.label, alloc.node
+                task.node = assignment.allocation.node
+        if runtime.tracer.enabled:
+            runtime.tracer.record_event(
+                attempt.start, "task_start", task.label, assignment.allocation.node
             )
         try:
             self._verify_inputs(task, speculative)
-            result = self._execute_body(task, assignment, alloc, speculative)
+            hang, slow = False, 1.0
+            if runtime.failure_injector is not None and not speculative:
+                failure = self._injected_failure(task)
+                if failure is not None:
+                    raise failure
+                hang, slow = self._injected_delay(task)
+            result = self._execute_body(task, assignment, hang, slow)
         except BaseException as exc:  # noqa: BLE001 - any body error goes to fault handling
-            self._on_failure(assignment, exc, start, attempt)
+            with self._lock:
+                if self._detach(task.task_id, attempt):
+                    self._attempt_failed(attempt, exc, self.clock())
+                    # The slot is free even while a retry backs off.
+                    self._dispatch()
             return
-        self._on_success(assignment, result, start, attempt)
+        self._on_success(attempt, result)
 
     def _verify_inputs(self, task: TaskInvocation, speculative: bool) -> None:
         """End-to-end integrity gate: check every input before the body runs.
@@ -368,34 +273,13 @@ class LocalExecutor(Executor):
                     )
 
     def _execute_body(
-        self,
-        task: TaskInvocation,
-        assignment: Assignment,
-        alloc: Allocation,
-        speculative: bool = False,
+        self, task: TaskInvocation, assignment: Assignment, hang: bool, slow: float
     ):
+        """Run the body (behind the deadline when ``task_timeout_s`` is set).
+
+        ``hang`` / ``slow`` are the injector's scripted wedge and slowdown.
+        """
         assert self.runtime is not None
-        injector = self.runtime.failure_injector
-        # Injected failures/hangs/slowdowns hit primary attempts only: a
-        # speculative backup is a clean re-execution on another node.
-        if (
-            injector is not None
-            and not speculative
-            and injector.should_fail(task.label, task.attempts)
-        ):
-            raise RuntimeError(
-                f"injected failure for {task.label} attempt {task.attempts}"
-            )
-        hang = (
-            injector is not None
-            and not speculative
-            and injector.should_hang(task.label, task.attempts)
-        )
-        slow = (
-            injector.slow_factor(task.label)
-            if injector is not None and not speculative
-            else 1.0
-        )
         args, kwargs = self.resolve_arguments(task)
         func = assignment.implementation.func
         timeout = self.runtime.config.task_timeout_s
@@ -414,182 +298,46 @@ class LocalExecutor(Executor):
                 time.sleep((slow - 1.0) * (time.perf_counter() - t0))
             return result
 
-        if self._procs is not None:
-            procs = self._procs
-            try:
-                future = procs.submit(func, *args, **kwargs)
-                return future.result(timeout=timeout)
-            except BrokenProcessPool as exc:
-                # One crashed worker poisons the whole pool: rebuild it
-                # and convert this attempt into a retryable crash so the
-                # next submission (and this task's retry) get a live pool.
-                self._rebuild_procs(procs)
-                self.runtime.resilience.record(
-                    self._now(), rsl.WORKER_CRASH, task.label, alloc.node,
-                    detail="process pool broken; rebuilt",
-                )
-                raise WorkerCrashError(
-                    task.label, "process pool worker died"
-                ) from exc
-            except FuturesTimeoutError:
-                raise TaskTimeoutError(
-                    f"task {task.label} exceeded its {timeout}s deadline "
-                    f"on {alloc.node}"
-                ) from None
-        if timeout is not None:
-            assert self._bodies is not None
-            future = self._bodies.submit(body)
-        else:
+        if timeout is None:
             return body()
+        assert self._bodies is not None
         try:
-            return future.result(timeout=timeout)
+            return self._bodies.submit(body).result(timeout=timeout)
         except FuturesTimeoutError:
             raise TaskTimeoutError(
                 f"task {task.label} exceeded its {timeout}s deadline "
-                f"on {alloc.node}"
+                f"on {assignment.allocation.node}"
             ) from None
 
-    # ------------------------------------------------------------------
-    # Completion / failure
-    # ------------------------------------------------------------------
-    def _detach(self, task_id: int, attempt: _LocalAttempt) -> None:
-        attempts = self._active.get(task_id)
-        if attempts and attempt in attempts:
-            attempts.remove(attempt)
-            if not attempts:
-                del self._active[task_id]
-
-    def _on_success(
-        self, assignment: Assignment, result, start: float, attempt: _LocalAttempt
-    ) -> None:
+    def _on_success(self, attempt: Attempt, result) -> None:
         assert self.runtime is not None
+        runtime = self.runtime
+        assignment = attempt.assignment
         task = assignment.task
-        end = self._now()
+        end = self.clock()
         node = assignment.allocation.node
         with self._lock:
-            self._detach(task.task_id, attempt)
-            won = task.state not in (TaskState.DONE, TaskState.FAILED)
-            if won:
-                task.result = result
-                task.start_time, task.end_time = start, end
-                task.node = node
-                if attempt.speculative:
-                    self.runtime.resilience.record(
-                        end, rsl.SPECULATION_WON, task.label, node,
-                        detail=f"backup finished first after {end - start:.2f}s",
-                    )
-                self.runtime.complete_task(task, result)
-                self._resolutions += 1
-                self._done_cond.notify_all()
-        if not won:
-            # A faster attempt already resolved the task; discard quietly.
-            release_assignment(self.runtime.pool, assignment)
-            self.runtime.resilience.record(
-                end, rsl.SPECULATION_CANCELLED, task.label, node,
-                detail="slower attempt discarded",
-            )
-            return
-        self._record(task, assignment, start, end, success=True)
-        release_assignment(self.runtime.pool, assignment)
-        self.runtime.node_health.record_success(node)
-        if self.runtime.straggler is not None:
-            self.runtime.straggler.observe(task.definition.name, end - start)
-        self._dispatch()
-
-    def _decide_action(self, task: TaskInvocation, exc: BaseException) -> FaultAction:
-        """Retry decision for one failed attempt (hook for subclasses).
-
-        The worker-pool backend overrides this to make
-        :class:`~repro.runtime.fault.PoisonTaskError` terminal.
-        """
-        return self.runtime.retry_policy.decide(task)
-
-    def _on_failure(
-        self,
-        assignment: Assignment,
-        exc: BaseException,
-        start: float,
-        attempt: _LocalAttempt,
-    ) -> None:
-        assert self.runtime is not None
-        task = assignment.task
-        end = self._now()
-        node = assignment.allocation.node
-        task.attempts += 1
-        self._record(task, assignment, start, end, success=False)
-        if isinstance(exc, TaskTimeoutError):
-            self.runtime.resilience.record(
-                end, rsl.TIMEOUT, task.label, node,
-                detail=f"deadline {self.runtime.config.task_timeout_s}s",
-            )
-            self.runtime.node_health.record_failure(node, kind="timeout")
-        else:
-            self.runtime.node_health.record_failure(node)
-        with self._lock:
-            self._detach(task.task_id, attempt)
-            racing = (
-                task.state in (TaskState.DONE, TaskState.FAILED)
-                or bool(self._active.get(task.task_id))
-            )
-        if racing:
-            # Another attempt already resolved (or is still racing) this
-            # task: this failure must not consume the retry budget's
-            # terminal decision.
-            release_assignment(self.runtime.pool, assignment)
-            task.attempt_history.append(
-                f"attempt {task.attempts} on {node}: {exc!r} -> "
-                "another attempt racing"
-            )
-            return
-        action = self._decide_action(task, exc)
-        task.attempt_history.append(
-            f"attempt {task.attempts} on {node}: {exc!r} -> {action.value}"
-        )
-        _log.info("task %s failed (attempt %d): %s -> %s",
-                  task.label, task.attempts, exc, action.value)
-        if action != FaultAction.GIVE_UP:
-            delay = self.runtime.retry_policy.backoff_delay(
-                task.label, task.attempts
-            )
-            if delay > 0.0:
-                self.runtime.resilience.record(
-                    end, rsl.BACKOFF_WAIT, task.label, node,
-                    detail=f"{delay:.2f}s before {action.value}",
-                )
-                time.sleep(delay)
-        if action == FaultAction.RETRY_SAME_NODE:
-            # Keep the allocation; rerun in place (paper: "tries to start
-            # the same task in the same node").
-            retry_start = self._now()
-            retry_attempt = _LocalAttempt(assignment, retry_start, attempt.speculative)
-            with self._lock:
-                self._active.setdefault(task.task_id, []).append(retry_attempt)
-            try:
-                self._verify_inputs(task, attempt.speculative)
-                result = self._execute_body(
-                    task, assignment, assignment.allocation, attempt.speculative
-                )
-            except BaseException as exc2:  # noqa: BLE001
-                self._on_failure(assignment, exc2, retry_start, retry_attempt)
+            if not self._detach(task.task_id, attempt):
+                # A sibling won the race and already released this one.
                 return
-            self._on_success(assignment, result, retry_start, retry_attempt)
-            return
-        release_assignment(self.runtime.pool, assignment)
-        if action == FaultAction.RESUBMIT_OTHER_NODE:
-            with self._lock:
-                task.failed_nodes.append(node)
-                task.state = TaskState.READY
-                self.runtime.graph.requeue([task])
-            self._dispatch()
-            return
-        # GIVE_UP
-        with self._lock:
-            task.state = TaskState.FAILED
-            task.error = exc
-            self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
-            self.runtime.fail_descendants(task, end)
+            if task.state in (TaskState.DONE, TaskState.FAILED):
+                # Resolved out of band (its study was abandoned).
+                release_assignment(runtime.pool, assignment)
+                return
+            if attempt.speculative or task.task_id in self._attempts:
+                self._settle_race(attempt, end)
+            task.result = result
+            task.start_time, task.end_time = attempt.start, end
+            task.node = node
+            runtime.complete_task(task, result)
             self._resolutions += 1
             self._done_cond.notify_all()
+        self._record(task, assignment, attempt.start, end, success=True)
+        release_assignment(runtime.pool, assignment)
+        runtime.node_health.record_success(node)
+        if runtime.straggler is not None:
+            runtime.straggler.observe(task.definition.name, end - attempt.start)
+        self._dispatch()
 
     # ------------------------------------------------------------------
     # Speculative re-execution (watchdog)
@@ -606,85 +354,26 @@ class LocalExecutor(Executor):
         detector = self.runtime.straggler
         if detector is None:
             return
-        now = self._now()
         with self._lock:
             if self._shutdown:
                 return
-            candidates = []
-            for attempts in self._active.values():
-                if len(attempts) != 1:
-                    continue
+            now = self.clock()
+            for attempts in list(self._attempts.values()):
                 attempt = attempts[0]
-                if attempt.speculative or attempt.assignment.extra_allocations:
+                if (
+                    len(attempts) != 1
+                    or attempt.speculative
+                    or attempt.assignment.extra_allocations
+                ):
                     continue
-                task = attempt.assignment.task
-                threshold = detector.threshold(task.definition.name)
-                if threshold is not None and now - attempt.start >= threshold:
-                    candidates.append((attempt, threshold))
-        for attempt, threshold in candidates:
-            self._launch_backup(attempt, threshold)
-
-    def _launch_backup(self, attempt: _LocalAttempt, threshold: float) -> None:
-        assert self.runtime is not None and self._threads is not None
-        task = attempt.assignment.task
-        origin = attempt.assignment.allocation.node
-        pool = self.runtime.pool
-        others = [w.name for w in pool.available_workers() if w.name != origin]
-        if not others:
-            return
-        alloc = pool.try_allocate(
-            attempt.assignment.implementation.constraint, preferred=others
-        )
-        if alloc is None:
-            return
-        if alloc.node == origin:
-            pool.release(alloc)
-            return
-        with self._lock:
-            still_lone = (
-                self._active.get(task.task_id) == [attempt]
-                and task.state == TaskState.RUNNING
-                and not self._shutdown
-            )
-            if not still_lone:
-                pool.release(alloc)
-                return
-            backup = Assignment(task, alloc, attempt.assignment.implementation)
-            self.runtime.resilience.record(
-                self._now(), rsl.SPECULATION_LAUNCHED, task.label, alloc.node,
-                detail=f"running {self._now() - attempt.start:.2f}s > "
-                f"{threshold:.2f}s threshold on {origin}",
-            )
-            self._threads.submit(self._run_attempt, backup, True)
-
-    # ------------------------------------------------------------------
-    def _record(
-        self,
-        task: TaskInvocation,
-        assignment: Assignment,
-        start: float,
-        end: float,
-        success: bool,
-    ) -> None:
-        assert self.runtime is not None
-        if not self.runtime.tracer.enabled:
-            # Zero-cost when tracing is off: no TaskRecord construction,
-            # no buffer append on the fast path.
-            return
-        for alloc in assignment.all_allocations:
-            self.runtime.tracer.record_task(
-                TaskRecord(
-                    task_label=task.label,
-                    task_name=task.definition.name,
-                    node=alloc.node,
-                    cpu_ids=alloc.cpu_ids,
-                    gpu_ids=alloc.gpu_ids,
-                    start=start,
-                    end=end,
-                    success=success,
-                    attempt=task.attempts,
+                threshold = detector.threshold(
+                    attempt.assignment.task.definition.name
                 )
-            )
+                if threshold is None or now - attempt.start < threshold:
+                    continue
+                backup = self._backup(attempt, threshold, now)
+                if backup is not None:
+                    self._start(backup, speculative=True)
 
     # ------------------------------------------------------------------
     # Synchronisation
@@ -726,9 +415,7 @@ class LocalExecutor(Executor):
     def shutdown(self) -> None:
         with self._lock:
             self._shutdown = True
-            for timer in self._draining.values():
-                timer.cancel()
-            self._draining.clear()
+            self._cancel_drains()
         self._stop_event.set()
         if self._watchdog is not None:
             self._watchdog.join(timeout=2.0)
@@ -738,5 +425,3 @@ class LocalExecutor(Executor):
             # Hung bodies were released via the stop event; don't block on
             # any abandoned user body that is genuinely wedged.
             self._bodies.shutdown(wait=False)
-        if self._procs is not None:
-            self._procs.shutdown(wait=True)

@@ -11,33 +11,25 @@ in virtual time) so that HPO results are genuine trained-model metrics
 while the *timing* reflects the modelled cluster — the combination used
 by the Fig. 7/8 benchmarks.
 
-Resilience (beyond the paper's retry-then-resubmit): a task may have
-several *attempts* in flight at once.  Deadlines (``task_timeout_s``)
-convert hung attempts into retryable failures; straggler detection
-launches a speculative backup attempt on another node and keeps the first
-finisher; retries wait out an exponential backoff; per-node failures feed
-the runtime's :class:`~repro.runtime.resilience.NodeHealth` tracker.  All
-of it runs on the event engine, so chaos scenarios are bit-deterministic
-under a fixed seed.
+Resilience (beyond the paper's retry-then-resubmit) is the shared
+attempt lifecycle (:mod:`repro.runtime.executor.base`) driven by the
+event engine: completions, deadlines (``task_timeout_s``), straggler
+checks, backoff waits, drain deadlines and the starvation watchdog are
+all simulator events, and node failures, preemption notices and storms
+from the failure injector are scheduled onto the same clock.  Chaos
+scenarios are therefore bit-deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
-from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
-from repro.runtime.executor.base import Executor
-from repro.runtime.fault import (
-    FaultAction,
-    ResourceStarvationError,
-    TaskFailedError,
-    TaskTimeoutError,
-)
+from repro.runtime.executor.base import Attempt, Executor
+from repro.runtime.fault import TaskFailedError, TaskTimeoutError
 from repro.runtime.resources import DOWN
 from repro.runtime.scheduler.base import Assignment, release_assignment
 from repro.runtime.task_definition import TaskInvocation, TaskState
-from repro.runtime.tracing.extrae import TaskRecord
 from repro.simcluster.costmodel import TrainingCostModel, MNIST_LIKE
 from repro.simcluster.events import DiscreteEventSimulator, EventHandle
 from repro.simcluster.failures import MassLoss, NodeRejoin, PreemptionNotice
@@ -52,27 +44,6 @@ DurationFn = Callable[[TaskInvocation, NodeSpec, Any], float]
 
 class NodeFailureError(RuntimeError):
     """A task attempt died because its node failed."""
-
-
-class _Attempt:
-    """One in-flight attempt of a task (primary or speculative backup)."""
-
-    __slots__ = ("assignment", "start", "speculative", "handle",
-                 "timeout_handle", "spec_check")
-
-    def __init__(self, assignment: Assignment, start: float, speculative: bool):
-        self.assignment = assignment
-        self.start = start
-        self.speculative = speculative
-        self.handle: Optional[EventHandle] = None
-        self.timeout_handle: Optional[EventHandle] = None
-        self.spec_check: Optional[EventHandle] = None
-
-    def cancel_events(self) -> None:
-        for handle in (self.handle, self.timeout_handle, self.spec_check):
-            if handle is not None:
-                handle.cancel()
-        self.handle = self.timeout_handle = self.spec_check = None
 
 
 class SimulatedExecutor(Executor):
@@ -104,12 +75,7 @@ class SimulatedExecutor(Executor):
         self.default_dataset = default_dataset
         #: Lazily-resolved default dataset profile (``_staging_time``).
         self._default_profile = None
-        #: task_id -> attempts currently in flight (usually one; two while
-        #: a speculative backup races the original).
-        self._attempts: Dict[int, List[_Attempt]] = {}
         self._failures_scheduled = False
-        #: node -> armed drain-deadline event (graceful drain in progress).
-        self._draining: Dict[str, EventHandle] = {}
         self._starvation_handle: Optional[EventHandle] = None
         self._starvation_at = 0.0
         #: Buffered completion units — ``(assignment, ready)`` pairs whose
@@ -331,22 +297,6 @@ class SimulatedExecutor(Executor):
         return total + base, True
 
     # ------------------------------------------------------------------
-    # Attempt bookkeeping
-    # ------------------------------------------------------------------
-    def _detach(self, task_id: int, attempt: _Attempt) -> bool:
-        """Remove ``attempt`` from the active set; False if already gone."""
-        attempts = self._attempts.get(task_id)
-        if not attempts or attempt not in attempts:
-            return False
-        attempts.remove(attempt)
-        if not attempts:
-            del self._attempts[task_id]
-        return True
-
-    def _siblings(self, task_id: int) -> List[_Attempt]:
-        return self._attempts.get(task_id, [])
-
-    # ------------------------------------------------------------------
     # Node failures
     # ------------------------------------------------------------------
     def _ensure_node_failures_scheduled(self) -> None:
@@ -428,29 +378,12 @@ class SimulatedExecutor(Executor):
             if any(al.node == node for al in attempt.assignment.all_allocations)
         ]
         for tid, attempt in victims:
-            if not self._detach(tid, attempt):
-                continue
-            attempt.cancel_events()
-            assignment = attempt.assignment
-            task = assignment.task
-            task.attempts += 1
-            self._record(task, assignment, attempt.start, self.now, success=False)
-            # The failed node's slots are NOT released (the worker is reset
-            # on recovery), but a multinode task's allocations on healthy
-            # nodes must go back to the pool.
-            for alloc in assignment.all_allocations:
-                if alloc.node != node:
-                    self.runtime.pool.release(alloc)
-            self.runtime.node_health.record_failure(node, kind="node-failure")
-            exc = NodeFailureError(f"node {node} failed")
-            if self._siblings(tid):
-                # A backup attempt survives on another node; let it race on.
-                task.attempt_history.append(
-                    f"attempt {task.attempts} on {node}: {exc!r} -> "
-                    "backup still running"
+            if self._detach(tid, attempt):
+                attempt.cancel_events()
+                self._attempt_failed(
+                    attempt, NodeFailureError(f"node {node} failed"), self.now,
+                    lost_node=node,
                 )
-                continue
-            self._after_failure(assignment, exc, force_other=True)
         self.runtime.resilience.record(
             self.now, rsl.NODE_LOST, "", node,
             detail=(
@@ -526,47 +459,13 @@ class SimulatedExecutor(Executor):
     # ------------------------------------------------------------------
     # Graceful drain
     # ------------------------------------------------------------------
-    def node_busy(self, node: str) -> bool:
-        return any(
-            al.node == node
-            for attempts in self._attempts.values()
-            for attempt in attempts
-            for al in attempt.assignment.all_allocations
-        )
-
     def drain_node(self, node: str, deadline_s: float) -> None:
-        """Honour a drain: watch for the last attempt, arm the deadline."""
-        assert self.runtime is not None
         self._drain_pending()
-        if not self.node_busy(node):
-            self.runtime.finish_drain(node)
-            self._dispatch()
-            return
-        previous = self._draining.pop(node, None)
-        if previous is not None:
-            previous.cancel()
-        self._draining[node] = self.sim.schedule(
-            float(deadline_s),
-            lambda: self._drain_deadline(node),
-            label=f"drain-deadline-{node}",
-        )
-        self._dispatch()
-
-    def _check_drains(self) -> None:
-        """Complete any drain whose node has gone idle."""
-        if not self._draining:
-            return
-        assert self.runtime is not None
-        for node in sorted(self._draining):
-            if self.node_busy(node):
-                continue
-            self._draining.pop(node).cancel()
-            self.runtime.finish_drain(node)
+        super().drain_node(node, deadline_s)
 
     def _drain_deadline(self, node: str) -> None:
         """The drain window closed; escalate a busy node to a failure."""
         assert self.runtime is not None
-        self._drain_pending()
         self._draining.pop(node, None)
         worker = self.runtime.pool.workers.get(node)
         if worker is None or not worker.draining:
@@ -622,18 +521,7 @@ class SimulatedExecutor(Executor):
         assert self.runtime is not None
         self._drain_pending()
         self._starvation_handle = None
-        runtime = self.runtime
-        for task, waited in runtime.dispatcher.reap_starved():
-            names = ", ".join(
-                impl.constraint.describe()
-                for impl in task.definition.all_candidates()
-            )
-            exc = ResourceStarvationError(task.label, names, waited)
-            task.attempt_history.append(f"starved for {waited:g}s: {exc}")
-            task.state = TaskState.FAILED
-            task.error = exc
-            runtime.journal_task_event(task, ckpt.FAILED, node="")
-            runtime.fail_descendants(task, self.now)
+        self._fail_starved(self.now)
         self._arm_starvation_watchdog()
 
     # ------------------------------------------------------------------
@@ -642,10 +530,6 @@ class SimulatedExecutor(Executor):
     def notify_submitted(self, task: TaskInvocation) -> None:
         # Lazy: the event loop runs inside wait_for (virtual time).
         pass
-
-    def notify_topology_change(self) -> None:
-        """Run a scheduling round now (node added / drained / rejoined)."""
-        self._dispatch()
 
     def _refresh_batching(self) -> None:
         """Recompute whether completions may defer their scheduling rounds.
@@ -728,23 +612,19 @@ class SimulatedExecutor(Executor):
         config = self._find_config(task)
         staging = self._staging_time(task, node, config) + transfer
         duration = self._duration(task, node_spec, alloc, config)
-        injector = runtime.failure_injector
-        if injector is not None and not speculative:
+        hang = False
+        if runtime.failure_injector is not None and not speculative:
             # Straggler injection models node-local slowness: a backup
             # attempt on a different node runs at modelled speed.
-            duration *= injector.slow_factor(task.label)
+            hang, slow = self._injected_delay(task)
+            duration *= slow
         start = self.sim.now
-        attempt = _Attempt(assignment, start, speculative)
+        attempt = Attempt(assignment, start, speculative)
         self._attempts.setdefault(task.task_id, []).append(attempt)
         if runtime.tracer.enabled:
             runtime.tracer.record_event(
                 start, "task_start", task.label, node
             )
-        hang = (
-            injector is not None
-            and not speculative
-            and injector.should_hang(task.label, task.attempts)
-        )
         if not hang:
             # args-based dispatch: no per-task closure or f-string label
             # on the hot path (millions of these per large study).
@@ -768,7 +648,7 @@ class SimulatedExecutor(Executor):
     # ------------------------------------------------------------------
     # Completion / failure
     # ------------------------------------------------------------------
-    def _complete(self, task_id: int, attempt: _Attempt) -> None:
+    def _complete(self, task_id: int, attempt: Attempt) -> None:
         assert self.runtime is not None
         runtime = self.runtime
         if not self._detach(task_id, attempt):
@@ -778,46 +658,18 @@ class SimulatedExecutor(Executor):
         start = attempt.start
         task = assignment.task
         node = assignment.allocation.node
-        injector = runtime.failure_injector
-        # Injected failures apply to primary attempts only: a speculative
-        # backup is a clean re-execution on a different node.
-        if (
-            injector is not None
-            and not attempt.speculative
-            and injector.should_fail(task.label, task.attempts)
-        ):
-            # Failure handling is ordered against scheduling rounds:
-            # replay any buffered completions before processing it.
-            self._drain_pending()
-            task.attempts += 1
-            exc = RuntimeError(f"injected failure for {task.label}")
-            self._record(task, assignment, start, self.now, success=False)
-            release_assignment(self.runtime.pool, assignment)
-            self.runtime.node_health.record_failure(node)
-            if self._siblings(task_id):
-                task.attempt_history.append(
-                    f"attempt {task.attempts} on {node}: {exc!r} -> "
-                    "backup still running"
-                )
+        if runtime.failure_injector is not None and not attempt.speculative:
+            failure = self._injected_failure(task)
+            if failure is not None:
+                # Failure handling is ordered against scheduling rounds:
+                # replay any buffered completions before processing it.
+                self._drain_pending()
+                self._attempt_failed(attempt, failure, self.now)
                 return
-            self._after_failure(assignment, exc, force_other=False)
-            return
-        if self._attempts.get(task_id):
+        if attempt.speculative or task_id in self._attempts:
             # First finisher wins: cancel any still-racing attempts.
             self._drain_pending()
-            for loser in self._attempts.pop(task_id, []):
-                loser.cancel_events()
-                release_assignment(self.runtime.pool, loser.assignment)
-                self.runtime.resilience.record(
-                    self.now, rsl.SPECULATION_CANCELLED, task.label,
-                    loser.assignment.allocation.node,
-                    detail=f"lost to attempt on {node}",
-                )
-        if attempt.speculative:
-            self.runtime.resilience.record(
-                self.now, rsl.SPECULATION_WON, task.label, node,
-                detail=f"backup finished first after {self.now - start:.1f}s",
-            )
+            self._settle_race(attempt, self.now)
         result: Any = None
         if self.execute_bodies:
             args, kwargs = self.resolve_arguments(task)
@@ -825,11 +677,7 @@ class SimulatedExecutor(Executor):
                 result = assignment.implementation.func(*args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - route into fault handling
                 self._drain_pending()
-                task.attempts += 1
-                self._record(task, assignment, start, self.now, success=False)
-                release_assignment(self.runtime.pool, assignment)
-                self.runtime.node_health.record_failure(node)
-                self._after_failure(assignment, exc, force_other=False)
+                self._attempt_failed(attempt, exc, self.now)
                 return
         if self._eager_flush or self._draining:
             self._record(task, assignment, start, self.now, success=True)
@@ -856,40 +704,24 @@ class SimulatedExecutor(Executor):
         runtime.complete_task(task, result)
         self._units.append((assignment, runtime.graph.pop_ready()))
 
-    def _on_timeout(self, task_id: int, attempt: _Attempt) -> None:
+    def _on_timeout(self, task_id: int, attempt: Attempt) -> None:
         """A deadline fired: kill the attempt and treat it as a failure."""
         assert self.runtime is not None
         self._drain_pending()
         if not self._detach(task_id, attempt):
             return
         attempt.cancel_events()
-        assignment = attempt.assignment
-        task = assignment.task
-        node = assignment.allocation.node
-        timeout = self.runtime.config.task_timeout_s
-        task.attempts += 1
         exc = TaskTimeoutError(
-            f"task {task.label} exceeded its {timeout}s deadline on {node}"
+            f"task {attempt.assignment.task.label} exceeded its "
+            f"{self.runtime.config.task_timeout_s}s deadline on "
+            f"{attempt.assignment.allocation.node}"
         )
-        self._record(task, assignment, attempt.start, self.now, success=False)
-        release_assignment(self.runtime.pool, assignment)
-        self.runtime.resilience.record(
-            self.now, rsl.TIMEOUT, task.label, node,
-            detail=f"deadline {float(timeout):.0f}s",
-        )
-        self.runtime.node_health.record_failure(node, kind="timeout")
-        if self._siblings(task_id):
-            task.attempt_history.append(
-                f"attempt {task.attempts} on {node}: {exc!r} -> "
-                "backup still running"
-            )
-            return
-        self._after_failure(assignment, exc, force_other=False)
+        self._attempt_failed(attempt, exc, self.now)
 
     # ------------------------------------------------------------------
     # Speculative re-execution
     # ------------------------------------------------------------------
-    def _schedule_spec_check(self, task_id: int, attempt: _Attempt) -> None:
+    def _schedule_spec_check(self, task_id: int, attempt: Attempt) -> None:
         """Arm a straggler check for ``attempt`` if a median is known."""
         assert self.runtime is not None
         detector = self.runtime.straggler
@@ -920,7 +752,7 @@ class SimulatedExecutor(Executor):
             if attempt.assignment.task.definition.name == name:
                 self._schedule_spec_check(task_id, attempt)
 
-    def _spec_check(self, task_id: int, attempt: _Attempt) -> None:
+    def _spec_check(self, task_id: int, attempt: Attempt) -> None:
         """Decide whether a running attempt is a straggler; maybe back it up."""
         assert self.runtime is not None
         self._drain_pending()
@@ -935,8 +767,7 @@ class SimulatedExecutor(Executor):
         threshold = detector.threshold(task.definition.name)
         if threshold is None:
             return
-        elapsed = self.now - attempt.start
-        if elapsed < threshold:
+        if self.now - attempt.start < threshold:
             # Median grew since this check was armed; re-arm at the new
             # threshold (strictly in the future, so this terminates).
             attempt.spec_check = self.sim.schedule_at(
@@ -945,121 +776,17 @@ class SimulatedExecutor(Executor):
                 label=f"spec-check-{task.label}",
             )
             return
-        impl = attempt.assignment.implementation
-        origin = attempt.assignment.allocation.node
-        pool = self.runtime.pool
-        others = [
-            w.name for w in pool.available_workers() if w.name != origin
-        ]
-        if not others:
-            return
-        alloc = pool.try_allocate(impl.constraint, preferred=others)
-        if alloc is None:
-            return
-        if alloc.node == origin:
-            pool.release(alloc)
-            return
-        self.runtime.resilience.record(
-            self.now, rsl.SPECULATION_LAUNCHED, task.label, alloc.node,
-            detail=f"running {elapsed:.1f}s > {threshold:.1f}s threshold "
-            f"on {origin}",
-        )
-        self._start(Assignment(task, alloc, impl), speculative=True)
+        backup = self._backup(attempt, threshold, self.now)
+        if backup is not None:
+            self._start(backup, speculative=True)
 
-    # ------------------------------------------------------------------
-    # Retry policy application
-    # ------------------------------------------------------------------
-    def _after_failure(
-        self,
-        assignment: Assignment,
-        exc: BaseException,
-        force_other: bool,
-    ) -> None:
-        """Apply the retry policy (with backoff) after a failed attempt.
+    def _after(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+        return self.sim.schedule(delay, self._fire, "after", (fn, args))
 
-        ``force_other`` skips the same-node retry (the node is gone).
-        The attempt's allocation has already been released (or is stranded
-        on a failed node, which the pool resets on recovery).
-        """
-        assert self.runtime is not None
-        task = assignment.task
-        node = assignment.allocation.node
-        action = self.runtime.retry_policy.decide(task)
-        if action == FaultAction.RETRY_SAME_NODE and force_other:
-            action = FaultAction.RESUBMIT_OTHER_NODE
-        task.attempt_history.append(
-            f"attempt {task.attempts} on {node}: {exc!r} -> {action.value}"
-        )
-        _log.info(
-            "t=%.1f task %s failed (attempt %d): %s -> %s",
-            self.now, task.label, task.attempts, exc, action.value,
-        )
-        if action == FaultAction.GIVE_UP:
-            task.state = TaskState.FAILED
-            task.error = exc
-            self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
-            self.runtime.fail_descendants(task, self.now)
-            return
-        delay = self.runtime.retry_policy.backoff_delay(task.label, task.attempts)
-        if delay > 0.0:
-            self.runtime.resilience.record(
-                self.now, rsl.BACKOFF_WAIT, task.label, node,
-                detail=f"{delay:.2f}s before {action.value}",
-            )
-        if action == FaultAction.RETRY_SAME_NODE:
-            retry = lambda: self._retry_same_node(task, assignment)  # noqa: E731
-        else:
-            retry = lambda: self._requeue_for_other(task, assignment)  # noqa: E731
-        if delay > 0.0:
-            self.sim.schedule(delay, retry, label=f"backoff-{task.label}")
-        else:
-            retry()
-
-    def _retry_same_node(self, task: TaskInvocation, assignment: Assignment) -> None:
-        """Reacquire the same node's resources and rerun there."""
-        assert self.runtime is not None
+    def _fire(self, fn: Callable[..., None], args: tuple) -> None:
+        # Event-by-event, the buffered completion rounds ran before this.
         self._drain_pending()
-        alloc = self.runtime.pool.try_allocate(
-            assignment.implementation.constraint,
-            preferred=[assignment.allocation.node],
-        )
-        if alloc is None or alloc.node != assignment.allocation.node:
-            if alloc is not None:
-                self.runtime.pool.release(alloc)
-            self._requeue_for_other(task, assignment)
-            return
-        self._start(Assignment(task, alloc, assignment.implementation))
-
-    def _requeue_for_other(self, task: TaskInvocation, assignment: Assignment) -> None:
-        assert self.runtime is not None
-        self._drain_pending()
-        task.failed_nodes.append(assignment.allocation.node)
-        task.state = TaskState.READY
-        self.runtime.graph.requeue([task])
-        self._dispatch()
-
-    def _record(
-        self, task: TaskInvocation, assignment: Assignment, start, end, success
-    ) -> None:
-        assert self.runtime is not None
-        if not self.runtime.tracer.enabled:
-            # Zero-cost when tracing is off: no TaskRecord construction,
-            # no buffer append on the fast path.
-            return
-        for alloc in assignment.all_allocations:
-            self.runtime.tracer.record_task(
-                TaskRecord(
-                    task_label=task.label,
-                    task_name=task.definition.name,
-                    node=alloc.node,
-                    cpu_ids=alloc.cpu_ids,
-                    gpu_ids=alloc.gpu_ids,
-                    start=start,
-                    end=end,
-                    success=success,
-                    attempt=task.attempts,
-                )
-            )
+        fn(*args)
 
     # ------------------------------------------------------------------
     # Synchronisation (virtual time)
@@ -1121,9 +848,8 @@ class SimulatedExecutor(Executor):
                 # collector's scan set (O(1), see runtime.gc_checkpoint).
                 self.runtime.gc_checkpoint()
         if failed:
-            t = failed[0]
-            cause = t.error or RuntimeError("unknown")
-            raise TaskFailedError(t, cause) from cause
+            cause = failed[0].error or RuntimeError("unknown")
+            raise TaskFailedError(failed[0], cause) from cause
         if pending:
             stuck = [t.label for t in pending]
             raise RuntimeError(
@@ -1139,9 +865,7 @@ class SimulatedExecutor(Executor):
             for attempt in attempts:
                 attempt.cancel_events()
         self._attempts.clear()
-        for handle in self._draining.values():
-            handle.cancel()
-        self._draining.clear()
+        self._cancel_drains()
         if self._starvation_handle is not None:
             self._starvation_handle.cancel()
             self._starvation_handle = None

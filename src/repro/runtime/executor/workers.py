@@ -3,29 +3,30 @@
 The thread backend cannot contain a hostile task body: a segfault, an
 OOM-kill, or ``os._exit`` takes the whole driver with it, and a
 genuinely wedged body keeps its thread forever (CPython threads cannot
-be killed).  The legacy ``ProcessPoolExecutor`` backend isolates bodies
-but not failures: one crash marks the shared pool broken and poisons
-every later submission.  This backend closes both gaps with the worker
-model the paper's runtime (and Tune/Hippo-style trial executors) relies
-on — **one long-lived worker process per slot**, each talking to the
-driver over its own duplex pipe, under a supervisor thread that owns the
-pool's lifecycle:
+be killed).  This backend closes both gaps with the worker model the
+paper's runtime (and Tune/Hippo-style trial executors) relies on —
+**one long-lived worker process per slot**, each talking to the driver
+over its own duplex pipe, under a supervisor thread that owns the pool's
+lifecycle.  It is the local executor with one thing replaced: where an
+attempt's body runs.  Dispatch, retries, backoff, speculation, drains
+and the starvation reap are the shared attempt lifecycle
+(:mod:`repro.runtime.executor.base`), unchanged:
 
 * **Crash containment** — a worker that dies mid-task (segfault, OOM,
   ``sys.exit``/``os._exit``, external ``SIGKILL``) is detected via its
   process sentinel, the in-flight attempt becomes a retryable
-  :class:`~repro.runtime.fault.WorkerCrashError` fed through the normal
-  ``RetryPolicy``/``NodeHealth`` machinery, a replacement worker is
-  spawned, and every other slot keeps running.
+  :class:`~repro.runtime.fault.WorkerCrashError` fed through the shared
+  retry decision and node health, a replacement worker is spawned, and
+  every other slot keeps running.
 * **Hard-kill deadlines** — with ``task_timeout_s`` set, a body still
   running at the deadline gets its worker ``SIGKILL``-ed and respawned:
   the attempt is a retryable ``TaskTimeoutError`` and *no* abandoned
-  thread or process survives (the thread backend's documented
-  limitation, finally fixed).
+  thread or process survives.
 * **Poison-task quarantine** — a task that kills ``poison_threshold``
-  consecutive workers is blacklisted: further attempts raise a terminal
-  :class:`~repro.runtime.fault.PoisonTaskError` (straight to GIVE_UP)
-  instead of burning the retry budget killing worker after worker.
+  consecutive workers is blacklisted: further attempts raise a
+  :class:`~repro.runtime.fault.PoisonTaskError`, which the retry
+  decision treats as terminal, instead of burning the retry budget
+  killing worker after worker.
 * **Worker recycling** — after ``max_tasks_per_worker`` completed tasks
   a worker is drained gracefully and replaced, bounding native-library
   leak accumulation over multi-day studies.
@@ -66,13 +67,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
 from repro.runtime.executor.local import LocalExecutor
-from repro.runtime.fault import (
-    FaultAction,
-    PoisonTaskError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
-from repro.runtime.resources import Allocation
+from repro.runtime.fault import PoisonTaskError, TaskTimeoutError, WorkerCrashError
 from repro.runtime.scheduler.base import Assignment
 from repro.runtime.task_definition import TaskInvocation
 from repro.util.logging_utils import get_logger
@@ -332,8 +327,7 @@ class WorkerPoolExecutor(LocalExecutor):
         heartbeat_s: float = 1.0,
         start_method: Optional[str] = None,
     ):
-        super().__init__(backend="threads", max_parallel=max_parallel)
-        self.backend = "workers"
+        super().__init__(max_parallel=max_parallel)
         if max_tasks_per_worker is not None:
             check_positive("max_tasks_per_worker", max_tasks_per_worker)
         check_positive("poison_threshold", poison_threshold)
@@ -390,43 +384,21 @@ class WorkerPoolExecutor(LocalExecutor):
     # Body execution (submitter threads)
     # ------------------------------------------------------------------
     def _execute_body(
-        self,
-        task: TaskInvocation,
-        assignment: Assignment,
-        alloc: Allocation,
-        speculative: bool = False,
+        self, task: TaskInvocation, assignment: Assignment, hang: bool, slow: float
     ):
         assert self.runtime is not None
         label = task.label
+        node = assignment.allocation.node
         if self._stop_event.is_set():
             raise WorkerCrashError(label, "worker pool shutting down")
         with self._pool_lock:
             if label in self._poisoned:
                 deaths = self._deaths.get(label, 0)
                 raise PoisonTaskError(label, deaths, self.poison_threshold)
-        injector = self.runtime.failure_injector
-        if (
-            injector is not None
-            and not speculative
-            and injector.should_fail(task.label, task.attempts)
-        ):
-            raise RuntimeError(
-                f"injected failure for {task.label} attempt {task.attempts}"
-            )
-        hang = bool(
-            injector is not None
-            and not speculative
-            and injector.should_hang(task.label, task.attempts)
-        )
-        slow = (
-            injector.slow_factor(task.label)
-            if injector is not None and not speculative
-            else 1.0
-        )
         args, kwargs = self.resolve_arguments(task)
         func_blob = _encode_func(assignment.implementation.func)
         pending = _PendingCall()
-        worker = self._acquire_worker(pending, label, alloc.node)
+        worker = self._acquire_worker(pending, label, node)
         worker.seq += 1
         try:
             with worker.send_lock:
@@ -458,7 +430,7 @@ class WorkerPoolExecutor(LocalExecutor):
         if pending.outcome == "crash":
             # Journal the attempt as failed so a driver resume re-runs it
             # — a crash can never appear as a (torn) completion.
-            self.runtime.journal_task_event(task, ckpt.FAILED, node=alloc.node)
+            self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
         assert pending.exc is not None
         raise pending.exc
 
@@ -495,11 +467,6 @@ class WorkerPoolExecutor(LocalExecutor):
             worker.state = _Worker.IDLE
             self._idle.append(worker)
             self._pool_cond.notify_all()
-
-    def _decide_action(self, task: TaskInvocation, exc: BaseException) -> FaultAction:
-        if isinstance(exc, PoisonTaskError):
-            return FaultAction.GIVE_UP
-        return super()._decide_action(task, exc)
 
     # ------------------------------------------------------------------
     # Supervisor thread
@@ -620,7 +587,7 @@ class WorkerPoolExecutor(LocalExecutor):
         except Exception:  # noqa: BLE001 - already gone; make sure
             worker.process.kill()
         self.runtime.resilience.record(
-            self._now(), rsl.WORKER_RECYCLED,
+            self.clock(), rsl.WORKER_RECYCLED,
             detail=(
                 f"pid {worker.pid} retired after {worker.tasks_done} tasks "
                 f"(max_tasks_per_worker={self.max_tasks_per_worker})"
@@ -665,7 +632,7 @@ class WorkerPoolExecutor(LocalExecutor):
         if was_retiring:
             # A recycled worker exiting is the expected drain, not a crash.
             return
-        now = self._now()
+        now = self.clock()
         detail = f"pid {worker.pid} exitcode {exitcode}"
         if pending is None:
             self.runtime.resilience.record(
@@ -767,15 +734,8 @@ class WorkerPoolExecutor(LocalExecutor):
     # Shutdown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        with self._lock:
-            self._shutdown = True
-        self._stop_event.set()
-        with self._pool_cond:
-            self._pool_cond.notify_all()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=2.0)
-        if self._threads is not None:
-            self._threads.shutdown(wait=True)
+        # Submitter threads parked in _acquire_worker poll the stop event.
+        super().shutdown()
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
         self._drain_pool()

@@ -6,17 +6,19 @@ restarted in another node. … The failure of a task does not affect the
 other tasks unless there are some dependencies."
 
 :class:`RetryPolicy` encodes that two-stage behaviour with configurable
-budgets; the executors consult :meth:`decide` after every failed attempt.
-On top of the paper's scheme the policy carries an exponential-backoff
-schedule with deterministic seeded jitter: the wait before attempt *k* is
-a pure function of ``(task_label, k, backoff_seed)``, so retry timing is
-bit-reproducible regardless of execution order.
+budgets, and :func:`decide_failure` is the one decision every executor
+takes after a failed attempt.  On top of the paper's scheme the policy
+carries an exponential-backoff schedule with deterministic seeded jitter:
+the wait before attempt *k* is a pure function of
+``(task_label, k, backoff_seed)``, so retry timing is bit-reproducible
+regardless of execution order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.runtime.task_definition import TaskInvocation
 from repro.util.seeding import rng_from
@@ -125,7 +127,7 @@ class TaskTimeoutError(RuntimeError):
 class WorkerCrashError(RuntimeError):
     """A task attempt died with its worker process.
 
-    Raised by the process-isolated backends when the OS process hosting
+    Raised by the worker-process backend when the OS process hosting
     a task body disappears mid-attempt — segfault, OOM-kill, ``os._exit``,
     ``sys.exit``, or an external ``SIGKILL``.  Like
     :class:`TaskTimeoutError` it is *retryable*: the executor feeds it
@@ -271,3 +273,32 @@ class TaskFailedError(RuntimeError):
         self.task = task
         self.cause = cause
         self.__cause__ = cause
+
+
+def decide_failure(
+    retry_policy: RetryPolicy,
+    task: TaskInvocation,
+    exc: BaseException,
+    node: str,
+    node_lost: bool = False,
+) -> Tuple[FaultAction, float, str]:
+    """What follows a failed attempt: ``(action, backoff delay, history line)``.
+
+    ``task.attempts`` already counts the failed attempt on ``node``.  A
+    :class:`PoisonTaskError` is terminal whatever the budget says, and an
+    attempt whose node is gone (``node_lost``) cannot retry in place, so
+    its same-node retry becomes a resubmission.  Pure: the same inputs
+    always give the same answer, in real and in virtual time alike.
+    """
+    if isinstance(exc, PoisonTaskError):
+        action = FaultAction.GIVE_UP
+    else:
+        action = retry_policy.decide(task)
+        if node_lost and action is FaultAction.RETRY_SAME_NODE:
+            action = FaultAction.RESUBMIT_OTHER_NODE
+    delay = (
+        0.0 if action is FaultAction.GIVE_UP
+        else retry_policy.backoff_delay(task.label, task.attempts)
+    )
+    line = f"attempt {task.attempts} on {node}: {exc!r} -> {action.value}"
+    return action, delay, line

@@ -11,7 +11,7 @@ checkpoint spill is loaded (see :mod:`repro.runtime.checkpoint`).
 
 Two sealing modes, matching the two executor families:
 
-* **local** (threads / processes / workers): the checksum is a digest of
+* **local** (threads / workers): the checksum is a digest of
   the real pickled result bytes.  The pickled snapshot models the wire
   image of the output; the live driver-memory object is the authoritative
   source, so a corrupt snapshot repairs by re-pickling it (the local

@@ -16,8 +16,8 @@ moment state and step counter, and the accumulated history).
 
 The flag transport is a flag *file* next to the spill (plus an
 in-process fast path), so cooperative suspension works across every
-executor backend — in-driver threads, process pools, and supervised
-worker processes — without any channel beyond the filesystem the spill
+executor backend — in-driver threads, supervised worker processes
+and the simulated executor — without any channel beyond the filesystem the spill
 machinery already requires.  A torn suspend spill (crash mid-write)
 fails sidecar verification and is treated as missing: the trial restarts
 cold, which is slower but never wrong.

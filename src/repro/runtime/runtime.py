@@ -285,9 +285,7 @@ class COMPSsRuntime:
                     poison_threshold=self.config.poison_threshold,
                     heartbeat_s=self.config.worker_heartbeat_s,
                 )
-            return LocalExecutor(
-                backend=self.config.backend, max_parallel=self.config.max_parallel
-            )
+            return LocalExecutor(max_parallel=self.config.max_parallel)
         if ex == "simulated":
             return SimulatedExecutor(
                 duration_fn=self.config.duration_fn,

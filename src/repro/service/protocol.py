@@ -201,7 +201,7 @@ def resolve_objective(spec: str) -> Callable[..., Any]:
 
     Registry names cover the built-in bodies; a ``module:function``
     dotted path loads anything importable (it must be module-level so the
-    process backend can pickle it).
+    worker-process backend can ship it to its workers).
     """
     from repro.hpo.objective import (
         fast_mock_objective,

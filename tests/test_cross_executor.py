@@ -12,13 +12,20 @@ from repro.hpo import GridSearch, PyCOMPSsRunner, fast_mock_objective, parse_sea
 from repro.pycompss_api import COMPSs, compss_wait_on, task
 from repro.pycompss_api.constraint import ResourceConstraint
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.fault import RetryPolicy, TaskFailedError
 from repro.runtime.runtime import COMPSsRuntime
+from repro.simcluster.failures import FailureInjector, FailurePlan
 from repro.simcluster.machines import local_machine, mare_nostrum4
 
 
 @task(returns=int)
 def fib_step(a, b):
     return a + b
+
+
+@task(returns=int)
+def doomed(x):
+    return x
 
 
 def fibonacci_app():
@@ -76,6 +83,37 @@ class TestEquivalence:
             local.best_trial().describe_config()
             == simulated.best_trial().describe_config()
         )
+
+
+class TestRetryLadderParity:
+    """Every executor climbs the paper's retry ladder the same way: a task
+    failing at attempts 0, 1 and 2 under ``RetryPolicy(1, 1)`` retries on
+    its node, resubmits elsewhere, then gives up."""
+
+    @pytest.mark.parametrize(
+        "executor, backend",
+        [("local", "threads"), ("local", "workers"), ("simulated", "threads")],
+        ids=["threads", "workers", "simulated"],
+    )
+    def test_same_actions_attempts_and_cause(self, executor, backend):
+        cfg = RuntimeConfig(
+            cluster=local_machine(2), executor=executor, backend=backend,
+            execute_bodies=True, duration_fn=lambda t, n, a: 1.0,
+            failure_injector=FailureInjector(
+                FailurePlan().fail_task("doomed-1", 0, 1, 2)
+            ),
+            retry_policy=RetryPolicy(same_node_retries=1, resubmissions=1),
+        )
+        with COMPSs(cfg):
+            with pytest.raises(TaskFailedError) as err:
+                compss_wait_on(doomed(1))
+        failed = err.value.task
+        actions = [line.rsplit(" -> ", 1)[1] for line in failed.attempt_history]
+        assert actions == ["retry_same_node", "resubmit_other_node", "give_up"]
+        assert failed.attempts == 3
+        cause = err.value.__cause__
+        assert type(cause) is RuntimeError
+        assert "injected failure for doomed-1" in str(cause)
 
 
 class TestDeterminism:

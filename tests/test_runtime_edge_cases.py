@@ -171,6 +171,7 @@ class TestRuntimeConfigValidation:
              "RuntimeConfig.suspend_grace_s", "-2.5"),
             ({"max_suspended_trials": 0},
              "RuntimeConfig.max_suspended_trials", "0"),
+            ({"backend": "processes"}, "RuntimeConfig.backend", "'processes'"),
         ],
     )
     def test_error_names_knob_and_value(self, kwargs, knob, value_repr):

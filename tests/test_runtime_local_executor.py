@@ -1,4 +1,4 @@
-"""Tests for real (threaded/process) execution."""
+"""Tests for real (threaded) execution."""
 
 import threading
 import time
@@ -34,7 +34,7 @@ def fire_and_forget(acc):
 
 
 def module_level_square(x):
-    """Top-level function usable by the process backend."""
+    """Top-level function wrapped by a hand-built definition."""
     return x * x
 
 
@@ -168,23 +168,6 @@ class TestFaultTolerance:
             with pytest.raises(TaskFailedError):
                 compss_wait_on(fut)
         assert len(calls) == 2  # original + one same-node retry
-
-
-class TestProcessBackend:
-    def test_process_pool_execution(self):
-        from repro.runtime.runtime import COMPSsRuntime
-
-        cfg = RuntimeConfig(
-            cluster=local_machine(2), backend="processes", max_parallel=2
-        )
-        rt = COMPSsRuntime(cfg).start()
-        try:
-            fut = rt.submit(
-                _module_square_definition(), (6,), {}
-            )
-            assert rt.wait_on(fut) == 36
-        finally:
-            rt.stop()
 
 
 def _module_square_definition():

@@ -1,6 +1,7 @@
 """Tests for the resilience layer: deadlines, backoff, speculation,
 node quarantine, and study-level fail-soft trial retries."""
 
+import sys
 import time
 from collections import Counter
 
@@ -521,6 +522,66 @@ class TestLocalResilience:
             futs = submit_n(rt, 1)
             assert compss_wait_on(futs) == [1]
             assert len(rt.resilience.of_kind(rsl.BACKOFF_WAIT)) == 1
+
+    def test_resubmission_backoff_frees_the_slot(self):
+        # A resubmission waits out its backoff with its slot already
+        # released: on one slot, the queued task B starts at once instead
+        # of after A's 0.3 s wait.
+        stamps = {}
+
+        def body(config):
+            i = config["i"]
+            if i == 0 and "fail" not in stamps:
+                stamps["fail"] = time.perf_counter()
+                raise RuntimeError("first attempt of A fails")
+            stamps.setdefault(i, time.perf_counter())
+            return i
+
+        cfg = RuntimeConfig(
+            cluster=local_machine(1), executor="local",
+            retry_policy=RetryPolicy(
+                0, 1, backoff_base_s=0.3, backoff_jitter=0.0
+            ),
+        )
+        with COMPSs(cfg) as rt:
+            assert compss_wait_on(submit_n(rt, 2, func=body)) == [0, 1]
+            [wait] = rt.resilience.of_kind(rsl.BACKOFF_WAIT)
+            assert wait.detail == "0.30s before resubmit_other_node"
+        assert stamps[1] < stamps["fail"] + 0.3
+        assert stamps[0] >= stamps["fail"] + 0.25  # the backoff still ran
+
+    def test_slots_conserved_under_retries_and_speculation(self):
+        # Stress: 96 pool threads on a small host and a short switch
+        # interval, timer-driven backoff retries and backups racing their
+        # primaries.  Every slot must come back exactly once — a leaked
+        # or doubly-released allocation breaks the free-core count.
+        plan = FailurePlan()
+        for i in range(1, 41, 3):
+            plan.fail_task(f"experiment-{i}", 0)
+
+        def body(config):
+            time.sleep(0.06 if config["i"] % 9 == 0 else 0.002)
+            return config["i"]
+
+        cfg = RuntimeConfig(
+            cluster=mare_nostrum4(2), executor="local",
+            failure_injector=FailureInjector(plan),
+            retry_policy=RetryPolicy(
+                1, 1, backoff_base_s=0.01, backoff_jitter=0.5
+            ),
+            speculation_multiplier=2.0, speculation_min_samples=3,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with COMPSs(cfg) as rt:
+                futs = submit_n(rt, 40, cpu=24, func=body)
+                assert compss_wait_on(futs) == list(range(40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert rt.resilience.counts().get(rsl.BACKOFF_WAIT) == 14
+        for worker in rt.pool.workers.values():
+            assert worker.free_cpu_units == worker.task_capacity_cpus
 
     def test_straggler_speculation_on_threads(self):
         seen = Counter()

@@ -336,47 +336,6 @@ class TestChaosStudy:
 
 
 # ----------------------------------------------------------------------
-# Legacy process backend: broken-pool containment
-# ----------------------------------------------------------------------
-def _crash_once_plain(marker, x):
-    """Undecorated module-level body for the ProcessPoolExecutor backend."""
-    if not os.path.exists(marker):
-        Path(marker).write_text("crashed")
-        os._exit(3)
-    return x + 100
-
-
-def _plain_definition(func, name):
-    from repro.runtime.task_definition import TaskDefinition
-
-    return TaskDefinition(func=func, name=name, returns=int, n_returns=1)
-
-
-class TestLegacyProcessBackend:
-    def test_broken_pool_rebuilt_and_attempt_retried(self, tmp_path):
-        marker = str(tmp_path / "procs")
-        cfg = RuntimeConfig(
-            cluster=local_machine(2), backend="processes", max_parallel=2
-        )
-        rt = COMPSsRuntime(cfg).start()
-        try:
-            fut = rt.submit(
-                _plain_definition(_crash_once_plain, "crash_once"),
-                (marker, 1), {},
-            )
-            assert rt.wait_on(fut) == 101
-            assert rt.resilience.counts().get("worker_crash", 0) >= 1
-            # The rebuilt pool serves later submissions.
-            fut2 = rt.submit(
-                _plain_definition(_crash_once_plain, "crash_once"),
-                (marker, 2), {},
-            )
-            assert rt.wait_on(fut2) == 102
-        finally:
-            rt.stop()
-
-
-# ----------------------------------------------------------------------
 # Config / CLI plumbing
 # ----------------------------------------------------------------------
 class TestConfigValidation:
