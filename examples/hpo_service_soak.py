@@ -64,6 +64,24 @@ def journal_stats(root: Path, study_id: str):
     return sessions, restored, duplicates
 
 
+def has_journaled_work(root: Path, study_id: str) -> bool:
+    """True once a study's journal holds a completed task record.
+
+    Read while worker threads append to it, so a torn last line is
+    skipped rather than parsed.
+    """
+    journal = root / "studies" / study_id / "checkpoint" / "journal.jsonl"
+    try:
+        text = journal.read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return any(
+        json.loads(line).get("rec") == "completed"
+        for line in text.splitlines(keepends=True)
+        if line.endswith("\n")
+    )
+
+
 def act_1_poison_isolation(root: Path) -> None:
     print("=== Act 1: a poisoned tenant is terminated alone ===")
     service = make_service(root).start()
@@ -118,13 +136,15 @@ def act_2_crash_recovery(root: Path) -> None:
             ),
             wait_admission=False,
         )
-    # Pump the daemon until the studies are genuinely mid-flight ...
+    # Pump the daemon until the studies are genuinely mid-flight: running,
+    # with completed work in their journals for the next life to restore ...
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
         first_life.step()
         running = sum(
             1 for s in study_ids
             if client.status(s)["status"] == "running"
+            and has_journaled_work(root, s)
         )
         if running >= 2:
             break

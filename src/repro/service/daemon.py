@@ -58,13 +58,18 @@ class _QueuedStudy:
         return self.request.priority
 
 
+class _StudyDrained(Exception):
+    """Raised in a study's worker once shutdown has re-queued the study."""
+
+
 class _StudyGuard(StudyCallback):
     """Per-study resilience budget + cancellation check (fault isolation).
 
     Raises out of the runner's loop — confined to the study's own worker
-    thread — when the tenant cancels or the study burns through its
-    failed-trial budget.  Raising (rather than any global flag) is what
-    keeps the blast radius to one study.
+    thread — when the tenant cancels, the study burns through its
+    failed-trial budget, or a draining shutdown re-queued it.  Raising
+    (rather than any global flag) is what keeps the blast radius to one
+    study.
     """
 
     def __init__(
@@ -90,7 +95,17 @@ class _StudyGuard(StudyCallback):
                 f"study {self.study_id!r} suspended by memory watchdog"
             )
 
+    def _check_drain(self) -> None:
+        # A study the drain re-queued before it submitted (or after it
+        # resubmitted) a trial must not run on to 'completed' over the
+        # 'queued' state; its next daemon life resumes it exactly-once.
+        if self.service.drain_requested(self.study_id):
+            raise _StudyDrained(
+                f"study {self.study_id!r} re-queued by daemon shutdown"
+            )
+
     def on_trial_start(self, study: Study, trial: Trial) -> None:
+        self._check_drain()
         self._check_cancel()
         self._check_suspend()
 
@@ -98,10 +113,12 @@ class _StudyGuard(StudyCallback):
         # A trial just spilled warm; if the watchdog wants the whole
         # study out, stop here — the spill stays on disk and the study's
         # resumption warm-restores it.
+        self._check_drain()
         self._check_cancel()
         self._check_suspend()
 
     def on_trial_complete(self, study: Study, trial: Trial) -> None:
+        self._check_drain()
         self._check_cancel()
         self._check_suspend()
         if trial.status == TrialStatus.FAILED:
@@ -482,6 +499,11 @@ class HPOService:
         """Polled by the per-study guard between trials / at suspensions."""
         with self._lock:
             return study_id in self._suspends
+
+    def drain_requested(self, study_id: str) -> bool:
+        """Polled by the per-study guard: shutdown re-queued the study."""
+        with self._lock:
+            return study_id in self._drain_requeue
 
     def _relieve_pressure(self) -> None:
         """Memory watchdog, suspend-before-shed.

@@ -483,14 +483,19 @@ class TestStagedGridReuse:
     ):
         from repro.runtime.fault import RetryPolicy
 
-        # stage_train-2 is the [0, 4) block all three trials share.
-        plan = FailurePlan().fail_task("stage_train-2", 0, 1)
+        # stage_train-2 is the [0, 4) block all three trials share.  Its
+        # first attempt hangs until the deadline fails it, so the block
+        # dies only after every sibling has joined it; a failure injected
+        # at attempt start could beat the later submissions, which would
+        # then build a fresh block of their own and need no retry.
+        plan = FailurePlan().hang_task("stage_train-2", 0)
         reset_epoch_counter()
         study = staged_study(
             tmp_path, "retry", reuse=True,
             space={"optimizer": ["SGD"], "num_epochs": [4, 8, 12]},
             injector=FailureInjector(plan=plan, seed=1),
             retry_policy=RetryPolicy(same_node_retries=0, resubmissions=0),
+            task_timeout_s=1.0,
             max_trial_retries=1,
         )
         # The dead block took every dependant with it; each trial spent
@@ -587,9 +592,14 @@ class TestStagedGridReuse:
             cache_dir=str(tmp_path / "cache"), stream_completed=True,
         )
         reset_epoch_counter()
+        # A sibling joins a block only while that block is live: the
+        # sleep keeps each block in flight for 0.2 s, far longer than
+        # the submit loop takes to reach the next sibling, so the join
+        # does not hinge on the pool thread losing a race to it.
+        space = dict(SPACE, epoch_sleep_s=[0.05])
         with COMPSsRuntime(config) as runtime:
             study = PyCOMPSsRunner(
-                "grid", space=SearchSpace.from_dict(SPACE),
+                "grid", space=SearchSpace.from_dict(space),
                 stage_plan=StagePlan(block_epochs=4), study_name="waves",
                 batch_size=3,  # one optimizer's {4, 8, 12} per wave
             ).run()

@@ -285,11 +285,8 @@ class TestTornSpill:
         """Corrupt a suspended study's spill before it resumes: the
         sidecar check rejects it, the trial restarts from epoch 0, and
         the final answer is still exactly the deterministic one."""
-        service = HPOService(
-            tmp_path / "svc",
-            runtime_config=RuntimeConfig(cluster=local_machine(4)),
-            heartbeat_s=0.05,
-        ).start()
+        rss = {"mb": 0.0}
+        service = pressured_service(tmp_path, rss).start()
         client = ServiceClient(service.paths.root, poll_s=0.01)
         try:
             service._admit(request("fragile").to_payload())
@@ -318,6 +315,10 @@ class TestTornSpill:
                     service._suspend_deadlines["fragile"] = (
                         time.monotonic() + 30.0
                     )
+                # Hold memory pressure until the spill is torn: the daemon
+                # re-enqueues a suspended study as soon as pressure is
+                # clear, which could resume it before it is seen parked.
+                rss["mb"] = 500.0
                 service.runtime.preemption.suspend_study(
                     "fragile", reason="test watchdog"
                 )
@@ -334,6 +335,7 @@ class TestTornSpill:
                 assert spills, "suspension left no spill on disk"
                 for spill in spills:
                     spill.write_bytes(b"torn mid-write")
+                rss["mb"] = 0.0
                 wait_for(
                     lambda: client.status("fragile")["status"]
                     == proto.COMPLETED,

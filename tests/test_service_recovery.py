@@ -42,6 +42,26 @@ def wait_for(predicate, timeout_s, what):
     pytest.fail(f"timed out waiting for {what}")
 
 
+def has_journaled_work(study_dir):
+    """True once the study's journal holds a completed task record.
+
+    A study's state turns 'running' before it opens its journal and
+    submits its first trial, so 'running' alone does not mean there is
+    prior work for a restart to restore.  The journal is read while it
+    is being appended to: a torn last line is not a record yet.
+    """
+    journal = study_dir / proto.CHECKPOINT_DIR / "journal.jsonl"
+    try:
+        text = journal.read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return any(
+        json.loads(line).get("rec") == "completed"
+        for line in text.splitlines(keepends=True)
+        if line.endswith("\n")
+    )
+
+
 def journal_sessions_and_keys(study_dir):
     """(sessions, executed-key counts, restored count) for one journal."""
     journal = study_dir / proto.CHECKPOINT_DIR / "journal.jsonl"
@@ -89,14 +109,18 @@ def test_sigkill_daemon_mid_soak_resumes_exactly_once(tmp_path):
                 timeout_s=30,
             )
 
-        # SIGKILL only once studies are genuinely mid-flight.
+        # SIGKILL only once studies are genuinely mid-flight: at least two
+        # running, and every running study has journaled completed work.
         def mid_flight():
-            states = [
-                proto.read_json(root / proto.STUDIES_DIR / f"soak{i}"
-                                / proto.STATE_FILE) or {}
-                for i in range(8)
+            study_dirs = [root / proto.STUDIES_DIR / f"soak{i}" for i in range(8)]
+            running = [
+                d for d in study_dirs
+                if (proto.read_json(d / proto.STATE_FILE) or {})
+                .get("status") == proto.RUNNING
             ]
-            return sum(s.get("status") == proto.RUNNING for s in states) >= 2
+            return len(running) >= 2 and all(
+                has_journaled_work(study_dir) for study_dir in running
+            )
 
         wait_for(mid_flight, 60, "studies running")
         daemon.send_signal(signal.SIGKILL)
@@ -180,8 +204,9 @@ def test_graceful_shutdown_requeues_stragglers(tmp_path):
             timeout_s=30,
         )
         wait_for(
-            lambda: client.status("drainee").get("status") == proto.RUNNING,
-            60, "study running",
+            lambda: client.status("drainee").get("status") == proto.RUNNING
+            and has_journaled_work(root / proto.STUDIES_DIR / "drainee"),
+            60, "study running with journaled work",
         )
         daemon.send_signal(signal.SIGTERM)
         daemon.wait(timeout=60)
