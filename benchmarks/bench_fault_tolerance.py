@@ -125,7 +125,6 @@ def test_timeout_and_speculation_recover_stragglers(benchmark):
             plan,
             task_timeout_s=1500.0,
             speculation_multiplier=2.0,
-            speculation_min_samples=3,
         )
         return clean, chaotic, counts
 

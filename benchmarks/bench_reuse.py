@@ -29,9 +29,9 @@ Two entry points:
   seed; fails if either reuse-on study diverges from the cache-off
   answer, if the epoch reduction drops below
   ``reuse_epoch_reduction_min``, if the speedup drops below
-  ``reuse_speedup_min``, if a lease was waited on, if verify overhead
-  exceeds ``reuse_overhead_pct_max``, or if any hit was returned
-  unverified (must be exactly zero).
+  ``reuse_speedup_min``, if verify overhead exceeds
+  ``reuse_overhead_pct_max``, or if any hit was returned unverified
+  (must be exactly zero).
 * ``python benchmarks/bench_reuse.py`` — full run (three seeds) that
   writes the machine-readable ``BENCH_reuse.json`` to the repo root.
 """
@@ -170,7 +170,6 @@ def test_reuse_smoke():
     on, warm = data["cache_on"], data["cache_warm"]
     for run in (on, warm):
         assert run["reuse"]["unverified_hits"] == 0, run["reuse"]
-        assert run["reuse"]["lease_waits"] == 0, run["reuse"]
     assert warm["epochs_trained"] == 0 and warm["reuse"]["misses"] == 0, warm
     assert (
         data["epoch_reduction"] >= thresholds["reuse_epoch_reduction_min"]

@@ -58,6 +58,21 @@ CLUSTERS = {
     "power9": cte_power9,
 }
 
+ALGORITHMS = ["grid", "random", "bayesian", "tpe", "hyperband",
+              "successive_halving", "evolutionary", "asha"]
+EXECUTORS = ["local", "simulated"]
+BACKENDS = ["threads", "workers"]
+SCHEDULERS = ["fifo", "priority", "locality", "lpt"]
+
+
+def _algorithm_kwargs(args) -> dict:
+    """Budget/seed kwargs the chosen algorithm takes (run and submit)."""
+    if args.algorithm in ("random", "bayesian", "tpe", "evolutionary", "asha"):
+        return {"n_trials": args.n_trials, "seed": args.seed}
+    if args.algorithm in ("hyperband", "successive_halving"):
+        return {"seed": args.seed}
+    return {}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument schema (exposed for tests and docs)."""
@@ -72,12 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", type=Path, help="Listing-1 style JSON file")
     run.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
     run.add_argument("--nodes", type=int, default=1, help="number of nodes")
+    run.add_argument("--executor", choices=EXECUTORS, default="local")
     run.add_argument(
-        "--executor", choices=["local", "simulated"], default="local"
-    )
-    run.add_argument(
-        "--backend", choices=["threads", "workers"],
-        default="threads",
+        "--backend", choices=BACKENDS, default="threads",
         help="local-executor body backend; 'workers' is the supervised "
         "worker-process pool (crash containment, hard-kill deadlines, "
         "poison-task quarantine)",
@@ -92,16 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--poison-threshold", type=int, default=3,
                      help="consecutive worker deaths before a task is "
                      "blacklisted as poison (--backend workers)")
-    run.add_argument(
-        "--scheduler", choices=["fifo", "priority", "locality", "lpt"],
-        default="fifo",
-    )
-    run.add_argument(
-        "--algorithm",
-        choices=["grid", "random", "bayesian", "tpe", "hyperband",
-                 "successive_halving", "evolutionary", "asha"],
-        default="grid",
-    )
+    run.add_argument("--scheduler", choices=SCHEDULERS, default="fifo")
+    run.add_argument("--algorithm", choices=ALGORITHMS, default="grid")
     run.add_argument("--n-trials", type=int, default=20,
                      help="budget for non-exhaustive algorithms")
     run.add_argument("--seed", type=int, default=0)
@@ -139,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "<checkpoint-dir>/reuse)")
     run.add_argument("--cache-max-bytes", type=int, default=None,
                      help="reuse-cache size ceiling; least-recently-hit "
-                     "entries are evicted past it (leased keys excepted)")
+                     "entries are evicted past it")
     run.add_argument("--stage-epochs", type=int, default=None,
                      help="decompose each trial into cacheable train "
                      "stages of this many epochs; with --reuse-cache, "
@@ -212,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser(
         "gc",
         help="sweep a checkpoint directory: spills no journal record "
-        "references, torn temp files, stale reuse-cache leases and "
-        "corrupt cache entries",
+        "references, torn temp files, leftover reuse-cache lease files "
+        "and corrupt cache entries",
     )
     gc.add_argument(
         "journal", type=Path,
@@ -222,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--cache-dir", type=Path, default=None,
                     help="reuse-cache directory to sweep "
                     "(default: <dir>/reuse when present)")
-    gc.add_argument("--lease-timeout", type=float, default=60.0,
-                    help="age in seconds past which a cache lease counts "
-                    "as abandoned (crashed writer) and is reaped")
     gc.add_argument("--dry-run", action="store_true",
                     help="report what would be reclaimed without deleting")
     gc.add_argument("--json", action="store_true", dest="as_json",
@@ -239,15 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("root", type=Path, help="service root directory")
     serve.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
     serve.add_argument("--nodes", type=int, default=1)
-    serve.add_argument(
-        "--executor", choices=["local", "simulated"], default="local"
-    )
-    serve.add_argument(
-        "--backend", choices=["threads", "workers"], default="threads"
-    )
-    serve.add_argument("--scheduler",
-                       choices=["fifo", "priority", "locality", "lpt"],
-                       default="fifo")
+    serve.add_argument("--executor", choices=EXECUTORS, default="local")
+    serve.add_argument("--backend", choices=BACKENDS, default="threads")
+    serve.add_argument("--scheduler", choices=SCHEDULERS, default="fifo")
     serve.add_argument("--max-queued-studies", type=int, default=16,
                        help="bound on the admission queue (QueueFullError "
                        "beyond it)")
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "tenants (anchored at <root>/reuse-cache); a staged "
                        "study joins its own identical stages at submit and "
                        "reads other tenants' published blocks from disk "
-                       "(single-flight leases arbitrate concurrent writers)")
+                       "(the first publish of a block wins)")
     serve.add_argument("--cache-max-bytes", type=int, default=None,
                        help="shared reuse-cache size ceiling (LRU)")
     serve.add_argument("--drain-deadline", type=float, default=30.0,
@@ -290,10 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("config", type=Path,
                         help="Listing-1 style JSON search-space file")
     submit.add_argument("--tenant", default="default")
-    submit.add_argument("--algorithm", default="grid",
-                        choices=["grid", "random", "bayesian", "tpe",
-                                 "hyperband", "successive_halving",
-                                 "evolutionary", "asha"])
+    submit.add_argument("--algorithm", default="grid", choices=ALGORITHMS)
     submit.add_argument("--n-trials", type=int, default=20)
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--objective", default="fast_mock",
@@ -375,12 +367,7 @@ def _make_runtime_config(args) -> RuntimeConfig:
 def cmd_run(args) -> int:
     set_verbosity(args.verbose)
     space = load_search_space(args.config)
-    algorithm_kwargs = {}
-    if args.algorithm in ("random", "bayesian", "tpe", "evolutionary", "asha"):
-        algorithm_kwargs = {"n_trials": args.n_trials, "seed": args.seed}
-    elif args.algorithm in ("hyperband", "successive_halving"):
-        algorithm_kwargs = {"seed": args.seed}
-    algorithm = get_algorithm(args.algorithm, space, **algorithm_kwargs)
+    algorithm = get_algorithm(args.algorithm, space, **_algorithm_kwargs(args))
 
     stoppers = []
     if args.target_accuracy is not None:
@@ -564,8 +551,8 @@ def cmd_recover(args) -> int:
     if cache is not None:
         print(
             f"  reuse cache: {cache['entries']} entries, {cache['bytes']} B, "
-            f"{cache['corrupt']} corrupt, {cache['leases']} lease(s) "
-            f"({cache['stale_leases']} stale), "
+            f"{cache['corrupt']} corrupt, "
+            f"{cache['leftovers']} leftover temp/lease file(s), "
             f"{cache['quarantined']} quarantined"
             + (" (corrupt entries re-verify as misses)" if cache["corrupt"]
                else "")
@@ -598,25 +585,9 @@ def cmd_gc(args) -> int:
     # Every key with a journal record stays: a completed spill is what a
     # resume restores.
     referenced = set(recovery.states)
-    # Honour active leases generically: a fresh .lease next to a spill
-    # means some process is mid-write on that key.
-    protected = set()
-    import time as _time
-
-    now = _time.time()
-    for lease in recovery.store.directory.glob("*.lease"):
-        try:
-            if now - lease.stat().st_mtime <= args.lease_timeout:
-                protected.add(lease.stem)
-        except OSError:
-            continue
-    spills = recovery.store.sweep_orphans(
-        referenced, protected=protected, dry_run=args.dry_run
-    )
+    spills = recovery.store.sweep_orphans(referenced, dry_run=args.dry_run)
     cache_dir = args.cache_dir if args.cache_dir is not None else path / "reuse"
-    cache = ReuseCache.gc(
-        cache_dir, lease_timeout_s=args.lease_timeout, dry_run=args.dry_run
-    )
+    cache = ReuseCache.gc(cache_dir, dry_run=args.dry_run)
     summary = {"spills": spills, "reuse_cache": cache}
     if args.as_json:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -633,9 +604,8 @@ def cmd_gc(args) -> int:
               + (" ..." if len(spills["orphan_keys"]) > 8 else ""))
     if cache is not None:
         print(
-            f"  reuse cache: {cache['stale_leases']} stale lease(s), "
-            f"{cache['torn_temps']} torn temp(s), "
-            f"{cache['corrupt_entries']} corrupt entr(ies) — "
+            f"  reuse cache: {cache['leftovers']} leftover temp/lease "
+            f"file(s), {cache['corrupt']} corrupt entr(ies) — "
             f"{verb} {cache['freed_bytes']} B"
         )
     return 0
@@ -693,17 +663,12 @@ def cmd_submit(args) -> int:
     from repro.service import ServiceClient, ServiceError, StudyRequest
 
     spec = json.loads(args.config.read_text(encoding="utf-8"))
-    algorithm_kwargs = {}
-    if args.algorithm in ("random", "bayesian", "tpe", "evolutionary", "asha"):
-        algorithm_kwargs = {"n_trials": args.n_trials, "seed": args.seed}
-    elif args.algorithm in ("hyperband", "successive_halving"):
-        algorithm_kwargs = {"seed": args.seed}
     request = StudyRequest(
         study_id=args.study_id,
         tenant=args.tenant,
         space=spec,
         algorithm=args.algorithm,
-        algorithm_kwargs=algorithm_kwargs,
+        algorithm_kwargs=_algorithm_kwargs(args),
         objective=args.objective,
         batch_size=args.batch_size,
         priority=args.priority,

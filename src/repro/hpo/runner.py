@@ -380,7 +380,7 @@ class PyCOMPSsRunner:
                 study.metadata["preemption"] = dict(self._preempt_stats)
             if runtime.reuse is not None:
                 # Verified hits, misses, in-study joins, corruption
-                # detections, evictions and lease traffic of stage reuse.
+                # detections and evictions of stage reuse.
                 study.metadata["reuse"] = runtime.reuse.stats()
             for cb in self.callbacks:
                 cb.on_study_end(study)

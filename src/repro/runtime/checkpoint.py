@@ -574,27 +574,24 @@ class CheckpointStore:
     def sweep_orphans(
         self,
         referenced: Set[str],
-        protected: Optional[Set[str]] = None,
         dry_run: bool = False,
     ) -> Dict[str, Any]:
         """Drop spills no journal record references (``repro gc``).
 
-        A spill is *orphaned* when its key appears in neither
-        ``referenced`` (keys with any journal record — completed spills
-        a resume may restore, suspend spills a parked study may warm-
-        resume) nor ``protected`` (keys pinned by an active lease or a
-        live session).  Abandoned and superseded studies leave exactly
-        such unreferenced spills behind forever; this reclaims them.
+        A spill is *orphaned* when its key is not in ``referenced`` (keys
+        with any journal record — completed spills a resume may restore,
+        suspend spills a parked study may warm-resume).  Abandoned and
+        superseded studies leave exactly such unreferenced spills behind
+        forever; this reclaims them.
         Stray ``.tmp``/``.sumtmp`` files (a writer SIGKILLed mid-publish)
         are always swept — the atomic-rename protocol guarantees no
         reader ever trusted them.  ``dry_run`` reports without deleting.
         """
-        protected = protected or set()
         orphans: List[str] = []
         freed = 0
         for path in sorted(self.directory.glob("*.pkl")):
             key = path.stem
-            if key in referenced or key in protected:
+            if key in referenced:
                 continue
             orphans.append(key)
             for victim in (path, self._sum_path(key)):

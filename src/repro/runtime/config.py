@@ -49,9 +49,6 @@ class RuntimeConfig:
         ``backend="workers"`` only: consecutive worker deaths a single
         task may cause before it is blacklisted with a terminal
         :class:`~repro.runtime.fault.PoisonTaskError`.
-    worker_heartbeat_s:
-        ``backend="workers"`` only: worker heartbeat interval used for
-        liveness telemetry.
     tracing:
         Record Extrae-style traces (Figs. 4–6).
     graph:
@@ -73,10 +70,8 @@ class RuntimeConfig:
         Straggler threshold: a task running past ``multiplier × median``
         of its task name's completed durations gets a speculative backup
         attempt on another node; the first finisher wins.  ``None``
-        disables speculation.
-    speculation_min_samples:
-        Completed attempts of a task name required before its median is
-        trusted for straggler detection.
+        disables speculation.  A median is trusted after three
+        completed attempts of the task name.
     quarantine_threshold:
         Per-node failure-rate threshold in ``(0, 1]`` above which a node
         is quarantined (the scheduler stops placing tasks there).
@@ -200,20 +195,10 @@ class RuntimeConfig:
         service daemon points every tenant at one shared directory.
     cache_max_bytes:
         Disk ceiling for the reuse cache; exceeding it evicts entries
-        LRU-by-atime (leased keys are never evicted).  ``None`` (the
-        default) is unbounded.
-    cache_lease_timeout_s:
-        Wall-clock age past which another writer's single-flight lease
-        counts as crashed and may be broken by a waiter.
-    cache_lease_wait_s:
-        How long a submitter waits on a busy lease (seeded-jitter
-        backoff polling) for the other writer's publication before
-        degrading to an unleased recompute.  ``0`` (default) never
-        blocks submission.
-    cache_poison_threshold:
-        Verification failures before a cache key is quarantined (the
-        cache stops trusting and republishing it; the stage simply
-        recomputes from then on).
+        LRU-by-atime.  ``None`` (the default) is unbounded.  A key
+        failing verification three times is quarantined: the cache
+        stops trusting and republishing it, and the stage simply
+        recomputes from then on.
     manage_gc:
         Let the runtime manage CPython's *cycle* collector while it is
         active: the accumulated live heap is periodically moved out of
@@ -243,7 +228,6 @@ class RuntimeConfig:
     max_parallel: Optional[int] = None
     max_tasks_per_worker: Optional[int] = None
     poison_threshold: int = 3
-    worker_heartbeat_s: float = 1.0
     tracing: bool = True
     graph: bool = True
     reserved_cores: Union[int, Mapping[str, int]] = 0
@@ -251,7 +235,6 @@ class RuntimeConfig:
     failure_injector: Optional[FailureInjector] = None
     task_timeout_s: Optional[float] = None
     speculation_multiplier: Optional[float] = None
-    speculation_min_samples: int = 3
     quarantine_threshold: Optional[float] = None
     quarantine_window: int = 10
     quarantine_min_events: int = 4
@@ -274,9 +257,6 @@ class RuntimeConfig:
     reuse_cache: bool = False
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    cache_lease_timeout_s: float = 60.0
-    cache_lease_wait_s: float = 0.0
-    cache_poison_threshold: int = 3
     manage_gc: bool = True
     cost_model: TrainingCostModel = field(default_factory=TrainingCostModel)
     execute_bodies: bool = False
@@ -297,9 +277,6 @@ class RuntimeConfig:
                 "RuntimeConfig.max_tasks_per_worker", self.max_tasks_per_worker
             )
         check_positive("RuntimeConfig.poison_threshold", self.poison_threshold)
-        check_positive(
-            "RuntimeConfig.worker_heartbeat_s", self.worker_heartbeat_s
-        )
         check_positive(
             "RuntimeConfig.replication_factor", self.replication_factor
         )
@@ -333,15 +310,6 @@ class RuntimeConfig:
             check_positive(
                 "RuntimeConfig.cache_max_bytes", self.cache_max_bytes
             )
-        check_positive(
-            "RuntimeConfig.cache_lease_timeout_s", self.cache_lease_timeout_s
-        )
-        check_non_negative(
-            "RuntimeConfig.cache_lease_wait_s", self.cache_lease_wait_s
-        )
-        check_positive(
-            "RuntimeConfig.cache_poison_threshold", self.cache_poison_threshold
-        )
         # NOTE: reuse_cache with neither cache_dir nor checkpoint_dir is
         # legal *here* — hosts like the service daemon anchor a default
         # cache_dir after construction.  The runtime raises at start if

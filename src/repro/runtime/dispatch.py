@@ -18,8 +18,8 @@ studies at a few thousand tasks.  This engine makes dispatch incremental:
   therefore wake only the classes whose capacity actually changed.
 * Policy semantics are preserved exactly: rounds place tasks in the
   scheduler's :meth:`~repro.runtime.scheduler.base.Scheduler.sort_key`
-  order (a lazy merge over the per-class heaps), which is the same total
-  order the batch ``Scheduler.assign`` uses.  Placement feasibility is
+  order (a lazy merge over the per-class heaps), so placements equal a
+  plain ``_try_place`` pass in that order.  Placement feasibility is
   preference-independent (``preferred_nodes`` only chooses *which* node,
   never *whether*), so skipping a blocked class never changes an
   assignment — only the cost of discovering it.

@@ -34,7 +34,7 @@ and the starvation reap are the shared attempt lifecycle
 IPC protocol (pipe per worker; parent → child ``task``/``stop``,
 child → parent ``ready``/``ack``/``heartbeat``/``done``/``error``): the
 child acks each task before running it (deadlines measure body time, not
-queue time), a daemon thread heartbeats every ``heartbeat_s`` so the
+queue time), a daemon thread heartbeats every ``HEARTBEAT_S`` so the
 supervisor can tell *alive-and-wedged* from *dead*, and results/errors
 travel back pickled.  Task functions are shipped by reference
 (``module:qualname``, unwrapping ``@task`` wrappers via
@@ -134,7 +134,11 @@ def _decode_exc(blob: Tuple) -> BaseException:
 # ----------------------------------------------------------------------
 # Worker child process
 # ----------------------------------------------------------------------
-def _worker_main(conn, heartbeat_s: float) -> None:
+#: Worker heartbeat interval (liveness telemetry in ``pool_status``).
+HEARTBEAT_S = 1.0
+
+
+def _worker_main(conn) -> None:
     """Long-lived worker loop: recv task → ack → run → send result.
 
     ``Exception`` from a body is *contained* (reported back, worker keeps
@@ -178,7 +182,7 @@ def _worker_main(conn, heartbeat_s: float) -> None:
             conn.send(msg)
 
     def _beat() -> None:
-        while not stop.wait(heartbeat_s):
+        while not stop.wait(HEARTBEAT_S):
             try:
                 _send(("heartbeat", os.getpid()))
             except Exception:  # noqa: BLE001 - parent gone; exit quietly
@@ -307,9 +311,6 @@ class WorkerPoolExecutor(LocalExecutor):
     poison_threshold:
         Consecutive worker deaths a single task may cause before it is
         blacklisted with a terminal ``PoisonTaskError``.
-    heartbeat_s:
-        Worker heartbeat interval (liveness telemetry in
-        :meth:`pool_status`).
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (fast respawn, inherits imported task modules), else
@@ -324,17 +325,14 @@ class WorkerPoolExecutor(LocalExecutor):
         max_parallel: Optional[int] = None,
         max_tasks_per_worker: Optional[int] = None,
         poison_threshold: int = 3,
-        heartbeat_s: float = 1.0,
         start_method: Optional[str] = None,
     ):
         super().__init__(max_parallel=max_parallel)
         if max_tasks_per_worker is not None:
             check_positive("max_tasks_per_worker", max_tasks_per_worker)
         check_positive("poison_threshold", poison_threshold)
-        check_positive("heartbeat_s", heartbeat_s)
         self.max_tasks_per_worker = max_tasks_per_worker
         self.poison_threshold = int(poison_threshold)
-        self.heartbeat_s = float(heartbeat_s)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -369,7 +367,7 @@ class WorkerPoolExecutor(LocalExecutor):
         self._wid += 1
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.heartbeat_s),
+            args=(child_conn,),
             name=f"repro-pool-{self._wid}",
             daemon=True,
         )

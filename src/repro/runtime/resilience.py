@@ -106,15 +106,13 @@ STUDY_SUSPENDED = "study_suspended"
 #: cache after sidecar verification (hit), missed and was computed, was
 #: a duplicate of a node its study already submitted (join — no task), an
 #: entry failed verification (corrupt/truncated — treated as a miss,
-#: quarantined after ``poison_threshold`` failures), an entry was shed by
-#: the LRU disk-pressure evictor, or a submitter waited on (or broke, or
-#: timed out against) another writer's single-flight lease.
+#: quarantined after ``poison_threshold`` failures), or an entry was shed
+#: by the LRU disk-pressure evictor.
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
 CACHE_JOIN = "cache_join"
 CACHE_CORRUPT = "cache_corrupt"
 CACHE_EVICT = "cache_evict"
-LEASE_WAIT = "lease_wait"
 
 EVENT_KINDS = (
     TIMEOUT,
@@ -160,7 +158,6 @@ EVENT_KINDS = (
     CACHE_JOIN,
     CACHE_CORRUPT,
     CACHE_EVICT,
-    LEASE_WAIT,
 )
 
 

@@ -12,12 +12,12 @@ Sharing *inside one study* does not go through this module: it is a
 graph join in :meth:`COMPSsRuntime.submit
 <repro.runtime.runtime.COMPSsRuntime.submit>` — a later submission of a
 key the study already submitted returns the earlier node's futures, so
-an all-at-once grid runs each shared stage once with no lease traffic
-(counted here as ``joined``).  This module is the path *between*
-studies, ``repro serve`` tenants and processes — content keys are
-deliberately namespace-free — and only a study's first submitter of a
-key consults it: every computed stage is published here, and a
-published stage resolves from disk instead of re-executing.
+an all-at-once grid runs each shared stage once (counted here as
+``joined``).  This module is the path *between* studies, ``repro
+serve`` tenants and processes — content keys are deliberately
+namespace-free — and only a study's first submitter of a key consults
+it: every computed stage is published here, and a published stage
+resolves from disk instead of re-executing.
 
 A cache that returns a torn, stale or corrupt entry silently poisons
 every downstream trial — worse than no cache at all — so the layer is
@@ -39,22 +39,17 @@ engineered robustness-first:
 * **Atomic publication.**  Entries become visible only via
   ``os.replace`` of a fully-fsynced temp file; a SIGKILL mid-write
   leaves a ``.tmp`` no reader ever opens.
-* **Single-flight leases.**  A writer claims ``<key>.lease`` with
-  ``O_CREAT | O_EXCL`` before computing; concurrent identical stages
-  of other tenants' threads or other processes wait with seeded-jitter
-  backoff for the publication instead of duplicating the work.  Leases
-  are judged stale by wall-clock age, so a crashed writer never wedges
-  waiters: they break the stale lease and take over, or time out and
-  recompute unleased.  Losing any race merely duplicates computation
-  (first atomic publish wins); it can never corrupt a value.
+  Entries are immutable and the first publish wins, so two processes
+  that miss the same key concurrently both compute it and the loser's
+  publish is a no-op: a race duplicates work, never corrupts a value.
 * **Bounded disk.**  ``max_bytes`` caps the store; the evictor sheds
   entries LRU-by-atime (hits ``os.utime`` their entry) and never evicts
-  a leased key — the writer that just claimed it is about to need it.
+  the key whose publish triggered the pass.
 
-Every anomaly path — corrupt entry, vanished file, stale or wedged
-lease, full disk, unpicklable value — degrades to recomputation, so a
-study with the cache on produces byte-identical best-config results to
-the same study with the cache off.
+Every anomaly path — corrupt entry, vanished file, a writer that died
+before publishing, full disk, unpicklable value — degrades to
+recomputation, so a study with the cache on produces byte-identical
+best-config results to the same study with the cache off.
 """
 
 from __future__ import annotations
@@ -64,12 +59,11 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.runtime.checkpoint import CheckpointCorruptError, CheckpointStore
 from repro.util.logging_utils import get_logger
-from repro.util.seeding import rng_from
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 _log = get_logger("runtime.reuse")
 
@@ -78,6 +72,11 @@ QUARANTINE_DIR = "quarantine"
 
 #: Sentinel distinguishing "miss — compute it" from a cached ``None``.
 MISS = object()
+
+#: Files no reader ever opens: torn publications (``.tmp``/``.sumtmp``)
+#: and the single-flight lease files of older versions (``.lease``,
+#: ``.takeover-*``).  ``gc`` reaps them.
+_LEFTOVER_SUFFIXES = (".tmp", ".sumtmp", ".lease")
 
 
 class ReuseCache:
@@ -91,19 +90,9 @@ class ReuseCache:
         on disk.
     max_bytes:
         Disk ceiling; ``None`` = unbounded.  Publishing past the
-        ceiling evicts LRU-by-atime until back under (leased keys are
-        never evicted).
-    lease_timeout_s:
-        Wall-clock age past which a lease counts as crashed and may be
-        broken by a waiter.
-    lease_wait_s:
-        How long a submitter waits on a busy lease before degrading to
-        an unleased recompute.  ``0`` disables waiting (never blocks).
+        ceiling evicts LRU-by-atime until back under.
     poison_threshold:
         Verification failures before a key is quarantined.
-    seed:
-        Jitter seed for the lease-wait backoff (deterministic per
-        ``(seed, key, attempt)``, order-independent).
     integrity:
         Optional :class:`~repro.runtime.integrity.IntegrityManager`
         that accounts hit-time verifications (``cache_verified`` /
@@ -111,34 +100,26 @@ class ReuseCache:
     log / clock:
         Optional resilience log + timestamp source for
         ``cache_hit`` / ``cache_miss`` / ``cache_corrupt`` /
-        ``cache_evict`` / ``lease_wait`` events.
+        ``cache_evict`` events.
     """
 
     def __init__(
         self,
         directory: Union[str, Path],
         max_bytes: Optional[int] = None,
-        lease_timeout_s: float = 60.0,
-        lease_wait_s: float = 0.0,
         poison_threshold: int = 3,
-        seed: int = 0,
         integrity=None,
         log=None,
         clock: Optional[Callable[[], float]] = None,
     ):
         if max_bytes is not None:
             check_positive("ReuseCache.max_bytes", max_bytes)
-        check_positive("ReuseCache.lease_timeout_s", lease_timeout_s)
-        check_non_negative("ReuseCache.lease_wait_s", lease_wait_s)
         check_positive("ReuseCache.poison_threshold", poison_threshold)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / QUARANTINE_DIR).mkdir(exist_ok=True)
         self.max_bytes = max_bytes
-        self.lease_timeout_s = float(lease_timeout_s)
-        self.lease_wait_s = float(lease_wait_s)
         self.poison_threshold = int(poison_threshold)
-        self.seed = int(seed)
         self.integrity = integrity
         self.log = log
         self.clock = clock or (lambda: 0.0)
@@ -146,12 +127,8 @@ class ReuseCache:
         #: checksum-verified loads — exactly the spill discipline.
         self.store = CheckpointStore(self.directory, cadence=1)
         # Concurrent submitters (daemon tenant threads) and completion
-        # callbacks (executor worker threads) share the counters and the
-        # held-lease set.
+        # callbacks (executor worker threads) share the counters.
         self._lock = threading.Lock()
-        #: Keys whose lease THIS process currently holds (so eviction
-        #: and release don't have to re-read lease files we wrote).
-        self._held: Set[str] = set()
         #: key -> verification failures seen this session (quarantine
         #: trips at ``poison_threshold``; markers persist across runs).
         self._corrupt_counts: Dict[str, int] = {}
@@ -167,37 +144,32 @@ class ReuseCache:
         self.publish_skipped = 0
         self.evicted = 0
         self.evicted_bytes = 0
-        self.lease_waits = 0
-        self.lease_timeouts = 0
-        self.lease_breaks = 0
         #: Hits returned without sidecar verification — zero by
         #: construction; the chaos acceptance asserts it stays zero.
         self.unverified_hits = 0
         #: Wall seconds spent verifying hits (the bench's overhead%).
         self.verify_time_s = 0.0
-        self._bytes = self._scan_bytes()
+        self._bytes = sum(
+            self._entry_bytes(p.stem) for p in self.directory.glob("*.pkl")
+        )
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
-    def _lease_path(self, key: str) -> Path:
-        return self.directory / f"{key}.lease"
-
     def _marker_path(self, key: str) -> Path:
         return self.directory / QUARANTINE_DIR / f"{key}.bad"
 
     def is_quarantined(self, key: str) -> bool:
         return self._marker_path(key).exists()
 
-    def _scan_bytes(self) -> int:
-        total = 0
-        for p in self.directory.iterdir():
-            if p.suffix in (".pkl", ".sum"):
-                try:
-                    total += p.stat().st_size
-                except OSError:
-                    pass
-        return total
+    def _entry_bytes(self, key: str) -> int:
+        size = 0
+        for path in (self.store._path(key), self.store._sum_path(key)):
+            try:
+                size += path.stat().st_size
+            except OSError:
+                pass
+        return size
 
     def _event(self, kind: str, detail: str = "", key: str = "") -> None:
         if self.log is not None:
@@ -212,32 +184,23 @@ class ReuseCache:
     def acquire(self, key: str) -> Any:
         """Resolve ``key``: a verified value, or :data:`MISS` to compute.
 
-        On a miss the cache tries to claim the key's single-flight
-        lease; whether or not the claim succeeds the caller computes the
-        stage and calls :meth:`publish` (or :meth:`abandon` on failure)
-        — an unleased compute merely duplicates work some other writer
-        is doing, it never blocks correctness.  A busy lease is waited
-        on for up to ``lease_wait_s`` (seeded-jitter backoff): the
-        publication appearing turns the miss into a hit; a lease older
-        than ``lease_timeout_s`` is broken (crashed writer); a timeout
-        degrades to an unleased recompute.
+        Never blocks: on a miss the caller computes the stage and calls
+        :meth:`publish`.  A concurrent writer of the same key elsewhere
+        merely duplicates the work — the first publish wins.
         """
         from repro.runtime import resilience as rsl
 
-        if self.is_quarantined(key):
-            with self._lock:
-                self.misses += 1
-            self._event(rsl.CACHE_MISS, detail="quarantined", key=key)
-            return MISS
-        value = self._fetch_verified(key)
-        if value is not MISS:
-            return value
-        if self._try_lease(key):
-            with self._lock:
-                self.misses += 1
-            self._event(rsl.CACHE_MISS, detail="lease acquired", key=key)
-            return MISS
-        return self._wait_for_writer(key)
+        quarantined = self.is_quarantined(key)
+        if not quarantined:
+            value = self._fetch_verified(key)
+            if value is not MISS:
+                return value
+        with self._lock:
+            self.misses += 1
+        self._event(
+            rsl.CACHE_MISS, detail="quarantined" if quarantined else "", key=key
+        )
+        return MISS
 
     def note_join(self, key: str) -> None:
         """Account a submission resolved as a graph join, not a consult.
@@ -256,9 +219,6 @@ class ReuseCache:
         """Verified load of ``key``; corrupt/truncated/absent == MISS."""
         from repro.runtime import resilience as rsl
 
-        path = self.store._path(key)
-        if not path.exists():
-            return MISS
         started = time.perf_counter()
         try:
             value = self.store.load_verified(key)
@@ -266,12 +226,11 @@ class ReuseCache:
             self._note_corrupt(key, str(exc))
             return MISS
         except OSError:
-            # Vanished between exists() and open (concurrent eviction):
-            # an ordinary miss.
+            # Absent, or evicted concurrently: an ordinary miss.
             return MISS
         elapsed = time.perf_counter() - started
         try:
-            os.utime(path)  # LRU clock for the evictor
+            os.utime(self.store._path(key))  # LRU clock for the evictor
         except OSError:
             pass
         with self._lock:
@@ -297,9 +256,10 @@ class ReuseCache:
         _log.warning("cache entry %s corrupt (%s); treating as miss", key, detail)
         # Drop the poisoned bytes so the next writer republishes cleanly
         # (save() keeps existing entries).
+        freed = self._entry_bytes(key)
         self.store.remove(key)
         with self._lock:
-            self._bytes = max(0, self._scan_bytes())
+            self._bytes = max(0, self._bytes - freed)
         if count >= self.poison_threshold and not self.is_quarantined(key):
             self._quarantine(key, count)
 
@@ -330,188 +290,34 @@ class ReuseCache:
         )
 
     # ------------------------------------------------------------------
-    # Single-flight leases
-    # ------------------------------------------------------------------
-    def _lease_payload(self) -> bytes:
-        return (
-            json.dumps(
-                {
-                    "pid": os.getpid(),
-                    "tid": threading.get_ident(),
-                    "time": time.time(),
-                }
-            )
-            + "\n"
-        ).encode("utf-8")
-
-    def _try_lease(self, key: str) -> bool:
-        """Claim the key's lease with O_CREAT|O_EXCL (crash-safe)."""
-        path = self._lease_path(key)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
-        except OSError:
-            # Unwritable cache dir degrades to unleased computes.
-            return False
-        try:
-            os.write(fd, self._lease_payload())
-        finally:
-            os.close(fd)
-        with self._lock:
-            self._held.add(key)
-        return True
-
-    def _lease_age(self, key: str) -> Optional[float]:
-        """Seconds since the lease was written; None if no lease."""
-        try:
-            return max(0.0, time.time() - self._lease_path(key).stat().st_mtime)
-        except OSError:
-            return None
-
-    def _break_lease(self, key: str) -> bool:
-        """Atomically take over a stale lease (crashed writer)."""
-        from repro.runtime import resilience as rsl
-
-        path = self._lease_path(key)
-        tmp = path.with_suffix(f".takeover-{os.getpid()}-{threading.get_ident()}")
-        try:
-            tmp.write_bytes(self._lease_payload())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        with self._lock:
-            self._held.add(key)
-            self.lease_breaks += 1
-        self._event(rsl.LEASE_WAIT, detail="broke stale lease", key=key)
-        return True
-
-    def _wait_for_writer(self, key: str) -> Any:
-        """Someone else computes ``key``: wait, take over, or degrade."""
-        from repro.runtime import resilience as rsl
-
-        deadline = time.time() + self.lease_wait_s
-        attempt = 0
-        waited = self.lease_wait_s > 0.0
-        if waited:
-            with self._lock:
-                self.lease_waits += 1
-        while time.time() < deadline:
-            attempt += 1
-            # Deterministic per (seed, key, attempt) — same jitter in
-            # any interleaving, so same-seed chaos reruns are stable.
-            rng = rng_from(self.seed, f"lease/{key}/{attempt}")
-            delay = min(0.25, 0.02 * (2.0 ** min(attempt, 4)))
-            time.sleep(delay * (0.5 + rng.random()))
-            value = self._fetch_verified(key)
-            if value is not MISS:
-                self._event(
-                    rsl.LEASE_WAIT,
-                    detail=f"hit after wait ({attempt} polls)", key=key,
-                )
-                return value
-            age = self._lease_age(key)
-            if age is None:
-                # Writer released without publishing (failed/abandoned):
-                # contend for the lease ourselves.
-                if self._try_lease(key):
-                    with self._lock:
-                        self.misses += 1
-                    self._event(
-                        rsl.CACHE_MISS, detail="lease acquired after wait",
-                        key=key,
-                    )
-                    return MISS
-            elif age > self.lease_timeout_s and self._break_lease(key):
-                with self._lock:
-                    self.misses += 1
-                self._event(
-                    rsl.CACHE_MISS, detail="stale lease broken", key=key
-                )
-                return MISS
-        with self._lock:
-            self.misses += 1
-            if waited:
-                self.lease_timeouts += 1
-        self._event(
-            rsl.LEASE_WAIT if waited else rsl.CACHE_MISS,
-            detail="timed out; recomputing unleased" if waited
-            else "lease busy; recomputing unleased",
-            key=key,
-        )
-        return MISS
-
-    def release(self, key: str) -> None:
-        """Drop the lease if this process holds it (idempotent)."""
-        with self._lock:
-            held = key in self._held
-            self._held.discard(key)
-        if held:
-            try:
-                self._lease_path(key).unlink()
-            except OSError:
-                pass
-
-    def abandon(self, key: str) -> None:
-        """The computation failed: free the lease so waiters can retry."""
-        self.release(key)
-
-    def holds_lease(self, key: str) -> bool:
-        with self._lock:
-            return key in self._held
-
-    def release_all(self) -> None:
-        """Drop every lease this process still holds (clean shutdown).
-
-        A crashed process skips this by definition — its leases expire
-        through the stale-age path instead.
-        """
-        with self._lock:
-            held = list(self._held)
-        for key in held:
-            self.release(key)
-
-    # ------------------------------------------------------------------
     # Publish + evict
     # ------------------------------------------------------------------
     def publish(self, key: str, value: Any) -> bool:
-        """Atomically publish ``value`` under ``key``; release the lease.
+        """Atomically publish ``value`` under ``key``.
 
         First publisher wins (entries are immutable); a quarantined key
         or an unpicklable value is skipped — callers lose nothing, the
         stage result is already in memory.
         """
-        try:
-            if self.is_quarantined(key):
-                with self._lock:
-                    self.publish_skipped += 1
-                return False
-            existed = self.store.has(key)
-            if not self.store.save(key, value, overwrite=False):
-                with self._lock:
-                    self.publish_skipped += 1
-                return False
-            if not existed:
-                size = 0
-                for path in (self.store._path(key), self.store._sum_path(key)):
-                    try:
-                        size += path.stat().st_size
-                    except OSError:
-                        pass
-                with self._lock:
-                    self.published += 1
-                    self._bytes += size
-                self._evict_if_needed(protect=key)
-            return True
-        finally:
-            self.release(key)
+        if self.is_quarantined(key):
+            with self._lock:
+                self.publish_skipped += 1
+            return False
+        existed = self.store.has(key)
+        if not self.store.save(key, value, overwrite=False):
+            with self._lock:
+                self.publish_skipped += 1
+            return False
+        if not existed:
+            size = self._entry_bytes(key)
+            with self._lock:
+                self.published += 1
+                self._bytes += size
+            self._evict_if_needed(protect=key)
+        return True
 
     def _evict_if_needed(self, protect: str = "") -> None:
-        """Shed LRU entries until under ``max_bytes`` (leases pinned)."""
+        """Shed LRU entries until under ``max_bytes`` (``protect`` kept)."""
         from repro.runtime import resilience as rsl
 
         if self.max_bytes is None:
@@ -525,28 +331,17 @@ class ReuseCache:
             key = path.stem
             if key == protect:
                 continue
-            with self._lock:
-                if key in self._held:
-                    continue
-            if self._lease_path(key).exists():
-                continue  # an active writer/reader elsewhere pinned it
             try:
-                st = path.stat()
+                entries.append((path.stat().st_atime, key))
             except OSError:
                 continue
-            entries.append((st.st_atime, st.st_size, key))
         entries.sort()
-        for _, size, key in entries:
+        for _, key in entries:
             with self._lock:
                 if self._bytes <= self.max_bytes:
                     break
-            sum_size = 0
-            try:
-                sum_size = self.store._sum_path(key).stat().st_size
-            except OSError:
-                pass
+            freed = self._entry_bytes(key)
             self.store.remove(key)
-            freed = size + sum_size
             with self._lock:
                 self._bytes = max(0, self._bytes - freed)
                 self.evicted += 1
@@ -569,9 +364,10 @@ class ReuseCache:
                 "publish_skipped": self.publish_skipped,
                 "evicted": self.evicted,
                 "evicted_bytes": self.evicted_bytes,
-                "lease_waits": self.lease_waits,
-                "lease_timeouts": self.lease_timeouts,
-                "lease_breaks": self.lease_breaks,
+                # Always 0 (no leases any more); kept because the
+                # benchmark suite still reads both keys.
+                "lease_waits": 0,
+                "lease_timeouts": 0,
                 "unverified_hits": self.unverified_hits,
                 "verify_time_s": round(self.verify_time_s, 6),
                 "bytes": self._bytes,
@@ -587,121 +383,78 @@ class ReuseCache:
             f"({rate:.0f}% hit rate), {s['joined']} joined in flight, "
             f"{s['corrupt']} corrupt, "
             f"{s['quarantined']} quarantined, {s['evicted']} evicted, "
-            f"{s['lease_waits']} lease waits, {s['bytes']} B cached"
+            f"{s['bytes']} B cached"
         )
 
     @staticmethod
-    def scan(directory: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    def scan(
+        directory: Union[str, Path], reapable: Optional[List[Path]] = None
+    ) -> Optional[Dict[str, Any]]:
         """Offline cache-dir health scan (``repro recover`` / ``repro gc``).
 
-        Returns ``None`` when ``directory`` does not exist; otherwise
-        entry count, total bytes, corrupt sidecars found (full verify of
-        every entry), live leases and quarantine markers.
+        Entry count, total bytes, corrupt entries (every entry is fully
+        verified), leftover files and quarantine markers; ``None`` when
+        ``directory`` does not exist.  ``reapable`` collects what no
+        running process will ever read again: leftovers (see
+        ``_LEFTOVER_SUFFIXES``) and corrupt entries with their sidecars.
         """
         directory = Path(directory)
         if not directory.is_dir():
             return None
+        reapable = [] if reapable is None else reapable
         store = CheckpointStore(directory, cadence=None)
-        entries = corrupt = total_bytes = leases = stale = 0
-        now = time.time()
+        entries = corrupt = leftovers = total_bytes = 0
         for path in sorted(directory.iterdir()):
-            if path.suffix == ".pkl":
-                entries += 1
+            if path.suffix in (".pkl", ".sum"):
                 try:
                     total_bytes += path.stat().st_size
                 except OSError:
                     continue
-                if store.verify(path.stem) == "corrupt":
-                    corrupt += 1
-            elif path.suffix == ".sum":
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    pass
-            elif path.suffix == ".lease":
-                leases += 1
-                try:
-                    if now - path.stat().st_mtime > 60.0:
-                        stale += 1
-                except OSError:
-                    pass
+                if path.suffix == ".pkl":
+                    entries += 1
+                    if store.verify(path.stem) == "corrupt":
+                        corrupt += 1
+                        reapable += [path, store._sum_path(path.stem)]
+            elif path.suffix in _LEFTOVER_SUFFIXES or ".takeover-" in path.name:
+                leftovers += 1
+                reapable.append(path)
         quarantine = directory / QUARANTINE_DIR
-        quarantined = (
-            len(list(quarantine.glob("*.bad"))) if quarantine.is_dir() else 0
-        )
         return {
             "directory": str(directory),
             "entries": entries,
             "bytes": total_bytes,
             "corrupt": corrupt,
-            "leases": leases,
-            "stale_leases": stale,
-            "quarantined": quarantined,
+            "leftovers": leftovers,
+            "quarantined": (
+                len(list(quarantine.glob("*.bad"))) if quarantine.is_dir() else 0
+            ),
         }
 
-    @staticmethod
+    @classmethod
     def gc(
-        directory: Union[str, Path],
-        lease_timeout_s: float = 60.0,
-        dry_run: bool = False,
+        cls, directory: Union[str, Path], dry_run: bool = False
     ) -> Optional[Dict[str, Any]]:
-        """Offline cache-dir sweep (``repro gc``).
+        """Offline cache-dir sweep (``repro gc``): :meth:`scan`, then reap.
 
-        Removes what no running process will ever read again: stale
-        lease files (older than ``lease_timeout_s`` — a crashed writer's
-        leftovers), torn ``.tmp``/``.sumtmp`` publications (invisible to
-        readers by the atomic-rename protocol) and entries whose payload
-        fails sidecar verification (a reader would only quarantine them
-        later).  *Fresh* leases are honoured — their writers may still
-        publish.  Intact entries are never touched; capacity is the
-        evictor's job, not gc's.  Returns ``None`` when ``directory``
-        does not exist.
+        Intact entries are never touched (capacity is the evictor's job,
+        not gc's).  Returns the scan report plus ``freed_bytes`` and
+        ``dry_run``.
         """
-        directory = Path(directory)
-        if not directory.is_dir():
+        reapable: List[Path] = []
+        report = cls.scan(directory, reapable)
+        if report is None:
             return None
-        store = CheckpointStore(directory, cadence=None)
-        now = time.time()
-        stale_leases = torn = corrupt = 0
         freed = 0
-
-        def _reap(path: Path) -> int:
+        for path in reapable:
             try:
                 size = path.stat().st_size
-            except OSError:
-                return 0
-            if not dry_run:
-                try:
+                if not dry_run:
                     path.unlink()
-                except OSError:
-                    return 0
-            return size
-
-        for path in sorted(directory.iterdir()):
-            if path.suffix == ".lease":
-                try:
-                    age = now - path.stat().st_mtime
-                except OSError:
-                    continue
-                if age > lease_timeout_s:
-                    stale_leases += 1
-                    freed += _reap(path)
-            elif path.suffix in (".tmp", ".sumtmp") or ".takeover-" in path.name:
-                torn += 1
-                freed += _reap(path)
-            elif path.suffix == ".pkl":
-                if store.verify(path.stem) == "corrupt":
-                    corrupt += 1
-                    freed += _reap(path)
-                    freed += _reap(store._sum_path(path.stem))
-        return {
-            "directory": str(directory),
-            "stale_leases": stale_leases,
-            "torn_temps": torn,
-            "corrupt_entries": corrupt,
-            "freed_bytes": freed,
-            "dry_run": dry_run,
-        }
+            except OSError:
+                continue
+            freed += size
+        report.update(freed_bytes=freed, dry_run=dry_run)
+        return report
 
     # ------------------------------------------------------------------
     # Chaos hooks (FailureInjector)
@@ -723,18 +476,4 @@ class ReuseCache:
         # Deliberately NOT atomic-rename: chaos stands in for in-place
         # media rot, which is what sidecar verification exists to catch.
         path.write_bytes(bytes(data))
-        return True
-
-    def wedge_lease(self, key: str) -> bool:
-        """Leave a lease behind with no writer (simulated SIGKILL).
-
-        The holder keeps the on-disk lease file but forgets it ever held
-        it — exactly the state a SIGKILLed writer leaves.  Waiters must
-        stale-expire it or time out and recompute.
-        """
-        with self._lock:
-            held = key in self._held
-            self._held.discard(key)
-        if not held:
-            return self._try_lease(key) and self.wedge_lease(key)
         return True

@@ -128,10 +128,7 @@ class COMPSsRuntime:
             log=self.resilience,
         )
         self.straggler: Optional[StragglerDetector] = (
-            StragglerDetector(
-                self.config.speculation_multiplier,
-                self.config.speculation_min_samples,
-            )
+            StragglerDetector(self.config.speculation_multiplier)
             if self.config.speculation_multiplier is not None
             else None
         )
@@ -245,10 +242,6 @@ class COMPSsRuntime:
             self.reuse = ReuseCache(
                 cache_dir,
                 max_bytes=self.config.cache_max_bytes,
-                lease_timeout_s=self.config.cache_lease_timeout_s,
-                lease_wait_s=self.config.cache_lease_wait_s,
-                poison_threshold=self.config.cache_poison_threshold,
-                seed=getattr(self.failure_injector, "_seed", 0) or 0,
                 integrity=self.integrity,
                 log=self.resilience,
                 clock=self.executor.clock,
@@ -283,7 +276,6 @@ class COMPSsRuntime:
                     max_parallel=self.config.max_parallel,
                     max_tasks_per_worker=self.config.max_tasks_per_worker,
                     poison_threshold=self.config.poison_threshold,
-                    heartbeat_s=self.config.worker_heartbeat_s,
                 )
             return LocalExecutor(max_parallel=self.config.max_parallel)
         if ex == "simulated":
@@ -352,10 +344,6 @@ class COMPSsRuntime:
                     _log.warning("outstanding task failed during stop(): %s", exc)
         finally:
             self.executor.shutdown()
-            if self.reuse is not None:
-                # Leases of never-completed stages would otherwise linger
-                # until stale-age expiry in the next process.
-                self.reuse.release_all()
             if self.journal is not None:
                 self.journal.close()
             for session in list(self._sessions.values()):
@@ -409,11 +397,10 @@ class COMPSsRuntime:
         # Cross-trial reuse: a content key this study already submitted
         # is joined onto that node (see _join_in_flight).  Only the first
         # submitter consults the disk cache, and BEFORE taking the
-        # runtime lock — a busy cross-process lease may be waited on
-        # (bounded, seeded-jitter backoff), and other studies'
-        # submissions/completions must keep flowing while this thread
-        # waits.  Every outcome is safe under concurrency: a verified
-        # value restores, anything else computes.
+        # runtime lock — a verified read hashes the whole entry, and
+        # other studies' submissions/completions must keep flowing
+        # meanwhile.  Every outcome is safe under concurrency: a
+        # verified value restores, anything else computes.
         reuse = self.reuse
         content_key: Optional[str] = None
         cached: Any = _CACHE_MISS
@@ -459,12 +446,11 @@ class COMPSsRuntime:
             if restored is not ckpt._MISSING:
                 # Journaled-complete with a stored output: restore instead
                 # of executing (exactly-once for the replayed prefix).
-                # If this thread also claimed a reuse lease (cache missed
-                # but the journal had the value), publish the restored
-                # result so other trials hit — and the lease is released.
+                # If the reuse cache missed but the journal had the
+                # value, publish the restored result so other trials hit.
                 invocation.state = TaskState.DONE
                 invocation.result = restored
-                if content_key is not None and reuse.holds_lease(content_key):
+                if content_key is not None and cached is _CACHE_MISS:
                     reuse.publish(content_key, restored)
             elif cached is not _CACHE_MISS:
                 # Verified cross-trial cache hit: same restore machinery
@@ -534,7 +520,7 @@ class COMPSsRuntime:
         whole shared prefix runs exactly once.  Never a FAILED node (its
         fail-soft retry builds a fresh one that siblings then join) and
         never a streaming-freed one.  The map is per study: tenants and
-        processes share through the disk cache's leases, so per-study
+        processes share through the disk cache, so per-study
         fault isolation is untouched.
         """
         with self.lock:
@@ -725,12 +711,9 @@ class COMPSsRuntime:
         reuse = self.reuse
         if reuse is not None and task.content_key is not None:
             injector = self.failure_injector
-            if injector is not None and injector.cache_lease_stalls(task.label):
-                # Chaos: simulate a writer SIGKILLed mid-stage — its lease
-                # file survives but no entry ever lands.  Waiters must
-                # expire the lease or time out and recompute.
-                reuse.wedge_lease(task.content_key)
-            else:
+            # Chaos: a lost publication is a writer that died before
+            # publishing — no entry lands; later readers miss and recompute.
+            if injector is None or not injector.cache_publish_lost(task.label):
                 reuse.publish(task.content_key, result)
                 if injector is not None and injector.cache_corrupts(task.label):
                     # Chaos: bit-rot the freshly-published entry in place
@@ -827,11 +810,6 @@ class COMPSsRuntime:
         self, task: TaskInvocation, kind: str, node: str = ""
     ) -> None:
         """Append a task record (executors journal failed attempts)."""
-        if kind == ckpt.FAILED and self.reuse is not None:
-            if task.content_key is not None:
-                # A terminally-failed stage never publishes: surrender the
-                # single-flight lease so waiters stop spinning on it.
-                self.reuse.abandon(task.content_key)
         session = self._sessions.get(task.study) if task.study else None
         journal = session.journal if session is not None else self.journal
         if journal is None or task.task_key is None:

@@ -1,18 +1,18 @@
 """Scheduler interface.
 
-A scheduler is a pure policy: given the ready tasks (in submission order)
-and the resource pool, produce assignments.  Tasks it cannot place remain
-queued; the paper's §4 behaviour — "if no further resources are available,
-tasks wait for the resources … the next task is assigned a computational
-unit as soon as one is available" — falls out of re-running the scheduler
-on every task completion.
+A scheduler is a pure policy: a total order over ready tasks plus a
+placement probe.  The :class:`~repro.runtime.dispatch.DispatchEngine`
+drives it; tasks it cannot place remain queued, so the paper's §4
+behaviour — "if no further resources are available, tasks wait for the
+resources … the next task is assigned a computational unit as soon as
+one is available" — falls out of re-running a round on every release.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.runtime.fault import UnsatisfiableError
 from repro.runtime.resources import Allocation, ResourcePool
@@ -49,10 +49,8 @@ class Scheduler(abc.ABC):
 
     A policy is fully described by :meth:`sort_key` (total order over
     ready tasks) plus :meth:`preferred_nodes` (node preference per task).
-    Both the classic batch :meth:`assign` and the incremental
-    :class:`~repro.runtime.dispatch.DispatchEngine` fast path place tasks
-    in exactly the ``sort_key`` order, so the two paths produce identical
-    assignments.
+    The :class:`~repro.runtime.dispatch.DispatchEngine` probes
+    :meth:`_try_place` in exactly the ``sort_key`` order.
     """
 
     def sort_key(self, task: TaskInvocation):
@@ -63,10 +61,6 @@ class Scheduler(abc.ABC):
         """
         return task.task_id
 
-    def order(self, ready: Sequence[TaskInvocation]) -> List[TaskInvocation]:
-        """Order the ready queue (policy-specific, via :meth:`sort_key`)."""
-        return sorted(ready, key=self.sort_key)
-
     #: Shared "no preference" result — callers only read it, and
     #: returning one list avoids an allocation per placement probe.
     _NO_PREFERENCE: List[str] = []
@@ -74,41 +68,6 @@ class Scheduler(abc.ABC):
     def preferred_nodes(self, task: TaskInvocation) -> List[str]:
         """Nodes to try first for ``task`` (default: none; read-only)."""
         return self._NO_PREFERENCE
-
-    def assign(
-        self, ready: Sequence[TaskInvocation], pool: ResourcePool
-    ) -> Tuple[List[Assignment], List[TaskInvocation]]:
-        """Place as many ready tasks as possible.
-
-        Returns ``(assignments, still_waiting)``.  ``still_waiting``
-        preserves the order the tasks were handed in (submission order in
-        every caller), so FIFO fairness is kept across scheduling rounds
-        without re-sorting the queue on every event.
-
-        Tasks whose constraint excludes every failed node they've been
-        resubmitted from are placed anywhere else; a task no live node
-        could ever host raises ``RuntimeError`` (unsatisfiable constraint)
-        rather than waiting forever.
-        """
-        # Quarantine is a round-level property: compute it once, not per
-        # task (NodeHealth walks its event windows on every call).
-        quarantined = pool.blocked_nodes()
-        assignments: List[Assignment] = []
-        placed_ids = set()
-        for task in self.order(list(ready)):
-            try:
-                placed = self._try_place(task, pool, quarantined)
-            except UnsatisfiableError as exc:
-                if exc.permanent:
-                    raise
-                # Starved (capable nodes exist but are all dead/draining):
-                # leave the task waiting — a rejoin may still save it.
-                placed = None
-            if placed is not None:
-                assignments.append(placed)
-                placed_ids.add(task.task_id)
-        waiting = [t for t in ready if t.task_id not in placed_ids]
-        return assignments, waiting
 
     def _try_place(
         self,

@@ -319,8 +319,8 @@ class TraceAnalysis:
 
         Counts of verified cache hits, misses, submissions joined to an
         identical in-flight node of their study, corrupt entries detected
-        at verify time, LRU evictions and single-flight lease waits —
-        the stage-reuse view of a run (all zero when the cache is off).
+        at verify time and LRU evictions — the stage-reuse view of a run
+        (all zero when the cache is off).
         """
         from repro.runtime import resilience as rsl
 
@@ -331,7 +331,6 @@ class TraceAnalysis:
             "joined": counts.get(rsl.CACHE_JOIN, 0),
             "cache_corrupt": counts.get(rsl.CACHE_CORRUPT, 0),
             "cache_evictions": counts.get(rsl.CACHE_EVICT, 0),
-            "lease_waits": counts.get(rsl.LEASE_WAIT, 0),
         }
 
     def dispatch(self) -> Dict[str, float]:

@@ -81,11 +81,11 @@ class FailurePlan:
         place (payload flipped, sidecar digest intact) — exercises the
         verified-hit path: the next reader must detect the mismatch and
         recompute, never consume the bad bytes.
-    cache_stalls:
-        Task labels whose first reuse-cache publication is replaced by a
-        wedged single-flight lease (no entry lands, lease file survives)
-        — models a writer SIGKILLed mid-stage; waiters must expire the
-        lease or time out and recompute.
+    lost_publications:
+        Task labels whose first reuse-cache publication is lost — models
+        a writer that died after computing but before publishing: no
+        entry lands and nothing is left on disk, so readers miss and
+        recompute.
     """
 
     task_failures: Set[Tuple[str, int]] = field(default_factory=set)
@@ -96,7 +96,7 @@ class FailurePlan:
     transfer_failures: Set[Tuple[str, int]] = field(default_factory=set)
     link_slowdowns: Dict[Tuple[str, str], float] = field(default_factory=dict)
     cache_corruptions: Set[str] = field(default_factory=set)
-    cache_stalls: Set[str] = field(default_factory=set)
+    lost_publications: Set[str] = field(default_factory=set)
 
     def fail_task(self, task_label: str, *attempts: int) -> "FailurePlan":
         """Schedule ``task_label`` to fail on the given attempt numbers."""
@@ -179,15 +179,13 @@ class FailurePlan:
         self.cache_corruptions.add(task_label)
         return self
 
-    def stall_cache_lease(self, task_label: str) -> "FailurePlan":
-        """Wedge ``task_label``'s first publication into a stuck lease.
+    def lose_cache_publish(self, task_label: str) -> "FailurePlan":
+        """Drop ``task_label``'s first reuse-cache publication.
 
-        The stage completes but never publishes; its single-flight lease
-        file is left behind as if the writer were SIGKILLed mid-write.
-        Readers must break the lease once stale (or time out) and
-        recompute.
+        The stage completes but never publishes, as if its writer died
+        just before the atomic rename.  Readers miss and recompute.
         """
-        self.cache_stalls.add(task_label)
+        self.lost_publications.add(task_label)
         return self
 
     def should_fail(self, task_label: str, attempt: int) -> bool:
@@ -218,9 +216,9 @@ class FailurePlan:
         """Whether ``task_label``'s cache entry is scripted to bit-rot."""
         return task_label in self.cache_corruptions
 
-    def cache_stall(self, task_label: str) -> bool:
-        """Whether ``task_label``'s publication is scripted to wedge."""
-        return task_label in self.cache_stalls
+    def publish_lost(self, task_label: str) -> bool:
+        """Whether ``task_label``'s publication is scripted to be lost."""
+        return task_label in self.lost_publications
 
 
 @dataclass(frozen=True)
@@ -462,15 +460,15 @@ class FailureInjector:
         #: Per-label reuse-publication counter: the n-th publication of a
         #: label gets its own corruption draw (a republish redraws).
         self._cache_pub_counts: Dict[str, int] = {}
-        #: Scripted cache stalls fire on the first publication only (the
-        #: recompute that follows must be allowed to land).
-        self._cache_stalls_used: Set[str] = set()
+        #: Scripted lost publications fire on the first publication only
+        #: (the recompute that follows must be allowed to land).
+        self._lost_publications_used: Set[str] = set()
         self.injected_failures: List[Tuple[str, int]] = []
         self.injected_hangs: List[Tuple[str, int]] = []
         self.injected_corruptions: List[str] = []
         self.injected_transfer_failures: List[Tuple[str, str]] = []
         self.injected_cache_corruptions: List[str] = []
-        self.injected_cache_stalls: List[str] = []
+        self.injected_lost_publications: List[str] = []
 
     def should_fail(self, task_label: str, attempt: int) -> bool:
         """Decide (deterministically per (task, attempt)) whether to fail.
@@ -589,19 +587,18 @@ class FailureInjector:
             return True
         return False
 
-    def cache_lease_stalls(self, task_label: str) -> bool:
-        """Whether this publication of ``task_label`` wedges its lease.
+    def cache_publish_lost(self, task_label: str) -> bool:
+        """Whether this publication of ``task_label`` is lost.
 
-        Scripted only, first publication only: the stage's recompute (or
-        another trial's unleased compute) must eventually publish, or
-        the study would depend on lease expiry forever.
+        Scripted only, first publication only: the stage's recompute
+        must be allowed to land.
         """
         if (
-            self.plan.cache_stall(task_label)
-            and task_label not in self._cache_stalls_used
+            self.plan.publish_lost(task_label)
+            and task_label not in self._lost_publications_used
         ):
-            self._cache_stalls_used.add(task_label)
-            self.injected_cache_stalls.append(task_label)
+            self._lost_publications_used.add(task_label)
+            self.injected_lost_publications.append(task_label)
             return True
         return False
 
@@ -621,10 +618,10 @@ class FailureInjector:
         self._transfer_counts.clear()
         self._transfer_script_used.clear()
         self._cache_pub_counts.clear()
-        self._cache_stalls_used.clear()
+        self._lost_publications_used.clear()
         self.injected_failures.clear()
         self.injected_hangs.clear()
         self.injected_corruptions.clear()
         self.injected_transfer_failures.clear()
         self.injected_cache_corruptions.clear()
-        self.injected_cache_stalls.clear()
+        self.injected_lost_publications.clear()

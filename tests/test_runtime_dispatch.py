@@ -30,6 +30,7 @@ from repro.runtime.task_definition import (
     reset_invocation_counter,
 )
 from repro.simcluster.machines import local_machine, mare_nostrum4
+from tests.test_runtime_scheduler import assign
 
 
 @pytest.fixture(autouse=True)
@@ -131,19 +132,19 @@ class TestTaskGraphReadySet:
 # Engine vs batch assign: identical placements for every policy
 # ----------------------------------------------------------------------
 def reference_assignments(scheduler, tasks, pool, complete_batches):
-    """Old-path semantics: full re-run of assign() on every event."""
+    """Reference semantics: a full placement pass on every event."""
     waiting = list(tasks)
     placed = []
     running = []
     for batch in complete_batches:
-        assignments, waiting = scheduler.assign(waiting, pool)
+        assignments, waiting = assign(scheduler, waiting, pool)
         placed.extend(assignments)
         running.extend(assignments)
         for _ in range(min(batch, len(running))):
             a = running.pop(0)
             pool.release(a.allocation)
     while True:
-        assignments, waiting = scheduler.assign(waiting, pool)
+        assignments, waiting = assign(scheduler, waiting, pool)
         if not assignments:
             break
         placed.extend(assignments)

@@ -163,8 +163,6 @@ class TestRuntimeConfigValidation:
              "RuntimeConfig.max_trial_retries", "-1"),
             ({"checkpoint_every": 0},
              "RuntimeConfig.checkpoint_every", "0"),
-            ({"worker_heartbeat_s": 0},
-             "RuntimeConfig.worker_heartbeat_s", "0"),
             ({"preempt_checkpoint_epochs": 0},
              "RuntimeConfig.preempt_checkpoint_epochs", "0"),
             ({"suspend_grace_s": -2.5},

@@ -57,19 +57,19 @@ class TestOrdering:
             config_task({"num_epochs": e, "batch_size": 64})
             for e in (20, 100, 50)
         ]
-        ordered = LPTScheduler().order(tasks)
+        ordered = sorted(tasks, key=LPTScheduler().sort_key)
         epochs = [t.args[0]["num_epochs"] for t in ordered]
         assert epochs == [100, 50, 20]
 
     def test_ties_by_submission(self):
         a = config_task({"num_epochs": 50})
         b = config_task({"num_epochs": 50})
-        assert LPTScheduler().order([b, a]) == [a, b]
+        assert sorted([b, a], key=LPTScheduler().sort_key) == [a, b]
 
     def test_custom_estimator(self):
         sched = LPTScheduler(estimator=lambda t: -t.task_id)
         a, b = config_task({}), config_task({})
-        assert sched.order([a, b]) == [a, b]
+        assert sorted([a, b], key=sched.sort_key) == [a, b]
 
     def test_registry(self):
         assert isinstance(get_scheduler("lpt"), LPTScheduler)

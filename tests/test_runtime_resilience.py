@@ -366,7 +366,6 @@ class TestSimulatedSpeculation:
             duration_fn=lambda t, n, a: 100.0,
             failure_injector=FailureInjector(plan),
             speculation_multiplier=2.0,
-            speculation_min_samples=3,
         )
         with COMPSs(cfg) as rt:
             futs = submit_n(rt, 4, cpu=24)
@@ -395,7 +394,6 @@ class TestSimulatedSpeculation:
             duration_fn=lambda t, n, a: 100.0,
             failure_injector=FailureInjector(plan),
             speculation_multiplier=2.0,
-            speculation_min_samples=3,
         )
         with COMPSs(cfg) as rt:
             futs = submit_n(rt, 4, cpu=12)
@@ -569,7 +567,7 @@ class TestLocalResilience:
             retry_policy=RetryPolicy(
                 1, 1, backoff_base_s=0.01, backoff_jitter=0.5
             ),
-            speculation_multiplier=2.0, speculation_min_samples=3,
+            speculation_multiplier=2.0,
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -598,7 +596,7 @@ class TestLocalResilience:
 
         cfg = RuntimeConfig(
             cluster=mare_nostrum4(2), executor="local",
-            speculation_multiplier=2.0, speculation_min_samples=3,
+            speculation_multiplier=2.0,
         )
         with COMPSs(cfg) as rt:
             futs = submit_n(rt, 4, cpu=24, func=body)
@@ -680,7 +678,6 @@ def run_chaos_study():
         ),
         task_timeout_s=400.0,
         speculation_multiplier=2.0,
-        speculation_min_samples=3,
         quarantine_threshold=0.5,
         quarantine_window=6,
         quarantine_min_events=2,

@@ -3,18 +3,19 @@
 Covers the tentpole contract of the content-addressed stage cache:
 
 * unit — verified hits (corrupt == miss, never a wrong restore),
-  quarantine after repeated failures, single-flight lease claim /
-  stale-break / wait, LRU eviction that never evicts leased keys,
-  atomic publication (torn temps invisible), offline ``scan`` / ``gc``;
+  quarantine after repeated failures, first-wins publication of
+  concurrent misses, LRU eviction that spares the publishing key,
+  atomic publication (torn temps invisible), offline ``scan`` / ``gc``
+  (which reap the lease files older versions left behind);
 * integration — an epochs-varying grid submitted all at once trains
-  exactly its stage tree (identical stages joined at submit, zero lease
-  waits) while producing the identical answers to the cache-off
+  exactly its stage tree (identical stages joined at submit) while
+  producing the identical answers to the cache-off
   baseline and a serial loop; failed shared blocks, kill + resume,
   task groups and streaming keep their guarantees through the join;
   the disk-hit path is covered by one sequential streaming study and
   by second studies over a populated cache;
-* chaos acceptance — 3 seeds x (10 % stochastic corruption + a
-  wedged lease), a scripted corruption met by the next study, and
+* chaos acceptance — 3 seeds x (10 % stochastic corruption + a lost
+  publication), a scripted corruption met by the next study, and
   daemon tenants racing identical stages still match the cache-off
   best config, with zero unverified reads and bit-identical same-seed
   reruns.
@@ -54,9 +55,8 @@ def make_cache(tmp_path, **kw):
 class TestVerifiedHits:
     def test_roundtrip_hit(self, tmp_path):
         cache = make_cache(tmp_path)
-        assert cache.acquire("k1") is MISS  # claims the lease
+        assert cache.acquire("k1") is MISS
         assert cache.publish("k1", {"epoch": 4})
-        assert not cache.holds_lease("k1")  # publish released it
         assert cache.acquire("k1") == {"epoch": 4}
         s = cache.stats()
         assert (s["hits"], s["misses"], s["published"]) == (1, 1, 1)
@@ -122,89 +122,24 @@ class TestVerifiedHits:
 
 
 # ----------------------------------------------------------------------
-# Unit: single-flight leases
+# Unit: concurrent writers
 # ----------------------------------------------------------------------
-class TestLeases:
-    def test_lease_claimed_on_miss_blocks_second_claim(self, tmp_path):
+class TestConcurrentWriters:
+    def test_two_concurrent_misses_both_compute_first_publish_wins(
+        self, tmp_path
+    ):
         first = make_cache(tmp_path)
         second = make_cache(tmp_path)
+        # Two (process-like) cache instances miss the same key: neither
+        # blocks, both compute.
         assert first.acquire("k") is MISS
-        assert first.holds_lease("k")
-        # A second (process-like) cache instance cannot claim it and,
-        # with lease_wait_s=0, degrades to an unleased recompute.
         assert second.acquire("k") is MISS
-        assert not second.holds_lease("k")
-        # Both computed; both publish — first atomic publish wins and
-        # the loser's bytes are never written over it.
+        # Both publish — first atomic publish wins and the loser's bytes
+        # are never written over it.
         assert first.publish("k", "A")
         second.publish("k", "B")
         assert second.stats()["published"] == 0
         assert first.acquire("k") == "A"
-
-    def test_stale_lease_is_broken(self, tmp_path):
-        cache = make_cache(tmp_path, lease_timeout_s=0.05, lease_wait_s=5.0)
-        other = make_cache(tmp_path, lease_timeout_s=0.05, lease_wait_s=5.0)
-        assert other.acquire("k") is MISS  # writer that will "crash"
-        other.wedge_lease("k")  # keeps the file, forgets it held it
-        time.sleep(0.1)  # let the lease age past timeout
-        # The waiter breaks the stale lease and takes over as writer.
-        assert cache.acquire("k") is MISS
-        assert cache.holds_lease("k")
-        assert cache.stats()["lease_breaks"] == 1
-
-    def test_waiter_turns_miss_into_hit_when_writer_publishes(self, tmp_path):
-        import threading
-
-        writer = make_cache(tmp_path)
-        waiter = make_cache(tmp_path, lease_wait_s=10.0)
-        assert writer.acquire("k") is MISS
-
-        def publish_later():
-            time.sleep(0.15)
-            writer.publish("k", "value")
-
-        t = threading.Thread(target=publish_later)
-        t.start()
-        try:
-            assert waiter.acquire("k") == "value"
-        finally:
-            t.join()
-        assert waiter.stats()["lease_waits"] == 1
-
-    def test_wait_timeout_degrades_to_unleased_recompute(self, tmp_path):
-        writer = make_cache(tmp_path, lease_timeout_s=60.0)
-        waiter = make_cache(tmp_path, lease_timeout_s=60.0, lease_wait_s=0.2)
-        assert writer.acquire("k") is MISS  # fresh lease, never publishes
-        assert waiter.acquire("k") is MISS  # timed out, computes unleased
-        assert not waiter.holds_lease("k")
-        assert waiter.stats()["lease_timeouts"] == 1
-
-    def test_abandon_frees_the_lease_for_waiters(self, tmp_path):
-        writer = make_cache(tmp_path)
-        waiter = make_cache(tmp_path, lease_wait_s=5.0)
-        assert writer.acquire("k") is MISS
-        import threading
-
-        def fail_later():
-            time.sleep(0.1)
-            writer.abandon("k")  # the computation failed
-
-        t = threading.Thread(target=fail_later)
-        t.start()
-        try:
-            # The waiter contends for the freed lease and becomes writer.
-            assert waiter.acquire("k") is MISS
-            assert waiter.holds_lease("k")
-        finally:
-            t.join()
-
-    def test_release_all_drops_held_leases(self, tmp_path):
-        cache = make_cache(tmp_path)
-        for k in ("a", "b"):
-            assert cache.acquire(k) is MISS
-        cache.release_all()
-        assert not cache.holds_lease("a")
-        assert not list((tmp_path / "cache").glob("*.lease"))
 
 
 # ----------------------------------------------------------------------
@@ -225,19 +160,19 @@ class TestEvictionAndAtomicity:
         # Oldest entry went first; the newest survives.
         assert cache.acquire("k3") == payload + bytes([3])
 
-    def test_eviction_never_evicts_leased_keys(self, tmp_path):
+    def test_eviction_spares_the_key_its_publish_triggered(self, tmp_path):
         cache = make_cache(tmp_path, max_bytes=1500)
         payload = os.urandom(600)
-        cache.acquire("pinned")  # lease held, never published
-        other = make_cache(tmp_path, max_bytes=1500)
-        other.acquire("seed")
-        other.publish("seed", payload)
-        # Blow past the ceiling; "pinned" has only a lease (no bytes),
-        # "seed" is evictable, the fresh key is protected.
-        other.acquire("big")
-        other.publish("big", payload + payload)
-        assert cache.holds_lease("pinned")
-        assert (tmp_path / "cache" / "pinned.lease").exists()
+        cache.acquire("seed")
+        cache.publish("seed", payload)
+        # Blow past the ceiling on its own: "seed" is evicted, the key
+        # whose publish triggered the pass survives even though the
+        # cache is still over its ceiling.
+        cache.acquire("big")
+        assert cache.publish("big", payload * 3)
+        assert not cache.store.has("seed")
+        assert cache.acquire("big") == payload * 3
+        assert cache.stats()["evicted"] == 1
 
     def test_torn_temp_files_are_invisible_to_readers(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -246,14 +181,13 @@ class TestEvictionAndAtomicity:
         (tmp_path / "cache" / "torn.pkl.tmp").write_bytes(b"partial")
         assert cache.acquire("torn") is MISS
         report = ReuseCache.gc(tmp_path / "cache")
-        assert report["torn_temps"] == 1
+        assert report["leftovers"] == 1
         assert not (tmp_path / "cache" / "torn.pkl.tmp").exists()
 
     def test_unpicklable_value_degrades_to_skip(self, tmp_path):
         cache = make_cache(tmp_path)
         cache.acquire("k")
         assert cache.publish("k", lambda: None) is False
-        assert not cache.holds_lease("k")  # lease still released
         assert cache.stats()["publish_skipped"] == 1
 
 
@@ -266,7 +200,8 @@ class TestScanAndGc:
         for key in ("a", "b"):
             cache.acquire(key)
             cache.publish(key, key * 10)
-        cache.acquire("leased")  # leaves a live lease
+        # A lease file an older version left next to an intact entry.
+        (tmp_path / "cache" / "b.lease").write_text("{}")
         # Rot one entry behind the cache's back.
         path = cache.store._path("a")
         data = bytearray(path.read_bytes())
@@ -275,20 +210,29 @@ class TestScanAndGc:
         report = ReuseCache.scan(tmp_path / "cache")
         assert report["entries"] == 2
         assert report["corrupt"] == 1
-        assert report["leases"] == 1
+        assert report["leftovers"] == 1
         assert ReuseCache.scan(tmp_path / "nope") is None
+        # Scanning never blocks on the lease: the entry still hits.
+        assert cache.acquire("b") == "b" * 10
 
-    def test_gc_reaps_stale_leases_honours_fresh_ones(self, tmp_path):
+    def test_gc_reaps_older_versions_lease_files(self, tmp_path):
         cache = make_cache(tmp_path)
-        cache.acquire("fresh")
-        stale = tmp_path / "cache" / "stale.lease"
-        stale.write_text("{}")
-        old = time.time() - 600
-        os.utime(stale, (old, old))
-        report = ReuseCache.gc(tmp_path / "cache", lease_timeout_s=60.0)
-        assert report["stale_leases"] == 1
-        assert not stale.exists()
-        assert (tmp_path / "cache" / "fresh.lease").exists()
+        cache.acquire("k")
+        cache.publish("k", "v")
+        # What an older version left behind: a fresh lease next to the
+        # entry, a lease with no entry, and a takeover temp.
+        leftovers = [
+            tmp_path / "cache" / name
+            for name in ("k.lease", "gone.lease", "k.takeover-1-2")
+        ]
+        for path in leftovers:
+            path.write_text("{}")
+        assert make_cache(tmp_path).acquire("k") == "v"  # never blocks
+        assert make_cache(tmp_path).acquire("gone") is MISS
+        report = ReuseCache.gc(tmp_path / "cache")
+        assert report["leftovers"] == 3
+        assert not any(path.exists() for path in leftovers)
+        assert cache.acquire("k") == "v"  # intact entries untouched
 
     def test_gc_dry_run_removes_nothing(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -296,12 +240,12 @@ class TestScanAndGc:
         cache.publish("k", "v")
         cache.corrupt_entry("k")
         report = ReuseCache.gc(tmp_path / "cache", dry_run=True)
-        assert report["corrupt_entries"] == 1
+        assert report["corrupt"] == 1
         assert report["dry_run"] is True
         assert cache.store._path("k").exists()
         # The real sweep then reaps it.
         report = ReuseCache.gc(tmp_path / "cache")
-        assert report["corrupt_entries"] == 1
+        assert report["corrupt"] == 1
         assert not cache.store._path("k").exists()
 
 
@@ -419,7 +363,6 @@ class TestStagedGridReuse:
         assert accuracies(cached) == accuracies(baseline)
         assert accuracies(cached) == serial_reference(space)
         reuse = cached.metadata["reuse"]
-        assert reuse["lease_waits"] == 0
         assert reuse["hits"] == 0  # nothing on disk to hit: all joins
         # Every submission either computed its stage or joined one.
         n_trials = len(cached.trials)
@@ -643,7 +586,7 @@ workdir, die_after = Path(sys.argv[1]), int(sys.argv[2])
 
 
 class DieAfter(StudyCallback):
-    # A deterministic crash point: no flush, no cleanup, leases left.
+    # A deterministic crash point: no flush, no cleanup.
     def on_trial_complete(self, study, trial):
         if die_after and len(study.completed()) >= die_after:
             os._exit(9)
@@ -720,13 +663,13 @@ class TestChaosAcceptance:
     def test_chaos_matches_cache_off_with_zero_unverified_reads(
         self, tmp_path, seed
     ):
-        """10 % corruption + a wedged lease never change the answer."""
+        """10 % corruption + a lost publication never change the answer."""
         baseline = staged_study(tmp_path / "off", "off", reuse=False,
                                 seed=seed)
         reset_epoch_counter()
 
         def chaos_injector():
-            plan = FailurePlan().stall_cache_lease("stage_prepare-1")
+            plan = FailurePlan().lose_cache_publish("stage_prepare-1")
             return FailureInjector(
                 plan=plan, seed=seed, cache_corrupt_prob=0.10
             )
@@ -734,7 +677,7 @@ class TestChaosAcceptance:
         def chaotic_pair(root):
             # The writer joins in flight and never reads its own
             # entries; the rider over the same cache_dir is where the
-            # rotten ones and the wedged lease are met.
+            # rotten ones and the lost publication are met.
             writer = staged_study(root, "on", reuse=True, seed=seed,
                                   injector=chaos_injector())
             rider = staged_study(root, "ride", reuse=True, seed=seed,
@@ -764,7 +707,7 @@ class TestChaosAcceptance:
         plan = (
             FailurePlan()
             .corrupt_cache_entry("stage_train-2")
-            .stall_cache_lease("stage_prepare-1")
+            .lose_cache_publish("stage_prepare-1")
         )
         injector = FailureInjector(plan=plan, seed=3)
         study = staged_study(tmp_path, "scripted", reuse=True,
@@ -772,25 +715,23 @@ class TestChaosAcceptance:
         baseline = staged_study(tmp_path / "off", "off", reuse=False)
         assert best_of(study) == best_of(baseline)
         assert injector.injected_cache_corruptions == ["stage_train-2"]
-        assert injector.injected_cache_stalls == ["stage_prepare-1"]
+        assert injector.injected_lost_publications == ["stage_prepare-1"]
         reuse = study.metadata["reuse"]
         assert reuse["joined"] > 0
         assert reuse["unverified_hits"] == 0
         # In-study siblings joined the live node, so the rot sits unread
-        # on disk and the prepare lease stays wedged with no entry.  The
-        # next study over the same cache_dir meets both: it waits out
-        # the wedged lease and recomputes unleased, and it detects the
-        # corrupt block at its hit and retrains exactly that block.
+        # on disk and the prepare stage has no entry.  The next study
+        # over the same cache_dir meets both: it misses the prepare
+        # stage and recomputes it, and it detects the corrupt block at
+        # its hit and retrains exactly that block.
         reset_epoch_counter()
-        rider = staged_study(tmp_path, "rider", reuse=True,
-                             cache_lease_wait_s=0.05)
+        rider = staged_study(tmp_path, "rider", reuse=True)
         assert executed_epochs() == 4
         reset_epoch_counter()
         assert best_of(rider) == best_of(baseline)
         assert accuracies(rider) == accuracies(baseline)
         reuse = rider.metadata["reuse"]
         assert reuse["corrupt"] == 1
-        assert reuse["lease_timeouts"] == 1
         assert reuse["hits"] > 0
         assert reuse["unverified_hits"] == 0
 
@@ -887,11 +828,9 @@ class TestReuseCli:
 
         stale = cache / "dead.lease"
         stale.write_text("{}")
-        old = time.time() - 600
-        os.utime(stale, (old, old))
         assert main(["gc", str(ckpt), "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
-        assert "1 stale lease(s)" in out
+        assert "1 leftover temp/lease file(s)" in out
         assert not stale.exists()
 
     def test_run_reuse_without_cache_home_is_a_friendly_error(

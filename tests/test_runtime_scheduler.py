@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pycompss_api.constraint import ResourceConstraint
+from repro.runtime.fault import UnsatisfiableError
 from repro.runtime.resources import ResourcePool
 from repro.runtime.scheduler import (
     FIFOScheduler,
@@ -23,6 +24,28 @@ def _fresh_ids():
     reset_invocation_counter()
 
 
+def assign(scheduler, ready, pool):
+    """Reference placer: one ``_try_place`` pass in ``sort_key`` order.
+
+    Returns ``(assignments, still_waiting)``, ``still_waiting`` in the
+    order handed in.  A task no node could ever host raises; a starved
+    one (capable nodes all dead or draining) just keeps waiting.
+    """
+    quarantined = pool.blocked_nodes()
+    assignments, placed = [], set()
+    for task in sorted(ready, key=scheduler.sort_key):
+        try:
+            a = scheduler._try_place(task, pool, quarantined)
+        except UnsatisfiableError as exc:
+            if exc.permanent:
+                raise
+            a = None
+        if a is not None:
+            assignments.append(a)
+            placed.add(task.task_id)
+    return assignments, [t for t in ready if t.task_id not in placed]
+
+
 def make_task(cpu=1, gpu=0, priority=False, name="t", nodes=1):
     definition = TaskDefinition(
         func=lambda *a, **k: None,
@@ -37,7 +60,7 @@ class TestFIFO:
     def test_places_in_submission_order(self):
         pool = ResourcePool(local_machine(2))
         tasks = [make_task() for _ in range(3)]
-        assignments, waiting = FIFOScheduler().assign(tasks, pool)
+        assignments, waiting = assign(FIFOScheduler(), tasks, pool)
         assert [a.task for a in assignments] == tasks[:2]
         assert waiting == tasks[2:]
 
@@ -46,36 +69,36 @@ class TestFIFO:
         # 3 wait (paper Fig. 5).
         pool = ResourcePool(mare_nostrum4(1), reserved_cores=24)
         tasks = [make_task() for _ in range(27)]
-        assignments, waiting = FIFOScheduler().assign(tasks, pool)
+        assignments, waiting = assign(FIFOScheduler(), tasks, pool)
         assert len(assignments) == 24
         assert len(waiting) == 3
 
     def test_unsatisfiable_constraint_raises(self):
         pool = ResourcePool(local_machine(2))
         with pytest.raises(RuntimeError, match="unsatisfiable"):
-            FIFOScheduler().assign([make_task(cpu=100)], pool)
+            assign(FIFOScheduler(), [make_task(cpu=100)], pool)
 
     def test_temporarily_blocked_waits(self):
         pool = ResourcePool(local_machine(2))
         big = make_task(cpu=2)
-        assignments, _ = FIFOScheduler().assign([big], pool)
+        assignments, _ = assign(FIFOScheduler(), [big], pool)
         assert assignments
         # A second 2-core task must wait, not raise.
-        a2, w2 = FIFOScheduler().assign([make_task(cpu=2)], pool)
+        a2, w2 = assign(FIFOScheduler(), [make_task(cpu=2)], pool)
         assert not a2 and len(w2) == 1
 
     def test_avoids_failed_nodes(self):
         pool = ResourcePool(mare_nostrum4(2))
         t = make_task()
         t.failed_nodes.append("mn4-0001")
-        assignments, _ = FIFOScheduler().assign([t], pool)
+        assignments, _ = assign(FIFOScheduler(), [t], pool)
         assert assignments[0].allocation.node == "mn4-0002"
 
     def test_failed_node_used_as_last_resort(self):
         pool = ResourcePool(mare_nostrum4(1))
         t = make_task()
         t.failed_nodes.append("mn4-0001")
-        assignments, _ = FIFOScheduler().assign([t], pool)
+        assignments, _ = assign(FIFOScheduler(), [t], pool)
         assert assignments[0].allocation.node == "mn4-0001"
 
 
@@ -84,14 +107,14 @@ class TestPriority:
         pool = ResourcePool(local_machine(1))
         normal = make_task(name="normal")
         urgent = make_task(priority=True, name="urgent")
-        assignments, waiting = PriorityScheduler().assign([normal, urgent], pool)
+        assignments, waiting = assign(PriorityScheduler(), [normal, urgent], pool)
         assert assignments[0].task is urgent
         assert waiting == [normal]
 
     def test_fifo_among_equal_priority(self):
         pool = ResourcePool(local_machine(2))
         tasks = [make_task() for _ in range(2)]
-        assignments, _ = PriorityScheduler().assign(tasks, pool)
+        assignments, _ = assign(PriorityScheduler(), tasks, pool)
         assert [a.task for a in assignments] == tasks
 
 
@@ -103,7 +126,7 @@ class TestLocality:
         producer.node = "mn4-0003"
         consumer = make_task(name="consumer")
         sched.register_dependencies(consumer, [producer])
-        assignments, _ = sched.assign([consumer], pool)
+        assignments, _ = assign(sched, [consumer], pool)
         assert assignments[0].allocation.node == "mn4-0003"
 
     def test_falls_back_when_producer_node_full(self):
@@ -114,14 +137,14 @@ class TestLocality:
         pool.try_allocate(ResourceConstraint(cpu_units=48))  # fill node 1
         consumer = make_task()
         sched.register_dependencies(consumer, [producer])
-        assignments, _ = sched.assign([consumer], pool)
+        assignments, _ = assign(sched, [consumer], pool)
         assert assignments[0].allocation.node == "mn4-0002"
 
     def test_no_producers_behaves_like_fifo(self):
         pool = ResourcePool(mare_nostrum4(1))
         sched = LocalityScheduler()
         t = make_task()
-        assignments, _ = sched.assign([t], pool)
+        assignments, _ = assign(sched, [t], pool)
         assert assignments[0].task is t
 
 
@@ -140,7 +163,7 @@ class TestImplementSelection:
         )
         gpu_def.implementations.append(cpu_def)
         t = TaskInvocation(definition=gpu_def, args=(), kwargs={})
-        assignments, _ = FIFOScheduler().assign([t], pool)
+        assignments, _ = assign(FIFOScheduler(), [t], pool)
         assert assignments[0].implementation is cpu_def
 
     def test_primary_preferred_when_possible(self):
@@ -156,7 +179,7 @@ class TestImplementSelection:
         )
         gpu_def.implementations.append(cpu_def)
         t = TaskInvocation(definition=gpu_def, args=(), kwargs={})
-        assignments, _ = FIFOScheduler().assign([t], pool)
+        assignments, _ = assign(FIFOScheduler(), [t], pool)
         assert assignments[0].implementation is gpu_def
         assert assignments[0].allocation.gpu_units == 1
 
@@ -165,7 +188,7 @@ class TestMultinode:
     def test_spans_distinct_nodes(self):
         pool = ResourcePool(mare_nostrum4(3))
         t = make_task(cpu=48, nodes=2)
-        assignments, _ = FIFOScheduler().assign([t], pool)
+        assignments, _ = assign(FIFOScheduler(), [t], pool)
         a = assignments[0]
         nodes = {alloc.node for alloc in a.all_allocations}
         assert len(nodes) == 2
@@ -175,7 +198,7 @@ class TestMultinode:
         pool = ResourcePool(mare_nostrum4(2))
         pool.try_allocate(ResourceConstraint(cpu_units=48))
         t = make_task(cpu=48, nodes=2)
-        assignments, waiting = FIFOScheduler().assign([t], pool)
+        assignments, waiting = assign(FIFOScheduler(), [t], pool)
         assert not assignments and waiting == [t]
         # All-or-nothing: the probe must not leak allocations.
         assert pool.try_allocate(ResourceConstraint(cpu_units=48)) is not None
