@@ -126,7 +126,7 @@ class PyCOMPSsRunner:
     objective:
         The experiment body; defaults to real training
         (:func:`~repro.hpo.objective.train_experiment`).  Must be
-        picklable for the process backend.
+        picklable for the workers backend.
     constraint:
         Resources per experiment task — the paper's ``@constraint``
         (e.g. 1 CPU; or 48 CPUs; or 1 GPU + N CPUs).

@@ -738,9 +738,10 @@ class RecoveryManager:
 class StudySession:
     """One study's namespaced durability bundle inside a shared runtime.
 
-    The single-study runtime owns one keyer/journal/store/recovery
-    quartet; a multi-tenant service runs many studies over one runtime,
-    each with its *own* quartet rooted in a per-study checkpoint
+    Every runtime owns the solo session, study ``""``, whose empty
+    namespace keeps keys byte-identical to an unsalted keyer; a
+    multi-tenant service adds one session per study, each with its *own*
+    keyer/journal/store/recovery quartet rooted in a per-study checkpoint
     directory.  Keys are salted with the study id (see
     :class:`TaskKeyer`), so sibling studies can never interleave journal
     records or share task keys — the fault-isolation invariant the
@@ -767,6 +768,13 @@ class StudySession:
         self.checkpoint_store = checkpoint_store
         self.recovery = recovery
         self.tenant = tenant
+
+    def open(self, cluster: str) -> None:
+        """Mark one driver process's start in the study's journal."""
+        if self.journal is not None:
+            self.journal.open_session(
+                cluster=cluster, resumed=self.recovery is not None
+            )
 
     def close(self) -> None:
         """Flush and close the study's journal (idempotent)."""
@@ -806,14 +814,16 @@ def recover_lost_data(runtime: "COMPSsRuntime", node: str) -> List[str]:
     # Outputs that survive on disk are not "resident on the node" — but a
     # spill only counts as surviving if it passes verification; trusting
     # a corrupt spill here would skip the recompute AND restore garbage.
-    store = runtime.checkpoint_store
-    survives = {
-        t.task_id
-        for t in done_on_node
-        if store is not None
-        and t.task_key is not None
-        and store.verify(t.task_key) == "ok"
-    }
+    # Each task's spill lives in its own study's store.
+    survives = set()
+    for t in done_on_node:
+        store = runtime.checkpoint_store_for(t)
+        if (
+            store is not None
+            and t.task_key is not None
+            and store.verify(t.task_key) == "ok"
+        ):
+            survives.add(t.task_id)
     destroyed = {t.task_id: t for t in done_on_node if t.task_id not in survives}
     if not destroyed:
         return []

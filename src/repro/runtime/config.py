@@ -133,8 +133,8 @@ class RuntimeConfig:
         seconds awaiting a rejoin, then failed with a terminal
         :class:`~repro.runtime.fault.ResourceStarvationError` instead of
         hanging the study.  Must be positive; ``None`` disables the
-        watchdog (starved tasks raise immediately, the pre-churn
-        behaviour).
+        watchdog: starved tasks are held until a candidate node rejoins,
+        however long that takes, and never fail for starvation.
     preempt_checkpoint_epochs:
         Cooperative-preemption cadence: a preemptible trial polls its
         suspension flag every this-many completed epochs (riding the

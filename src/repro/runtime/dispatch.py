@@ -30,16 +30,18 @@ would accept, so a placement failure of such a task never blocks its
 class; the task is set aside for the round and retried on later rounds.
 
 **Multi-tenant service mode** adds a *study* dimension to the class
-heaps: class keys become ``(study, constraint_class)`` and, whenever a
-round sees queued work from two or more studies, heads are merged in
-fair-share order — priority first (higher wins), then stride-scheduled
-virtual time (cumulative placed CPU-units divided by the study's
-weight), recomputed at round time so shares track live usage.  Rounds
-with a single participating study take the unchanged legacy path, which
-is what keeps a solo run's placements byte-identical to a run without
-the service.  Per-tenant slot quotas are enforced here too: a class
-whose tenant is at its running-slot cap simply sits the round out (no
-blocking — the tenant's own releases re-trigger rounds).
+heaps: class keys are ``(study, constraint_class)`` (study ``""`` for
+the solo runtime).  One merge loop serves every round; its heads carry
+a fair-share rank ahead of the policy sort key.  The rank only varies
+when at least two studies have queued work — priority first (higher
+wins), then stride-scheduled virtual time (cumulative placed CPU-units
+divided by the study's weight), recomputed on every head push so shares
+track live usage.  Otherwise it is a constant, so a solo run's
+placements are byte-identical to a run without the service.  Quota and
+accounting apply always: every placement of a registered study advances
+its virtual time and charges its tenant, and a class whose tenant is at
+its running-slot cap sits the round out (no blocking — the tenant's own
+releases re-trigger rounds).
 
 Thread-safety: capacity notifications (:meth:`on_release`,
 :meth:`on_topology_change`) arrive from arbitrary threads with the pool
@@ -182,8 +184,8 @@ class DispatchEngine:
         #: allocates no fresh lists per completion batch).
         self._heads: List[Tuple] = []
         self._deferred: List[Tuple] = []
-        #: study id -> fair-share state (service mode only; empty for the
-        #: single-study runtime, which keeps every legacy code path).
+        #: study id -> fair-share state of registered studies (empty for
+        #: the solo runtime, whose study "" is never registered).
         self._studies: Dict[str, _StudyShare] = {}
 
     # ------------------------------------------------------------------
@@ -273,16 +275,22 @@ class DispatchEngine:
             return (0, 0.0, study)
         return (-share.priority, share.vtime, study)
 
-    def _tenant_at_quota(self, share: Optional[_StudyShare]) -> bool:
-        if share is None or share.max_tenant_slots is None:
+    def _head(self, cq: _ClassQueue, fair: bool) -> Tuple:
+        """Merge-loop head ``(rank, sort, seq, key)`` of a class queue.
+
+        The rank is a constant unless the round is ``fair`` (two or more
+        studies queued), so solo rounds merge in plain policy order.
+        """
+        sort, seq, _task = cq.heap[0]
+        return (self._rank(cq.study) if fair else 0, sort, seq, cq.key)
+
+    def _tenant_at_quota(self, share: _StudyShare) -> bool:
+        if share.max_tenant_slots is None:
             return False
         return self.pool.tenant_load(share.tenant) >= share.max_tenant_slots
 
-    def _charge_share(self, study: str, placed: Assignment) -> None:
+    def _charge_share(self, share: _StudyShare, placed: Assignment) -> None:
         """Account one placement against the study's share and tenant."""
-        share = self._studies.get(study)
-        if share is None:
-            return
         units = placed.allocation.cpu_units or 1
         for extra in placed.extra_allocations:
             units += extra.cpu_units or 1
@@ -569,14 +577,20 @@ class DispatchEngine:
     def _place_ready(
         self, quarantined: List[str], out: List[Assignment]
     ) -> None:
-        """One placement pass over the class-queue heads (shared core).
+        """One placement pass over the class-queue heads.
 
-        Appends assignments to ``out``.  Uses the pooled ``_heads`` /
-        ``_deferred`` scratch lists — no per-round allocations.
+        Appends assignments to ``out``.  Heads are ``(rank, sort, seq,
+        key)`` (see :meth:`_head`); in a fair round the rank is
+        recomputed on every re-push, because each placement advances its
+        study's vtime — which is what rotates service between tenants.
+        Every placement of a registered study is checked against its
+        tenant's slot quota and charged to its share.  Uses the pooled
+        ``_heads`` / ``_deferred`` scratch lists.
         """
         heads = self._heads
         blocked = self._blocked
         stats = self.stats
+        studies = self._studies
         multi_study = False
         first_study: Optional[str] = None
         for key, cq in self._classes.items():
@@ -587,37 +601,26 @@ class DispatchEngine:
             if restrict is not None and not restrict:
                 stats.blocked_skips += 1
                 continue
-            if cq.study:
-                share = self._studies.get(cq.study)
-                if share is not None and share.paused:
-                    stats.paused_skips += 1
-                    continue
+            share = studies.get(cq.study)
+            if share is not None and share.paused:
+                stats.paused_skips += 1
+                continue
             if first_study is None:
                 first_study = cq.study
             elif cq.study != first_study:
                 multi_study = True
-            entry = heap[0]
-            heads.append((entry[0], entry[1], key))
+            heads.append(self._head(cq, False))
         if not heads:
             return
-        if multi_study and self._studies:
-            # Two or more studies have queued work: merge heads in
-            # fair-share order instead of raw policy order.  Engaged only
-            # here, so a solo study's placements stay byte-identical to a
-            # run without the service.
+        fair = multi_study and bool(studies)
+        if fair:
             stats.fair_rounds += 1
-            shared = [
-                (self._rank(self._classes[k].study), s, q, k)
-                for (s, q, k) in heads
-            ]
-            heads.clear()
-            self._place_ready_shared(shared, quarantined, out)
-            return
-        if len(heads) == 1:
-            # Single participating class (the common case in homogeneous
-            # studies): within a class, heap order *is* policy order, so
-            # the lazy merge below adds nothing but overhead.
-            key = heads[0][2]
+            heads[:] = [self._head(self._classes[h[3]], True) for h in heads]
+        elif len(heads) == 1 and first_study not in studies:
+            # Single participating class of an unregistered study (the
+            # common case in homogeneous solo runs): within a class, heap
+            # order *is* policy order, so the merge adds only overhead.
+            key = heads[0][3]
             heads.clear()
             self._place_class(key, quarantined, out)
             return
@@ -625,7 +628,7 @@ class DispatchEngine:
         deferred = self._deferred
         try:
             while heads:
-                _sort, seq, key = heapq.heappop(heads)
+                _rank, _sort, seq, key = heapq.heappop(heads)
                 cq = self._classes[key]
                 heap = cq.heap
                 if not heap or heap[0][1] != seq:
@@ -639,8 +642,14 @@ class DispatchEngine:
                     self._queued.discard(task.task_id)
                     self._purged.discard(task.task_id)
                     if heap:
-                        nxt = heap[0]
-                        heapq.heappush(heads, (nxt[0], nxt[1], key))
+                        heapq.heappush(heads, self._head(cq, fair))
+                    continue
+                share = studies.get(cq.study)
+                if share is not None and self._tenant_at_quota(share):
+                    # Over quota: the whole class waits for a release from
+                    # one of the tenant's running tasks.  Not re-pushed —
+                    # quota state cannot change within the round.
+                    stats.quota_skips += 1
                     continue
                 stats.placement_probes += 1
                 try:
@@ -660,6 +669,8 @@ class DispatchEngine:
                 if placed is not None:
                     heapq.heappop(heap)
                     self._queued.discard(task.task_id)
+                    if share is not None:
+                        self._charge_share(share, placed)
                     out.append(placed)
                     stats.placed += 1
                     if heap:
@@ -670,15 +681,13 @@ class DispatchEngine:
                             # class is conclusively blocked again.
                             stats.blocked_skips += 1
                         else:
-                            nxt = heap[0]
-                            heapq.heappush(heads, (nxt[0], nxt[1], key))
+                            heapq.heappush(heads, self._head(cq, fair))
                 elif task.failed_nodes:
                     # Per-task avoid sets make this task stricter than its
                     # class: set it aside and give the next-in-class a go.
                     deferred.append(heapq.heappop(heap))
                     if heap:
-                        nxt = heap[0]
-                        heapq.heappush(heads, (nxt[0], nxt[1], key))
+                        heapq.heappush(heads, self._head(cq, fair))
                 else:
                     # Conclusively blocked at the current pool state:
                     # reset the restriction set — only nodes that free
@@ -694,104 +703,11 @@ class DispatchEngine:
                     heapq.heappush(self._classes[key].heap, entry)
                 deferred.clear()
 
-    def _place_ready_shared(
-        self,
-        shared: List[Tuple[Tuple, Tuple, int, Tuple]],
-        quarantined: List[str],
-        out: List[Assignment],
-    ) -> None:
-        """Fair-share merge loop for rounds where several studies compete.
-
-        ``shared`` holds 4-tuples ``(rank, sort, seq, class_key)`` — the
-        fair-share rank (priority band, then stride vtime) dominates, so
-        the study owed the most service places first; within a study the
-        policy sort order is preserved.  Ranks are recomputed on every
-        head re-push: each placement advances the study's vtime, which is
-        exactly what rotates service between tenants.  A class whose
-        tenant is at its slot quota sits the round out (releases trigger
-        new rounds, so no wake bookkeeping is needed).
-        """
-        blocked = self._blocked
-        stats = self.stats
-        studies = self._studies
-        heapq.heapify(shared)
-        deferred = self._deferred
-        try:
-            while shared:
-                _rank, _sort, seq, key = heapq.heappop(shared)
-                cq = self._classes[key]
-                heap = cq.heap
-                if not heap or heap[0][1] != seq:
-                    continue  # stale head entry
-                task = heap[0][2]
-                if task.task_id in self._purged:
-                    heapq.heappop(heap)
-                    self._queued.discard(task.task_id)
-                    self._purged.discard(task.task_id)
-                    if heap:
-                        nxt = heap[0]
-                        heapq.heappush(
-                            shared,
-                            (self._rank(cq.study), nxt[0], nxt[1], key),
-                        )
-                    continue
-                share = studies.get(cq.study)
-                if self._tenant_at_quota(share):
-                    # Over quota: the whole class waits for a release from
-                    # one of the tenant's running tasks.  Not re-pushed —
-                    # quota state cannot change within the round.
-                    stats.quota_skips += 1
-                    continue
-                stats.placement_probes += 1
-                try:
-                    placed = self.scheduler._try_place(
-                        task, self.pool, quarantined, blocked.get(key)
-                    )
-                except UnsatisfiableError as exc:
-                    if exc.permanent:
-                        raise
-                    blocked[key] = set()
-                    self._mark_starved(key, task, exc)
-                    continue
-                self._starved.pop(key, None)
-                if placed is not None:
-                    heapq.heappop(heap)
-                    self._queued.discard(task.task_id)
-                    self._charge_share(cq.study, placed)
-                    out.append(placed)
-                    stats.placed += 1
-                    if heap:
-                        restrict = blocked.get(key)
-                        if restrict is not None and not restrict:
-                            stats.blocked_skips += 1
-                        else:
-                            nxt = heap[0]
-                            heapq.heappush(
-                                shared,
-                                (self._rank(cq.study), nxt[0], nxt[1], key),
-                            )
-                elif task.failed_nodes:
-                    deferred.append(heapq.heappop(heap))
-                    if heap:
-                        nxt = heap[0]
-                        heapq.heappush(
-                            shared,
-                            (self._rank(cq.study), nxt[0], nxt[1], key),
-                        )
-                else:
-                    blocked[key] = set()
-        finally:
-            if deferred:
-                for entry in deferred:
-                    task = entry[2]
-                    key = (task.study, task.definition.constraint_class())
-                    heapq.heappush(self._classes[key].heap, entry)
-                deferred.clear()
-
     def _place_class(
         self, key: Tuple, quarantined: List[str], out: List[Assignment]
     ) -> None:
-        """Tight placement loop for a round with one participating class.
+        """Tight placement loop for a round with one participating class
+        whose study has no registered share (no quota, no accounting).
 
         Behaviourally identical to the merge loop in
         :meth:`_place_ready` when only one head exists: tasks are probed

@@ -82,6 +82,13 @@ def set_current(runtime: Optional["COMPSsRuntime"]) -> None:
         _current = runtime
 
 
+class _StudyScope(threading.local):
+    """Per-thread submission session; every thread starts in ``solo``."""
+
+    def __init__(self, solo: ckpt.StudySession) -> None:
+        self.session = solo
+
+
 class COMPSsRuntime:
     """One runtime session over a (real or simulated) cluster.
 
@@ -203,25 +210,16 @@ class COMPSsRuntime:
             if self.config.checkpoint_dir is not None
             else resume_path
         )
-        self.recovery: Optional[ckpt.RecoveryManager] = (
-            ckpt.RecoveryManager(resume_path, log=self.resilience)
-            if resume_path is not None
-            else None
+        #: The solo runtime is study "": its keyer / journal / store /
+        #: recovery bundle is built and looked up like any tenant's.
+        self._solo = self._build_session(
+            "", checkpoint_dir, resume_path, self.config.checkpoint_every
         )
-        self.keyer: Optional[ckpt.TaskKeyer] = None
-        self.journal: Optional[ckpt.WriteAheadJournal] = None
-        self.checkpoint_store: Optional[ckpt.CheckpointStore] = None
-        if checkpoint_dir is not None:
-            self.keyer = ckpt.TaskKeyer()
-            self.journal = ckpt.WriteAheadJournal(
-                checkpoint_dir / ckpt.JOURNAL_FILE,
-                fsync=self.config.journal_fsync,
-                buffer_records=self.config.journal_buffer_records,
-            )
-            self.checkpoint_store = ckpt.CheckpointStore(
-                checkpoint_dir / ckpt.OUTPUTS_DIR,
-                cadence=self.config.checkpoint_every,
-            )
+        # The solo session's members, read by callers and tests.
+        self.keyer = self._solo.keyer
+        self.journal = self._solo.journal
+        self.checkpoint_store = self._solo.checkpoint_store
+        self.recovery = self._solo.recovery
         # ---- Cross-trial reuse (content-addressed stage cache) ----
         #: One cache per runtime, shared by every study/tenant: content
         #: keys are namespace-free by design, so a stage one tenant
@@ -253,16 +251,15 @@ class COMPSsRuntime:
         #: keyer (not the journal one): content keys touch no occurrence
         #: state and must exist even when journaling is off.
         self._content_keyer = ckpt.TaskKeyer()
-        # ---- Multi-tenant service mode (repro serve) ----
-        #: Per-study sessions: namespaced keyer/journal/checkpoint/recovery
-        #: bundles keyed by study id.  Empty outside service mode, in which
-        #: case every code path below falls back to the session-less
-        #: attributes above and behaves exactly as before.
-        self._sessions: Dict[str, ckpt.StudySession] = {}
+        # ---- Study sessions (the solo one, plus repro serve tenants) ----
+        #: Open sessions keyed by study id; a task's ``study`` finds its
+        #: journal and store here (none once its study has closed).
+        self._sessions: Dict[str, ckpt.StudySession] = {"": self._solo}
         #: Thread-local submission scope: a study worker thread enters
         #: ``study_scope(session)`` so its submissions are keyed, journaled
-        #: and restored against that study's namespace.
-        self._study_local = threading.local()
+        #: and restored against that study's namespace; every other
+        #: thread submits into the solo session.
+        self._scope = _StudyScope(self._solo)
 
     def _make_executor(self) -> Executor:
         ex = self.config.executor
@@ -309,11 +306,7 @@ class COMPSsRuntime:
             # stop().
             self._gc_managed = True
             gc.freeze()
-        if self.journal is not None:
-            self.journal.open_session(
-                cluster=self.cluster.name,
-                resumed=self.recovery is not None,
-            )
+        self._solo.open(self.cluster.name)
         _log.info("runtime started on %s", self.cluster.name)
         return self
 
@@ -344,11 +337,9 @@ class COMPSsRuntime:
                     _log.warning("outstanding task failed during stop(): %s", exc)
         finally:
             self.executor.shutdown()
-            if self.journal is not None:
-                self.journal.close()
             for session in list(self._sessions.values()):
                 session.close()
-            self._sessions.clear()
+            self._sessions = {"": self._solo}
             self._joins.clear()
             set_current(None)
             self._started = False
@@ -381,19 +372,13 @@ class COMPSsRuntime:
         if not self._started:
             raise RuntimeError("runtime not started")
         invocation = TaskInvocation(definition=definition, args=args, kwargs=kwargs)
-        # Service mode: the submitting thread's study scope decides which
-        # namespace keys/journals/restores this task.  ``None`` outside
-        # service mode — the session-less attributes apply unchanged.
-        session: Optional[ckpt.StudySession] = getattr(
-            self._study_local, "session", None
+        # The submitting thread's study scope (the solo session outside
+        # service mode) decides which namespace keys/journals/restores it.
+        session = self._scope.session
+        invocation.study = session.study_id
+        keyer, journal, recovery = (
+            session.keyer, session.journal, session.recovery
         )
-        if session is not None:
-            invocation.study = session.study_id
-            keyer, journal, recovery = (
-                session.keyer, session.journal, session.recovery
-            )
-        else:
-            keyer, journal, recovery = self.keyer, self.journal, self.recovery
         # Cross-trial reuse: a content key this study already submitted
         # is joined onto that node (see _join_in_flight).  Only the first
         # submitter consults the disk cache, and BEFORE taking the
@@ -694,14 +679,12 @@ class COMPSsRuntime:
             self.access.revalidate_versions_written_by(task)
         if self.integrity is not None:
             self._seal_outputs(task, result)
-        session = self._sessions.get(task.study) if task.study else None
-        journal = session.journal if session is not None else self.journal
-        store = (
-            session.checkpoint_store if session is not None
-            else self.checkpoint_store
-        )
+        # A study closed before its task finished journals nowhere.
+        session = self._sessions.get(task.study)
+        journal = session.journal if session is not None else None
         if journal is not None and task.task_key is not None:
             stored = False
+            store = session.checkpoint_store
             if store is not None and store.should_spill():
                 stored = store.save(task.task_key, result)
             journal.append(
@@ -810,8 +793,8 @@ class COMPSsRuntime:
         self, task: TaskInvocation, kind: str, node: str = ""
     ) -> None:
         """Append a task record (executors journal failed attempts)."""
-        session = self._sessions.get(task.study) if task.study else None
-        journal = session.journal if session is not None else self.journal
+        session = self._sessions.get(task.study)
+        journal = session.journal if session is not None else None
         if journal is None or task.task_key is None:
             return
         journal.append(
@@ -871,10 +854,7 @@ class COMPSsRuntime:
         In service mode the calling thread's study scope selects which
         study's recovery is summarised.
         """
-        session: Optional[ckpt.StudySession] = getattr(
-            self._study_local, "session", None
-        )
-        recovery = session.recovery if session is not None else self.recovery
+        recovery = self._scope.session.recovery
         if recovery is None:
             return None
         stats = recovery.summary()
@@ -911,35 +891,21 @@ class COMPSsRuntime:
             raise ValueError("study_id must be non-empty")
         if study_id in self._sessions:
             raise ValueError(f"study {study_id!r} is already open")
-        keyer = ckpt.TaskKeyer(namespace=study_id)
-        journal: Optional[ckpt.WriteAheadJournal] = None
-        store: Optional[ckpt.CheckpointStore] = None
-        recovery: Optional[ckpt.RecoveryManager] = None
-        if checkpoint_dir is not None:
-            ckpt_path = Path(checkpoint_dir)
-            if (ckpt_path / ckpt.JOURNAL_FILE).exists():
-                # A journal from a previous daemon life: replay it so the
-                # completed prefix restores instead of re-executing.
-                recovery = ckpt.RecoveryManager(ckpt_path, log=self.resilience)
-            journal = ckpt.WriteAheadJournal(
-                ckpt_path / ckpt.JOURNAL_FILE,
-                fsync=self.config.journal_fsync,
-                buffer_records=self.config.journal_buffer_records,
-            )
-            store = ckpt.CheckpointStore(
-                ckpt_path / ckpt.OUTPUTS_DIR,
-                cadence=(
-                    checkpoint_every if checkpoint_every is not None
-                    else self.config.checkpoint_every
-                ),
-            )
-            journal.open_session(
-                cluster=self.cluster.name, resumed=recovery is not None,
-            )
-        session = ckpt.StudySession(
-            study_id, keyer=keyer, journal=journal,
-            checkpoint_store=store, recovery=recovery, tenant=tenant,
+        ckpt_path = Path(checkpoint_dir) if checkpoint_dir is not None else None
+        # A journal from a previous daemon life is replayed so the
+        # completed prefix restores instead of re-executing.
+        replay = (
+            ckpt_path
+            if ckpt_path is not None and (ckpt_path / ckpt.JOURNAL_FILE).exists()
+            else None
         )
+        session = self._build_session(
+            study_id, ckpt_path, replay,
+            checkpoint_every if checkpoint_every is not None
+            else self.config.checkpoint_every,
+            tenant=tenant,
+        )
+        session.open(self.cluster.name)
         with self.lock:
             self._sessions[study_id] = session
             # Under the runtime lock: the dispatch engine's share table is
@@ -950,8 +916,46 @@ class COMPSsRuntime:
             )
         return session
 
+    def _build_session(
+        self,
+        study_id: str,
+        checkpoint_dir: Optional[Path],
+        replay_dir: Optional[Path],
+        cadence: Optional[int],
+        tenant: str = "",
+    ) -> ckpt.StudySession:
+        """The one construction of a keyer / journal / store / recovery
+        bundle: the solo runtime's (study "") and every tenant study's.
+
+        ``replay_dir`` holds a previous life's journal to restore from;
+        without a ``checkpoint_dir`` nothing is keyed or journaled.
+        """
+        recovery = (
+            ckpt.RecoveryManager(replay_dir, log=self.resilience)
+            if replay_dir is not None
+            else None
+        )
+        if checkpoint_dir is None:
+            return ckpt.StudySession(study_id, recovery=recovery, tenant=tenant)
+        return ckpt.StudySession(
+            study_id,
+            keyer=ckpt.TaskKeyer(namespace=study_id),
+            journal=ckpt.WriteAheadJournal(
+                checkpoint_dir / ckpt.JOURNAL_FILE,
+                fsync=self.config.journal_fsync,
+                buffer_records=self.config.journal_buffer_records,
+            ),
+            checkpoint_store=ckpt.CheckpointStore(
+                checkpoint_dir / ckpt.OUTPUTS_DIR, cadence=cadence
+            ),
+            recovery=recovery,
+            tenant=tenant,
+        )
+
     def close_study(self, study_id: str) -> None:
         """Close a study session: flush its journal, drop its share lane."""
+        if not study_id:
+            raise ValueError("the solo session closes with the runtime")
         with self.lock:
             session = self._sessions.pop(study_id, None)
             self._joins.pop(study_id, None)
@@ -963,6 +967,13 @@ class COMPSsRuntime:
         """The open session for ``study_id`` (None when unknown)."""
         return self._sessions.get(study_id)
 
+    def checkpoint_store_for(
+        self, task: TaskInvocation
+    ) -> Optional[ckpt.CheckpointStore]:
+        """The spill store of ``task``'s study (None once it closed)."""
+        session = self._sessions.get(task.study)
+        return session.checkpoint_store if session is not None else None
+
     def preempt_spill_dir(self) -> Optional[Path]:
         """Directory for suspend spills in the calling thread's scope.
 
@@ -973,11 +984,7 @@ class COMPSsRuntime:
         directory is configured, since warm suspension without a durable
         spill target would silently be a cold restart.
         """
-        session = getattr(self._study_local, "session", None)
-        store = (
-            session.checkpoint_store if session is not None
-            else self.checkpoint_store
-        )
+        store = self._scope.session.checkpoint_store
         if store is None:
             return None
         return store.directory.parent / "preempt"
@@ -988,15 +995,15 @@ class COMPSsRuntime:
 
         Worker threads of the service daemon wrap each study's runner in
         this scope; everything the study submits is keyed, journaled and
-        restored against the study's namespace, while other threads (and
-        session-less callers) are untouched.
+        restored against the study's namespace, while other threads stay
+        in theirs (the solo session unless scoped).
         """
-        previous = getattr(self._study_local, "session", None)
-        self._study_local.session = session
+        scope = self._scope
+        previous, scope.session = scope.session, session
         try:
             yield
         finally:
-            self._study_local.session = previous
+            scope.session = previous
 
     def abandon_study(
         self, study_id: str, reason: str = "", kind: str = STUDY_FAILED
@@ -1237,25 +1244,17 @@ class COMPSsRuntime:
         """
         protected = 0
         with self.lock:
-            if self.checkpoint_store is not None or self._sessions:
-                done_here = [
-                    t for t in self.graph.tasks()
-                    if t.state == TaskState.DONE and t.node == node
-                ]
-                for task in done_here:
-                    session = (
-                        self._sessions.get(task.study) if task.study else None
-                    )
-                    store = (
-                        session.checkpoint_store if session is not None
-                        else self.checkpoint_store
-                    )
-                    if (
-                        store is not None
-                        and task.task_key is not None
-                        and store.save(task.task_key, task.result)
-                    ):
-                        protected += 1
+            for task in self.graph.tasks():
+                # Only a journaled (keyed) task has a store to spill to.
+                if (
+                    task.task_key is None
+                    or task.state != TaskState.DONE
+                    or task.node != node
+                ):
+                    continue
+                store = self.checkpoint_store_for(task)
+                if store is not None and store.save(task.task_key, task.result):
+                    protected += 1
             if self.integrity is not None:
                 targets = [
                     w.name

@@ -13,11 +13,51 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.runtime import resilience as rsl
 from repro.runtime.resilience import ResilienceEvent, ResilienceLog
 from repro.runtime.tracing.extrae import TaskRecord, TraceRecorder
 from repro.util.validation import check_positive
 
 CoreKey = Tuple[str, str, int]  # (node, "cpu"|"gpu", index)
+
+#: ``(roll-up, key, event kind)`` rows behind the six resilience
+#: roll-ups (``worker_churn`` … ``reuse``): each returns its rows' keys,
+#: in table order, mapped to the count of their event kind.
+_ROLLUPS = (
+    ("worker_churn", "crashes", rsl.WORKER_CRASH),
+    ("worker_churn", "hard_kills", rsl.WORKER_KILLED),
+    ("worker_churn", "recycles", rsl.WORKER_RECYCLED),
+    ("worker_churn", "poisoned_tasks", rsl.POISON_TASK),
+    ("data_integrity", "corruptions", rsl.DATA_CORRUPT),
+    ("data_integrity", "replica_repairs", rsl.REPLICA_REPAIR),
+    ("data_integrity", "recomputes", rsl.INTEGRITY_RECOMPUTE),
+    ("data_integrity", "transfer_retries", rsl.TRANSFER_RETRY),
+    ("data_integrity", "transfer_failures", rsl.TRANSFER_FAILED),
+    ("churn", "preemption_notices", rsl.PREEMPTION_NOTICE),
+    ("churn", "drains_started", rsl.NODE_DRAINING),
+    ("churn", "drains_completed", rsl.DRAIN_COMPLETE),
+    ("churn", "drain_deadline_escalations", rsl.DRAIN_DEADLINE),
+    ("churn", "nodes_lost", rsl.NODE_LOST),
+    ("churn", "nodes_rejoined", rsl.NODE_REJOINED),
+    ("churn", "classes_starved", rsl.CLASS_STARVED),
+    ("churn", "upstream_cancellations", rsl.UPSTREAM_CANCELLED),
+    ("service", "studies_admitted", rsl.STUDY_ADMITTED),
+    ("service", "studies_completed", rsl.STUDY_COMPLETED),
+    ("service", "studies_failed", rsl.STUDY_FAILED),
+    ("service", "studies_cancelled", rsl.STUDY_CANCELLED),
+    ("service", "studies_suspended", rsl.STUDY_SUSPENDED),
+    ("service", "loads_shed", rsl.LOAD_SHED),
+    ("preemption", "trials_suspended", rsl.TRIAL_SUSPENDED),
+    ("preemption", "suspend_spills", rsl.SUSPEND_SPILL),
+    ("preemption", "trials_resumed", rsl.TRIAL_RESUMED),
+    ("preemption", "rung_promotions", rsl.RUNG_PROMOTION),
+    ("preemption", "studies_suspended", rsl.STUDY_SUSPENDED),
+    ("reuse", "cache_hits", rsl.CACHE_HIT),
+    ("reuse", "cache_misses", rsl.CACHE_MISS),
+    ("reuse", "joined", rsl.CACHE_JOIN),
+    ("reuse", "cache_corrupt", rsl.CACHE_CORRUPT),
+    ("reuse", "cache_evictions", rsl.CACHE_EVICT),
+)
 
 
 class TraceAnalysis:
@@ -215,6 +255,15 @@ class TraceAnalysis:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
 
+    def _rollup(self, name: str) -> Dict[str, int]:
+        """The ``name`` roll-up of :data:`_ROLLUPS` over the log."""
+        counts = self.resilience_counts()
+        return {
+            key: counts.get(kind, 0)
+            for rollup, key, kind in _ROLLUPS
+            if rollup == name
+        }
+
     def worker_churn(self) -> Dict[str, int]:
         """Worker-pool lifecycle summary (``backend="workers"`` studies).
 
@@ -222,15 +271,7 @@ class TraceAnalysis:
         recycles, and poison-task quarantines — the process-churn view of
         a supervised-pool run (all zero on other backends).
         """
-        from repro.runtime import resilience as rsl
-
-        counts = self.resilience_counts()
-        return {
-            "crashes": counts.get(rsl.WORKER_CRASH, 0),
-            "hard_kills": counts.get(rsl.WORKER_KILLED, 0),
-            "recycles": counts.get(rsl.WORKER_RECYCLED, 0),
-            "poisoned_tasks": counts.get(rsl.POISON_TASK, 0),
-        }
+        return self._rollup("worker_churn")
 
     def data_integrity(self) -> Dict[str, int]:
         """Data-plane integrity summary (``verify_outputs`` studies).
@@ -240,16 +281,7 @@ class TraceAnalysis:
         data-integrity view of a run (all zero when verification is off
         and no transfer chaos was injected).
         """
-        from repro.runtime import resilience as rsl
-
-        counts = self.resilience_counts()
-        return {
-            "corruptions": counts.get(rsl.DATA_CORRUPT, 0),
-            "replica_repairs": counts.get(rsl.REPLICA_REPAIR, 0),
-            "recomputes": counts.get(rsl.INTEGRITY_RECOMPUTE, 0),
-            "transfer_retries": counts.get(rsl.TRANSFER_RETRY, 0),
-            "transfer_failures": counts.get(rsl.TRANSFER_FAILED, 0),
-        }
+        return self._rollup("data_integrity")
 
     def churn(self) -> Dict[str, int]:
         """Node-churn summary (elastic / spot-market studies).
@@ -261,19 +293,7 @@ class TraceAnalysis:
         terminally — the cluster-elasticity view of a run (all zero on
         a static cluster).
         """
-        from repro.runtime import resilience as rsl
-
-        counts = self.resilience_counts()
-        return {
-            "preemption_notices": counts.get(rsl.PREEMPTION_NOTICE, 0),
-            "drains_started": counts.get(rsl.NODE_DRAINING, 0),
-            "drains_completed": counts.get(rsl.DRAIN_COMPLETE, 0),
-            "drain_deadline_escalations": counts.get(rsl.DRAIN_DEADLINE, 0),
-            "nodes_lost": counts.get(rsl.NODE_LOST, 0),
-            "nodes_rejoined": counts.get(rsl.NODE_REJOINED, 0),
-            "classes_starved": counts.get(rsl.CLASS_STARVED, 0),
-            "upstream_cancellations": counts.get(rsl.UPSTREAM_CANCELLED, 0),
-        }
+        return self._rollup("churn")
 
     def service(self) -> Dict[str, int]:
         """Multi-tenant service summary (``repro serve`` daemons).
@@ -283,17 +303,7 @@ class TraceAnalysis:
         daemon life (all zero outside service mode).  Suspension is
         distinct from shedding: suspended studies parked warm and resume.
         """
-        from repro.runtime import resilience as rsl
-
-        counts = self.resilience_counts()
-        return {
-            "studies_admitted": counts.get(rsl.STUDY_ADMITTED, 0),
-            "studies_completed": counts.get(rsl.STUDY_COMPLETED, 0),
-            "studies_failed": counts.get(rsl.STUDY_FAILED, 0),
-            "studies_cancelled": counts.get(rsl.STUDY_CANCELLED, 0),
-            "studies_suspended": counts.get(rsl.STUDY_SUSPENDED, 0),
-            "loads_shed": counts.get(rsl.LOAD_SHED, 0),
-        }
+        return self._rollup("service")
 
     def preemption(self) -> Dict[str, int]:
         """Cooperative trial-preemption summary.
@@ -303,16 +313,7 @@ class TraceAnalysis:
         promotions and whole-study suspensions — the warm pause/resume
         view of a run (all zero when preemption never triggered).
         """
-        from repro.runtime import resilience as rsl
-
-        counts = self.resilience_counts()
-        return {
-            "trials_suspended": counts.get(rsl.TRIAL_SUSPENDED, 0),
-            "suspend_spills": counts.get(rsl.SUSPEND_SPILL, 0),
-            "trials_resumed": counts.get(rsl.TRIAL_RESUMED, 0),
-            "rung_promotions": counts.get(rsl.RUNG_PROMOTION, 0),
-            "studies_suspended": counts.get(rsl.STUDY_SUSPENDED, 0),
-        }
+        return self._rollup("preemption")
 
     def reuse(self) -> Dict[str, int]:
         """Cross-trial reuse-cache summary (verified stage memoisation).
@@ -322,16 +323,7 @@ class TraceAnalysis:
         at verify time and LRU evictions — the stage-reuse view of a run
         (all zero when the cache is off).
         """
-        from repro.runtime import resilience as rsl
-
-        counts = self.resilience_counts()
-        return {
-            "cache_hits": counts.get(rsl.CACHE_HIT, 0),
-            "cache_misses": counts.get(rsl.CACHE_MISS, 0),
-            "joined": counts.get(rsl.CACHE_JOIN, 0),
-            "cache_corrupt": counts.get(rsl.CACHE_CORRUPT, 0),
-            "cache_evictions": counts.get(rsl.CACHE_EVICT, 0),
-        }
+        return self._rollup("reuse")
 
     def dispatch(self) -> Dict[str, float]:
         """Dispatch/batching summary (batched scheduling observability).

@@ -1,6 +1,7 @@
 """Crash-consistency tests: write-ahead journal, checkpoint store,
 recovery manager, exactly-once resume, and lineage-based data recovery."""
 
+import contextlib
 import json
 import pickle
 from collections import Counter
@@ -462,7 +463,10 @@ def consume(v, tag):
 
 
 class TestLineageRecovery:
-    def _run(self, tmp_path=None, destroy_data=True, checkpoint=False):
+    def _run(self, tmp_path=None, destroy_data=True, checkpoint=False,
+             study=False):
+        """The node-loss scenario; ``study`` runs it inside a study
+        session that owns the checkpoint directory."""
         PRODUCE_CALLS.clear()
         plan = FailurePlan()
         plan.fail_node("n0", time=5.0, recovery_time=50.0,
@@ -473,15 +477,22 @@ class TestLineageRecovery:
             execute_bodies=True,
             failure_injector=FailureInjector(plan),
             duration_fn=lambda t, s, a: 4.0,
-            checkpoint_dir=str(tmp_path) if checkpoint else None,
+            checkpoint_dir=str(tmp_path) if checkpoint and not study else None,
         )
         rt = COMPSsRuntime(cfg).start()
         p_def = make_def("produce", produce)
         c_def = make_def("consume", consume)
+        scope = (
+            rt.study_scope(rt.open_study(
+                "s", checkpoint_dir=tmp_path if checkpoint else None
+            ))
+            if study else contextlib.nullcontext()
+        )
         try:
-            ps = [rt.submit(p_def, (i,), {}) for i in range(6)]
-            cs = [rt.submit(c_def, (p, i), {}) for i, p in enumerate(ps)]
-            results = rt.wait_on(cs)
+            with scope:
+                ps = [rt.submit(p_def, (i,), {}) for i in range(6)]
+                cs = [rt.submit(c_def, (p, i), {}) for i, p in enumerate(ps)]
+                results = rt.wait_on(cs)
         finally:
             rt.stop(wait=False)
         return rt, results
@@ -514,9 +525,12 @@ class TestLineageRecovery:
         [event] = [e for e in rt.resilience.events if e.kind == rsl.NODE_LOST]
         assert "destroyed 0 data version(s)" in event.detail
 
-    def test_checkpointed_outputs_survive_node_loss(self, tmp_path):
-        """Spilled outputs are not resident on the node: no re-execution."""
-        rt, results = self._run(tmp_path=tmp_path, checkpoint=True)
+    @pytest.mark.parametrize("study", [False, True], ids=["solo", "study"])
+    def test_checkpointed_outputs_survive_node_loss(self, tmp_path, study):
+        """Spilled outputs are not resident on the node: no re-execution,
+        whether the solo runtime or a study session spilled them."""
+        rt, results = self._run(tmp_path=tmp_path, checkpoint=True,
+                                study=study)
         assert results == [i * 10 + i for i in range(6)]
         assert rt.resilience.counts().get(rsl.LINEAGE_RECOVERY, 0) == 0
         assert sum(PRODUCE_CALLS.values()) == 6

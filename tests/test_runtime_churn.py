@@ -363,6 +363,22 @@ class TestStarvationWatchdog:
         finally:
             rt.stop(wait=False)
 
+    def test_no_timeout_holds_starved_class_until_rejoin(self):
+        # starvation_timeout_s=None disables the watchdog: the starved GPU
+        # task is held through an outage far longer than any timeout,
+        # never fails for starvation, and places once the node rejoins.
+        churn = ChurnPlan().storm(10.0, "gpu-0001", rejoin_at=5000.0)
+        rt = self.gpu_runtime(churn, starvation_timeout_s=None)
+        try:
+            gpu_fut = rt.submit(definition("train", cpu=4, gpu=1), (1,), {})
+            assert compss_wait_on(gpu_fut) == 1
+            assert rt.resilience.of_kind(rsl.CLASS_STARVED)
+            done = [r for r in rt.tracer.records if r.success]
+            assert done[-1].node == "gpu-0001"
+            assert done[-1].start >= 5000.0
+        finally:
+            rt.stop(wait=False)
+
     def test_permanently_unsatisfiable_still_raises_immediately(self):
         # No node in the cluster could *ever* host the constraint: that
         # stays an immediate, permanent error — not a starvation hold.

@@ -540,6 +540,28 @@ class TestFairShareScheduling:
         (next_placed,) = engine.schedule_round()
         assert next_placed.task.study == "capped"
 
+        # A lone capped study: the quota holds with no competitor, and
+        # its running slots are charged to the tenant.
+        pool = ResourcePool(local_machine(4))
+        engine = DispatchEngine(FIFOScheduler(), pool)
+        pool.listener = engine
+        engine.register_study("capped", tenant="acme", max_tenant_slots=2)
+        engine.ingest([make_study_task("capped") for _ in range(4)])
+        capped = engine.schedule_round()
+        assert len(capped) == 2
+        assert pool.tenant_load("acme") == 2
+        assert engine.stats.quota_skips > 0
+        # A neighbour arrives: the earlier slots still count, so the
+        # capped tenant stays at quota and the neighbour fills the rest.
+        engine.register_study("free", tenant="other")
+        engine.ingest([make_study_task("free") for _ in range(2)])
+        placed = engine.schedule_round()
+        assert [a.task.study for a in placed] == ["free", "free"]
+        assert pool.tenant_load("acme") == 2
+        pool.release(capped[0].allocation)
+        (next_placed,) = engine.schedule_round()
+        assert next_placed.task.study == "capped"
+
     def test_single_study_run_keeps_legacy_path(self):
         """Placements with one registered study are byte-identical to a
         plain run, and the fair-share merge never engages."""

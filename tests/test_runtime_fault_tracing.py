@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.runtime import resilience as rsl
 from repro.runtime.fault import FaultAction, RetryPolicy, TaskFailedError
+from repro.runtime.resilience import ResilienceLog
 from repro.runtime.task_definition import TaskDefinition, TaskInvocation
 from repro.runtime.tracing import (
     TaskRecord,
@@ -172,6 +174,78 @@ class TestTraceAnalysis:
     def test_summary(self):
         out = self.build([record()]).summary()
         assert "makespan" in out and "tasks: 1" in out
+
+    #: Every resilience roll-up: its keys in order, each with the event
+    #: kind it counts.
+    ROLLUPS = {
+        "worker_churn": [
+            ("crashes", rsl.WORKER_CRASH),
+            ("hard_kills", rsl.WORKER_KILLED),
+            ("recycles", rsl.WORKER_RECYCLED),
+            ("poisoned_tasks", rsl.POISON_TASK),
+        ],
+        "data_integrity": [
+            ("corruptions", rsl.DATA_CORRUPT),
+            ("replica_repairs", rsl.REPLICA_REPAIR),
+            ("recomputes", rsl.INTEGRITY_RECOMPUTE),
+            ("transfer_retries", rsl.TRANSFER_RETRY),
+            ("transfer_failures", rsl.TRANSFER_FAILED),
+        ],
+        "churn": [
+            ("preemption_notices", rsl.PREEMPTION_NOTICE),
+            ("drains_started", rsl.NODE_DRAINING),
+            ("drains_completed", rsl.DRAIN_COMPLETE),
+            ("drain_deadline_escalations", rsl.DRAIN_DEADLINE),
+            ("nodes_lost", rsl.NODE_LOST),
+            ("nodes_rejoined", rsl.NODE_REJOINED),
+            ("classes_starved", rsl.CLASS_STARVED),
+            ("upstream_cancellations", rsl.UPSTREAM_CANCELLED),
+        ],
+        "service": [
+            ("studies_admitted", rsl.STUDY_ADMITTED),
+            ("studies_completed", rsl.STUDY_COMPLETED),
+            ("studies_failed", rsl.STUDY_FAILED),
+            ("studies_cancelled", rsl.STUDY_CANCELLED),
+            ("studies_suspended", rsl.STUDY_SUSPENDED),
+            ("loads_shed", rsl.LOAD_SHED),
+        ],
+        "preemption": [
+            ("trials_suspended", rsl.TRIAL_SUSPENDED),
+            ("suspend_spills", rsl.SUSPEND_SPILL),
+            ("trials_resumed", rsl.TRIAL_RESUMED),
+            ("rung_promotions", rsl.RUNG_PROMOTION),
+            ("studies_suspended", rsl.STUDY_SUSPENDED),
+        ],
+        "reuse": [
+            ("cache_hits", rsl.CACHE_HIT),
+            ("cache_misses", rsl.CACHE_MISS),
+            ("joined", rsl.CACHE_JOIN),
+            ("cache_corrupt", rsl.CACHE_CORRUPT),
+            ("cache_evictions", rsl.CACHE_EVICT),
+        ],
+    }
+
+    def test_resilience_rollups_are_pinned(self):
+        def rollups(times):
+            log = ResilienceLog()
+            for kind in rsl.EVENT_KINDS:
+                for _ in range(times(kind)):
+                    log.record(0.0, kind)
+            ana = TraceAnalysis(TraceRecorder(), log)
+            return {name: list(getattr(ana, name)().items())
+                    for name in self.ROLLUPS}
+
+        # One event of every kind: keys and key order, every count 1.
+        assert rollups(lambda kind: 1) == {
+            name: [(key, 1) for key, _ in rows]
+            for name, rows in self.ROLLUPS.items()
+        }
+        # A distinct count per kind: each key counts its own kind.
+        weight = {kind: i + 1 for i, kind in enumerate(rsl.EVENT_KINDS)}
+        assert rollups(weight.get) == {
+            name: [(key, weight[kind]) for key, kind in rows]
+            for name, rows in self.ROLLUPS.items()
+        }
 
 
 class TestParaverExport:
