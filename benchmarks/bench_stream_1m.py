@@ -10,15 +10,18 @@ retaining O(n) completed-task state.
 Tasks are submitted in waves (``compss_wait_on`` per wave, futures
 dropped between waves) so the *client-side* future list is bounded too;
 the interesting measurement is the runtime's retained state, sampled as
-RSS after every wave.
+RSS after every wave.  RSS is also sampled before the first wave: the
+growth over wave 1 divided by the wave size, ``live_kb_per_task``, is
+what one in-flight task costs (a whole wave is live at once).
 
 Two entry points:
 
 * ``pytest benchmarks/bench_stream_1m.py`` — CI smoke.  Runs a reduced
   task count (default 200k, override with ``BENCH_STREAM_TASKS``) and
-  fails if RSS growth between the first and last wave exceeds the
-  ceiling in ``benchmarks/perf_thresholds.json``, if fewer than 99% of
-  tasks were freed, or if throughput regresses.
+  fails if RSS growth between the first and last wave or the live
+  per-task footprint exceeds its ceiling in
+  ``benchmarks/perf_thresholds.json``, if fewer than 99% of tasks were
+  freed, or if throughput regresses.
 * ``python benchmarks/bench_stream_1m.py`` — the full 1M-task run;
   writes the machine-readable ``BENCH_stream.json`` to the repo root.
 """
@@ -70,7 +73,8 @@ def run_stream(n_tasks: int, journal_dir=None) -> dict:
     ``rss_growth_mb`` is measured from *after the first wave* (which
     pays one-off costs: code objects, allocator pools, the journal
     file handle) to the end of the run — that slope is what must stay
-    flat for the 1M regime to be memory-safe.
+    flat for the 1M regime to be memory-safe.  ``live_kb_per_task`` is
+    the growth *over* the first wave per task of that wave.
     """
     cfg = RuntimeConfig(
         cluster=local_machine(N_CORES),
@@ -86,11 +90,14 @@ def run_stream(n_tasks: int, journal_dir=None) -> dict:
     rss_per_wave = []
     start = time.perf_counter()
     with COMPSs(cfg) as rt:
+        rss_before = rss_mb()
         done = 0
         while done < n_tasks:
             wave = min(WAVE, n_tasks - done)
             compss_wait_on([tiny(i) for i in range(done, done + wave)])
             done += wave
+            if not rss_per_wave:
+                live_kb = (rss_mb() - rss_before) * 1024.0 / wave
             rss_per_wave.append(round(rss_mb(), 1))
         elapsed = time.perf_counter() - start
         freed = rt.graph.freed_tasks
@@ -108,6 +115,8 @@ def run_stream(n_tasks: int, journal_dir=None) -> dict:
         "freed_tasks": freed,
         "freed_fraction": round(freed / n_tasks, 4),
         "live_tasks_at_end": live,
+        "rss_before_first_wave_mb": round(rss_before, 1),
+        "live_kb_per_task": round(live_kb, 3),
         "rss_after_first_wave_mb": rss_per_wave[0],
         "rss_final_mb": rss_per_wave[-1],
         "rss_peak_mb": max(rss_per_wave),
@@ -125,6 +134,10 @@ def report(data: dict) -> None:
         f"freed {data['freed_fraction'] * 100:.1f}%"
     )
     print(
+        f"RSS start={data['rss_before_first_wave_mb']} MiB  "
+        f"live={data['live_kb_per_task']} KiB/task over wave 1"
+    )
+    print(
         f"RSS wave1={data['rss_after_first_wave_mb']} MiB  "
         f"final={data['rss_final_mb']} MiB  "
         f"growth={data['rss_growth_mb']} MiB over "
@@ -140,6 +153,9 @@ def test_stream_smoke(tmp_path):
     report(data)
     assert data["freed_fraction"] >= 0.99, data
     assert data["rss_growth_mb"] < thresholds["stream_rss_growth_mb_max"], data
+    assert (
+        data["live_kb_per_task"] < thresholds["stream_live_kb_per_task_max"]
+    ), data
     assert (
         data["tasks_per_sec"] > thresholds["stream_min_tasks_per_sec"]
     ), data

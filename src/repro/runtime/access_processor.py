@@ -18,11 +18,19 @@ future's datum.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.pycompss_api.parameter import ParameterSpec
 from repro.runtime.future import Future, is_future
 from repro.runtime.task_definition import TaskInvocation
+
+#: Exact types that can never create a dependency edge: not trackable
+#: (:meth:`AccessProcessor._is_trackable`), never a FILE path (strings stay
+#: out — they can name files) and never a future.  The submit path skips
+#: the access scan and the executors skip the future walk for arguments
+#: of only these types.  Exact-type check on purpose: an int subclass
+#: falls through to the full path, which handles it like before.
+DEP_FREE_TYPES = frozenset((int, float, complex, bool, type(None)))
 
 
 class DataVersion:
@@ -33,7 +41,9 @@ class DataVersion:
     dataclass ctor alone was the single largest cost at 100k tasks.
 
     Attributes: ``writer`` is the producing task (None for main-program
-    data); ``readers`` the tasks that read this version; ``invalidated``
+    data); ``readers`` the tasks that read this version (the shared empty
+    tuple until the first read — most versions are never read by a
+    task); ``invalidated``
     is set when the version's bytes were lost with a failed node and
     cleared when the writer re-executes (lineage recovery); ``checksum``
     is the content digest sealed at write time by the integrity layer
@@ -53,7 +63,7 @@ class DataVersion:
         self.data_id = data_id
         self.version = version
         self.writer = writer
-        self.readers: List[TaskInvocation] = []
+        self.readers: Sequence[TaskInvocation] = ()
         self.invalidated = False
         self.checksum: Optional[str] = None
 
@@ -129,7 +139,6 @@ class AccessProcessor:
             writer = fut.invocation
             info = DataInfo(next(self._data_ids))
             version = info.new_version(writer=writer)
-            writer.writes.append(version.label)
             by_writer = self._by_writer
             tid = writer.task_id
             versions = by_writer.get(tid)
@@ -187,8 +196,10 @@ class AccessProcessor:
         if spec.direction.reads:
             if current.writer is not None and current.writer is not task:
                 deps.add(current.writer)
-            current.readers.append(task)
-            task.reads.append(current.label)
+            if current.readers:
+                current.readers.append(task)
+            else:
+                current.readers = [task]
             labels.append(current.label)
         if spec.direction.writes:
             # Anti-dependency: a writer must wait for earlier readers.
@@ -198,7 +209,6 @@ class AccessProcessor:
             if current.writer is not None and current.writer is not task:
                 deps.add(current.writer)
             new = info.new_version(writer=task)
-            task.writes.append(new.label)
             self._track_writer(new)
             labels.append(new.label)
         return deps, labels

@@ -884,9 +884,12 @@ def recover_lost_data(runtime: "COMPSsRuntime", node: str) -> List[str]:
     from repro.runtime import resilience as rsl
 
     for t in sorted(to_rerun.values(), key=lambda t: t.task_id):
+        written = ",".join(
+            v.label for v in runtime.access.versions_written_by(t)
+        )
         runtime.resilience.record(
             runtime.executor.clock(), rsl.LINEAGE_RECOVERY, t.label, node,
-            detail=f"re-materialising {','.join(t.writes) or t.label}",
+            detail=f"re-materialising {written or t.label}",
         )
     _log.info(
         "node %s lost %d data version(s); re-executing %d task(s) "

@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CH
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
+from repro.runtime.access_processor import DEP_FREE_TYPES
 from repro.runtime.fault import (
     FaultAction,
     ResourceStarvationError,
@@ -307,7 +308,7 @@ class Executor(abc.ABC):
             # Another attempt already resolved (or is still racing) this
             # task: this failure must not consume the retry budget's
             # terminal decision.
-            task.attempt_history.append(
+            task.add_history(
                 f"attempt {task.attempts} on {failed_on}: {exc!r} -> "
                 "backup still running"
             )
@@ -315,7 +316,7 @@ class Executor(abc.ABC):
         action, delay, line = decide_failure(
             runtime.retry_policy, task, exc, node, lost_node is not None
         )
-        task.attempt_history.append(line)
+        task.add_history(line)
         _log.info(
             "t=%.1f task %s failed (attempt %d): %s -> %s",
             now, task.label, task.attempts, exc, action.value,
@@ -360,7 +361,7 @@ class Executor(abc.ABC):
         """Send the task back to the ready queue, away from its failed node."""
         assert self.runtime is not None
         task = assignment.task
-        task.failed_nodes.append(assignment.allocation.node)
+        task.add_failed_node(assignment.allocation.node)
         task.state = TaskState.READY
         self.runtime.graph.requeue([task])
         self._dispatch()
@@ -385,7 +386,7 @@ class Executor(abc.ABC):
                 for impl in task.definition.all_candidates()
             )
             exc = ResourceStarvationError(task.label, names, waited)
-            task.attempt_history.append(f"starved for {waited:g}s: {exc}")
+            task.add_history(f"starved for {waited:g}s: {exc}")
             self._give_up(task, exc, "", now)
 
     # ------------------------------------------------------------------
@@ -494,8 +495,18 @@ class Executor(abc.ABC):
         Only containers that hold a future are rebuilt — anything else,
         ``task.args`` and ``task.kwargs`` included, is passed through as
         the same object, so INOUT mutations land on the caller's object.
+        A call of only dep-free scalars (the common HPO task) skips the
+        recursive future walk.
         """
-        return _resolve(task.args), _resolve(task.kwargs)
+        args, kwargs = task.args, task.kwargs
+        if not kwargs:
+            free = DEP_FREE_TYPES
+            for value in args:
+                if type(value) not in free:
+                    break
+            else:
+                return args, kwargs
+        return _resolve(args), _resolve(kwargs)
 
     @staticmethod
     def fan_out_result(task: TaskInvocation, futures: List[Future], result: Any) -> None:

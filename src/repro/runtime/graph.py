@@ -5,12 +5,13 @@ edges carry the data-version labels produced by the access processor.
 The graph maintains the ready set (tasks whose predecessors have all
 completed) consumed by the scheduler.
 
-Adjacency is plain dict-of-lists (insertion-ordered, matching the edge
-iteration order of the earlier networkx backend) — the graph sits on the
-submit/complete hot path, and dict operations are several times cheaper
-than DiGraph node/edge bookkeeping at million-task scale.  A
-:attr:`nx_graph` view is still built on demand for callers that want the
-networkx API.
+Adjacency is plain dict-of-lists — the graph sits on the submit/complete
+hot path, and dict operations are several times cheaper than DiGraph
+node/edge bookkeeping at million-task scale.  Only tasks with an edge have
+an adjacency list, and only tasks still waiting on a predecessor have a
+pending count: an independent task (the common HPO shape) costs the graph
+one ``_tasks`` entry.  A :attr:`nx_graph` view is still built on demand
+for callers that want the networkx API.
 
 Streaming mode (``stream_completed``): once a completed task's consumers
 are all complete too, the task is freed — its node, edges and counters
@@ -39,11 +40,13 @@ class TaskGraph:
 
     def __init__(self) -> None:
         self._tasks: Dict[int, TaskInvocation] = {}
-        #: Insertion-ordered adjacency: task_id -> successor/predecessor ids.
+        #: Adjacency: task_id -> successor/predecessor ids, in edge order
+        #: (no entry for a task without successors/predecessors).
         self._succ: Dict[int, List[int]] = {}
         self._pred: Dict[int, List[int]] = {}
         #: (src_id, dst_id) -> data-version label (only non-empty labels).
         self._labels: Dict[Tuple[int, int], str] = {}
+        #: task_id -> predecessors not yet DONE (no entry when zero).
         self._pending_preds: Dict[int, int] = {}
         self._ready: Deque[int] = deque()  # FIFO by submission order
         #: Ready-set maintenance operation counter (see class docstring).
@@ -82,9 +85,8 @@ class TaskGraph:
                 self.on_free(task)
             return
         self._tasks[tid] = task
-        self._succ[tid] = []
+        succ = self._succ
         pred_list: List[int] = []
-        self._pred[tid] = pred_list
         streaming = self.stream_completed
         pending = 0
         for dep in dependencies:
@@ -100,7 +102,11 @@ class TaskGraph:
                 raise ValueError(
                     f"dependency {dep.label} of {task.label} not in graph"
                 )
-            self._succ[dep_id].append(tid)
+            dep_succs = succ.get(dep_id)
+            if dep_succs is None:
+                succ[dep_id] = [tid]
+            else:
+                dep_succs.append(tid)
             pred_list.append(dep_id)
             if edge_labels:
                 label = edge_labels.get(dep_id, "")
@@ -112,10 +118,14 @@ class TaskGraph:
                 self._unfinished_succs[dep_id] = (
                     self._unfinished_succs.get(dep_id, 0) + 1
                 )
-        self._pending_preds[tid] = pending
-        # A task restored from a checkpoint enters the graph already DONE:
-        # it holds its journaled result and must never reach the dispatcher.
-        if pending == 0 and task.state is not TaskState.DONE:
+        if pred_list:
+            self._pred[tid] = pred_list
+        if pending:
+            self._pending_preds[tid] = pending
+        elif task.state is not TaskState.DONE:
+            # A task restored from a checkpoint enters the graph already
+            # DONE: it holds its journaled result and must never reach
+            # the dispatcher.
             task.state = TaskState.READY
             self._ready.append(tid)
             self.ready_ops += 1
@@ -158,13 +168,19 @@ class TaskGraph:
         newly_ready: List[TaskInvocation] = []
         tasks = self._tasks
         pending_preds = self._pending_preds
-        succs = self._succ[tid]
+        succs = self._succ.get(tid)
         if succs:
             ready_append = self._ready.append
             self.ready_ops += len(succs)
             for succ_id in succs:
-                left = pending_preds[succ_id] - 1
-                pending_preds[succ_id] = left
+                # No entry: the successor was not waiting on this task
+                # (it was running or done when lineage recovery
+                # invalidated this task).
+                left = pending_preds.get(succ_id, 0) - 1
+                if left > 0:
+                    pending_preds[succ_id] = left
+                    continue
+                pending_preds.pop(succ_id, None)
                 if left == 0:
                     succ = tasks[succ_id]
                     if succ.state is TaskState.SUBMITTED:
@@ -173,7 +189,7 @@ class TaskGraph:
                         newly_ready.append(succ)
         if self.stream_completed:
             unfinished = self._unfinished_succs
-            for pred_id in self._pred[tid]:
+            for pred_id in self._pred.get(tid, ()):
                 left = unfinished.get(pred_id, 0) - 1
                 if left > 0:
                     unfinished[pred_id] = left
@@ -261,11 +277,13 @@ class TaskGraph:
                 except ValueError:
                     pass  # already handed to the dispatcher
             t.state = TaskState.SUBMITTED
+        live = self._tasks
+        pending_preds = self._pending_preds
         for tid in was_done:
-            for succ_id in self._succ[tid]:
-                if succ_id in batch:
-                    continue  # recomputed below
-                succ = self._tasks[succ_id]
+            for succ_id in self._succ.get(tid, ()):
+                succ = live.get(succ_id)
+                if succ is None or succ_id in batch:
+                    continue  # freed (DONE), or recomputed below
                 if succ.state == TaskState.READY:
                     succ.state = TaskState.SUBMITTED
                     try:
@@ -274,16 +292,19 @@ class TaskGraph:
                     except ValueError:
                         pass  # already handed to the dispatcher
                 if succ.state == TaskState.SUBMITTED:
-                    self._pending_preds[succ_id] += 1
+                    pending_preds[succ_id] = pending_preds.get(succ_id, 0) + 1
         newly_ready: List[TaskInvocation] = []
         for t in batch.values():
+            # A predecessor streaming already freed was DONE.
             pending = sum(
                 1
-                for pred_id in self._pred[t.task_id]
-                if self._tasks[pred_id].state != TaskState.DONE
+                for pred_id in self._pred.get(t.task_id, ())
+                if pred_id in live and live[pred_id].state != TaskState.DONE
             )
-            self._pending_preds[t.task_id] = pending
-            if pending == 0:
+            if pending:
+                pending_preds[t.task_id] = pending
+            else:
+                pending_preds.pop(t.task_id, None)
                 t.state = TaskState.READY
                 self._ready.append(t.task_id)
                 self.ready_ops += 1
@@ -336,11 +357,14 @@ class TaskGraph:
         """Iterate ``(src_task, dst_task, label)`` triples."""
         tasks = self._tasks
         labels = self._labels
-        for u, succs in self._succ.items():
+        succ = self._succ
+        # Producer order: an adjacency entry is created at a task's
+        # first consumer, not at the task itself.
+        for u in sorted(succ):
             src = tasks.get(u)
             if src is None:
                 continue
-            for v in succs:
+            for v in succ[u]:
                 dst = tasks.get(v)
                 if dst is not None:
                     yield src, dst, labels.get((u, v), "")

@@ -561,9 +561,12 @@ def recover_corrupt_versions(
     runtime.dispatcher.purge([t for t in batch if t.state != TaskState.READY])
     now = runtime.executor.clock()
     for t in sorted(to_rerun.values(), key=lambda t: t.task_id):
+        written = ",".join(
+            v.label for v in runtime.access.versions_written_by(t)
+        )
         runtime.resilience.record(
             now, rsl.INTEGRITY_RECOMPUTE, t.label, t.node or "",
-            detail=f"no good copy of {','.join(t.writes) or t.label}; "
+            detail=f"no good copy of {written or t.label}; "
             "re-executing writer",
         )
     if integrity is not None:

@@ -11,7 +11,6 @@ one is available" — falls out of re-running a round on every release.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.runtime.fault import UnsatisfiableError
@@ -19,18 +18,27 @@ from repro.runtime.resources import Allocation, ResourcePool
 from repro.runtime.task_definition import TaskDefinition, TaskInvocation
 
 
-@dataclass
 class Assignment:
     """A task placed on concrete resources, with the chosen implementation.
 
     ``extra_allocations`` holds the additional per-node allocations of a
-    ``@multinode`` task (empty for ordinary tasks).
+    ``@multinode`` task (the shared empty tuple for ordinary tasks).  A
+    ``__slots__`` class: one is built per placement.
     """
 
-    task: TaskInvocation
-    allocation: Allocation
-    implementation: TaskDefinition
-    extra_allocations: List[Allocation] = field(default_factory=list)
+    __slots__ = ("task", "allocation", "implementation", "extra_allocations")
+
+    def __init__(
+        self,
+        task: TaskInvocation,
+        allocation: Allocation,
+        implementation: TaskDefinition,
+        extra_allocations: Sequence[Allocation] = (),
+    ):
+        self.task = task
+        self.allocation = allocation
+        self.implementation = implementation
+        self.extra_allocations = extra_allocations
 
     @property
     def all_allocations(self) -> List[Allocation]:
@@ -40,7 +48,8 @@ class Assignment:
 
 def release_assignment(pool: ResourcePool, assignment: Assignment) -> None:
     """Release every allocation an assignment holds."""
-    for alloc in assignment.all_allocations:
+    pool.release(assignment.allocation)
+    for alloc in assignment.extra_allocations:
         pool.release(alloc)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.pycompss_api.constraint import ResourceConstraint
 from repro.pycompss_api.parameter import ParameterSpec, normalize_param
@@ -119,19 +119,27 @@ def reset_invocation_counter() -> None:
     _invocation_ids = itertools.count(1)
 
 
+#: The ``kwargs`` of every invocation submitted without keyword
+#: arguments: one shared dict instead of one per task.  Never mutated.
+_NO_KWARGS: Dict[str, Any] = {}
+
+
 class TaskInvocation:
     """One call of a task function — a node in the dependency graph.
 
     A ``__slots__`` class with a hand-written ``__init__`` rather than a
-    dataclass: one instance (plus its bookkeeping lists) is created per
-    submission, and the generated 16-field ctor was a measurable slice
-    of the hot path at 100k+ tasks.
+    dataclass: one instance is created per submission, and the generated
+    16-field ctor was a measurable slice of the hot path at 100k+ tasks.
+    For the same reason a task carries no container it does not use:
+    ``attempt_history`` and ``failed_nodes`` start as the shared empty
+    tuple and become lists on their first write (:meth:`add_history`,
+    :meth:`add_failed_node`), and a call without keyword arguments
+    shares one empty ``kwargs`` dict.
 
-    ``reads``/``writes`` are the data-version labels filled in by the
-    access processor.  ``attempt_history`` keeps one human-readable line
-    per failed attempt ("attempt 1 on n1: RuntimeError(...) ->
-    retry_same_node"); joined into the
-    :class:`~repro.runtime.fault.TaskFailedError` message.  ``task_key``
+    ``attempt_history`` keeps one human-readable line per failed attempt
+    ("attempt 1 on n1: RuntimeError(...) -> retry_same_node"); joined
+    into the :class:`~repro.runtime.fault.TaskFailedError` message.
+    ``failed_nodes`` are the nodes a resubmission avoids.  ``task_key``
     is the deterministic cross-process id (name + param digest +
     occurrence) assigned by the checkpoint subsystem when journaling is
     on; stable across driver restarts, unlike ``task_id``.  ``study`` is
@@ -141,10 +149,9 @@ class TaskInvocation:
     """
 
     __slots__ = (
-        "definition", "args", "kwargs", "task_id", "state", "reads",
-        "writes", "attempts", "failed_nodes", "attempt_history", "result",
-        "error", "start_time", "end_time", "node", "task_key", "study",
-        "content_key",
+        "definition", "args", "kwargs", "task_id", "state", "attempts",
+        "failed_nodes", "attempt_history", "result", "error", "start_time",
+        "end_time", "node", "task_key", "study", "content_key",
     )
 
     def __init__(
@@ -157,14 +164,12 @@ class TaskInvocation:
     ):
         self.definition = definition
         self.args = args
-        self.kwargs = {} if kwargs is None else kwargs
+        self.kwargs = kwargs or _NO_KWARGS
         self.task_id = next(_invocation_ids) if task_id is None else task_id
         self.state = state
-        self.reads: List[str] = []
-        self.writes: List[str] = []
         self.attempts = 0
-        self.failed_nodes: List[str] = []
-        self.attempt_history: List[str] = []
+        self.failed_nodes: Sequence[str] = ()
+        self.attempt_history: Sequence[str] = ()
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.start_time: Optional[float] = None
@@ -175,6 +180,20 @@ class TaskInvocation:
         #: Namespace-free reuse-cache identity (cacheable tasks only);
         #: assigned by TaskKeyer.content_key_for on the submit path.
         self.content_key: Optional[str] = None
+
+    def add_history(self, line: str) -> None:
+        """Append one line to ``attempt_history``."""
+        if self.attempt_history:
+            self.attempt_history.append(line)
+        else:
+            self.attempt_history = [line]
+
+    def add_failed_node(self, node: str) -> None:
+        """Record ``node`` as one a resubmission should avoid."""
+        if self.failed_nodes:
+            self.failed_nodes.append(node)
+        else:
+            self.failed_nodes = [node]
 
     @property
     def label(self) -> str:

@@ -272,7 +272,7 @@ class TestBlockedClassWakes:
         engine = DispatchEngine(FIFOScheduler(), pool)
         pool.listener = engine
         burned = make_task(cpu=48, name="burned")
-        burned.failed_nodes.append("mn4-0001")
+        burned.add_failed_node("mn4-0001")
         clean = make_task(cpu=48, name="clean")
         engine.ingest([burned, clean])
         assignments = engine.schedule_round()

@@ -90,14 +90,14 @@ class TestFIFO:
     def test_avoids_failed_nodes(self):
         pool = ResourcePool(mare_nostrum4(2))
         t = make_task()
-        t.failed_nodes.append("mn4-0001")
+        t.add_failed_node("mn4-0001")
         assignments, _ = assign(FIFOScheduler(), [t], pool)
         assert assignments[0].allocation.node == "mn4-0002"
 
     def test_failed_node_used_as_last_resort(self):
         pool = ResourcePool(mare_nostrum4(1))
         t = make_task()
-        t.failed_nodes.append("mn4-0001")
+        t.add_failed_node("mn4-0001")
         assignments, _ = assign(FIFOScheduler(), [t], pool)
         assert assignments[0].allocation.node == "mn4-0001"
 
