@@ -24,15 +24,6 @@ from repro.pycompss_api.parameter import ParameterSpec
 from repro.runtime.future import Future, is_future
 from repro.runtime.task_definition import TaskInvocation
 
-#: Exact types that can never create a dependency edge: not trackable
-#: (:meth:`AccessProcessor._is_trackable`), never a FILE path (strings stay
-#: out — they can name files) and never a future.  The submit path skips
-#: the access scan and the executors skip the future walk for arguments
-#: of only these types.  Exact-type check on purpose: an int subclass
-#: falls through to the full path, which handles it like before.
-DEP_FREE_TYPES = frozenset((int, float, complex, bool, type(None)))
-
-
 class DataVersion:
     """One version of a datum: ``d<data_id>v<version>``.
 

@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CH
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
-from repro.runtime.access_processor import DEP_FREE_TYPES
 from repro.runtime.fault import (
     FaultAction,
     ResourceStarvationError,
@@ -495,18 +494,8 @@ class Executor(abc.ABC):
         Only containers that hold a future are rebuilt — anything else,
         ``task.args`` and ``task.kwargs`` included, is passed through as
         the same object, so INOUT mutations land on the caller's object.
-        A call of only dep-free scalars (the common HPO task) skips the
-        recursive future walk.
         """
-        args, kwargs = task.args, task.kwargs
-        if not kwargs:
-            free = DEP_FREE_TYPES
-            for value in args:
-                if type(value) not in free:
-                    break
-            else:
-                return args, kwargs
-        return _resolve(args), _resolve(kwargs)
+        return _resolve(task.args), _resolve(task.kwargs)
 
     @staticmethod
     def fan_out_result(task: TaskInvocation, futures: List[Future], result: Any) -> None:

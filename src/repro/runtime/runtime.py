@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import integrity as igr
-from repro.runtime.access_processor import DEP_FREE_TYPES, AccessProcessor
+from repro.runtime.access_processor import AccessProcessor
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dispatch import DispatchEngine
 from repro.runtime.dot import export_dot, render_dot
@@ -58,6 +58,12 @@ _log = get_logger("runtime")
 
 _current: Optional["COMPSsRuntime"] = None
 _current_lock = threading.Lock()
+
+#: Exact types that can never create a dependency edge: not trackable by
+#: the access processor and never a FILE path (strings stay out — they
+#: can name files).  Exact-type check on purpose: an int subclass falls
+#: through to the full binder, which handles it like before.
+_DEP_FREE_TYPES = frozenset((int, float, complex, bool, type(None)))
 
 
 def current_runtime() -> Optional["COMPSsRuntime"]:
@@ -537,7 +543,7 @@ class COMPSsRuntime:
         if fast is not None and not kwargs:
             names, n_required = fast
             if n_required <= len(args) <= len(names):
-                skippable = DEP_FREE_TYPES
+                skippable = _DEP_FREE_TYPES
                 for name, value in zip(names, args):
                     if type(value) in skippable:
                         # Numbers/None can never carry a dependency (not
@@ -602,7 +608,7 @@ class COMPSsRuntime:
         names, n_required = fast
         if not (n_required <= len(args) <= len(names)):
             return False
-        free = DEP_FREE_TYPES
+        free = _DEP_FREE_TYPES
         for value in args:
             if type(value) not in free:
                 return False

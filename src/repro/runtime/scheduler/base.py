@@ -11,6 +11,7 @@ one is available" — falls out of re-running a round on every release.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.runtime.fault import UnsatisfiableError
@@ -18,27 +19,18 @@ from repro.runtime.resources import Allocation, ResourcePool
 from repro.runtime.task_definition import TaskDefinition, TaskInvocation
 
 
+@dataclass
 class Assignment:
     """A task placed on concrete resources, with the chosen implementation.
 
     ``extra_allocations`` holds the additional per-node allocations of a
-    ``@multinode`` task (the shared empty tuple for ordinary tasks).  A
-    ``__slots__`` class: one is built per placement.
+    ``@multinode`` task (the shared empty tuple for ordinary tasks).
     """
 
-    __slots__ = ("task", "allocation", "implementation", "extra_allocations")
-
-    def __init__(
-        self,
-        task: TaskInvocation,
-        allocation: Allocation,
-        implementation: TaskDefinition,
-        extra_allocations: Sequence[Allocation] = (),
-    ):
-        self.task = task
-        self.allocation = allocation
-        self.implementation = implementation
-        self.extra_allocations = extra_allocations
+    task: TaskInvocation
+    allocation: Allocation
+    implementation: TaskDefinition
+    extra_allocations: Sequence[Allocation] = ()
 
     @property
     def all_allocations(self) -> List[Allocation]:

@@ -132,8 +132,9 @@ class TaskInvocation:
     16-field ctor was a measurable slice of the hot path at 100k+ tasks.
     For the same reason a task carries no container it does not use:
     ``attempt_history`` and ``failed_nodes`` start as the shared empty
-    tuple and become lists on their first write (:meth:`add_history`,
-    :meth:`add_failed_node`), and a call without keyword arguments
+    tuple and become lists on their first write.  Read them as sequences
+    and write them only through :meth:`add_history` and
+    :meth:`add_failed_node`.  A call without keyword arguments
     shares one empty ``kwargs`` dict.
 
     ``attempt_history`` keeps one human-readable line per failed attempt

@@ -57,28 +57,6 @@ class TestResolveArguments:
         assert args is t.args
         assert kwargs == {"x": 5} and kwargs is not t.kwargs
 
-    def test_dep_free_scalars_skip_the_future_walk(self, monkeypatch):
-        import repro.runtime.executor.base as base
-
-        def no_walk(v):
-            raise AssertionError("walked a dep-free call")
-
-        monkeypatch.setattr(base, "_resolve", no_walk)
-        t = TaskInvocation(definition=DEFN, args=(1, 2.5, None, True, 3j))
-        args, kwargs = Executor.resolve_arguments(t)
-        assert args is t.args
-        assert kwargs is t.kwargs
-
-    def test_future_nested_in_a_list_after_scalars_resolves(self):
-        plain = [3]
-        t = TaskInvocation(
-            definition=DEFN, args=(1, 0.5, [done_future(2), plain])
-        )
-        args, kwargs = Executor.resolve_arguments(t)
-        assert args == (1, 0.5, [2, [3]])
-        assert args[2][1] is plain
-        assert kwargs is t.kwargs
-
 
 @task(returns=int)
 def tiny(x):
