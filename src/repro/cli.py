@@ -22,6 +22,7 @@ and ``report.txt`` (tables + ASCII figures).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from repro.hpo import (
     get_algorithm,
     load_search_space,
 )
+from repro.hpo.algorithms import ALGORITHMS
 from repro.hpo.objective import fast_mock_objective, train_experiment
 from repro.pycompss_api.constraint import ResourceConstraint
 from repro.runtime.config import RuntimeConfig
@@ -42,12 +44,15 @@ from repro.runtime.reuse import ReuseCache
 from repro.runtime.runtime import COMPSsRuntime
 from repro.runtime.stats import render_resilience, render_stats
 from repro.runtime.tracing import export_prv
+from repro.service.admission import AdmissionConfig
+from repro.service.protocol import StudyRequest
 from repro.simcluster import (
     cte_power9,
     local_machine,
     mare_nostrum4,
     minotauro,
 )
+from repro.util.knobs import KnobField, check_knob, knob_fields
 from repro.util.logging_utils import set_verbosity
 from repro.util.timing import format_duration
 
@@ -58,20 +63,68 @@ CLUSTERS = {
     "power9": cte_power9,
 }
 
-ALGORITHMS = ["grid", "random", "bayesian", "tpe", "hyperband",
-              "successive_halving", "evolutionary", "asha"]
-EXECUTORS = ["local", "simulated"]
-BACKENDS = ["threads", "workers"]
-SCHEDULERS = ["fifo", "priority", "locality", "lpt"]
-
 
 def _algorithm_kwargs(args) -> dict:
     """Budget/seed kwargs the chosen algorithm takes (run and submit)."""
-    if args.algorithm in ("random", "bayesian", "tpe", "evolutionary", "asha"):
-        return {"n_trials": args.n_trials, "seed": args.seed}
-    if args.algorithm in ("hyperband", "successive_halving"):
-        return {"seed": args.seed}
-    return {}
+    params = inspect.signature(ALGORITHMS[args.algorithm]).parameters
+    return {k: getattr(args, k) for k in ("n_trials", "seed") if k in params}
+
+
+def _dest(field: KnobField) -> str:
+    # A switch keeps its flag's name (``--no-tracing`` -> ``no_tracing``);
+    # a value flag stores under the field's own name.
+    if field.type is bool:
+        return field.knob.flag.lstrip("-").replace("-", "_")
+    return field.name
+
+
+def _knob_type(cls, field: KnobField):
+    """argparse ``type=``: parse, map the "off" value to None, check."""
+    def convert(text: str):
+        value = field.type(text)
+        if value == field.knob.off:
+            return None
+        try:
+            return check_knob(cls, field, value)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    # argparse names the type in its own "invalid int value" message.
+    convert.__name__ = field.type.__name__
+    return convert
+
+
+def add_knob_flags(parser, cls, *names: str) -> None:
+    """Add the declared flags of ``cls``'s knobs ``names``, in order."""
+    fields = {f.name: f for f in knob_fields(cls)}
+    for name in names:
+        field = fields[name]
+        spec = field.knob
+        if field.type is bool:
+            parser.add_argument(spec.flag, action="store_true", help=spec.help)
+            continue
+        parser.add_argument(
+            spec.flag, dest=field.name, default=field.default,
+            choices=spec.choices,
+            type=None if spec.choices else _knob_type(cls, field),
+            help=spec.help,
+        )
+
+
+def knob_values(args, cls) -> dict:
+    """The parsed values of ``cls``'s knobs that ``args`` carries a flag for.
+
+    A switch flips its knob's default.
+    """
+    values = {}
+    for field in knob_fields(cls):
+        if field.knob.flag is None or not hasattr(args, _dest(field)):
+            continue
+        value = getattr(args, _dest(field))
+        if field.type is bool:
+            value = (not field.default) if value else field.default
+        values[field.name] = value
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,106 +140,45 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", type=Path, help="Listing-1 style JSON file")
     run.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
     run.add_argument("--nodes", type=int, default=1, help="number of nodes")
-    run.add_argument("--executor", choices=EXECUTORS, default="local")
-    run.add_argument(
-        "--backend", choices=BACKENDS, default="threads",
-        help="local-executor body backend; 'workers' is the supervised "
-        "worker-process pool (crash containment, hard-kill deadlines, "
-        "poison-task quarantine)",
+    add_knob_flags(
+        run, RuntimeConfig, "executor", "backend", "task_timeout_s",
+        "max_tasks_per_worker", "poison_threshold", "scheduler",
     )
-    run.add_argument("--task-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-attempt deadline; on --backend workers a "
-                     "hung body is hard-killed at the deadline")
-    run.add_argument("--max-tasks-per-worker", type=int, default=None,
-                     help="recycle each worker process after this many "
-                     "completed tasks (--backend workers)")
-    run.add_argument("--poison-threshold", type=int, default=3,
-                     help="consecutive worker deaths before a task is "
-                     "blacklisted as poison (--backend workers)")
-    run.add_argument("--scheduler", choices=SCHEDULERS, default="fifo")
-    run.add_argument("--algorithm", choices=ALGORITHMS, default="grid")
+    add_knob_flags(run, StudyRequest, "algorithm")
     run.add_argument("--n-trials", type=int, default=20,
                      help="budget for non-exhaustive algorithms")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--cores-per-task", type=int, default=1)
     run.add_argument("--gpus-per-task", type=int, default=0)
-    run.add_argument("--reserved-cores", type=int, default=0,
-                     help="cores kept for the COMPSs worker on node 1")
+    add_knob_flags(run, RuntimeConfig, "reserved_cores")
     run.add_argument("--target-accuracy", type=float, default=None,
                      help="stop the whole study once reached (paper §6.1)")
     run.add_argument("--mock-objective", action="store_true",
                      help="skip real training; use the deterministic mock")
-    run.add_argument("--no-tracing", action="store_true",
-                     help="disable tracing (the paper's traces-off flag)")
-    run.add_argument("--no-graph", action="store_true",
-                     help="disable graph label recording")
+    add_knob_flags(run, RuntimeConfig, "tracing", "graph")
     run.add_argument("--out-dir", type=Path, default=None,
                      help="directory for study/trace/graph artifacts")
-    run.add_argument("--checkpoint-dir", type=Path, default=None,
-                     help="enable crash-consistent journaling into this "
-                     "directory (journal.jsonl + spilled task outputs)")
-    run.add_argument("--checkpoint-every", type=int, default=1,
-                     help="spill every Nth completed task's output "
-                     "(0 = journal only, no spills)")
-    run.add_argument("--resume-from", type=Path, default=None,
+    add_knob_flags(run, RuntimeConfig, "checkpoint_dir", "checkpoint_every")
+    run.add_argument("--resume-from", default=None,
                      help="checkpoint directory (or journal.jsonl) of a "
                      "crashed run; completed tasks are restored, not rerun")
-    run.add_argument("--reuse-cache", action="store_true",
-                     help="share cacheable stages: identical stages of "
-                     "this study are joined into one task at submit, and "
-                     "every stage output is published to a verified "
-                     "content-addressed disk cache that later runs and "
-                     "other processes hit (pairs with --stage-epochs)")
-    run.add_argument("--cache-dir", type=Path, default=None,
-                     help="reuse-cache directory (default: "
-                     "<checkpoint-dir>/reuse)")
-    run.add_argument("--cache-max-bytes", type=int, default=None,
-                     help="reuse-cache size ceiling; least-recently-hit "
-                     "entries are evicted past it")
-    run.add_argument("--stage-epochs", type=int, default=None,
-                     help="decompose each trial into cacheable train "
-                     "stages of this many epochs; with --reuse-cache, "
-                     "trials sharing a hyperparameter prefix share one "
-                     "task per common block (a graph join, no waiting)")
-    run.add_argument("--verify-outputs", action="store_true",
-                     help="checksum every task output at write time and "
-                     "verify it at every consume point; corruption repairs "
-                     "from a replica or re-executes the writer")
-    run.add_argument("--replication-factor", type=int, default=1,
-                     help="simulated data plane: copies of each task "
-                     "output (primary + N-1 replicas)")
-    run.add_argument("--transfer-retries", type=int, default=2,
-                     help="cross-node transfer retries before falling "
-                     "back to a replica / recompute (simulated executor)")
-    run.add_argument("--drain-deadline", type=float, default=120.0,
-                     help="graceful-drain window in seconds: a draining "
-                     "node that still has running tasks at the deadline "
-                     "escalates to a node failure (lineage recovery)")
-    run.add_argument("--starvation-timeout", type=float, default=300.0,
-                     help="seconds a task whose constraint no live node "
-                     "can satisfy waits for a rejoin before failing with "
-                     "ResourceStarvationError; 0 disables the watchdog "
-                     "(tasks wait forever)")
-    run.add_argument("--preempt-checkpoint-epochs", type=int, default=1,
-                     help="checkpoint-epoch cadence: preemptible trials "
-                     "poll their suspension flag every Nth epoch end "
-                     "(requires --checkpoint-dir for the spill target)")
-    run.add_argument("--suspend-grace", type=float, default=30.0,
-                     help="seconds a suspend-flagged trial gets to spill "
-                     "warm before its tasks are abandoned (the spill "
-                     "still warm-resumes whatever landed)")
-    run.add_argument("--max-suspended-trials", type=int, default=64,
-                     help="ceiling on concurrently suspended trials; "
-                     "suspend requests past it are refused so a flapping "
-                     "watchdog cannot park an entire study")
+    add_knob_flags(
+        run, RuntimeConfig, "reuse_cache", "cache_dir", "cache_max_bytes"
+    )
+    add_knob_flags(run, StudyRequest, "stage_epochs")
+    add_knob_flags(
+        run, RuntimeConfig, "verify_outputs", "replication_factor",
+        "transfer_retries", "drain_deadline_s", "starvation_timeout_s",
+        "preempt_checkpoint_epochs", "suspend_grace_s",
+        "max_suspended_trials",
+    )
     run.add_argument("--verbose", action="store_true")
 
-    inspect = sub.add_parser(
+    describe = sub.add_parser(
         "describe-cluster", help="print a cluster preset's hardware"
     )
-    inspect.add_argument("--cluster", choices=sorted(CLUSTERS), default="mn4")
-    inspect.add_argument("--nodes", type=int, default=1)
+    describe.add_argument("--cluster", choices=sorted(CLUSTERS), default="mn4")
+    describe.add_argument("--nodes", type=int, default=1)
 
     report = sub.add_parser(
         "report", help="render a full report from a saved study.json"
@@ -240,31 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("root", type=Path, help="service root directory")
     serve.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
     serve.add_argument("--nodes", type=int, default=1)
-    serve.add_argument("--executor", choices=EXECUTORS, default="local")
-    serve.add_argument("--backend", choices=BACKENDS, default="threads")
-    serve.add_argument("--scheduler", choices=SCHEDULERS, default="fifo")
-    serve.add_argument("--max-queued-studies", type=int, default=16,
-                       help="bound on the admission queue (QueueFullError "
-                       "beyond it)")
-    serve.add_argument("--max-queued-per-tenant", type=int, default=8,
-                       help="per-tenant queue share (TenantQuotaError "
-                       "beyond it)")
-    serve.add_argument("--max-studies-per-tenant", type=int, default=2,
-                       help="cap on one tenant's concurrently running "
-                       "studies (over-quota studies wait in the queue)")
-    serve.add_argument("--max-concurrent-studies", type=int, default=4,
-                       help="daemon-wide concurrent-study cap")
-    serve.add_argument("--rss-limit-mb", type=float, default=None,
-                       help="memory ceiling: shed queued studies and "
-                       "reject submissions while over it")
-    serve.add_argument("--reuse-cache", action="store_true",
-                       help="share a verified stage cache across all "
-                       "tenants (anchored at <root>/reuse-cache); a staged "
-                       "study joins its own identical stages at submit and "
-                       "reads other tenants' published blocks from disk "
-                       "(the first publish of a block wins)")
-    serve.add_argument("--cache-max-bytes", type=int, default=None,
-                       help="shared reuse-cache size ceiling (LRU)")
+    add_knob_flags(serve, RuntimeConfig, "executor", "backend", "scheduler")
+    add_knob_flags(
+        serve, AdmissionConfig, "max_queued_studies", "max_queued_per_tenant",
+        "max_studies_per_tenant", "max_concurrent_studies", "rss_limit_mb",
+    )
+    add_knob_flags(serve, RuntimeConfig, "reuse_cache", "cache_max_bytes")
     serve.add_argument("--drain-deadline", type=float, default=30.0,
                        help="graceful-shutdown budget; stragglers are "
                        "re-queued for the next daemon life")
@@ -284,25 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("study_id", help="unique study id (idempotency key)")
     submit.add_argument("config", type=Path,
                         help="Listing-1 style JSON search-space file")
-    submit.add_argument("--tenant", default="default")
-    submit.add_argument("--algorithm", default="grid", choices=ALGORITHMS)
+    add_knob_flags(submit, StudyRequest, "tenant", "algorithm")
     submit.add_argument("--n-trials", type=int, default=20)
     submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--objective", default="fast_mock",
-                        help="objective spec: fast_mock | slow_mock | "
-                        "preemptible_mock | poison | train | "
-                        "module:function")
-    submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--weight", type=float, default=1.0)
-    submit.add_argument("--batch-size", type=int, default=None)
-    submit.add_argument("--max-trial-retries", type=int, default=0)
-    submit.add_argument("--max-failed-trials", type=int, default=None)
-    submit.add_argument("--max-tenant-slots", type=int, default=None)
-    submit.add_argument("--stage-epochs", type=int, default=None,
-                        help="decompose trials into cacheable epoch "
-                        "blocks of this size (when the daemon runs with "
-                        "--reuse-cache: joined inside the study, shared "
-                        "across tenants through the disk cache)")
+    add_knob_flags(
+        submit, StudyRequest, "objective", "priority", "weight", "batch_size",
+        "max_trial_retries", "max_failed_trials", "max_tenant_slots",
+        "stage_epochs",
+    )
     submit.add_argument("--timeout", type=float, default=30.0,
                         help="seconds to wait for the admission verdict")
     submit.add_argument("--no-wait", action="store_true",
@@ -329,38 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_runtime_config(args) -> RuntimeConfig:
-    cluster = CLUSTERS[args.cluster](args.nodes)
     return RuntimeConfig(
-        cluster=cluster,
-        executor=args.executor,
-        backend=args.backend,
-        task_timeout_s=args.task_timeout,
-        max_tasks_per_worker=args.max_tasks_per_worker,
-        poison_threshold=args.poison_threshold,
-        scheduler=args.scheduler,
-        tracing=not args.no_tracing,
-        graph=not args.no_graph,
-        reserved_cores=args.reserved_cores,
+        cluster=CLUSTERS[args.cluster](args.nodes),
         execute_bodies=True,
-        checkpoint_dir=(
-            str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
-        ),
-        checkpoint_every=(args.checkpoint_every or None),
-        verify_outputs=args.verify_outputs,
-        replication_factor=args.replication_factor,
-        transfer_retries=args.transfer_retries,
-        drain_deadline_s=args.drain_deadline,
-        starvation_timeout_s=(
-            args.starvation_timeout if args.starvation_timeout > 0 else None
-        ),
-        preempt_checkpoint_epochs=args.preempt_checkpoint_epochs,
-        suspend_grace_s=args.suspend_grace,
-        max_suspended_trials=args.max_suspended_trials,
-        reuse_cache=args.reuse_cache,
-        cache_dir=(
-            str(args.cache_dir) if args.cache_dir is not None else None
-        ),
-        cache_max_bytes=args.cache_max_bytes,
+        **knob_values(args, RuntimeConfig),
     )
 
 
@@ -374,9 +308,6 @@ def cmd_run(args) -> int:
         stoppers.append(TargetAccuracyStopper(args.target_accuracy))
 
     objective = fast_mock_objective if args.mock_objective else train_experiment
-    resume_from = (
-        str(args.resume_from) if args.resume_from is not None else None
-    )
     if args.reuse_cache and args.cache_dir is None and args.checkpoint_dir is None:
         print(
             "--reuse-cache needs a home: pass --cache-dir, or "
@@ -394,7 +325,7 @@ def cmd_run(args) -> int:
             objective="mock" if args.mock_objective else "train",
         )
     runtime = COMPSsRuntime(
-        _make_runtime_config(args), resume_from=resume_from
+        _make_runtime_config(args), resume_from=args.resume_from
     ).start()
     try:
         runner = PyCOMPSsRunner(
@@ -505,24 +436,30 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_recover(args) -> int:
+def _replay(path: Path):
+    """A checkpoint directory and its replayed journal, or an exit code."""
     from repro.runtime.checkpoint import (
         JOURNAL_FILE,
         JournalCorruptError,
         RecoveryManager,
     )
 
-    path = args.journal
     if path.name == JOURNAL_FILE:
         path = path.parent
     if not (path / JOURNAL_FILE).exists():
         print(f"no {JOURNAL_FILE} found in {path}", file=sys.stderr)
-        return 1
+        return path, 1
     try:
-        recovery = RecoveryManager(path)
+        return path, RecoveryManager(path)
     except JournalCorruptError as exc:
         print(f"journal corrupt: {exc}", file=sys.stderr)
-        return 2
+        return path, 2
+
+
+def cmd_recover(args) -> int:
+    path, recovery = _replay(args.journal)
+    if isinstance(recovery, int):
+        return recovery
     summary = recovery.summary()
     cache_dir = args.cache_dir if args.cache_dir is not None else path / "reuse"
     cache = ReuseCache.scan(cache_dir)
@@ -565,23 +502,9 @@ def cmd_recover(args) -> int:
 
 
 def cmd_gc(args) -> int:
-    from repro.runtime.checkpoint import (
-        JOURNAL_FILE,
-        JournalCorruptError,
-        RecoveryManager,
-    )
-
-    path = args.journal
-    if path.name == JOURNAL_FILE:
-        path = path.parent
-    if not (path / JOURNAL_FILE).exists():
-        print(f"no {JOURNAL_FILE} found in {path}", file=sys.stderr)
-        return 1
-    try:
-        recovery = RecoveryManager(path)
-    except JournalCorruptError as exc:
-        print(f"journal corrupt: {exc}", file=sys.stderr)
-        return 2
+    path, recovery = _replay(args.journal)
+    if isinstance(recovery, int):
+        return recovery
     # Every key with a journal record stays: a completed spill is what a
     # resume restores.
     referenced = set(recovery.states)
@@ -614,31 +537,13 @@ def cmd_gc(args) -> int:
 def cmd_serve(args) -> int:
     import signal
 
-    from repro.service import AdmissionConfig, HPOService
+    from repro.service import HPOService
 
     set_verbosity(args.verbose)
-    config = RuntimeConfig(
-        cluster=CLUSTERS[args.cluster](args.nodes),
-        executor=args.executor,
-        backend=args.backend,
-        scheduler=args.scheduler,
-        execute_bodies=True,
-        reuse_cache=args.reuse_cache,
-        cache_dir=(
-            str(Path(args.root) / "reuse-cache") if args.reuse_cache else None
-        ),
-        cache_max_bytes=args.cache_max_bytes,
-    )
     service = HPOService(
         args.root,
-        runtime_config=config,
-        admission=AdmissionConfig(
-            max_queued_studies=args.max_queued_studies,
-            max_queued_per_tenant=args.max_queued_per_tenant,
-            max_studies_per_tenant=args.max_studies_per_tenant,
-            max_concurrent_studies=args.max_concurrent_studies,
-            rss_limit_mb=args.rss_limit_mb,
-        ),
+        runtime_config=_make_runtime_config(args),
+        admission=AdmissionConfig(**knob_values(args, AdmissionConfig)),
         drain_deadline_s=args.drain_deadline,
         heartbeat_s=args.heartbeat,
     ).start()
@@ -660,23 +565,14 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    from repro.service import ServiceClient, ServiceError, StudyRequest
+    from repro.service import ServiceClient, ServiceError
 
     spec = json.loads(args.config.read_text(encoding="utf-8"))
     request = StudyRequest(
         study_id=args.study_id,
-        tenant=args.tenant,
         space=spec,
-        algorithm=args.algorithm,
         algorithm_kwargs=_algorithm_kwargs(args),
-        objective=args.objective,
-        batch_size=args.batch_size,
-        priority=args.priority,
-        weight=args.weight,
-        max_trial_retries=args.max_trial_retries,
-        max_failed_trials=args.max_failed_trials,
-        max_tenant_slots=args.max_tenant_slots,
-        stage_epochs=args.stage_epochs,
+        **knob_values(args, StudyRequest),
     )
     client = ServiceClient(args.root, timeout_s=args.timeout)
     try:
@@ -744,30 +640,24 @@ def cmd_service_status(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "run": cmd_run,
+    "describe-cluster": cmd_describe_cluster,
+    "report": cmd_report,
+    "recover": cmd_recover,
+    "gc": cmd_gc,
+    "serve": cmd_serve,
+    "submit": cmd_submit,
+    "watch": cmd_watch,
+    "cancel": cmd_cancel,
+    "service-status": cmd_service_status,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "describe-cluster":
-        return cmd_describe_cluster(args)
-    if args.command == "report":
-        return cmd_report(args)
-    if args.command == "recover":
-        return cmd_recover(args)
-    if args.command == "gc":
-        return cmd_gc(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "submit":
-        return cmd_submit(args)
-    if args.command == "watch":
-        return cmd_watch(args)
-    if args.command == "cancel":
-        return cmd_cancel(args)
-    if args.command == "service-status":
-        return cmd_service_status(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from repro.hpo.algorithms.evolutionary import EvolutionarySearch
 from repro.hpo.algorithms.asha import AsyncASHA
 from repro.hpo.space import SearchSpace
 
-_ALGORITHMS = {
+ALGORITHMS = {
     "grid": GridSearch,
     "random": RandomSearch,
     "bayesian": BayesianOptimization,
@@ -46,10 +46,10 @@ def get_algorithm(
             raise ValueError("cannot pass space/kwargs with an algorithm instance")
         return name
     try:
-        cls = _ALGORITHMS[str(name).lower()]
+        cls = ALGORITHMS[str(name).lower()]
     except KeyError:
         raise ValueError(
-            f"unknown algorithm {name!r}; known: {sorted(_ALGORITHMS)}"
+            f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}"
         ) from None
     if space is None:
         raise ValueError("a SearchSpace is required when passing an algorithm name")

@@ -4,19 +4,27 @@ One :class:`RuntimeConfig` captures everything ``runcompss`` takes on the
 command line in real COMPSs — which cluster to run on, scheduler choice,
 tracing/graph flags (paper §5: "both tracing and graph generation create
 a performance overhead … easily turned off by a simple flag"), fault
-policy, and the simulation knobs.
+policy, and the simulation knobs.  Each knob is declared once, with its
+range and its ``repro run`` / ``repro serve`` flag (:mod:`repro.util.knobs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from repro.runtime.fault import RetryPolicy
+from repro.runtime.scheduler import SCHEDULERS
 from repro.simcluster.costmodel import MNIST_LIKE, DatasetProfile, TrainingCostModel
 from repro.simcluster.failures import FailureInjector
 from repro.simcluster.machines import ClusterSpec, local_machine
-from repro.util.validation import check_non_negative, check_one_of, check_positive
+from repro.util.knobs import knob, validate
+from repro.util.validation import (
+    check_fraction,
+    check_non_negative,
+    check_positive,
+    one_of,
+)
 
 
 @dataclass
@@ -28,7 +36,7 @@ class RuntimeConfig:
     cluster:
         Cluster to run on.  Defaults to a small local node.
     scheduler:
-        ``"fifo"`` / ``"priority"`` / ``"locality"`` or a Scheduler object.
+        A name in ``repro.runtime.scheduler.SCHEDULERS`` or a Scheduler.
     executor:
         ``"local"`` (real threads or worker processes) or
         ``"simulated"`` (virtual time over the cluster model), or an
@@ -73,7 +81,7 @@ class RuntimeConfig:
         disables speculation.  A median is trusted after three
         completed attempts of the task name.
     quarantine_threshold:
-        Per-node failure-rate threshold in ``(0, 1]`` above which a node
+        Per-node failure-rate threshold above which a node
         is quarantined (the scheduler stops placing tasks there).
         ``None`` disables node-health tracking.
     quarantine_window:
@@ -90,17 +98,17 @@ class RuntimeConfig:
     checkpoint_dir:
         Directory for the crash-consistency layer: a write-ahead journal
         (``journal.jsonl``, one record per task) plus spilled
-        task outputs (``outputs/``).  ``None`` (default) disables
-        journaling.  Pass the same directory as
-        ``COMPSsRuntime(resume_from=...)`` after a crash to resume.
+        task outputs (``outputs/``).  ``None`` disables journaling.  Pass
+        the same directory as ``COMPSsRuntime(resume_from=...)`` after a
+        crash to resume.
     checkpoint_every:
         Output-spill cadence: ``1`` checkpoints every completed task,
         ``N`` every Nth completion, ``None`` journals completions
         only (resume then knows what completed but re-executes it).
     journal_fsync:
-        Journal durability: ``"commit"`` (default) and ``"always"``
-        fsync every ``completed``/``failed`` record, so a killed driver
-        loses at most the record being written; ``"off"`` hands full
+        Journal durability: ``"commit"`` and ``"always"`` fsync every
+        ``completed``/``failed`` record, so a killed driver loses at
+        most the record being written; ``"off"`` hands full
         buffers to the OS without fsync and may lose up to
         ``journal_buffer_records`` completions, which re-execute on
         resume.
@@ -110,11 +118,11 @@ class RuntimeConfig:
         executors, size+seed-derived digests on the simulated one) and
         verified at every consume point.  A mismatch repairs from a
         surviving replica when one exists, else re-executes the writer
-        through the lineage machinery.  Off by default (zero overhead).
+        through the lineage machinery.  Zero overhead when off.
     replication_factor:
         Simulated data plane: number of nodes holding a copy of each
         task output (primary + ``replication_factor - 1`` replicas).
-        ``1`` (default) keeps only the producing node's copy, so any
+        ``1`` keeps only the producing node's copy, so any
         corruption escalates straight to a lineage recompute.
     transfer_retries:
         Cross-node transfer attempts after the first torn/failed one
@@ -126,33 +134,32 @@ class RuntimeConfig:
         preemption notices without an explicit lead time): a DRAINING
         node whose running tasks have not finished within this many
         seconds is escalated to ``fail_node`` so lineage recovery takes
-        over.  Must be positive.
+        over.
     starvation_timeout_s:
         Starvation watchdog: when every candidate node of a constraint
         class is dead or draining, its queued tasks are held this many
         seconds awaiting a rejoin, then failed with a terminal
         :class:`~repro.runtime.fault.ResourceStarvationError` instead of
-        hanging the study.  Must be positive; ``None`` disables the
+        hanging the study.  ``None`` disables the
         watchdog: starved tasks are held until a candidate node rejoins,
         however long that takes, and never fail for starvation.
     preempt_checkpoint_epochs:
         Cooperative-preemption cadence: a preemptible trial polls its
         suspension flag every this-many completed epochs (riding the
-        ``on_epoch_end`` hook of ``Sequential.fit``).  ``1`` (default)
+        ``on_epoch_end`` hook of ``Sequential.fit``).  ``1``
         reacts within one epoch; larger values poll — and pause-spill —
-        less often, trading reaction latency for spill overhead.  Must
-        be positive.
+        less often, trading reaction latency for spill overhead.
     suspend_grace_s:
         How long the service daemon waits for a suspend-flagged study to
         reach a trial boundary and park itself before escalating to a
         hard abandon (the study is still re-queued warm — its journal
         and suspend spills survive — but in-flight epochs past the last
-        checkpoint are lost).  Must be positive.
+        checkpoint are lost).
     max_suspended_trials:
         Cap on concurrently suspend-flagged trials runtime-wide; beyond
         it ``PreemptionController.suspend_trial`` refuses (the caller
         falls back to its pre-preemption behaviour, e.g. load shedding
-        or lineage recompute).  Must be positive.
+        or lineage recompute).
     batch_wakes:
         Dispatch batching (simulated executor): buffer clean task
         completions and drain them through *one* scheduling round per
@@ -187,15 +194,14 @@ class RuntimeConfig:
         content-addressed on-disk cache
         (:class:`~repro.runtime.reuse.ReuseCache`) from which later
         studies, other processes and other ``repro serve`` tenants
-        resolve it — verified — instead of re-executing.  Off by
-        default.
+        resolve it — verified — instead of re-executing.
     cache_dir:
         Cache root directory.  ``None`` places it under
         ``<checkpoint_dir>/reuse`` (requires ``checkpoint_dir``); the
         service daemon points every tenant at one shared directory.
     cache_max_bytes:
         Disk ceiling for the reuse cache; exceeding it evicts entries
-        LRU-by-atime.  ``None`` (the default) is unbounded.  A key
+        LRU-by-atime.  ``None`` is unbounded.  A key
         failing verification three times is quarantined: the cache
         stops trusting and republishing it, and the stage simply
         recomputes from then on.
@@ -221,95 +227,141 @@ class RuntimeConfig:
         Dataset profile assumed when a task config names none.
     """
 
-    cluster: ClusterSpec = field(default_factory=lambda: local_machine(4))
-    scheduler: Union[str, object] = "fifo"
-    executor: Union[str, object] = "local"
-    backend: str = "threads"
-    max_parallel: Optional[int] = None
-    max_tasks_per_worker: Optional[int] = None
-    poison_threshold: int = 3
-    tracing: bool = True
-    graph: bool = True
-    reserved_cores: Union[int, Mapping[str, int]] = 0
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    failure_injector: Optional[FailureInjector] = None
-    task_timeout_s: Optional[float] = None
-    speculation_multiplier: Optional[float] = None
-    quarantine_threshold: Optional[float] = None
-    quarantine_window: int = 10
-    quarantine_min_events: int = 4
-    quarantine_cooldown_s: float = 300.0
-    max_trial_retries: int = 0
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: Optional[int] = 1
-    journal_fsync: str = "commit"
-    verify_outputs: bool = False
-    replication_factor: int = 1
-    transfer_retries: int = 2
-    drain_deadline_s: float = 120.0
-    starvation_timeout_s: Optional[float] = 300.0
-    preempt_checkpoint_epochs: int = 1
-    suspend_grace_s: float = 30.0
-    max_suspended_trials: int = 64
-    batch_wakes: bool = True
-    stream_completed: bool = False
-    journal_buffer_records: int = 256
-    reuse_cache: bool = False
-    cache_dir: Optional[str] = None
-    cache_max_bytes: Optional[int] = None
-    manage_gc: bool = True
-    cost_model: TrainingCostModel = field(default_factory=TrainingCostModel)
-    execute_bodies: bool = False
-    duration_fn: Optional[object] = None
-    default_dataset: Union[DatasetProfile, str] = MNIST_LIKE
+    cluster: ClusterSpec = knob(factory=lambda: local_machine(4))
+    scheduler: Union[str, object] = knob(
+        "fifo", choices=list(SCHEDULERS), flag="--scheduler"
+    )
+    executor: Union[str, object] = knob(
+        "local", choices=["local", "simulated"], flag="--executor"
+    )
+    backend: str = knob(
+        "threads", one_of("threads", "workers"), flag="--backend",
+        help="local-executor body backend; 'workers' is the supervised "
+        "worker-process pool (crash containment, hard-kill deadlines, "
+        "poison-task quarantine)",
+    )
+    max_parallel: Optional[int] = knob(None, check_positive)
+    max_tasks_per_worker: Optional[int] = knob(
+        None, check_positive, flag="--max-tasks-per-worker",
+        help="recycle each worker process after this many completed tasks "
+        "(--backend workers)",
+    )
+    poison_threshold: int = knob(
+        3, check_positive, flag="--poison-threshold",
+        help="consecutive worker deaths before a task is blacklisted as "
+        "poison (--backend workers)",
+    )
+    tracing: bool = knob(
+        True, flag="--no-tracing",
+        help="disable tracing (the paper's traces-off flag)",
+    )
+    graph: bool = knob(
+        True, flag="--no-graph", help="disable graph label recording"
+    )
+    reserved_cores: Union[int, Mapping[str, int]] = knob(
+        0, flag="--reserved-cores",
+        help="cores kept for the COMPSs worker on node 1",
+    )
+    retry_policy: RetryPolicy = knob(factory=RetryPolicy)
+    failure_injector: Optional[FailureInjector] = knob(None)
+    task_timeout_s: Optional[float] = knob(
+        None, check_positive, flag="--task-timeout",
+        help="per-attempt deadline in seconds; on --backend workers a "
+        "hung body is hard-killed at the deadline",
+    )
+    speculation_multiplier: Optional[float] = knob(None, check_positive)
+    quarantine_threshold: Optional[float] = knob(None, check_fraction)
+    quarantine_window: int = knob(10, check_positive)
+    quarantine_min_events: int = knob(4, check_positive)
+    quarantine_cooldown_s: float = knob(300.0, check_positive)
+    max_trial_retries: int = knob(0, check_non_negative)
+    checkpoint_dir: Optional[str] = knob(
+        None, flag="--checkpoint-dir",
+        help="enable crash-consistent journaling into this directory "
+        "(journal.jsonl + spilled task outputs)",
+    )
+    checkpoint_every: Optional[int] = knob(
+        1, check_positive, flag="--checkpoint-every", off=0,
+        help="spill every Nth completed task's output "
+        "(0 = journal only, no spills)",
+    )
+    journal_fsync: str = knob("commit", one_of("always", "commit", "off"))
+    verify_outputs: bool = knob(
+        False, flag="--verify-outputs",
+        help="checksum every task output at write time and verify it at "
+        "every consume point; corruption repairs from a replica or "
+        "re-executes the writer",
+    )
+    replication_factor: int = knob(
+        1, check_positive, flag="--replication-factor",
+        help="simulated data plane: copies of each task output "
+        "(primary + N-1 replicas)",
+    )
+    transfer_retries: int = knob(
+        2, check_non_negative, flag="--transfer-retries",
+        help="cross-node transfer retries before falling back to a "
+        "replica / recompute (simulated executor)",
+    )
+    drain_deadline_s: float = knob(
+        120.0, check_positive, flag="--drain-deadline",
+        help="graceful-drain window in seconds: a draining node that still "
+        "has running tasks at the deadline escalates to a node failure "
+        "(lineage recovery)",
+    )
+    starvation_timeout_s: Optional[float] = knob(
+        300.0, check_positive, flag="--starvation-timeout", off=0,
+        help="seconds a task whose constraint no live node can satisfy "
+        "waits for a rejoin before failing with ResourceStarvationError; "
+        "0 disables the watchdog (tasks wait forever)",
+    )
+    preempt_checkpoint_epochs: int = knob(
+        1, check_positive, flag="--preempt-checkpoint-epochs",
+        help="checkpoint-epoch cadence: preemptible trials poll their "
+        "suspension flag every Nth epoch end (requires --checkpoint-dir "
+        "for the spill target)",
+    )
+    suspend_grace_s: float = knob(
+        30.0, check_positive, flag="--suspend-grace",
+        help="seconds a suspend-flagged trial gets to spill warm before "
+        "its tasks are abandoned (the spill still warm-resumes whatever "
+        "landed)",
+    )
+    max_suspended_trials: int = knob(
+        64, check_positive, flag="--max-suspended-trials",
+        help="ceiling on concurrently suspended trials; suspend requests "
+        "past it are refused so a flapping watchdog cannot park an "
+        "entire study",
+    )
+    batch_wakes: bool = knob(True)
+    stream_completed: bool = knob(False)
+    journal_buffer_records: int = knob(256, check_positive)
+    reuse_cache: bool = knob(
+        False, flag="--reuse-cache",
+        help="share cacheable stages: identical stages of a study are "
+        "joined into one task at submit, and every stage output is "
+        "published to a verified content-addressed disk cache that later "
+        "runs, other processes and other tenants hit (pairs with "
+        "--stage-epochs)",
+    )
+    cache_dir: Optional[str] = knob(
+        None, flag="--cache-dir",
+        help="reuse-cache directory (default: <checkpoint-dir>/reuse)",
+    )
+    cache_max_bytes: Optional[int] = knob(
+        None, check_positive, flag="--cache-max-bytes",
+        help="reuse-cache size ceiling; least-recently-hit entries are "
+        "evicted past it",
+        why="a deployment's disk budget; tests evict through "
+        "ReuseCache(max_bytes=...) directly",
+    )
+    manage_gc: bool = knob(True)
+    cost_model: TrainingCostModel = knob(factory=TrainingCostModel)
+    execute_bodies: bool = knob(False)
+    duration_fn: Optional[object] = knob(None)
+    default_dataset: Union[DatasetProfile, str] = knob(MNIST_LIKE)
 
     def __post_init__(self) -> None:
-        # Knob names are fully qualified so a validation error raised deep
-        # inside a service daemon still tells the operator exactly which
-        # RuntimeConfig field (and received value) to fix.
-        check_one_of("RuntimeConfig.backend", self.backend, ["threads", "workers"])
-        check_one_of(
-            "RuntimeConfig.journal_fsync", self.journal_fsync,
-            ["always", "commit", "off"],
-        )
-        if self.max_tasks_per_worker is not None:
-            check_positive(
-                "RuntimeConfig.max_tasks_per_worker", self.max_tasks_per_worker
-            )
-        check_positive("RuntimeConfig.poison_threshold", self.poison_threshold)
-        check_positive(
-            "RuntimeConfig.replication_factor", self.replication_factor
-        )
-        check_non_negative(
-            "RuntimeConfig.transfer_retries", self.transfer_retries
-        )
-        check_positive("RuntimeConfig.drain_deadline_s", self.drain_deadline_s)
-        if self.starvation_timeout_s is not None:
-            check_positive(
-                "RuntimeConfig.starvation_timeout_s", self.starvation_timeout_s
-            )
-        check_positive(
-            "RuntimeConfig.preempt_checkpoint_epochs",
-            self.preempt_checkpoint_epochs,
-        )
-        check_positive("RuntimeConfig.suspend_grace_s", self.suspend_grace_s)
-        check_positive(
-            "RuntimeConfig.max_suspended_trials", self.max_suspended_trials
-        )
-        check_non_negative(
-            "RuntimeConfig.max_trial_retries", self.max_trial_retries
-        )
-        if self.checkpoint_every is not None:
-            check_positive(
-                "RuntimeConfig.checkpoint_every", self.checkpoint_every
-            )
-        check_positive(
-            "RuntimeConfig.journal_buffer_records", self.journal_buffer_records
-        )
-        if self.cache_max_bytes is not None:
-            check_positive(
-                "RuntimeConfig.cache_max_bytes", self.cache_max_bytes
-            )
+        validate(self)
         # NOTE: reuse_cache with neither cache_dir nor checkpoint_dir is
         # legal *here* — hosts like the service daemon anchor a default
         # cache_dir after construction.  The runtime raises at start if

@@ -212,9 +212,7 @@ class COMPSsRuntime:
         )
         #: The solo runtime is study "": its keyer / journal / store /
         #: recovery bundle is built and looked up like any tenant's.
-        self._solo = self._build_session(
-            "", checkpoint_dir, resume_path, self.config.checkpoint_every
-        )
+        self._solo = self._build_session("", checkpoint_dir, resume_path)
         # The solo session's members, read by callers and tests.
         self.keyer = self._solo.keyer
         self.journal = self._solo.journal
@@ -873,7 +871,6 @@ class COMPSsRuntime:
         weight: float = 1.0,
         tenant: str = "",
         max_tenant_slots: Optional[int] = None,
-        checkpoint_every: Optional[int] = None,
     ) -> ckpt.StudySession:
         """Open a fault-isolated session for one tenant study.
 
@@ -899,12 +896,7 @@ class COMPSsRuntime:
             if ckpt_path is not None and (ckpt_path / ckpt.JOURNAL_FILE).exists()
             else None
         )
-        session = self._build_session(
-            study_id, ckpt_path, replay,
-            checkpoint_every if checkpoint_every is not None
-            else self.config.checkpoint_every,
-            tenant=tenant,
-        )
+        session = self._build_session(study_id, ckpt_path, replay, tenant=tenant)
         session.open(self.cluster.name)
         with self.lock:
             self._sessions[study_id] = session
@@ -921,7 +913,6 @@ class COMPSsRuntime:
         study_id: str,
         checkpoint_dir: Optional[Path],
         replay_dir: Optional[Path],
-        cadence: Optional[int],
         tenant: str = "",
     ) -> ckpt.StudySession:
         """The one construction of a keyer / journal / store / recovery
@@ -946,7 +937,8 @@ class COMPSsRuntime:
                 buffer_records=self.config.journal_buffer_records,
             ),
             checkpoint_store=ckpt.CheckpointStore(
-                checkpoint_dir / ckpt.OUTPUTS_DIR, cadence=cadence
+                checkpoint_dir / ckpt.OUTPUTS_DIR,
+                cadence=self.config.checkpoint_every,
             ),
             recovery=recovery,
             tenant=tenant,

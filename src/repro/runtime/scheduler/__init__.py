@@ -6,7 +6,7 @@ from repro.runtime.scheduler.priority import PriorityScheduler
 from repro.runtime.scheduler.locality import LocalityScheduler
 from repro.runtime.scheduler.lpt import LPTScheduler
 
-_SCHEDULERS = {
+SCHEDULERS = {
     "fifo": FIFOScheduler,
     "priority": PriorityScheduler,
     "locality": LocalityScheduler,
@@ -17,10 +17,10 @@ _SCHEDULERS = {
 def get_scheduler(name: str) -> Scheduler:
     """Instantiate a scheduler by name (``fifo``/``priority``/``locality``/``lpt``)."""
     try:
-        return _SCHEDULERS[name.lower()]()
+        return SCHEDULERS[name.lower()]()
     except KeyError:
         raise ValueError(
-            f"unknown scheduler {name!r}; known: {sorted(_SCHEDULERS)}"
+            f"unknown scheduler {name!r}; known: {sorted(SCHEDULERS)}"
         ) from None
 
 

@@ -22,58 +22,41 @@ from repro.service.errors import (
     ServiceOverloadedError,
     TenantQuotaError,
 )
+from repro.util.knobs import knob, validate
 from repro.util.validation import check_positive
 
 
 @dataclass
 class AdmissionConfig:
-    """Backpressure knobs of one service daemon.
+    """Backpressure knobs of one service daemon (see each ``help``)."""
 
-    Attributes
-    ----------
-    max_queued_studies:
-        Bound on the whole admission queue (queued, not yet running).
-        Submissions beyond it are rejected with :class:`QueueFullError`.
-    max_queued_per_tenant:
-        Per-tenant share of the queue; beyond it the tenant's own
-        submissions get :class:`TenantQuotaError` while other tenants
-        are unaffected.
-    max_studies_per_tenant:
-        Cap on one tenant's concurrently *running* studies.  Over-quota
-        studies stay queued (backpressure, not rejection) until one of
-        the tenant's studies finishes.
-    max_concurrent_studies:
-        Daemon-wide cap on concurrently running studies (worker threads).
-    rss_limit_mb:
-        Memory ceiling: once the daemon's resident set exceeds it, the
-        watchdog sheds queued studies and rejects new submissions with
-        :class:`ServiceOverloadedError` until pressure clears (None
-        disables the watchdog).
-    """
-
-    max_queued_studies: int = 16
-    max_queued_per_tenant: int = 8
-    max_studies_per_tenant: int = 2
-    max_concurrent_studies: int = 4
-    rss_limit_mb: Optional[float] = None
+    max_queued_studies: int = knob(
+        16, check_positive, flag="--max-queued-studies",
+        help="bound on the queue of not-yet-running studies "
+        "(QueueFullError beyond it)",
+    )
+    max_queued_per_tenant: int = knob(
+        8, check_positive, flag="--max-queued-per-tenant",
+        help="per-tenant queue share; beyond it only that tenant's "
+        "submissions get TenantQuotaError",
+    )
+    max_studies_per_tenant: int = knob(
+        2, check_positive, flag="--max-studies-per-tenant",
+        help="cap on one tenant's concurrently running studies "
+        "(over-quota studies wait in the queue)",
+    )
+    max_concurrent_studies: int = knob(
+        4, check_positive, flag="--max-concurrent-studies",
+        help="daemon-wide cap on running studies (worker threads)",
+    )
+    rss_limit_mb: Optional[float] = knob(
+        None, check_positive, flag="--rss-limit-mb",
+        help="memory ceiling: while over it the watchdog suspends and "
+        "sheds studies and rejects submissions (ServiceOverloadedError)",
+    )
 
     def __post_init__(self) -> None:
-        check_positive(
-            "AdmissionConfig.max_queued_studies", self.max_queued_studies
-        )
-        check_positive(
-            "AdmissionConfig.max_queued_per_tenant", self.max_queued_per_tenant
-        )
-        check_positive(
-            "AdmissionConfig.max_studies_per_tenant",
-            self.max_studies_per_tenant,
-        )
-        check_positive(
-            "AdmissionConfig.max_concurrent_studies",
-            self.max_concurrent_studies,
-        )
-        if self.rss_limit_mb is not None:
-            check_positive("AdmissionConfig.rss_limit_mb", self.rss_limit_mb)
+        validate(self)
 
 
 def process_rss_mb() -> float:

@@ -55,9 +55,9 @@ class ServiceClient:
         here as its original exception class.
         """
         sid = request.study_id
-        if proto.read_json(self.paths.request_file(sid)) is not None:
-            existing = proto.read_json(self.paths.request_file(sid))
-            if existing == request.to_payload():
+        existing = proto.read_json(self.paths.request_file(sid))
+        if existing is not None:
+            if request.matches(existing):
                 return sid  # already admitted: idempotent retry
             raise error_for_code(
                 "study_conflict",

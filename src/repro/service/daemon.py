@@ -366,7 +366,7 @@ class HPOService:
             return
         existing = proto.read_json(self.paths.request_file(request.study_id))
         if existing is not None:
-            if existing == request.to_payload():
+            if request.matches(existing):
                 return  # idempotent re-submission: already admitted
             self._reject(
                 request.study_id,
@@ -645,7 +645,6 @@ class HPOService:
                 weight=request.weight,
                 tenant=request.tenant,
                 max_tenant_slots=request.max_tenant_slots,
-                checkpoint_every=request.checkpoint_every,
             )
             guard = _StudyGuard(self, sid, request.max_failed_trials)
             stage_plan = None

@@ -24,9 +24,19 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
+
+from repro.hpo.algorithms import ALGORITHMS
+from repro.util.knobs import knob, validate
+from repro.util.validation import (
+    check_at_least,
+    check_non_negative,
+    check_positive,
+    check_type,
+)
 
 # Study lifecycle states recorded in state.json.
 QUEUED = "queued"
@@ -81,6 +91,13 @@ def read_json(path: Path) -> Optional[Dict[str, Any]]:
         return None
 
 
+def _check_study_id(name: str, value: str) -> None:
+    if not value:
+        raise ValueError(f"{name} must be non-empty")
+    if any(sep in value for sep in ("/", "\\", "..")):
+        raise ValueError(f"{name} must be a plain name, got {value!r}")
+
+
 @dataclass
 class StudyRequest:
     """One tenant study: everything the daemon needs to run it.
@@ -88,56 +105,53 @@ class StudyRequest:
     ``study_id`` doubles as the idempotency key — re-submitting the
     identical request is a no-op; a *different* payload under the same id
     is rejected with :class:`~repro.service.errors.StudyConflictError`.
+    The study's checkpoint cadence is the daemon runtime's
+    ``checkpoint_every``.
     """
 
-    study_id: str
-    tenant: str = "default"
+    study_id: str = knob(check=_check_study_id)
+    tenant: str = knob("default", flag="--tenant")
     #: Listing-1-style space dict (lists → categorical, scalars → const).
-    space: Dict[str, Any] = field(default_factory=dict)
-    algorithm: str = "grid"
-    algorithm_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Objective spec: a registry name (``fast_mock``, ``slow_mock``,
-    #: ``poison``, ``train``) or a ``module:function`` dotted path.
-    objective: str = "fast_mock"
-    batch_size: Optional[int] = None
+    space: Dict[str, Any] = knob(factory=dict)
+    algorithm: str = knob("grid", choices=list(ALGORITHMS), flag="--algorithm")
+    algorithm_kwargs: Dict[str, Any] = knob(factory=dict)
+    objective: str = knob(
+        "fast_mock", flag="--objective",
+        help="objective spec: fast_mock | slow_mock | preemptible_mock | "
+        "poison | train | module:function",
+    )
+    batch_size: Optional[int] = knob(None, check_positive, flag="--batch-size")
     #: Fair-share knobs: higher priority places strictly first; within a
     #: band, long-run CPU share converges to the weight ratio.
-    priority: int = 0
-    weight: float = 1.0
+    priority: int = knob(0, partial(check_type, types=int), flag="--priority")
+    weight: float = knob(1.0, check_positive, flag="--weight")
     #: The study's own resilience budget (fault isolation): per-trial
     #: resubmissions, and how many FAILED trials the study tolerates
     #: before the service terminates it (None = unlimited).
-    max_trial_retries: int = 0
-    max_failed_trials: Optional[int] = None
+    max_trial_retries: int = knob(
+        0, check_non_negative, flag="--max-trial-retries"
+    )
+    max_failed_trials: Optional[int] = knob(
+        None, check_non_negative, flag="--max-failed-trials"
+    )
     #: Cap on the tenant's concurrently *running* placements (slots)
     #: across all its studies (None = uncapped).
-    max_tenant_slots: Optional[int] = None
-    #: Spill cadence override for the study's checkpoint store.
-    checkpoint_every: Optional[int] = 1
-    #: Stage-decompose trials into cacheable epoch blocks of this size
-    #: (see :class:`repro.hpo.stages.StagePlan`).  None = monolithic
-    #: experiment tasks.  With the daemon's shared reuse cache on,
-    #: identical stage prefixes resolve from cache *across tenants* —
-    #: content keys carry no study namespace by design.
-    stage_epochs: Optional[int] = None
+    max_tenant_slots: Optional[int] = knob(
+        None, check_positive, flag="--max-tenant-slots"
+    )
+    #: See :class:`repro.hpo.stages.StagePlan`.  Content keys carry no
+    #: study namespace by design: identical stage prefixes resolve from
+    #: the daemon's shared cache *across tenants*.
+    stage_epochs: Optional[int] = knob(
+        None, partial(check_at_least, low=1), flag="--stage-epochs",
+        help="decompose each trial into cacheable train stages of this "
+        "many epochs; with --reuse-cache, trials sharing a hyperparameter "
+        "prefix share one task per common block (a graph join, no "
+        "waiting), and a daemon's disk cache shares them across tenants",
+    )
 
     def __post_init__(self) -> None:
-        if not self.study_id:
-            raise ValueError("StudyRequest.study_id must be non-empty")
-        if self.stage_epochs is not None and self.stage_epochs < 1:
-            raise ValueError(
-                f"StudyRequest.stage_epochs must be >= 1, "
-                f"got {self.stage_epochs!r}"
-            )
-        if any(sep in self.study_id for sep in ("/", "\\", "..")):
-            raise ValueError(
-                f"StudyRequest.study_id must be a plain name, "
-                f"got {self.study_id!r}"
-            )
-        if self.weight <= 0:
-            raise ValueError(
-                f"StudyRequest.weight must be > 0, got {self.weight!r}"
-            )
+        validate(self)
 
     def to_payload(self) -> Dict[str, Any]:
         return asdict(self)
@@ -146,6 +160,18 @@ class StudyRequest:
     def from_payload(cls, payload: Mapping[str, Any]) -> "StudyRequest":
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416
         return cls(**{k: v for k, v in payload.items() if k in known})
+
+    def matches(self, payload: Mapping[str, Any]) -> bool:
+        """Whether a stored ``request.json`` specifies this same study.
+
+        Compares normalised payloads, so a file written by an older
+        version (with since-removed keys) still matches.
+        """
+        try:
+            stored = StudyRequest.from_payload(payload)
+        except (TypeError, ValueError):
+            return False
+        return stored.to_payload() == self.to_payload()
 
 
 class ServicePaths:

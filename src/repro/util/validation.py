@@ -7,7 +7,7 @@ of surfacing as a numpy broadcasting error three layers down.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence, Type, Union
+from typing import Any, Callable, Iterable, Sequence, Type, Union
 
 Number = Union[int, float]
 
@@ -36,6 +36,13 @@ def check_non_negative(name: str, value: Number) -> Number:
     return value
 
 
+def check_at_least(name: str, value: Number, low: Number) -> Number:
+    """Raise :class:`ValueError` unless ``value >= low``."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
 def check_in_range(
     name: str, value: Number, low: Number, high: Number, inclusive: bool = True
 ) -> Number:
@@ -58,3 +65,19 @@ def check_one_of(name: str, value: Any, options: Iterable[Any]) -> Any:
     if value not in options:
         raise ValueError(f"{name} must be one of {options!r}, got {value!r}")
     return value
+
+
+def check_fraction(name: str, value: Number) -> Number:
+    """Raise :class:`ValueError` unless ``0 < value <= 1``."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0.0, 1.0], got {value!r}")
+    return value
+
+
+def one_of(*options: Any) -> Callable[[str, Any], Any]:
+    """A :func:`check_one_of` check; its ``choices`` attribute lists them."""
+    def check(name: str, value: Any) -> Any:
+        return check_one_of(name, value, options)
+
+    check.choices = list(options)  # type: ignore[attr-defined]
+    return check

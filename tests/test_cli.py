@@ -44,6 +44,29 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestKnobFlagErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "c.json", "--poison-threshold", "0"],
+             "RuntimeConfig.poison_threshold must be > 0, got 0"),
+            (["run", "c.json", "--stage-epochs", "0"],
+             "StudyRequest.stage_epochs must be >= 1, got 0"),
+            (["submit", "root", "s1", "c.json", "--max-tenant-slots", "0"],
+             "StudyRequest.max_tenant_slots must be > 0, got 0"),
+        ],
+    )
+    def test_bad_value_exits_2_with_the_knob_message(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: {message}" in err
+        assert "Traceback" not in err
+
+
 class TestRunCommand:
     def test_simulated_grid_with_artifacts(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "results"

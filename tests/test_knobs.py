@@ -1,15 +1,31 @@
-"""The command-line surface of ``repro run``, ``serve`` and ``submit``.
+"""Knobs are declared once (``repro.util.knobs``); these checks hold the
+declarations to the command line, the repository and the docs.
 
-The golden below lists every option of the three subcommands with its
-default and choice list, as ``--help`` offers them.  A knob refactor must
-leave it unchanged; a deliberate surface change edits it in the same
-commit.
+- The golden below lists every option of ``repro run``, ``serve`` and
+  ``submit`` with its default and choice list, as ``--help`` offers them.
+  A deliberate surface change edits it in the same commit.
+- Every declared flag, given a non-default value, reaches its field.
+- No knob is set to one value only across the repository unless its
+  declaration says why.
+- The knob tables in EXPERIMENTS.md state the declared defaults.
 """
 
 import argparse
+import ast
+import dataclasses
+import re
+from collections import defaultdict
 from pathlib import Path
 
-from repro.cli import build_parser
+import pytest
+
+from repro.cli import build_parser, knob_values
+from repro.runtime.config import RuntimeConfig
+from repro.service import AdmissionConfig, StudyRequest
+from repro.util.knobs import check_knob, knob_fields
+
+REPO = Path(__file__).resolve().parents[1]
+CLASSES = (RuntimeConfig, AdmissionConfig, StudyRequest)
 
 ALGORITHMS = [
     "grid", "random", "bayesian", "tpe", "hyperband", "successive_halving",
@@ -130,3 +146,202 @@ def test_cli_surface_matches_golden():
     parsers = subparsers()
     for command, golden in GOLDEN.items():
         assert surface(parsers[command]) == golden, command
+
+
+# ----------------------------------------------------------------------
+# Each flag reaches its field
+# ----------------------------------------------------------------------
+#: Flag values pinned by hand; every other flag gets a generated one.
+PINNED = {
+    "--backend": ("workers", "workers"),
+    "--max-tasks-per-worker": ("10", 10),
+    "--poison-threshold": ("4", 4),
+    "--task-timeout": ("60", 60.0),
+}
+
+
+def _sample(field):
+    """A valid non-default command-line value and the field value it gives."""
+    if field.knob.flag in PINNED:
+        return PINNED[field.knob.flag]
+    if field.knob.choices is not None:
+        choice = next(c for c in field.knob.choices if c != field.default)
+        return choice, choice
+    if field.type is str:
+        return "elsewhere", "elsewhere"
+    value = field.type(2 * (field.default or 1) + 1)
+    return str(value), value
+
+
+def _flag_cases():
+    parsers = subparsers()
+    for command in GOLDEN:
+        options = parsers[command]._option_string_actions
+        for cls in CLASSES:
+            for field in knob_fields(cls):
+                action = options.get(field.knob.flag)
+                # A switch keeps its flag's dest; a value flag the field's.
+                if action is not None and (
+                    field.type is bool or action.dest == field.name
+                ):
+                    yield pytest.param(
+                        command, cls, field,
+                        id=f"{command} {field.knob.flag}",
+                    )
+
+
+def _parse(command, *flags):
+    positionals = {
+        "run": ["c.json"], "serve": ["root"], "submit": ["root", "s", "c.json"],
+    }[command]
+    return build_parser().parse_args([command, *positionals, *flags])
+
+
+def _build(cls, args):
+    required = {"study_id": "s"} if cls is StudyRequest else {}
+    return cls(**required, **knob_values(args, cls))
+
+
+@pytest.mark.parametrize("command, cls, field", _flag_cases())
+def test_flag_reaches_its_field(command, cls, field):
+    if field.type is bool:
+        args, expected = _parse(command, field.knob.flag), not field.default
+    else:
+        text, expected = _sample(field)
+        assert expected != field.default
+        args = _parse(command, field.knob.flag, text)
+    assert getattr(_build(cls, args), field.name) == expected
+
+
+@pytest.mark.parametrize(
+    "field",
+    [f for f in knob_fields(RuntimeConfig) if f.knob.off is not None],
+    ids=lambda f: f.knob.flag,
+)
+def test_off_value_clears_the_knob(field):
+    args = _parse("run", field.knob.flag, str(field.knob.off))
+    assert getattr(_build(RuntimeConfig, args), field.name) is None
+
+
+# ----------------------------------------------------------------------
+# No knob with a single value
+# ----------------------------------------------------------------------
+def _set_values():
+    """Every expression a name or flag is set to in the repository.
+
+    Keyword arguments, dict keys, attribute assignments, and the element
+    after a ``--flag`` string in a list or tuple (an argv).
+    """
+    found = defaultdict(list)
+    for root in ("src", "tests", "examples", "benchmarks"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            if path.name == Path(__file__).name:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.keyword) and node.arg:
+                    found[node.arg].append(node.value)
+                elif isinstance(node, ast.Dict):
+                    for key, value in zip(node.keys, node.values):
+                        if isinstance(key, ast.Constant):
+                            found[key.value].append(value)
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Attribute):
+                            found[target.attr].append(node.value)
+                elif isinstance(node, (ast.List, ast.Tuple)):
+                    for flag, value in zip(node.elts, node.elts[1:] + [None]):
+                        if isinstance(flag, ast.Constant) and \
+                                str(flag.value).startswith("--"):
+                            found[flag.value].append(value)
+    return found
+
+
+def _other_value(cls, field, node):
+    """Whether ``node`` may set ``field`` to a valid non-default value."""
+    if node is None:  # a switch at the end of an argv
+        return True
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return True  # computed: not provably the default
+    if isinstance(value, str) and field.type in (int, float):
+        try:  # an argv string
+            value = field.type(value)
+        except ValueError:
+            return False
+    if value == field.default:
+        return False
+    try:
+        check_knob(cls, field, value)
+    except (TypeError, ValueError):
+        return False  # an invalid value a validation test passes
+    return True
+
+
+def test_every_knob_takes_more_than_one_value():
+    found = _set_values()
+    single = []
+    for cls in CLASSES:
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        assert [f.name for f in knob_fields(cls)] == list(fields)
+        for field in knob_fields(cls):
+            required = fields[field.name].default_factory is \
+                dataclasses.MISSING and field.default is dataclasses.MISSING
+            if required or field.knob.why:
+                continue
+            nodes = found[field.name] + (
+                found[field.knob.flag] if field.knob.flag else []
+            )
+            if field.type is bool and field.knob.flag in found:
+                continue
+            if not any(_other_value(cls, field, n) for n in nodes):
+                single.append(f"{cls.__name__}.{field.name}")
+    assert not single, (
+        f"only ever set to their default across src/, tests/, examples/ "
+        f"and benchmarks/: {single}; make each a constant, or say why it "
+        "stays a knob in its declaration (knob(why=...))"
+    )
+
+
+# ----------------------------------------------------------------------
+# EXPERIMENTS.md knob tables
+# ----------------------------------------------------------------------
+def _doc_value(text):
+    text = text.strip().strip("`")
+    if text in ("off", "None"):
+        return None
+    return ast.literal_eval(text)
+
+
+def _doc_rows():
+    """(name, stated default) of every row of a ``| knob | ... |`` table."""
+    default_col = None
+    for line in (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            default_col = None
+        elif cells[0].lower() == "knob":
+            default_col = [c.lower() for c in cells].index("default")
+        elif default_col is not None and cells[0].startswith("`"):
+            names = cells[0].split(" / ")
+            defaults = cells[default_col].split(" / ")
+            for name, default in zip(names, defaults):
+                match = re.match(r"`(\w+)`", name)
+                if match:
+                    yield match.group(1), default
+
+
+def test_experiments_tables_state_the_declared_defaults():
+    declared = defaultdict(dict)
+    for cls in CLASSES:
+        for field in knob_fields(cls):
+            declared[field.name][cls.__name__] = field.default
+    checked, wrong = 0, []
+    for name, stated in _doc_rows():
+        for owner, default in declared.get(name, {}).items():
+            checked += 1
+            if _doc_value(stated) != default:
+                wrong.append(f"{name}: {stated} (declared on {owner}: {default!r})")
+    assert checked >= 30
+    assert not wrong, wrong

@@ -250,6 +250,52 @@ class TestServiceEndToEnd:
         finally:
             service.shutdown()
 
+    def test_out_of_range_request_rejected_at_admission(self, tmp_path):
+        bad = {
+            "max_tenant_slots": (0, "must be > 0, got 0"),
+            "batch_size": (0, "must be > 0, got 0"),
+            "max_trial_retries": (-1, "must be >= 0, got -1"),
+            "max_failed_trials": (-1, "must be >= 0, got -1"),
+            "priority": ("high", "must be int, got str"),
+        }
+        service = make_service(tmp_path).start()
+        try:
+            for field, (value, message) in bad.items():
+                message = f"StudyRequest.{field} {message}"
+                with pytest.raises((TypeError, ValueError), match=message):
+                    request("bad", **{field: value})
+                service._admit(
+                    dict(request("bad").to_payload(), **{field: value})
+                )
+                rejection = proto.read_json(
+                    service.paths.rejection_file("bad")
+                )
+                assert rejection["message"] == message
+            assert not service._queued
+        finally:
+            service.shutdown()
+
+    def test_resubmission_over_an_older_request_file_is_noop(self, tmp_path):
+        service = make_service(tmp_path).start()
+        client = ServiceClient(service.paths.root, poll_s=0.01)
+        # request.json as the version before StudyRequest lost its
+        # checkpoint_every field wrote it.
+        proto.atomic_write_json(service.paths.request_file("old"), {
+            "study_id": "old", "tenant": "default", "space": SPACE,
+            "algorithm": "grid", "algorithm_kwargs": {},
+            "objective": "fast_mock", "batch_size": None, "priority": 0,
+            "weight": 1.0, "max_trial_retries": 0, "max_failed_trials": None,
+            "max_tenant_slots": None, "checkpoint_every": 1,
+            "stage_epochs": None,
+        })
+        try:
+            assert client.submit(request("old"), timeout_s=5) == "old"
+            service._admit(request("old").to_payload())
+            assert proto.read_json(service.paths.rejection_file("old")) is None
+            assert not service._queued
+        finally:
+            service.shutdown()
+
     def test_queue_full_rejection_reaches_client(self, tmp_path):
         service = make_service(
             tmp_path, max_queued_studies=1, max_concurrent_studies=1,

@@ -358,28 +358,6 @@ class TestConfigValidation:
 
 
 class TestCliFlags:
-    def test_worker_flags_parsed(self, tmp_path):
-        from repro.cli import build_parser
-        from repro.hpo.config_file import write_config_file
-
-        config = write_config_file(
-            {"optimizer": ["Adam"], "num_epochs": [2], "batch_size": [32]},
-            tmp_path / "config.json",
-        )
-        args = build_parser().parse_args(
-            [
-                "run", str(config),
-                "--backend", "workers",
-                "--max-tasks-per-worker", "50",
-                "--poison-threshold", "2",
-                "--task-timeout", "30",
-            ]
-        )
-        assert args.backend == "workers"
-        assert args.max_tasks_per_worker == 50
-        assert args.poison_threshold == 2
-        assert args.task_timeout == 30.0
-
     def test_bad_backend_flag_rejected(self, tmp_path):
         from repro.cli import build_parser
         from repro.hpo.config_file import write_config_file
@@ -392,29 +370,6 @@ class TestCliFlags:
             build_parser().parse_args(
                 ["run", str(config), "--backend", "greenlets"]
             )
-
-    def test_flags_reach_runtime_config(self, tmp_path):
-        from repro.cli import _make_runtime_config, build_parser
-        from repro.hpo.config_file import write_config_file
-
-        config = write_config_file(
-            {"optimizer": ["Adam"], "num_epochs": [2], "batch_size": [32]},
-            tmp_path / "config.json",
-        )
-        args = build_parser().parse_args(
-            [
-                "run", str(config),
-                "--backend", "workers",
-                "--max-tasks-per-worker", "10",
-                "--poison-threshold", "4",
-                "--task-timeout", "60",
-            ]
-        )
-        cfg = _make_runtime_config(args)
-        assert cfg.backend == "workers"
-        assert cfg.max_tasks_per_worker == 10
-        assert cfg.poison_threshold == 4
-        assert cfg.task_timeout_s == 60.0
 
 
 # ----------------------------------------------------------------------
