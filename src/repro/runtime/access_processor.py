@@ -12,7 +12,11 @@ rules per parameter direction:
   readers (anti-dependency) to preserve sequential semantics.
 
 Futures are handled as data too: the producing task is the writer of the
-future's datum.
+future's datum.  A return slot gets its data id at submit, but its
+:class:`DataInfo` / :class:`DataVersion` only when something first needs
+them — a consumer reading or updating the future, a lineage query, or
+integrity sealing.  An output nothing reads (the common streaming shape)
+never gets a record.
 """
 
 from __future__ import annotations
@@ -101,9 +105,13 @@ class AccessProcessor:
         self._data_ids = itertools.count(1)
         self._by_obj_id: Dict[int, DataInfo] = {}
         self._keepalive: Dict[int, Any] = {}
-        self._future_data: Dict[Tuple[int, int], DataInfo] = {}
+        #: writer task_id -> its return-slot futures, in slot order.
+        self._futures: Dict[int, List[Future]] = {}
+        #: return-slot data id -> its record, made on first need.
+        self._future_data: Dict[int, DataInfo] = {}
         self._by_path: Dict[str, DataInfo] = {}
-        #: writer task_id -> versions it produced (lineage queries).
+        #: writer task_id -> versions it wrote through OUT / INOUT
+        #: parameters (return slots are found through ``_futures``).
         self._by_writer: Dict[int, List[DataVersion]] = {}
         #: True once any version was ever invalidated — lets the
         #: per-completion revalidation pass skip entirely in the
@@ -123,26 +131,39 @@ class AccessProcessor:
             self._keepalive[key] = obj
         return info
 
-    def _info_for_future(self, fut: Future) -> DataInfo:
-        key = (fut.invocation.task_id, fut.index)
-        info = self._future_data.get(key)
-        if info is None:
-            writer = fut.invocation
-            info = DataInfo(next(self._data_ids))
-            version = info.new_version(writer=writer)
-            by_writer = self._by_writer
-            tid = writer.task_id
-            versions = by_writer.get(tid)
-            if versions is None:
-                by_writer[tid] = [version]
-            else:
-                versions.append(version)
-            self._future_data[key] = info
-        return info
-
     def register_output_future(self, fut: Future) -> str:
-        """Register a task's return slot as a written datum; returns label."""
-        return self._info_for_future(fut).current.label
+        """Register a task's return slot as a written datum; returns label.
+
+        Reserves the slot's data id and files the future under its task;
+        the record itself waits for :meth:`_info_for_future`.
+        """
+        fut.data_id = data_id = next(self._data_ids)
+        tid = fut.invocation.task_id
+        futures = self._futures.get(tid)
+        if futures is None:
+            self._futures[tid] = [fut]
+        else:
+            futures.append(fut)
+        return f"d{data_id}v1"
+
+    def futures_of(self, task_id: int) -> Sequence[Future]:
+        """The return-slot futures of task ``task_id`` (slot order)."""
+        return self._futures.get(task_id, ())
+
+    def _info_for_future(self, fut: Future) -> DataInfo:
+        """The return slot's record, made (version 1, by its task) on
+        first need."""
+        data_id = fut.data_id
+        info = self._future_data.get(data_id)
+        if info is None:
+            if data_id is None:
+                # Released by a streaming free (or never registered): a
+                # late reader books the datum under a fresh id.
+                fut.data_id = data_id = next(self._data_ids)
+            info = DataInfo(data_id)
+            info.new_version(writer=fut.invocation)
+            self._future_data[data_id] = info
+        return info
 
     def _info_for_path(self, path: str) -> DataInfo:
         """FILE parameters are identified by their path, not object id."""
@@ -212,8 +233,16 @@ class AccessProcessor:
             self._by_writer.setdefault(version.writer.task_id, []).append(version)
 
     def versions_written_by(self, task: TaskInvocation) -> List[DataVersion]:
-        """Data versions produced by ``task`` (its output lineage)."""
-        return list(self._by_writer.get(task.task_id, ()))
+        """Data versions produced by ``task`` (its output lineage).
+
+        Parameter writes first, in access order, then the return slots —
+        the order submit registered them in.
+        """
+        tid = task.task_id
+        out = list(self._by_writer.get(tid, ()))
+        for fut in self._futures.get(tid, ()):
+            out.append(self._info_for_future(fut).versions[0])
+        return out
 
     def future_versions(self, task: TaskInvocation) -> List[Tuple[int, DataVersion]]:
         """``(return_slot, version)`` pairs for ``task``'s return values.
@@ -223,12 +252,10 @@ class AccessProcessor:
         place.  The integrity layer snapshots only the former in local
         mode.
         """
-        out: List[Tuple[int, DataVersion]] = []
-        for index in range(task.definition.n_returns):
-            info = self._future_data.get((task.task_id, index))
-            if info is not None:
-                out.append((index, info.versions[0]))
-        return out
+        return [
+            (fut.index, self._info_for_future(fut).versions[0])
+            for fut in self._futures.get(task.task_id, ())
+        ]
 
     def invalidate_versions_written_by(self, tasks) -> List[str]:
         """Mark the versions written by ``tasks`` as lost; returns labels.
@@ -240,7 +267,7 @@ class AccessProcessor:
         """
         labels: List[str] = []
         for task in tasks:
-            for version in self._by_writer.get(task.task_id, ()):
+            for version in self.versions_written_by(task):
                 if not version.invalidated:
                     version.invalidated = True
                     labels.append(version.label)
@@ -249,30 +276,50 @@ class AccessProcessor:
         return labels
 
     def revalidate_versions_written_by(self, task: TaskInvocation) -> None:
-        """Clear the lost flag on ``task``'s outputs (it re-executed)."""
-        for version in self._by_writer.get(task.task_id, ()):
+        """Clear the lost flag on ``task``'s outputs (it re-executed).
+
+        Only existing records can carry the flag, so none is made here.
+        """
+        tid = task.task_id
+        for version in self._by_writer.get(tid, ()):
             version.invalidated = False
+        for fut in self._futures.get(tid, ()):
+            info = self._future_data.get(fut.data_id)
+            if info is not None:
+                info.versions[0].invalidated = False
 
     def invalidated_labels(self) -> List[str]:
-        """Labels of all currently-invalidated versions (introspection)."""
-        return sorted(
-            v.label
+        """Labels of all currently-invalidated versions, in
+        ``(data_id, version)`` order (introspection)."""
+        lost = [
+            v
             for versions in self._by_writer.values()
             for v in versions
             if v.invalidated
+        ]
+        lost.extend(
+            info.versions[0]
+            for info in self._future_data.values()
+            if info.versions[0].invalidated
         )
+        lost.sort(key=lambda v: (v.data_id, v.version))
+        return [v.label for v in lost]
 
-    def release_task(self, task_id: int, n_returns: int) -> None:
+    def release_task(self, task_id: int) -> None:
         """Drop a freed task's future/writer registrations (streaming).
 
         Called via ``TaskGraph.on_free`` once every consumer of the task
         has completed — nothing can read these versions again, so the
         version objects (and through them the task invocation) become
-        collectable.  Object-keyed data (INOUT containers) stays: it is
-        bounded by live user objects, not by task count.
+        collectable.  A future the caller still holds forgets its data
+        id, so a late reader books a fresh datum.  Object-keyed data
+        (INOUT containers) stays: it is bounded by live user objects,
+        not by task count.
         """
-        for i in range(n_returns):
-            self._future_data.pop((task_id, i), None)
+        future_data = self._future_data
+        for fut in self._futures.pop(task_id, ()):
+            future_data.pop(fut.data_id, None)
+            fut.data_id = None
         self._by_writer.pop(task_id, None)
 
     @staticmethod
@@ -297,6 +344,7 @@ class AccessProcessor:
         """Drop all tracked data (used between runtime sessions)."""
         self._by_obj_id.clear()
         self._keepalive.clear()
+        self._futures.clear()
         self._future_data.clear()
         self._by_path.clear()
         self._by_writer.clear()

@@ -498,7 +498,7 @@ class Executor(abc.ABC):
         return _resolve(task.args), _resolve(task.kwargs)
 
     @staticmethod
-    def fan_out_result(task: TaskInvocation, futures: List[Future], result: Any) -> None:
+    def fan_out_result(task: TaskInvocation, futures: Sequence[Future], result: Any) -> None:
         """Distribute a task's return value into its future slots."""
         n = len(futures)
         if n == 0:

@@ -9,11 +9,12 @@ Bodies run in a thread pool, which overlaps sleeping, I/O-bound and
 long-BLAS-call bodies but not CPU-bound Python: the zoo's small-batch
 training spends most of its time in interpreter code between short numpy
 calls, so two training threads contend for the GIL instead of
-overlapping.  The benchmark suite measures it (benchmarks/suite/README.md):
-on the 27-config real-training grid with 2 slots,
-``grid27_train_threads`` takes 7.0 s against 2.9 s for a plain serial
-loop and 1.5 s on ``backend="workers"``, with summed body time inflated
-x4.2-4.4 (``local.body_inflation``).  Use ``backend="workers"``
+overlapping.  The benchmark suite measures it on the 27-config
+real-training grid with 2 slots; measured together on 2026-10-17 on a
+2-core host, ``grid27_train_threads`` took 6.5 s against 3.7 s for a
+plain serial loop (``hpo.serial_baseline_s``) and 2.4 s on
+``backend="workers"`` (``grid27_train_workers``), with summed body time
+inflated x3.2 (``local.body_inflation``).  Use ``backend="workers"``
 (:class:`~repro.runtime.executor.workers.WorkerPoolExecutor`, which
 replaces only where bodies run) for CPU-bound training; threads remain
 the default because they need no picklable bodies and start instantly.

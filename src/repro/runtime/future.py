@@ -8,7 +8,7 @@ per return slot.
 
 from __future__ import annotations
 
-from typing import Any, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task_definition import TaskInvocation
@@ -17,13 +17,20 @@ _UNSET = object()
 
 
 class Future:
-    """Placeholder for the (``index``-th) result of a task invocation."""
+    """Placeholder for the (``index``-th) result of a task invocation.
 
-    __slots__ = ("invocation", "index", "_value")
+    ``data_id`` is the ``d<N>`` of the slot's datum, reserved by
+    :meth:`AccessProcessor.register_output_future
+    <repro.runtime.access_processor.AccessProcessor.register_output_future>`
+    (None until then, and again once a streaming free released it).
+    """
+
+    __slots__ = ("invocation", "index", "data_id", "_value")
 
     def __init__(self, invocation: "TaskInvocation", index: int = 0):
         self.invocation = invocation
         self.index = index
+        self.data_id: Optional[int] = None
         self._value: Any = _UNSET
 
     @property

@@ -14,7 +14,7 @@ import inspect
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import integrity as igr
@@ -190,7 +190,6 @@ class COMPSsRuntime:
                 log=self.resilience,
                 clock=self.executor.clock,
             )
-        self._futures: Dict[int, List[Future]] = {}
         # Streaming mode: the graph frees fully-consumed completed tasks
         # and tells us to drop their registry entries, so memory tracks
         # the active frontier instead of the whole study.
@@ -410,11 +409,10 @@ class COMPSsRuntime:
                         deps[dep.task_id] = dep
                         if self.config.graph and label:
                             edge_labels[dep.task_id] = label
-            futures = [Future(invocation, i) for i in range(definition.n_returns)]
-            for fut in futures:
-                # register_output_future minus the unused label return.
-                self.access._info_for_future(fut)
-            self._futures[invocation.task_id] = futures
+            # Each slot gets its data id now; its record waits for a reader.
+            for i in range(definition.n_returns):
+                self.access.register_output_future(Future(invocation, i))
+            futures = self.access.futures_of(invocation.task_id)
             if content_key is not None:
                 # Later identical submissions of this study join this
                 # node (a FAILED one is replaced by its retry here).
@@ -487,7 +485,7 @@ class COMPSsRuntime:
         return self._handle(futures)
 
     @staticmethod
-    def _handle(futures: List[Future]):
+    def _handle(futures: Sequence[Future]):
         """What ``submit`` returns for a task's future slots."""
         if not futures:
             return None
@@ -510,9 +508,7 @@ class COMPSsRuntime:
             prior = self._joins.get(study, {}).get(content_key)
             if prior is None or prior.state is TaskState.FAILED:
                 return None
-            futures = self._futures.get(prior.task_id)
-        if futures is None:
-            return None
+            futures = self.access.futures_of(prior.task_id)
         self.reuse.note_join(content_key)
         # A joined node belongs to every TaskGroup open at this submit.
         record_submission(prior)
@@ -668,7 +664,7 @@ class COMPSsRuntime:
     # ------------------------------------------------------------------
     def complete_task(self, task: TaskInvocation, result: Any) -> None:
         """Fan the result into futures and unlock successors."""
-        futures = self._futures.get(task.task_id, [])
+        futures = self.access.futures_of(task.task_id)
         Executor.fan_out_result(task, futures, result)
         self.graph.mark_done(task)
         if self.access.any_invalidated:
@@ -704,9 +700,7 @@ class COMPSsRuntime:
 
     def _on_task_freed(self, task: TaskInvocation) -> None:
         """Streaming: drop registry entries of a graph-freed task."""
-        tid = task.task_id
-        self._futures.pop(tid, None)
-        self.access.release_task(tid, task.definition.n_returns)
+        self.access.release_task(task.task_id)
         if task.content_key is not None:
             joins = self._joins.get(task.study)
             if joins is not None and joins.get(task.content_key) is task:
@@ -833,9 +827,9 @@ class COMPSsRuntime:
     # ------------------------------------------------------------------
     # Crash consistency / lineage recovery
     # ------------------------------------------------------------------
-    def future_slots(self, task: TaskInvocation) -> List[Future]:
+    def future_slots(self, task: TaskInvocation) -> Sequence[Future]:
         """The future objects fed by ``task`` (lineage invalidation)."""
-        return self._futures.get(task.task_id, [])
+        return self.access.futures_of(task.task_id)
 
     def recover_lost_data(self, node: str) -> List[str]:
         """Node loss: invalidate resident data, re-run the minimal lineage.

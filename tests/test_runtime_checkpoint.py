@@ -714,6 +714,29 @@ class TestAccessInvalidation:
         ap.revalidate_versions_written_by(producer)
         assert ap.invalidated_labels() == []
 
+    def test_invalidated_labels_sort_by_data_id_then_version(self):
+        # Sorted as strings, d10v1 would come before d2v1.
+        from repro.pycompss_api.parameter import INOUT
+        from repro.runtime.access_processor import AccessProcessor
+
+        ap = AccessProcessor()
+        d = make_def()
+        obj = []
+        writers = []
+        for i in range(11):
+            t = invocation(d, i)
+            ap.register_output_future(Future(t, 0))
+            writers.append(t)
+        for _ in range(9):
+            t = invocation(d, obj)
+            ap.process_access(t, obj, INOUT)
+            writers.append(t)
+        ap.invalidate_versions_written_by(reversed(writers))
+        assert ap.invalidated_labels() == (
+            [f"d{i}v1" for i in range(1, 12)]
+            + [f"d12v{v}" for v in range(2, 11)]
+        )
+
 
 # ----------------------------------------------------------------------
 # Multi-tenant study sessions (service mode)

@@ -106,11 +106,71 @@ class TestIndependentTask:
         obj = [1]
         t = make_task(obj)
         ap.process_access(t, obj, INOUT)
-        ap._info_for_future(Future(t))
+        fut = Future(t)
+        ap.register_output_future(fut)
         assert [v.label for v in ap.versions_written_by(t)] == ["d1v2", "d2v1"]
         reader = make_task()
-        ap.process_access(reader, Future(t), IN)
-        assert ap._future_data[(t.task_id, 0)].current.readers == [reader]
+        ap.process_access(reader, fut, IN)
+        assert ap._future_data[fut.data_id].current.readers == [reader]
+
+
+def outputs(*n_returns):
+    """One registered task per entry, with that many return slots."""
+    ap = AccessProcessor()
+    tasks = []
+    for n in n_returns:
+        t = make_task()
+        for i in range(n):
+            ap.register_output_future(Future(t, i))
+        tasks.append(t)
+    return ap, tasks
+
+
+class TestOutputRecords:
+    """A return slot gets a data id at submit, a record on first need."""
+
+    def test_unread_output_leaves_no_record(self):
+        ap, (a, b) = outputs(1, 3)
+        assert [f.data_id for f in ap.futures_of(b.task_id)] == [2, 3, 4]
+        assert not ap._future_data and not ap._by_writer
+
+    def test_read_output_creates_exactly_one_record(self):
+        ap, (a,) = outputs(1)
+        fut = ap.futures_of(a.task_id)[0]
+        r1, r2 = make_task(), make_task()
+        assert ap.process_access(r1, fut, IN) == ({a}, ["d1v1"])
+        assert ap.process_access(r2, fut, IN) == ({a}, ["d1v1"])
+        assert list(ap._future_data) == [fut.data_id]
+        assert ap._future_data[fut.data_id].current.readers == [r1, r2]
+        assert not ap._by_writer
+
+    def test_streaming_free_drops_the_record(self):
+        ap, (a, b) = outputs(1, 1)
+        fa = ap.futures_of(a.task_id)[0]
+        ap.process_access(make_task(), fa, IN)
+        ap.release_task(a.task_id)
+        ap.release_task(b.task_id)
+        assert not (ap._future_data or ap._futures or ap._by_writer)
+        # A late reader of a released future books a fresh datum.
+        assert ap.process_access(make_task(), fa, IN) == ({a}, ["d3v1"])
+
+    def test_lineage_queries_make_the_records_in_write_order(self):
+        ap, (a,) = outputs(3)
+        futs = ap.futures_of(a.task_id)
+        ap.process_access(make_task(), futs[2], IN)
+        assert [v.label for v in ap.versions_written_by(a)] == [
+            "d1v1", "d2v1", "d3v1",
+        ]
+        assert sorted(ap._future_data) == [1, 2, 3]
+        assert [i for i, _ in ap.future_versions(a)] == [0, 1, 2]
+
+    def test_revalidation_makes_no_record(self):
+        ap, (a, b) = outputs(1, 1)
+        assert ap.invalidate_versions_written_by([a]) == ["d1v1"]
+        ap.revalidate_versions_written_by(b)
+        assert list(ap._future_data) == [1]
+        ap.revalidate_versions_written_by(a)
+        assert ap.invalidated_labels() == []
 
 
 class TestEdges:
@@ -236,11 +296,45 @@ def tiny(x):
     return x + 1
 
 
-#: Bytes one live independent task may hold (graph node, futures, data
-#: versions, journal key).  Measured at ~1.03 kB on CPython 3.9, 3.11
-#: and 3.12; the layout with per-task adjacency lists, pending counts,
-#: label lists and bookkeeping lists measured ~1.67 kB.
-LIVE_TASK_BUDGET_B = 1300
+def sim_config(**overrides):
+    cfg = dict(
+        cluster=local_machine(4),
+        executor="simulated",
+        execute_bodies=True,
+        graph=False,
+        duration_fn=lambda t, spec, alloc: 1.0,
+    )
+    cfg.update(overrides)
+    return RuntimeConfig(**cfg)
+
+
+class TestOutputRecordsInRuntime:
+    def test_only_read_outputs_get_records(self):
+        with COMPSsRuntime(sim_config()) as rt:
+            a, b = tiny(1), tiny(2)
+            c = tiny(a)
+            assert compss_wait_on([b, c]) == [3, 3]
+            access = rt.access
+            assert list(access._future_data) == [a.data_id]
+            assert not access._by_writer
+            assert [f.data_id for f in access.futures_of(c.invocation.task_id)] == [
+                c.data_id
+            ]
+
+    def test_streaming_free_drops_read_records(self):
+        with COMPSsRuntime(sim_config(stream_completed=True)) as rt:
+            futs = [tiny(i) for i in range(10)]
+            chain = [tiny(f) for f in futs]
+            assert compss_wait_on(chain) == [i + 2 for i in range(10)]
+            access = rt.access
+            assert not (access._future_data or access._futures or access._by_writer)
+
+
+#: Bytes one live independent task may hold (graph node, future and its
+#: data id, journal key).  Measured at 626 B on CPython 3.11; a data
+#: record per return slot made it ~1.03 kB, and per-task adjacency
+#: lists, pending counts, label lists and bookkeeping lists ~1.67 kB.
+LIVE_TASK_BUDGET_B = 700
 
 
 def test_live_independent_task_stays_under_budget(tmp_path):
