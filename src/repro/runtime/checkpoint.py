@@ -869,7 +869,7 @@ def recover_lost_data(runtime: "COMPSsRuntime", node: str) -> List[str]:
         runtime.access.invalidate_versions_written_by(to_rerun.values())
     )
     for t in to_rerun.values():
-        for fut in runtime.future_slots(t):
+        for fut in runtime.access.futures_of(t.task_id):
             fut.invalidate()
         t.result = None
         t.start_time = t.end_time = None

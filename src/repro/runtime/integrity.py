@@ -546,7 +546,7 @@ def recover_corrupt_versions(
     for t in to_rerun.values():
         if integrity is not None:
             integrity.discard(t)
-        for fut in runtime.future_slots(t):
+        for fut in runtime.access.futures_of(t.task_id):
             fut.invalidate()
         t.result = None
         t.start_time = t.end_time = None

@@ -827,10 +827,6 @@ class COMPSsRuntime:
     # ------------------------------------------------------------------
     # Crash consistency / lineage recovery
     # ------------------------------------------------------------------
-    def future_slots(self, task: TaskInvocation) -> Sequence[Future]:
-        """The future objects fed by ``task`` (lineage invalidation)."""
-        return self.access.futures_of(task.task_id)
-
     def recover_lost_data(self, node: str) -> List[str]:
         """Node loss: invalidate resident data, re-run the minimal lineage.
 
