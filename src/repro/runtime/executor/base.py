@@ -280,6 +280,8 @@ class Executor(abc.ABC):
         feeds node health.  Unless a sibling attempt is still racing, the
         retry policy then decides: retry in place, resubmit elsewhere —
         after the backoff, with the slot already free — or give up.
+        Unless the retry runs at once, a scheduling round hands the freed
+        slots to queued work.
         """
         assert self.runtime is not None
         runtime = self.runtime
@@ -311,6 +313,7 @@ class Executor(abc.ABC):
                 f"attempt {task.attempts} on {failed_on}: {exc!r} -> "
                 "backup still running"
             )
+            self._dispatch()
             return
         action, delay, line = decide_failure(
             runtime.retry_policy, task, exc, node, lost_node is not None
@@ -320,15 +323,14 @@ class Executor(abc.ABC):
             "t=%.1f task %s failed (attempt %d): %s -> %s",
             now, task.label, task.attempts, exc, action.value,
         )
-        if action is FaultAction.GIVE_UP:
-            self._give_up(task, exc, node, now)
-            return
         retry = (
             self._retry_same_node
             if action is FaultAction.RETRY_SAME_NODE
             else self._requeue
         )
-        if delay > 0.0:
+        if action is FaultAction.GIVE_UP:
+            self._give_up(task, exc, node, now)
+        elif delay > 0.0:
             runtime.resilience.record(
                 now, rsl.BACKOFF_WAIT, task.label, node,
                 detail=f"{delay:.2f}s before {action.value}",
@@ -336,6 +338,8 @@ class Executor(abc.ABC):
             self._after(delay, retry, assignment)
         else:
             retry(assignment)
+            return
+        self._dispatch()
 
     def _retry_same_node(self, assignment: Assignment) -> None:
         """Reacquire the failed attempt's node and rerun there.

@@ -240,8 +240,6 @@ class LocalExecutor(Executor):
             with self._lock:
                 if self._detach(task.task_id, attempt):
                     self._attempt_failed(attempt, exc, self.clock())
-                    # The slot is free even while a retry backs off.
-                    self._dispatch()
             return
         self._on_success(attempt, result)
 

@@ -3,7 +3,10 @@ must replay byte-for-byte, whichever code path decides retries, backoff,
 timeouts, speculation and starvation.
 
 Each digest below was recorded at the commit before the executors shared
-one attempt lifecycle (aa72afa).  It covers
+one attempt lifecycle (aa72afa); ``chaos_study`` was re-recorded when a
+failed attempt whose retry backs off (or gives up) started handing its
+freed slot to queued work at once, which moves two placements there.
+A digest covers
 
 * every :class:`~repro.runtime.resilience.ResilienceLog` event as
   ``(time, kind, task_label, node, detail)``;
@@ -32,8 +35,8 @@ from tests.test_runtime_resilience import run_chaos_study
 
 GOLDEN = {
     "chaos_study": (
-        "ffa336f13316d198f2833582b6570205"
-        "06d0679ef0ec44bd4aed15b26f097586"
+        "4a3c0b78190e541db1f06f38c2df668c"
+        "1874b0a5c5e2a0e7298dbcd2e511e460"
     ),
     "churn_seed11": (
         "6714dd1288be6a0ae1873e959f043006"

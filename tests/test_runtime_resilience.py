@@ -354,6 +354,42 @@ class TestSimulatedTimeouts:
             waits = rt.resilience.of_kind(rsl.BACKOFF_WAIT)
             assert len(waits) == 1 and "10.00s" in waits[0].detail
 
+    def test_backoff_frees_the_slot_for_queued_work(self):
+        # One slot: B starts when A's first attempt fails at t=10, not
+        # after A's retry, which waits out its 50 s backoff.
+        plan = FailurePlan().fail_task("experiment-1", 0)
+        cfg = sim_config(
+            local_machine(1), 10.0, execute_bodies=True,
+            failure_injector=FailureInjector(plan),
+            retry_policy=RetryPolicy(
+                1, 1, backoff_base_s=50.0, backoff_jitter=0.0
+            ),
+        )
+        with COMPSs(cfg) as rt:
+            assert compss_wait_on(submit_n(rt, 2)) == [1, 1]
+            starts = {t.label: t.start_time for t in rt.graph.tasks()}
+            assert starts["experiment-2"] == pytest.approx(10.0, abs=1.0)
+            assert starts["experiment-1"] == pytest.approx(60.0, abs=1.0)
+            assert rt.virtual_time == pytest.approx(70.0, abs=1.0)
+
+    def test_give_up_frees_the_slot_for_queued_work(self):
+        plan = FailurePlan().fail_task("experiment-1", 0)
+        cfg = sim_config(
+            local_machine(1), 10.0, execute_bodies=True,
+            failure_injector=FailureInjector(plan),
+            retry_policy=RetryPolicy(0, 0),
+        )
+        rt = COMPSsRuntime(cfg).start()
+        try:
+            first, second = submit_n(rt, 2)
+            # Not a stall: the abandoned slot runs B straight away.
+            assert compss_wait_on(second) == 1
+            assert rt.virtual_time == pytest.approx(20.0, abs=1.0)
+            with pytest.raises(TaskFailedError):
+                compss_wait_on(first)
+        finally:
+            rt.stop(wait=False)
+
 
 # ----------------------------------------------------------------------
 # Simulated executor: speculative re-execution
