@@ -8,11 +8,6 @@ the makespan overhead of recovery; the run must still complete all
 trials.
 """
 
-import json
-import tempfile
-import time
-from pathlib import Path
-
 from conftest import banner
 
 from repro.hpo import GridSearch, PyCOMPSsRunner, fast_mock_objective, paper_search_space
@@ -21,12 +16,8 @@ from repro.runtime import resilience as rsl
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.fault import RetryPolicy
 from repro.runtime.runtime import COMPSsRuntime
-from repro.simcluster import local_machine, mare_nostrum4
+from repro.simcluster import mare_nostrum4
 from repro.simcluster.failures import FailureInjector, FailurePlan
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-THRESHOLDS_PATH = Path(__file__).resolve().parent / "perf_thresholds.json"
-CHECKPOINT_OUTPUT_PATH = REPO_ROOT / "BENCH_checkpoint.json"
 
 
 def run(plan=None):
@@ -148,90 +139,3 @@ def test_timeout_and_speculation_recover_stragglers(benchmark):
     # straggler finish time.
     assert chaotic.total_duration_s < 1200.0 + 3600.0
 
-
-# ----------------------------------------------------------------------
-# Checkpoint overhead (PR 3 crash consistency)
-# ----------------------------------------------------------------------
-TASK_SLEEP_S = 0.05
-
-
-def _sleepy_objective(config):
-    """Real wall-clock work, so journal fsyncs are measured against it."""
-    time.sleep(TASK_SLEEP_S)
-    return fast_mock_objective(config)
-
-
-def run_checkpointed(workdir=None, cadence=10):
-    """27-trial grid on the local executor; returns wall seconds."""
-    cfg = RuntimeConfig(
-        cluster=local_machine(cpu_cores=4),
-        tracing=False,
-        checkpoint_dir=str(workdir) if workdir is not None else None,
-        checkpoint_every=cadence,
-    )
-    runtime = COMPSsRuntime(cfg).start()
-    start = time.perf_counter()
-    try:
-        runner = PyCOMPSsRunner(
-            GridSearch(paper_search_space()),
-            objective=_sleepy_objective,
-            study_name="checkpoint-overhead",
-        )
-        study = runner.run()
-        elapsed = time.perf_counter() - start
-        assert len(study.completed()) == 27
-        return elapsed
-    finally:
-        runtime.stop(wait=False)
-
-
-def measure_checkpoint_overhead(rounds=3, cadence=10):
-    """Best-of-``rounds`` wall time with the journal off vs on.
-
-    The journaled run pays one fsync'd append per task completion plus a
-    pickle spill every ``cadence`` completions — the crash-consistency
-    tax a user accepts to make a multi-day study kill -9-safe.
-    """
-    t_off = min(run_checkpointed(None) for _ in range(rounds))
-    times_on = []
-    spills = 0
-    for _ in range(rounds):
-        with tempfile.TemporaryDirectory() as tmp:
-            times_on.append(run_checkpointed(Path(tmp), cadence=cadence))
-            spills = len(list((Path(tmp) / "outputs").glob("*.pkl")))
-    t_on = min(times_on)
-    return {
-        "trials": 27,
-        "task_sleep_s": TASK_SLEEP_S,
-        "cadence": cadence,
-        "wall_s_off": round(t_off, 4),
-        "wall_s_on": round(t_on, 4),
-        "spilled_outputs": spills,
-        "overhead_pct": round(100.0 * (t_on / t_off - 1.0), 2),
-    }
-
-
-def test_checkpoint_overhead_bounded(benchmark):
-    """CI perf-smoke: journaling must stay cheap at the default cadence."""
-    with open(THRESHOLDS_PATH) as fh:
-        limit = json.load(fh)["checkpoint_overhead_pct_max"]
-
-    result = benchmark.pedantic(
-        measure_checkpoint_overhead, rounds=1, iterations=1
-    )
-    banner("Crash consistency — write-ahead journal overhead")
-    print(
-        f"checkpoint off: {result['wall_s_off'] * 1000:7.1f} ms   "
-        f"on (cadence={result['cadence']}): {result['wall_s_on'] * 1000:7.1f} ms"
-    )
-    print(
-        f"overhead: {result['overhead_pct']:+.1f}% "
-        f"(limit {limit:.0f}%), {result['spilled_outputs']} outputs spilled"
-    )
-    CHECKPOINT_OUTPUT_PATH.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"wrote {CHECKPOINT_OUTPUT_PATH}")
-
-    assert result["spilled_outputs"] >= 2  # cadence=10 over 27 tasks
-    assert result["overhead_pct"] < limit

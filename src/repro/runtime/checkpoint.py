@@ -567,10 +567,6 @@ class CheckpointStore:
             counts[self.verify(key)] += 1
         return counts
 
-    def keys_on_disk(self) -> List[str]:
-        """Every key with a spill file in this store (sorted)."""
-        return sorted(p.stem for p in self.directory.glob("*.pkl"))
-
     def sweep_orphans(
         self,
         referenced: Set[str],

@@ -450,10 +450,6 @@ class IntegrityManager:
                 return None
             return sorted(candidates)[0]
 
-    def records_for(self, writer: TaskInvocation) -> List[_VersionRecord]:
-        with self._lock:
-            return list(self._by_writer.get(writer.task_id, ()))
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

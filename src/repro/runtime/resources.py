@@ -408,11 +408,6 @@ class ResourcePool:
         with self._lock:
             return self._tenant_slots.get(tenant, 0)
 
-    def tenant_loads(self) -> Dict[str, int]:
-        """Snapshot of running slots per tenant (service status endpoint)."""
-        with self._lock:
-            return dict(self._tenant_slots)
-
     def blocked_nodes(self) -> List[str]:
         """Nodes the health tracker currently quarantines (may be empty)."""
         return self.health.blocked_nodes() if self.health is not None else []

@@ -945,10 +945,6 @@ class COMPSsRuntime:
         if session is not None:
             session.close()
 
-    def study_session(self, study_id: str) -> Optional[ckpt.StudySession]:
-        """The open session for ``study_id`` (None when unknown)."""
-        return self._sessions.get(study_id)
-
     def checkpoint_store_for(
         self, task: TaskInvocation
     ) -> Optional[ckpt.CheckpointStore]:

@@ -201,11 +201,6 @@ class TaskInvocation:
         """Stable human-readable id, e.g. ``experiment-7``."""
         return f"{self.definition.name}-{self.task_id}"
 
-    @property
-    def chosen_constraint(self) -> ResourceConstraint:
-        """Constraint of the (possibly `@implement`-selected) definition."""
-        return self.definition.constraint
-
     def __hash__(self) -> int:
         return hash(self.task_id)
 

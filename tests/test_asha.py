@@ -193,6 +193,7 @@ class TestChurnAcceptance:
             churned.best_trial().config["optimizer"]
             == calm.best_trial().config["optimizer"]
         )
+        assert len(churned.completed()) == len(calm.completed())
         # Every base lineage suspended exactly once, resumed warm.
         stats = churned.metadata["preemption"]
         assert stats["suspended"] == 9

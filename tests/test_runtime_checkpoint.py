@@ -441,6 +441,33 @@ class TestRuntimeResume:
         assert rm.completed_keys == set()
         assert ckpt.FAILED in {r["rec"] for r in rm.records}
 
+    def test_commit_journal_costs_one_fsync_per_completion(
+        self, tmp_path, monkeypatch
+    ):
+        """The crash-consistency tax as a count: under
+        ``journal_fsync="commit"`` each completion costs one fsync, and
+        each output spilled at cadence 10 two more (data, sidecar)."""
+        fsyncs = []
+        real_fsync = ckpt.os.fsync
+        monkeypatch.setattr(
+            ckpt.os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+        )
+        cfg = RuntimeConfig(
+            cluster=local_machine(4), executor="simulated",
+            execute_bodies=True, duration_fn=lambda t, s, a: 1.0,
+            checkpoint_dir=str(tmp_path), checkpoint_every=10,
+            journal_fsync="commit",
+        )
+        d = make_def("add", lambda a, b: a + b)
+        with COMPSsRuntime(cfg) as rt:
+            assert rt.wait_on(
+                [rt.submit(d, (i, 1), {}) for i in range(27)]
+            ) == list(range(1, 28))
+        spills = len(list((tmp_path / ckpt.OUTPUTS_DIR).glob("*.pkl")))
+        assert spills == 2  # the 10th and 20th of 27 completions
+        # session record + one per completion + two per spill + close
+        assert len(fsyncs) == 1 + 27 + 2 * spills + 1
+
 
 # ----------------------------------------------------------------------
 # Lineage-based data recovery (node loss)

@@ -22,6 +22,7 @@ from repro.runtime import resilience as rsl
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.fault import (
     ResourceStarvationError,
+    RetryPolicy,
     TaskFailedError,
     UpstreamFailureError,
 )
@@ -422,9 +423,29 @@ def space():
     )
 
 
-def run_study(seed, churn_on):
+def spot_churn(seed):
+    """Spot-market pressure: 30 % per-node, per-window preemption with
+    provisioning-delay rejoins, plus one 3-node storm."""
+    return (
+        ChurnPlan()
+        .storm(400.0, "mn4-0002", "mn4-0003", "mn4-0004", rejoin_at=1600.0)
+        .stochastic(
+            0.30, interval_s=900.0, horizon_s=7200.0,
+            lead_s=60.0, rejoin_delay_s=300.0, seed=seed,
+        )
+    )
+
+
+def run_study(seed, churn_on, spot=False):
+    """``spot`` swaps the churn for :func:`spot_churn`; a long task may
+    then die on several unrelated node losses, so it gets 8 resubmissions
+    instead of the default budget sized for rare faults."""
     injector = None
-    if churn_on:
+    retry_policy = RetryPolicy()
+    if spot:
+        injector = FailureInjector(seed=seed, churn=spot_churn(seed))
+        retry_policy = RetryPolicy(same_node_retries=1, resubmissions=8)
+    elif churn_on:
         churn = (
             ChurnPlan()
             # A notice on a tail node: drains (idle or after its task)
@@ -449,6 +470,7 @@ def run_study(seed, churn_on):
         failure_injector=injector,
         drain_deadline_s=60.0,
         starvation_timeout_s=600.0,
+        retry_policy=retry_policy,
     )
     runtime = COMPSsRuntime(cfg).start()
     try:
@@ -492,6 +514,18 @@ class TestChurnChaosAcceptance:
         assert churn["nodes_rejoined"] >= 1
         # Nothing churned in the clean run.
         assert not any(clean["churn"].values())
+
+    def test_spot_churn_bounds_makespan_and_drain_success(self):
+        # Virtual time: seed 11 replays a x2.017 makespan and 0.733 of
+        # drains finishing inside their deadline on every run.
+        clean = run_study(11, churn_on=False)
+        dirty = run_study(11, churn_on=True, spot=True)
+        assert dirty["best"] == clean["best"]
+        assert dirty["n_complete"] == clean["n_complete"] == 4
+        churn = dirty["churn"]
+        assert churn["nodes_rejoined"] >= 1
+        assert dirty["virtual_time"] / clean["virtual_time"] <= 3.5
+        assert churn["drains_completed"] / churn["drains_started"] >= 0.5
 
     def test_churn_run_is_deterministic(self):
         a = run_study(23, churn_on=True)

@@ -163,13 +163,21 @@ class TestLocalIntegrity:
                 rt.wait_on(y)
         assert isinstance(err.value.__cause__, igr.IntegrityError)
 
-    def test_sealing_cost_is_linear_in_the_awaited_set(self):
+    def test_sealing_cost_is_linear_in_the_awaited_set(self, monkeypatch):
         """Sealing one completion used to walk every registered future
         (0.3 s at 1k awaited tasks, 19 s at 10k): count the registry
-        reads instead of racing a clock."""
+        reads instead of racing a clock.  Likewise the hashing: one
+        digest per sealed output and one per verified read."""
         d = make_def("inc", lambda x: x + 1)
         lookups = {}
+        digests = []
+        real_checksum = igr.checksum_bytes
+        monkeypatch.setattr(
+            igr, "checksum_bytes",
+            lambda payload: digests.append(1) or real_checksum(payload),
+        )
         for n in (1000, 4000):
+            digests.clear()
             registry = _CountingRegistry()
             cfg = RuntimeConfig(
                 cluster=local_machine(4), backend="threads",
@@ -182,6 +190,7 @@ class TestLocalIntegrity:
                 stats = rt.integrity.stats()
             assert stats["reads_verified"] == n
             assert stats["outputs_sealed"] == n
+            assert len(digests) == 2 * n
             assert registry.walks == 0
             lookups[n] = registry.lookups
         assert lookups[4000] == 4 * lookups[1000]
