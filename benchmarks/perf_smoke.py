@@ -62,7 +62,10 @@ def run_stream(n_tasks: int) -> dict:
     ``rss_growth_mb`` runs from after the first wave (which pays one-off
     costs: code objects, allocator pools, the journal file) to the end:
     that slope must stay flat.  ``live_kb_per_task`` is the growth over
-    the first wave per task of it, a whole wave being live at once.  The
+    the first wave per task of it, sampled once that wave has been
+    awaited and freed: it is what a freed wave leaves resident (retained
+    objects and the allocator arenas they pin), not the wave's live
+    state, whose bytes ``tests/test_task_footprint.py`` pins.  The
     journal goes to a temporary directory, removed on return.
     """
     with tempfile.TemporaryDirectory() as journal_dir:
@@ -101,12 +104,12 @@ def run_stream(n_tasks: int) -> dict:
     }
 
 
-#: 22.8 MiB measured over waves 2-4 of 200k tasks; x1.97, so +130 B of
-#: new retained state per task (one more journal-keyer entry) fails.
-STREAM_RSS_GROWTH_MB_MAX = 45.0
-#: 0.85 KiB measured; x1.94.  tests/test_task_footprint.py pins the
-#: bytes themselves, independent of the allocator.
-STREAM_LIVE_KB_PER_TASK_MAX = 1.65
+#: 12.4-14.3 MiB measured over waves 2-4 of 200k tasks; x1.96, so ~95 B
+#: of new resident memory per task fails.
+STREAM_RSS_GROWTH_MB_MAX = 28.0
+#: 0.335-0.355 KiB measured; x1.97.  Two int objects left per freed task
+#: (a keyer slot, a sync-point task id) pin their arenas: 0.85 KiB.
+STREAM_LIVE_KB_PER_TASK_MAX = 0.70
 #: 1.0 measured: every task of every wave is freed.
 STREAM_FREED_FRACTION_MIN = 0.99
 

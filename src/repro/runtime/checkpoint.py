@@ -37,6 +37,7 @@ import json
 import os
 import pickle
 import threading
+from array import array
 from pathlib import Path
 from typing import (
     Any,
@@ -130,6 +131,59 @@ class CheckpointCorruptError(RuntimeError):
 # ----------------------------------------------------------------------
 # Deterministic task keys
 # ----------------------------------------------------------------------
+class OccurrenceTable:
+    """Exact occurrence counts of 64-bit slots, with no object per slot.
+
+    A dict of ``slot -> count`` keeps an int object per distinct slot, and
+    each one pins a pymalloc arena that freed tasks would otherwise
+    return.  Here a slot seen once is only its 8 bytes in an ``array('Q')``
+    open-addressing table (linear probing, load at most one half; 0 marks
+    an empty cell), and only a slot seen again gets an exact count in a
+    dict.  Slot 0 cannot live in the table, so it keeps its own counter.
+    """
+
+    __slots__ = ("_cells", "_mask", "_used", "_repeats", "_zero")
+
+    def __init__(self) -> None:
+        self._cells = array("Q", bytes(8 * 8))
+        self._mask = 7
+        self._used = 0
+        self._repeats: Dict[int, int] = {}
+        self._zero = 0
+
+    def count(self, slot: int) -> int:
+        """How often ``slot`` was counted before; counts it once more."""
+        if not slot:
+            self._zero += 1
+            return self._zero - 1
+        cells, mask = self._cells, self._mask
+        i = slot & mask
+        held = cells[i]
+        while held:
+            if held == slot:
+                seen = self._repeats.get(slot, 1)
+                self._repeats[slot] = seen + 1
+                return seen
+            i = (i + 1) & mask
+            held = cells[i]
+        cells[i] = slot
+        self._used += 1
+        if 2 * self._used > mask + 1:
+            self._grow()
+        return 0
+
+    def _grow(self) -> None:
+        size = 2 * len(self._cells)
+        cells = array("Q", bytes(8 * size))
+        mask = size - 1
+        for slot in filter(None, self._cells):
+            i = slot & mask
+            while cells[i]:
+                i = (i + 1) & mask
+            cells[i] = slot
+        self._cells, self._mask = cells, mask
+
+
 class TaskKeyer:
     """Assigns process-independent keys to task invocations.
 
@@ -153,15 +207,15 @@ class TaskKeyer:
 
     def __init__(self, namespace: str = "") -> None:
         self.namespace = namespace
-        # Occurrence counters, definition name -> 64-bit slot (the head of
-        # the param digest) -> count, rather than the digest strings: the
-        # keyer is the one journal-path structure that must persist for
-        # the whole session (a counter per *distinct* submission), and at
-        # 1M tasks string keys retained ~270 B/task.  A slot collision
-        # merely inflates the colliding task's occurrence index — and
-        # deterministically so (same driver program, same hashes, same
-        # collision), so keys still match across sessions.
-        self._occurrences: Dict[str, Dict[int, int]] = {}
+        # Occurrence counters, one flat table per definition name, keyed
+        # by the 64-bit slot (the head of the param digest) rather than
+        # the digest string: the keyer is the one journal-path structure
+        # that must persist for the whole session (a counter per
+        # *distinct* submission).  A slot collision merely inflates the
+        # colliding task's occurrence index — and deterministically so
+        # (same driver program, same hashes, same collision), so keys
+        # still match across sessions.
+        self._occurrences: Dict[str, OccurrenceTable] = {}
 
     def key_for(self, task: TaskInvocation) -> str:
         """Compute (and memoise on the invocation) the task's key."""
@@ -169,10 +223,10 @@ class TaskKeyer:
             return task.task_key
         name = task.definition.name
         digest = self._params_digest(task.args, task.kwargs)
-        counts = self._occurrences.setdefault(name, {})
-        slot = int(digest[:16], 16)
-        occurrence = counts.get(slot, 0)
-        counts[slot] = occurrence + 1
+        table = self._occurrences.get(name)
+        if table is None:
+            table = self._occurrences[name] = OccurrenceTable()
+        occurrence = table.count(int(digest[:16], 16))
         raw = f"{name}|{digest}|{occurrence}"
         if self.namespace:
             raw = f"{self.namespace}::{raw}"

@@ -60,7 +60,8 @@ class RuntimeConfig:
     tracing:
         Record Extrae-style traces (Figs. 4–6).
     graph:
-        Record dependency-edge labels for DOT export (Fig. 3).
+        Record dependency-edge labels and ``compss_wait_on`` sync points
+        for DOT export (Fig. 3).
     reserved_cores:
         Cores reserved for the COMPSs master/worker processes: an int
         (applied to the first node, like the paper's "the worker takes
@@ -175,11 +176,14 @@ class RuntimeConfig:
         completed task's edges and bookkeeping once every consumer is
         also done, and the runtime drops its output-future registry
         entries at the same point.  Keeps resident memory bounded by the
-        *active* frontier instead of the full study history.  Off by
-        default because it trades introspection away: ``graph.tasks()``,
-        DOT export, and lineage-based recovery only see live tasks, so
-        it is rejected together with ``verify_outputs`` (integrity
-        repair re-executes freed writers through the graph).
+        *active* frontier instead of the full study history, provided
+        ``tracing`` is off too: the tracer keeps a record and two events
+        per task (measured over a 5,000-task wave: 10,000 events, 36,000
+        objects, 467 B per task).  Off by default because it trades
+        introspection away: ``graph.tasks()``, DOT export, and
+        lineage-based recovery only see live tasks, so it is rejected
+        together with ``verify_outputs`` (integrity repair re-executes
+        freed writers through the graph).
     journal_buffer_records:
         Write-ahead journal buffering: records are serialised into an
         in-memory buffer flushed to disk every this-many records (and

@@ -1036,9 +1036,10 @@ class COMPSsRuntime:
         tasks = sorted({f.invocation for f in futures}, key=lambda t: t.task_id)
         if tasks:
             self._wait_verified(tasks)
-            self.sync_points.append(
-                (len(self.sync_points) + 1, [t.task_id for t in tasks])
-            )
+            if self.config.graph:  # DOT export is their only reader
+                self.sync_points.append(
+                    (len(self.sync_points) + 1, [t.task_id for t in tasks])
+                )
         return self._substitute(obj)
 
     def _wait_verified(self, tasks: List[TaskInvocation]) -> None:

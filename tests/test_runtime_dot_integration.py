@@ -83,13 +83,18 @@ class TestFig3GraphShape:
                 assert succ[0].definition.name == "visualisation"
         assert result == [100 + i for i in range(10)]
 
-    def test_sync_points_recorded(self):
-        with COMPSs(cluster=local_machine(2)) as rt:
+    @pytest.mark.parametrize(
+        "graph, recorded",
+        [pytest.param(True, 2, id="graph"), pytest.param(False, 0, id="no-graph")],
+    )
+    def test_sync_points_recorded(self, graph, recorded):
+        # DOT export is the only reader, so ``graph=False`` keeps none.
+        with COMPSs(cluster=local_machine(2), graph=graph) as rt:
             a = experiment({"i": 0})
             compss_wait_on(a)
             b = experiment({"i": 1})
             compss_wait_on(b)
-            assert len(rt.sync_points) == 2
+            assert len(rt.sync_points) == recorded
 
 
 class TestWaitOnSemantics:

@@ -12,10 +12,12 @@ tracemalloc on the simulated executor with the journal on and
 """
 
 import gc
+import os
 import tracemalloc
 
 import pytest
 
+import repro
 from repro.pycompss_api import compss_wait_on, task
 from repro.pycompss_api.parameter import IN, INOUT
 from repro.runtime.access_processor import AccessProcessor
@@ -330,27 +332,28 @@ class TestOutputRecordsInRuntime:
             assert not (access._future_data or access._futures or access._by_writer)
 
 
-#: Bytes one live independent task may hold (graph node, future and its
-#: data id, journal key).  Measured at 626 B on CPython 3.11; a data
-#: record per return slot made it ~1.03 kB, and per-task adjacency
-#: lists, pending counts, label lists and bookkeeping lists ~1.67 kB.
-LIVE_TASK_BUDGET_B = 700
-
-
-def test_live_independent_task_stays_under_budget(tmp_path):
-    cfg = RuntimeConfig(
-        cluster=local_machine(4),
-        executor="simulated",
-        execute_bodies=True,
+def stream_config(tmp_path, **overrides):
+    """The ``stream_75k_journal_sim`` shape: journal on, tasks freed."""
+    return sim_config(
         stream_completed=True,
-        graph=False,
         checkpoint_dir=str(tmp_path),
         checkpoint_every=None,
         journal_fsync="off",
-        duration_fn=lambda t, spec, alloc: 1.0,
+        **overrides,
     )
+
+
+#: Bytes one live independent task may hold (graph node, future and its
+#: data id, journal key).  Measured at 591 B on CPython 3.11; an int
+#: object per occurrence-counter slot made it 626 B, a data record per
+#: return slot ~1.03 kB, and per-task adjacency lists, pending counts,
+#: label lists and bookkeeping lists ~1.67 kB.
+LIVE_TASK_BUDGET_B = 650
+
+
+def test_live_independent_task_stays_under_budget(tmp_path):
     n = 5000
-    with COMPSsRuntime(cfg):
+    with COMPSsRuntime(stream_config(tmp_path)):
         compss_wait_on([tiny(i) for i in range(100)])  # warm every path
         gc.collect()
         tracemalloc.start()
@@ -362,3 +365,32 @@ def test_live_independent_task_stays_under_budget(tmp_path):
             tracemalloc.stop()
         assert compss_wait_on(futures[-1]) == n
     assert per_task < LIVE_TASK_BUDGET_B, f"{per_task:.0f} B per live task"
+
+
+def test_freed_streamed_task_leaves_nothing_behind(tmp_path):
+    """A second wave of freed tasks leaves no object per task under ``repro``.
+
+    What a wave may keep is the occurrence table's share: 16 to 32 bytes
+    per distinct submission at load one quarter to one half.  An int
+    object per keyer slot and per sync-point task id left ~9,900 objects
+    and 98 B per task.
+    """
+    n = 5000
+    package = [tracemalloc.Filter(True, os.path.join(os.path.dirname(repro.__file__), "*"))]
+    with COMPSsRuntime(stream_config(tmp_path, tracing=False)) as rt:
+        tracemalloc.start()
+        try:
+            compss_wait_on([tiny(i) for i in range(n)])  # warm wave
+            gc.collect()
+            before = tracemalloc.take_snapshot().filter_traces(package)
+            assert compss_wait_on([tiny(i) for i in range(n, 2 * n)])[-1] == 2 * n
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces(package)
+        finally:
+            tracemalloc.stop()
+        assert rt.graph.freed_tasks == 2 * n
+    diff = after.compare_to(before, "lineno")
+    new_objects = sum(stat.count_diff for stat in diff)
+    per_task = sum(stat.size_diff for stat in diff) / n
+    assert new_objects < n / 100, f"{new_objects} new objects"
+    assert per_task < 32, f"{per_task:.0f} B per freed task"
