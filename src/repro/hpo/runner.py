@@ -346,7 +346,7 @@ class PyCOMPSsRunner:
             study.metadata["stopped_early"] = stopped
             if self.stop_reason:
                 study.metadata["stop_reason"] = self.stop_reason
-            resume = runtime.resume_stats()
+            resume = runtime.sessions.resume_stats()
             if resume is not None:
                 # Crash resume: surface what the journal replay recovered
                 # (restored counts include this session's instant restores).
@@ -448,7 +448,7 @@ class PyCOMPSsRunner:
         if self.stage_plan is not None:
             return self._submit_staged_trial(runtime, trial)
         task_config = dict(trial.config)
-        spill_dir = runtime.preempt_spill_dir()
+        spill_dir = runtime.sessions.preempt_spill_dir()
         if spill_dir is not None:
             ctx = PreemptContext(
                 self._preempt_key(trial),

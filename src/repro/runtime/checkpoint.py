@@ -21,12 +21,10 @@ versions it held.  Three cooperating pieces:
   to mark the replayed prefix done with exactly-once semantics and
   re-submit only the un-done frontier.
 
-The same module hosts :func:`recover_lost_data`, the lineage-based data
-recovery used when a *node* (not the driver) is lost mid-run: data
-versions resident on the node are invalidated and the minimal ancestor
-set that re-materialises them is re-executed (Hippo-style suffix replay:
-ancestors whose outputs survive — in memory on healthy nodes or in the
-checkpoint store — are not re-run).
+A *node* (not the driver) lost mid-run is handled by lineage instead:
+:func:`repro.runtime.lineage.recover_lost_data`.  Each study's keyer,
+journal, store and recovery are bundled in a
+:class:`~repro.runtime.sessions.StudySession`.
 """
 
 from __future__ import annotations
@@ -52,13 +50,12 @@ from typing import (
 )
 
 from repro.runtime.future import is_future
-from repro.runtime.task_definition import TaskInvocation, TaskState
+from repro.runtime.task_definition import TaskInvocation
 from repro.util.logging_utils import get_logger
 from repro.util.validation import check_one_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.resilience import ResilienceLog
-    from repro.runtime.runtime import COMPSsRuntime
 
 _log = get_logger("runtime.checkpoint")
 
@@ -780,170 +777,3 @@ class RecoveryManager:
             "frontier": len(self.frontier()),
             "truncated_tail": self.truncated,
         }
-
-
-# ----------------------------------------------------------------------
-# Per-study durability namespace (multi-tenant service mode)
-# ----------------------------------------------------------------------
-class StudySession:
-    """One study's namespaced durability bundle inside a shared runtime.
-
-    Every runtime owns the solo session, study ``""``, whose empty
-    namespace keeps keys byte-identical to an unsalted keyer; a
-    multi-tenant service adds one session per study, each with its *own*
-    keyer/journal/store/recovery quartet rooted in a per-study checkpoint
-    directory.  Keys are salted with the study id (see
-    :class:`TaskKeyer`), so sibling studies can never interleave journal
-    records or share task keys — the fault-isolation invariant the
-    service's chaos tests assert.
-    """
-
-    __slots__ = (
-        "study_id", "keyer", "journal", "checkpoint_store", "recovery",
-        "tenant",
-    )
-
-    def __init__(
-        self,
-        study_id: str,
-        keyer: Optional[TaskKeyer] = None,
-        journal: Optional[WriteAheadJournal] = None,
-        checkpoint_store: Optional[CheckpointStore] = None,
-        recovery: Optional[RecoveryManager] = None,
-        tenant: str = "",
-    ):
-        self.study_id = study_id
-        self.keyer = keyer
-        self.journal = journal
-        self.checkpoint_store = checkpoint_store
-        self.recovery = recovery
-        self.tenant = tenant
-
-    def open(self, cluster: str) -> None:
-        """Mark one driver process's start in the study's journal."""
-        if self.journal is not None:
-            self.journal.open_session(
-                cluster=cluster, resumed=self.recovery is not None
-            )
-
-    def close(self) -> None:
-        """Flush and close the study's journal (idempotent)."""
-        if self.journal is not None:
-            self.journal.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StudySession {self.study_id!r} tenant={self.tenant!r}>"
-
-
-# ----------------------------------------------------------------------
-# Lineage-based data recovery (node loss)
-# ----------------------------------------------------------------------
-def recover_lost_data(runtime: "COMPSsRuntime", node: str) -> List[str]:
-    """Invalidate data versions lost with ``node``; re-run their lineage.
-
-    Completed tasks whose results were resident on ``node`` (produced
-    there and still needed by a not-yet-done consumer) lose their data.
-    Each such task is re-executed — unless its output survives in the
-    checkpoint store, in which case it is restored from disk for free.
-    The re-execution set is *minimal*: an ancestor re-runs only if its
-    own output was also destroyed (it too ran on the lost node and is
-    needed to rebuild a descendant); ancestors whose outputs survive on
-    healthy nodes are left alone.
-
-    Returns the labels of the destroyed data versions (``d3v2``-style),
-    which the caller records on the ``node_lost`` resilience event.
-    """
-    graph = runtime.graph
-    done_on_node = [
-        t for t in graph.tasks()
-        if t.state == TaskState.DONE and t.node == node
-    ]
-    if not done_on_node:
-        return []
-
-    # Outputs that survive on disk are not "resident on the node" — but a
-    # spill only counts as surviving if it passes verification; trusting
-    # a corrupt spill here would skip the recompute AND restore garbage.
-    # Each task's spill lives in its own study's store.
-    survives = set()
-    for t in done_on_node:
-        store = runtime.checkpoint_store_for(t)
-        if (
-            store is not None
-            and t.task_key is not None
-            and store.verify(t.task_key) == "ok"
-        ):
-            survives.add(t.task_id)
-    destroyed = {t.task_id: t for t in done_on_node if t.task_id not in survives}
-    if not destroyed:
-        return []
-
-    # Seed: destroyed tasks whose output is still needed downstream.
-    needed = [
-        t for t in destroyed.values()
-        if any(s.state != TaskState.DONE for s in graph.successors(t))
-    ]
-    # Minimal ancestor closure: a predecessor re-runs only if it was
-    # destroyed too (its data is gone and a descendant needs it).
-    to_rerun: Dict[int, TaskInvocation] = {}
-    stack = list(needed)
-    while stack:
-        t = stack.pop()
-        if t.task_id in to_rerun:
-            continue
-        to_rerun[t.task_id] = t
-        for p in graph.predecessors(t):
-            if p.task_id in destroyed and p.task_id not in to_rerun:
-                stack.append(p)
-
-    if not to_rerun:
-        return []
-
-    # Consumers already RUNNING would resolve destroyed inputs when their
-    # body executes (the simulated executor runs bodies at completion
-    # time): abort those attempts and let them re-run once their inputs
-    # are re-materialised.  An executor that cannot abort (local threads
-    # already hold the resolved arguments in memory) leaves them be.
-    aborted: Dict[int, TaskInvocation] = {}
-    for t in to_rerun.values():
-        for s in graph.successors(t):
-            if (
-                s.state == TaskState.RUNNING
-                and s.task_id not in to_rerun
-                and s.task_id not in aborted
-                and runtime.executor.abort_task(s)
-            ):
-                aborted[s.task_id] = s
-
-    destroyed_labels = sorted(
-        runtime.access.invalidate_versions_written_by(to_rerun.values())
-    )
-    for t in to_rerun.values():
-        for fut in runtime.access.futures_of(t.task_id):
-            fut.invalidate()
-        t.result = None
-        t.start_time = t.end_time = None
-    batch = list(to_rerun.values()) + list(aborted.values())
-    graph.invalidate(batch)
-    # Entries already handed to the dispatch engine's class heaps cannot
-    # be removed from the graph's ready deque above; tombstone them so a
-    # scheduling round does not place a task whose inputs are gone.
-    runtime.dispatcher.purge(
-        [t for t in batch if t.state != TaskState.READY]
-    )
-    from repro.runtime import resilience as rsl
-
-    for t in sorted(to_rerun.values(), key=lambda t: t.task_id):
-        written = ",".join(
-            v.label for v in runtime.access.versions_written_by(t)
-        )
-        runtime.resilience.record(
-            runtime.executor.clock(), rsl.LINEAGE_RECOVERY, t.label, node,
-            detail=f"re-materialising {written or t.label}",
-        )
-    _log.info(
-        "node %s lost %d data version(s); re-executing %d task(s) "
-        "(+%d aborted consumer(s))",
-        node, len(destroyed_labels), len(to_rerun), len(aborted),
-    )
-    return destroyed_labels

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.runtime import checkpoint as ckpt
+from repro.runtime import lineage
 from repro.runtime import resilience as rsl
 from repro.runtime.fault import (
     FaultAction,
@@ -374,10 +374,8 @@ class Executor(abc.ABC):
     ) -> None:
         """Fail ``task`` terminally and cancel its transitive consumers."""
         assert self.runtime is not None
-        task.state = TaskState.FAILED
-        task.error = exc
-        self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
-        self.runtime.fail_descendants(task, now)
+        lineage.fail_task(self.runtime, task, exc, node=node)
+        lineage.fail_descendants(self.runtime, task, now)
         self.notify_task_resolutions()
 
     def _fail_starved(self, now: float) -> None:

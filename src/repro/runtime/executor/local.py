@@ -223,10 +223,6 @@ class LocalExecutor(Executor):
             self._attempts.setdefault(task.task_id, []).append(attempt)
             if not speculative:
                 task.node = assignment.allocation.node
-        if runtime.tracer.enabled:
-            runtime.tracer.record_event(
-                attempt.start, "task_start", task.label, assignment.allocation.node
-            )
         try:
             self._verify_inputs(task, speculative)
             hang, slow = False, 1.0

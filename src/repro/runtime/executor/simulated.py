@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Mapping, Optional, Sequence
 
+from repro.runtime import lineage
 from repro.runtime import resilience as rsl
 from repro.runtime.executor.base import Attempt, Executor
 from repro.runtime.fault import TaskFailedError, TaskTimeoutError
@@ -370,7 +371,7 @@ class SimulatedExecutor(Executor):
             # consumer attempts are aborted (their inputs are gone — the
             # bodies would resolve stale futures at completion time) and
             # the minimal producer lineage re-executes.
-            destroyed = self.runtime.recover_lost_data(node)
+            destroyed = lineage.recover_lost_data(self.runtime, node)
         victims = [
             (tid, attempt)
             for tid, attempts in list(self._attempts.items())
@@ -538,10 +539,10 @@ class SimulatedExecutor(Executor):
         engine drain per simulator wake.  The replay is placement-exact
         (see :meth:`DispatchEngine.drain <repro.runtime.dispatch.DispatchEngine.drain>`),
         but features whose *side bookkeeping* observes individual rounds
-        — straggler medians, node-health windows, integrity verification,
-        trace event order — keep the classic round-per-event path so
-        their outputs stay bit-identical.  The pure-throughput regime
-        (all of them off) is exactly the one the batching targets.
+        — straggler medians, node-health windows, integrity verification
+        — keep the classic round-per-event path so their outputs stay
+        bit-identical.  Tracing does not: a batched completion records
+        its trace interval when it fires, as the unbatched path does.
         """
         assert self.runtime is not None
         runtime = self.runtime
@@ -550,7 +551,6 @@ class SimulatedExecutor(Executor):
             or runtime.straggler is not None
             or runtime.node_health.enabled
             or runtime.integrity is not None
-            or runtime.tracer.enabled
         )
 
     def _drain_pending(self) -> None:
@@ -603,7 +603,7 @@ class SimulatedExecutor(Executor):
             # resources back, pull this consumer out of the running set
             # and re-execute the writers through the lineage machinery.
             release_assignment(runtime.pool, assignment)
-            runtime.recompute_corrupt(corrupt, extra_consumers=[task])
+            lineage.recompute_corrupt(runtime, corrupt, extra_consumers=[task])
             self.sim.schedule(0.0, self._dispatch, label=f"redispatch-{task.label}")
             return
         task.state = TaskState.RUNNING
@@ -621,10 +621,6 @@ class SimulatedExecutor(Executor):
         start = self.sim.now
         attempt = Attempt(assignment, start, speculative)
         self._attempts.setdefault(task.task_id, []).append(attempt)
-        if runtime.tracer.enabled:
-            runtime.tracer.record_event(
-                start, "task_start", task.label, node
-            )
         if not hang:
             # args-based dispatch: no per-task closure or f-string label
             # on the hot path (millions of these per large study).
@@ -697,10 +693,14 @@ class SimulatedExecutor(Executor):
         # Batched fast path: record the completion now, but defer the
         # allocation release and the scheduling round into the next
         # engine drain.  The drain replays units in completion order, so
-        # placements are byte-identical to the round-per-event path.
+        # placements — and trace records — are byte-identical to the
+        # round-per-event path.
+        now = self.sim.now
+        if runtime.tracer.enabled:
+            self._record(task, assignment, start, now, success=True)
         task.result = result
         task.node = node
-        task.start_time, task.end_time = start, self.sim.now
+        task.start_time, task.end_time = start, now
         runtime.complete_task(task, result)
         self._units.append((assignment, runtime.graph.pop_ready()))
 
@@ -804,14 +804,14 @@ class SimulatedExecutor(Executor):
         # of ``tasks``) so completed invocations drop out of this frame
         # and the graph's streaming mode can free them.
         done = TaskState.DONE
-        failed_state = TaskState.FAILED
+        dead = TaskState.FAILED
         failed: List[TaskInvocation] = []
         pending: List[TaskInvocation] = []
         for t in tasks:
             state = t.state
             if state is done:
                 continue
-            if state is failed_state:
+            if state is dead:
                 failed.append(t)
             else:
                 pending.append(t)
@@ -835,7 +835,7 @@ class SimulatedExecutor(Executor):
                     state = t.state
                     if state is done:
                         continue
-                    if state is failed_state:
+                    if state is dead:
                         failed.append(t)
                     else:
                         remaining.append(t)

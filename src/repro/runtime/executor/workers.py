@@ -64,7 +64,6 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.runtime import checkpoint as ckpt
 from repro.runtime import resilience as rsl
 from repro.runtime.executor.local import LocalExecutor
 from repro.runtime.fault import PoisonTaskError, TaskTimeoutError, WorkerCrashError
@@ -428,7 +427,7 @@ class WorkerPoolExecutor(LocalExecutor):
         if pending.outcome == "crash":
             # Journal the attempt as failed so a driver resume re-runs it
             # — a crash can never appear as a (torn) completion.
-            self.runtime.journal_task_event(task, ckpt.FAILED, node=node)
+            self.runtime.sessions.journal_failed(task, node)
         assert pending.exc is not None
         raise pending.exc
 

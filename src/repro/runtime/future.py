@@ -8,7 +8,7 @@ per return slot.
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task_definition import TaskInvocation
@@ -67,3 +67,30 @@ class Future:
 def is_future(obj: Any) -> bool:
     """True if ``obj`` is a runtime future."""
     return isinstance(obj, Future)
+
+
+def collect_futures(obj: Any, out: List[Future]) -> None:
+    """Append every future in ``obj`` (scalar, list, tuple, set, dict, nested)."""
+    if isinstance(obj, Future):
+        out.append(obj)
+    elif isinstance(obj, (list, tuple, set)):
+        for item in obj:
+            collect_futures(item, out)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            collect_futures(item, out)
+
+
+def substitute(obj: Any) -> Any:
+    """``obj`` with every future replaced by its resolved value."""
+    if isinstance(obj, Future):
+        return obj.result()
+    if isinstance(obj, list):
+        return [substitute(i) for i in obj]
+    if isinstance(obj, tuple):
+        return tuple(substitute(i) for i in obj)
+    if isinstance(obj, set):
+        return {substitute(i) for i in obj}
+    if isinstance(obj, dict):
+        return {k: substitute(v) for k, v in obj.items()}
+    return obj

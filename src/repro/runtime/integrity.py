@@ -23,10 +23,9 @@ Two sealing modes, matching the two executor families:
   copy's digest; verification compares copies against the sealed value.
 
 On an unrepairable mismatch (no good copy anywhere) the escalation path
-is :func:`recover_corrupt_versions`: invalidate the writer's versions
-through the access processor, invalidate its futures, and re-enter the
-writer (plus any consumers caught mid-flight) into the graph — the same
-minimal-lineage machinery node loss uses.
+is :func:`repro.runtime.lineage.recompute_corrupt`: the writer's versions
+and futures are invalidated and it re-enters the graph (plus any
+consumers caught mid-flight) — the same lineage path node loss uses.
 
 Everything is counted (:meth:`IntegrityManager.stats`) so a study can
 state "N outputs verified, M repaired, 0 unverified reads".
@@ -42,13 +41,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime import resilience as rsl
 from repro.runtime.access_processor import DataVersion
-from repro.runtime.task_definition import TaskInvocation, TaskState
-from repro.util.logging_utils import get_logger
+from repro.runtime.task_definition import TaskInvocation
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import COMPSsRuntime
-
-_log = get_logger("runtime.integrity")
 
 #: Sealing modes (which executor family produced the bytes).
 MODE_LOCAL = "local"
@@ -189,35 +185,72 @@ class IntegrityManager:
     # ------------------------------------------------------------------
     # Sealing (write time)
     # ------------------------------------------------------------------
-    def seal_simulated(
-        self,
-        task: TaskInvocation,
-        versions: Sequence[DataVersion],
-        node: str,
-        size_mb: float,
-        replica_nodes: Sequence[str],
+    def seal_outputs(
+        self, runtime: "COMPSsRuntime", task: TaskInvocation, result: Any
     ) -> None:
-        """Record metadata digests for ``task``'s outputs on ``node``.
+        """Checksum ``task``'s freshly-written data versions.
 
-        Copies are placed on the producing node plus ``replica_nodes``
-        (chosen by the runtime from ``replication_factor``).  Replication
-        is modelled as off-critical-path (asynchronous) — it costs no
-        virtual time; *fetching* from a replica during repair does.
+        Local mode snapshots the pickled return values (:meth:`seal_local`).
+        Simulated mode derives digests from the modelled output size and
+        places copies on the producing node plus ``replication_factor - 1``
+        live workers: replication is off-critical-path and costs no
+        virtual time (*fetching* from a replica during repair does), and
+        an output written while the cluster is short-handed stays
+        under-replicated until :meth:`reseed_node` tops it up.  Then the
+        failure injector may silently corrupt the new copies (chaos
+        testing) — detection happens later, at consume time.
         """
-        with self._lock:
-            records = self._by_writer.setdefault(task.task_id, [])
-            for version in versions:
-                digest = simulated_digest(version.label, size_mb, self.seed)
-                record = _VersionRecord(
-                    version, digest, size_mb, task.label, primary=node
-                )
-                record.copies[node] = digest
-                for replica in replica_nodes:
-                    record.copies[replica] = digest
-                version.checksum = digest
-                self._records[version.label] = record
-                records.append(record)
-                self.outputs_sealed += 1
+        access = runtime.access
+        versions = access.versions_written_by(task)
+        if not versions:
+            return
+        if self.mode == MODE_SIMULATED:
+            primary = task.node or ""
+            extra = self.replication_factor - 1
+            replicas = sorted(
+                w.name
+                for w in runtime.pool.workers.values()
+                if w.available and w.name != primary
+            )[:extra] if extra > 0 else []
+            size_mb = float(task.definition.output_size_mb)
+            with self._lock:
+                records = self._by_writer.setdefault(task.task_id, [])
+                for version in versions:
+                    digest = simulated_digest(version.label, size_mb, self.seed)
+                    record = _VersionRecord(
+                        version, digest, size_mb, task.label, primary=primary
+                    )
+                    record.copies = dict.fromkeys([primary, *replicas], digest)
+                    self._keep(records, record)
+        else:
+            futs = access.future_versions(task)
+            if not futs:
+                return
+            if len(futs) == 1:
+                items = [(futs[0][1], result)]
+            else:
+                try:
+                    values = list(result)
+                except TypeError:
+                    values = []
+                items = [
+                    (version, values[i]) for i, version in futs if i < len(values)
+                ]
+            self.seal_local(task, items)
+        injector = runtime.failure_injector
+        if injector is not None:
+            scope = injector.corruption_scope(task.label)
+            if scope is not None:
+                # Silent: no event at injection — the point of end-to-end
+                # verification is that corruption surfaces at read time.
+                self.corrupt(task, scope)
+
+    def _keep(self, records: List[_VersionRecord], record: _VersionRecord) -> None:
+        """File a freshly-sealed record (caller holds the lock)."""
+        record.version.checksum = record.checksum
+        self._records[record.label] = record
+        records.append(record)
+        self.outputs_sealed += 1
 
     def seal_local(
         self,
@@ -240,10 +273,7 @@ class IntegrityManager:
                 record.snapshot = bytearray(payload)
                 record.value = value
                 record.has_value = True
-                version.checksum = digest
-                self._records[version.label] = record
-                records.append(record)
-                self.outputs_sealed += 1
+                self._keep(records, record)
 
     def discard(self, task: TaskInvocation) -> None:
         """Drop ``task``'s sealed records (it is about to re-execute)."""
@@ -340,6 +370,39 @@ class IntegrityManager:
                     outcome.ok = False
                     outcome.corrupt.append(record.label)
         return outcome
+
+    def wait_verified(
+        self, runtime: "COMPSsRuntime", tasks: List[TaskInvocation]
+    ) -> None:
+        """Wait for ``tasks``, then verify what the driver is about to read.
+
+        A corrupt output that cannot be repaired from a replica sends its
+        writer back through the lineage machinery and the wait repeats;
+        the loop is bounded so persistent corruption (e.g. a deterministic
+        injector that re-corrupts every attempt) fails loudly instead of
+        spinning forever.
+        """
+        from repro.runtime.lineage import recompute_corrupt
+
+        executor = runtime.executor
+        executor.wait_for(tasks)
+        for _ in range(25):
+            bad: List[TaskInvocation] = []
+            with runtime.lock:
+                for task in tasks:
+                    versions = runtime.access.versions_written_by(task)
+                    if versions and not self.verify_writer(task, versions).ok:
+                        bad.append(task)
+                if bad:
+                    recompute_corrupt(runtime, bad)
+            if not bad:
+                return
+            executor.notify_topology_change()
+            executor.wait_for(tasks)
+        raise IntegrityError(
+            "corrupt outputs persisted after 25 repair rounds: "
+            + ", ".join(t.label for t in bad)
+        )
 
     def _copy_ok(self, record: _VersionRecord) -> bool:
         if self.mode == MODE_SIMULATED:
@@ -500,76 +563,3 @@ class IntegrityManager:
             f"({self.transfer_failures} exhausted), "
             f"{self.unverified_reads} unverified reads"
         )
-
-
-# ----------------------------------------------------------------------
-# Escalation: lineage recompute of corrupt writers
-# ----------------------------------------------------------------------
-def recover_corrupt_versions(
-    runtime: "COMPSsRuntime",
-    writers: Sequence[TaskInvocation],
-    extra_consumers: Sequence[TaskInvocation] = (),
-) -> List[str]:
-    """Re-execute ``writers`` whose outputs have no good copy left.
-
-    Mirrors node-loss lineage recovery
-    (:func:`repro.runtime.checkpoint.recover_lost_data`): the writers'
-    data versions are invalidated through the access processor, their
-    futures forget their values, RUNNING consumers that can be aborted
-    are, and the whole batch re-enters the graph.  ``extra_consumers``
-    are not-yet-running consumers the caller pulled back from dispatch
-    (the simulated executor passes the task whose input staging detected
-    the corruption).
-
-    Returns the invalidated version labels.
-    """
-    graph = runtime.graph
-    to_rerun: Dict[int, TaskInvocation] = {t.task_id: t for t in writers}
-    aborted: Dict[int, TaskInvocation] = {}
-    for t in to_rerun.values():
-        for s in graph.successors(t):
-            if (
-                s.state == TaskState.RUNNING
-                and s.task_id not in to_rerun
-                and s.task_id not in aborted
-                and runtime.executor.abort_task(s)
-            ):
-                aborted[s.task_id] = s
-    labels = sorted(
-        runtime.access.invalidate_versions_written_by(to_rerun.values())
-    )
-    integrity = runtime.integrity
-    for t in to_rerun.values():
-        if integrity is not None:
-            integrity.discard(t)
-        for fut in runtime.access.futures_of(t.task_id):
-            fut.invalidate()
-        t.result = None
-        t.start_time = t.end_time = None
-    batch = list(to_rerun.values())
-    for consumer in extra_consumers:
-        if consumer.task_id not in to_rerun and consumer.task_id not in aborted:
-            batch.append(consumer)
-    batch += list(aborted.values())
-    graph.invalidate(batch)
-    # Entries already handed to the dispatch engine cannot be removed
-    # from the graph's ready deque above; tombstone them.
-    runtime.dispatcher.purge([t for t in batch if t.state != TaskState.READY])
-    now = runtime.executor.clock()
-    for t in sorted(to_rerun.values(), key=lambda t: t.task_id):
-        written = ",".join(
-            v.label for v in runtime.access.versions_written_by(t)
-        )
-        runtime.resilience.record(
-            now, rsl.INTEGRITY_RECOMPUTE, t.label, t.node or "",
-            detail=f"no good copy of {written or t.label}; "
-            "re-executing writer",
-        )
-    if integrity is not None:
-        integrity.recomputes += len(to_rerun)
-    _log.info(
-        "integrity: %d corrupt version(s) unrepairable; re-executing "
-        "%d writer(s) (+%d aborted consumer(s))",
-        len(labels), len(to_rerun), len(aborted),
-    )
-    return labels

@@ -23,6 +23,7 @@ all of it.
 from __future__ import annotations
 
 import statistics
+import threading
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -192,7 +193,8 @@ class ResilienceLog:
     The buffer keeps the most recent ``maxlen`` events (default 10 000)
     so a multi-day study with chronic flakiness cannot grow the log
     without bound; evicted events are counted in :attr:`dropped` and
-    surfaced by :meth:`counts` under ``"dropped_events"``.
+    surfaced by :meth:`counts` under ``"dropped_events"``.  Per-kind
+    :attr:`totals` count every event ever recorded, evicted or not.
     """
 
     DEFAULT_MAXLEN = 10_000
@@ -204,6 +206,12 @@ class ResilienceLog:
         self.events: Deque[ResilienceEvent] = deque(maxlen=maxlen)
         #: Events evicted from the ring buffer since the last clear().
         self.dropped = 0
+        #: ``kind → events recorded`` since the last clear(), in first-
+        #: seen order; unlike the ring it forgets nothing.
+        self.totals: Dict[str, int] = {}
+        # Local executors record from worker threads: a bare
+        # read-modify-write of ``totals`` could lose an increment.
+        self._lock = threading.Lock()
 
     def record(
         self,
@@ -215,9 +223,11 @@ class ResilienceLog:
     ) -> ResilienceEvent:
         """Append and return an event (evicting the oldest when full)."""
         event = ResilienceEvent(time, kind, task_label, node, detail)
-        if self.maxlen is not None and len(self.events) == self.maxlen:
-            self.dropped += 1
-        self.events.append(event)
+        with self._lock:
+            if self.maxlen is not None and len(self.events) == self.maxlen:
+                self.dropped += 1
+            self.events.append(event)
+            self.totals[kind] = self.totals.get(kind, 0) + 1
         _log.info("resilience: %s", event.describe())
         return event
 
@@ -226,15 +236,14 @@ class ResilienceLog:
         return [e for e in self.events if e.kind == kind]
 
     def counts(self) -> Dict[str, int]:
-        """``kind → occurrences`` over retained events.
+        """``kind → occurrences`` over every recorded event.
 
-        When the ring buffer has evicted events, the count of evictions
-        appears under ``"dropped_events"`` so dashboards can tell the
-        totals are a window, not the full history.
+        Exact past the ring buffer.  When it has evicted events, the
+        count of evictions appears under ``"dropped_events"`` so
+        dashboards can tell the retained events are a window.
         """
-        out: Dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
+        with self._lock:
+            out = dict(self.totals)
         if self.dropped:
             out["dropped_events"] = self.dropped
         return out
@@ -242,6 +251,7 @@ class ResilienceLog:
     def clear(self) -> None:
         self.events.clear()
         self.dropped = 0
+        self.totals.clear()
 
     def __len__(self) -> int:
         return len(self.events)

@@ -10,11 +10,9 @@ provide the synchronisation API of the paper's Listing 2.
 from __future__ import annotations
 
 import gc
-import inspect
 import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import integrity as igr
@@ -25,9 +23,9 @@ from repro.runtime.dot import export_dot, render_dot
 from repro.runtime.executor.base import Executor
 from repro.runtime.executor.local import LocalExecutor
 from repro.runtime.executor.simulated import SimulatedExecutor
-from repro.runtime.future import Future, is_future
+from repro.runtime.future import Future, collect_futures, substitute
 from repro.runtime.graph import TaskGraph
-from repro.runtime.fault import StudyAbandonedError, UpstreamFailureError
+from repro.runtime.lineage import fail_descendants
 from repro.pycompss_api.task_group import record_submission
 from repro.runtime.preemption import PreemptionController
 from repro.runtime.reuse import MISS as _CACHE_MISS, ReuseCache
@@ -36,14 +34,13 @@ from repro.runtime.resilience import (
     DRAIN_COMPLETE,
     NODE_DRAINING,
     NODE_REJOINED,
-    STUDY_FAILED,
-    UPSTREAM_CANCELLED,
     NodeHealth,
     ResilienceLog,
     StragglerDetector,
 )
 from repro.runtime.scheduler import Scheduler, get_scheduler
 from repro.runtime.scheduler.locality import LocalityScheduler
+from repro.runtime.sessions import StudySession, StudySessions
 from repro.runtime.task_definition import (
     TaskDefinition,
     TaskInvocation,
@@ -58,12 +55,6 @@ _log = get_logger("runtime")
 
 _current: Optional["COMPSsRuntime"] = None
 _current_lock = threading.Lock()
-
-#: Exact types that can never create a dependency edge: not trackable by
-#: the access processor and never a FILE path (strings stay out — they
-#: can name files).  Exact-type check on purpose: an int subclass falls
-#: through to the full binder, which handles it like before.
-_DEP_FREE_TYPES = frozenset((int, float, complex, bool, type(None)))
 
 
 def current_runtime() -> Optional["COMPSsRuntime"]:
@@ -80,13 +71,6 @@ def set_current(runtime: Optional["COMPSsRuntime"]) -> None:
                 "a COMPSs runtime is already active; call compss_stop() first"
             )
         _current = runtime
-
-
-class _StudyScope(threading.local):
-    """Per-thread submission session; every thread starts in ``solo``."""
-
-    def __init__(self, solo: ckpt.StudySession) -> None:
-        self.session = solo
 
 
 class COMPSsRuntime:
@@ -209,14 +193,9 @@ class COMPSsRuntime:
             if self.config.checkpoint_dir is not None
             else resume_path
         )
-        #: The solo runtime is study "": its keyer / journal / store /
-        #: recovery bundle is built and looked up like any tenant's.
-        self._solo = self._build_session("", checkpoint_dir, resume_path)
-        # The solo session's members, read by callers and tests.
-        self.keyer = self._solo.keyer
-        self.journal = self._solo.journal
-        self.checkpoint_store = self._solo.checkpoint_store
-        self.recovery = self._solo.recovery
+        #: Study sessions: the solo runtime is study "", built and looked
+        #: up like any ``repro serve`` tenant's (see runtime/sessions).
+        self.sessions = StudySessions(self, checkpoint_dir, resume_path)
         # ---- Cross-trial reuse (content-addressed stage cache) ----
         #: One cache per runtime, shared by every study/tenant: content
         #: keys are namespace-free by design, so a stage one tenant
@@ -241,22 +220,10 @@ class COMPSsRuntime:
                 log=self.resilience,
                 clock=self.executor.clock,
             )
-        #: study id ("" outside service mode) -> content key -> the
-        #: study's live node for that key; see ``_join_in_flight``.
-        self._joins: Dict[str, Dict[str, TaskInvocation]] = {}
         #: Content-key canonicaliser for cacheable submissions.  Its own
         #: keyer (not the journal one): content keys touch no occurrence
         #: state and must exist even when journaling is off.
         self._content_keyer = ckpt.TaskKeyer()
-        # ---- Study sessions (the solo one, plus repro serve tenants) ----
-        #: Open sessions keyed by study id; a task's ``study`` finds its
-        #: journal and store here (none once its study has closed).
-        self._sessions: Dict[str, ckpt.StudySession] = {"": self._solo}
-        #: Thread-local submission scope: a study worker thread enters
-        #: ``study_scope(session)`` so its submissions are keyed, journaled
-        #: and restored against that study's namespace; every other
-        #: thread submits into the solo session.
-        self._scope = _StudyScope(self._solo)
 
     def _make_executor(self) -> Executor:
         ex = self.config.executor
@@ -303,7 +270,7 @@ class COMPSsRuntime:
             # stop().
             self._gc_managed = True
             gc.freeze()
-        self._solo.open(self.cluster.name)
+        self.sessions.solo.open(self.cluster.name)
         _log.info("runtime started on %s", self.cluster.name)
         return self
 
@@ -334,10 +301,7 @@ class COMPSsRuntime:
                     _log.warning("outstanding task failed during stop(): %s", exc)
         finally:
             self.executor.shutdown()
-            for session in list(self._sessions.values()):
-                session.close()
-            self._sessions = {"": self._solo}
-            self._joins.clear()
+            self.sessions.close_all()
             set_current(None)
             self._started = False
             if self._gc_managed:
@@ -371,7 +335,7 @@ class COMPSsRuntime:
         invocation = TaskInvocation(definition=definition, args=args, kwargs=kwargs)
         # The submitting thread's study scope (the solo session outside
         # service mode) decides which namespace keys/journals/restores it.
-        session = self._scope.session
+        session = self.sessions.local.session
         invocation.study = session.study_id
         keyer, journal, recovery = (
             session.keyer, session.journal, session.recovery
@@ -389,7 +353,7 @@ class COMPSsRuntime:
         if reuse is not None and definition.cacheable:
             content_key = self._content_keyer.content_key_for(invocation)
             if content_key is not None:
-                joined = self._join_in_flight(invocation.study, content_key)
+                joined = self._join_in_flight(session, content_key)
                 if joined is not None:
                     return joined
                 cached = reuse.acquire(content_key)
@@ -397,18 +361,15 @@ class COMPSsRuntime:
         edge_labels: Dict[int, str] = {}
         restored: Any = ckpt._MISSING
         with self.lock:
-            if not COMPSsRuntime._scan_free(definition, args, kwargs):
-                for name, value, spec in self._iter_param_accesses(
-                    definition, args, kwargs
-                ):
-                    access_deps, labels = self.access.process_access(
-                        invocation, value, spec
-                    )
-                    label = labels[0] if labels else ""
-                    for dep in access_deps:
-                        deps[dep.task_id] = dep
-                        if self.config.graph and label:
-                            edge_labels[dep.task_id] = label
+            for value, spec in definition.accesses(args, kwargs):
+                access_deps, labels = self.access.process_access(
+                    invocation, value, spec
+                )
+                label = labels[0] if labels else ""
+                for dep in access_deps:
+                    deps[dep.task_id] = dep
+                    if self.config.graph and label:
+                        edge_labels[dep.task_id] = label
             # Each slot gets its data id now; its record waits for a reader.
             for i in range(definition.n_returns):
                 self.access.register_output_future(Future(invocation, i))
@@ -416,9 +377,7 @@ class COMPSsRuntime:
             if content_key is not None:
                 # Later identical submissions of this study join this
                 # node (a FAILED one is replaced by its retry here).
-                self._joins.setdefault(invocation.study, {})[
-                    content_key
-                ] = invocation
+                session.joins[content_key] = invocation
             if keyer is not None:
                 keyer.key_for(invocation)
                 if recovery is not None:
@@ -451,13 +410,14 @@ class COMPSsRuntime:
                     # graph (e.g. a join onto a node that then failed), so
                     # its fail_descendants pass missed it: fail it now
                     # rather than leave it pending forever.
-                    self.fail_descendants(dep, self.executor.clock())
+                    fail_descendants(self, dep, self.executor.clock())
                     break
             if restored is not ckpt._MISSING:
                 Executor.fan_out_result(invocation, futures, restored)
                 # Restored outputs verified at spill load; seal them so
                 # consumers can verify them like freshly-produced ones.
-                self._seal_outputs(invocation, restored)
+                if self.integrity is not None:
+                    self.integrity.seal_outputs(self, invocation, restored)
                 if not cache_hit:
                     # Cache hits already logged CACHE_HIT inside
                     # ReuseCache.acquire; a second record here would
@@ -491,8 +451,8 @@ class COMPSsRuntime:
             return None
         return futures[0] if len(futures) == 1 else tuple(futures)
 
-    def _join_in_flight(self, study: str, content_key: str):
-        """The futures of ``study``'s live node for ``content_key``, if any.
+    def _join_in_flight(self, session: StudySession, content_key: str):
+        """The futures of ``session``'s live node for ``content_key``, if any.
 
         In-study sharing is a graph join: the later submitter gets the
         earlier node's futures and no task is created.  A stage's key
@@ -500,12 +460,12 @@ class COMPSsRuntime:
         one block makes the sibling's next block collide too and the
         whole shared prefix runs exactly once.  Never a FAILED node (its
         fail-soft retry builds a fresh one that siblings then join) and
-        never a streaming-freed one.  The map is per study: tenants and
-        processes share through the disk cache, so per-study
+        never a streaming-freed one.  The map is the study session's:
+        tenants and processes share through the disk cache, so per-study
         fault isolation is untouched.
         """
         with self.lock:
-            prior = self._joins.get(study, {}).get(content_key)
+            prior = session.joins.get(content_key)
             if prior is None or prior.state is TaskState.FAILED:
                 return None
             futures = self.access.futures_of(prior.task_id)
@@ -513,151 +473,6 @@ class COMPSsRuntime:
         # A joined node belongs to every TaskGroup open at this submit.
         record_submission(prior)
         return self._handle(futures)
-
-    @staticmethod
-    def _iter_param_accesses(
-        definition: TaskDefinition,
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-    ):
-        """Yield (param_name, value, spec) for every argument.
-
-        Variadic ``*args`` parameters yield one access per element.
-        """
-        # Fast path for plain positional calls against plain signatures
-        # (the overwhelmingly common case on the submission hot path):
-        # ``sig.bind`` costs ~15µs per call just to pair names with
-        # values, so pair them with ``zip`` instead.  Only taken when it
-        # provably binds the same way: no kwargs, no variadic parameters,
-        # and the positional count fills every required parameter.
-        fast = getattr(definition, "_positional_fast", False)
-        if fast is False:
-            fast = COMPSsRuntime._positional_fast_info(definition)
-            definition._positional_fast = fast
-        if fast is not None and not kwargs:
-            names, n_required = fast
-            if n_required <= len(args) <= len(names):
-                skippable = _DEP_FREE_TYPES
-                for name, value in zip(names, args):
-                    if type(value) in skippable:
-                        # Numbers/None can never carry a dependency (not
-                        # trackable, not a file path): skip the access
-                        # processor round-trip entirely.
-                        continue
-                    yield from COMPSsRuntime._expand_value(
-                        name, value, definition.spec_for(name)
-                    )
-                return
-        try:
-            # inspect.signature is ~10µs per call and identical for every
-            # invocation of a definition: cache it on the definition.
-            sig = getattr(definition, "_signature_cache", None)
-            if sig is None:
-                sig = inspect.signature(definition.func)
-                definition._signature_cache = sig
-            bound = sig.bind(*args, **kwargs)
-        except TypeError:
-            # Signature mismatch surfaces when the body runs; fall back to
-            # positional names so dependency detection still works.
-            for i, value in enumerate(args):
-                yield f"arg{i}", value, definition.spec_for(f"arg{i}")
-            for key, value in kwargs.items():
-                yield key, value, definition.spec_for(key)
-            return
-        for name, value in bound.arguments.items():
-            param = sig.parameters[name]
-            spec = definition.spec_for(name)
-            if param.kind == inspect.Parameter.VAR_POSITIONAL:
-                for item in value:
-                    yield from COMPSsRuntime._expand_value(name, item, spec)
-            elif param.kind == inspect.Parameter.VAR_KEYWORD:
-                for key, item in value.items():
-                    yield from COMPSsRuntime._expand_value(
-                        key, item, definition.spec_for(key)
-                    )
-            else:
-                yield from COMPSsRuntime._expand_value(name, value, spec)
-
-    @staticmethod
-    def _scan_free(
-        definition: TaskDefinition,
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-    ) -> bool:
-        """True when no argument can carry a dependency.
-
-        A plainly-positional call whose every argument is a dep-free
-        scalar needs no access scan at all — the generator in
-        :meth:`_iter_param_accesses` would yield nothing, so ``submit``
-        skips creating it (measurably cheaper at 100k+ tasks).
-        """
-        if kwargs:
-            return False
-        fast = getattr(definition, "_positional_fast", False)
-        if fast is False:
-            fast = COMPSsRuntime._positional_fast_info(definition)
-            definition._positional_fast = fast
-        if fast is None:
-            return False
-        names, n_required = fast
-        if not (n_required <= len(args) <= len(names)):
-            return False
-        free = _DEP_FREE_TYPES
-        for value in args:
-            if type(value) not in free:
-                return False
-        return True
-
-    @staticmethod
-    def _positional_fast_info(definition: TaskDefinition):
-        """``(names, n_required)`` when the signature is plainly positional.
-
-        Returns ``None`` (fast path unusable) for signatures with
-        variadic or keyword-only parameters.
-        """
-        sig = getattr(definition, "_signature_cache", None)
-        if sig is None:
-            try:
-                sig = inspect.signature(definition.func)
-            except (TypeError, ValueError):
-                return None
-            definition._signature_cache = sig
-        names = []
-        n_required = 0
-        for name, param in sig.parameters.items():
-            if param.kind not in (
-                inspect.Parameter.POSITIONAL_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            ):
-                return None
-            names.append(name)
-            if param.default is inspect.Parameter.empty:
-                n_required += 1
-        # Required params always precede defaults in these kinds, so
-        # ``n_required <= len(args)`` means every required one is filled.
-        return tuple(names), n_required
-
-    @staticmethod
-    def _expand_value(name: str, value: Any, spec):
-        """Yield the value plus any futures nested in containers.
-
-        A task receiving a list of futures (e.g. the paper's final
-        ``plot(results)`` task) must depend on every producer.
-        """
-        yield name, value, spec
-        if isinstance(value, (list, tuple, set)):
-            items = value
-        elif isinstance(value, dict):
-            items = value.values()
-        else:
-            return
-        from repro.pycompss_api.parameter import IN
-
-        nested: List[Future] = []
-        for item in items:
-            COMPSsRuntime._collect_futures(item, nested)
-        for fut in nested:
-            yield name, fut, IN
 
     # ------------------------------------------------------------------
     # Completion (called by executors)
@@ -672,9 +487,9 @@ class COMPSsRuntime:
             # data.  Skipped wholesale until a node loss ever happens.
             self.access.revalidate_versions_written_by(task)
         if self.integrity is not None:
-            self._seal_outputs(task, result)
+            self.integrity.seal_outputs(self, task, result)
         # A study closed before its task finished journals nowhere.
-        session = self._sessions.get(task.study)
+        session = self.sessions.by_id.get(task.study)
         journal = session.journal if session is not None else None
         if journal is not None and task.task_key is not None:
             stored = False
@@ -702,325 +517,9 @@ class COMPSsRuntime:
         """Streaming: drop registry entries of a graph-freed task."""
         self.access.release_task(task.task_id)
         if task.content_key is not None:
-            joins = self._joins.get(task.study)
-            if joins is not None and joins.get(task.content_key) is task:
-                del joins[task.content_key]
-
-    def _seal_outputs(self, task: TaskInvocation, result: Any) -> None:
-        """Checksum ``task``'s freshly-written data versions (integrity).
-
-        Local mode snapshots the pickled return values; simulated mode
-        derives digests from the modelled output size and registers the
-        primary + replica copies.  After sealing, the failure injector
-        gets a chance to silently corrupt the new copies (chaos testing)
-        — detection happens later, at consume time.
-        """
-        integrity = self.integrity
-        if integrity is None:
-            return
-        versions = self.access.versions_written_by(task)
-        if not versions:
-            return
-        if integrity.mode == igr.MODE_SIMULATED:
-            primary = task.node or ""
-            integrity.seal_simulated(
-                task,
-                versions,
-                primary,
-                float(task.definition.output_size_mb),
-                self._replica_nodes(primary),
-            )
-        else:
-            futs = self.access.future_versions(task)
-            if not futs:
-                return
-            if len(futs) == 1:
-                items = [(futs[0][1], result)]
-            else:
-                try:
-                    values = list(result)
-                except TypeError:
-                    values = []
-                items = [
-                    (version, values[i]) for i, version in futs if i < len(values)
-                ]
-            integrity.seal_local(task, items)
-        injector = self.failure_injector
-        if injector is not None:
-            scope = injector.corruption_scope(task.label)
-            if scope is not None:
-                # Silent: no event at injection — the point of end-to-end
-                # verification is that corruption surfaces at read time.
-                integrity.corrupt(task, scope)
-
-    def _replica_nodes(self, primary: str) -> List[str]:
-        """Replica placements for a primary copy (simulated data plane).
-
-        Only live (UP) workers receive replicas — a dead or draining node
-        cannot accept the asynchronous copy.  Outputs written while the
-        cluster is short-handed stay under-replicated until a node
-        rejoins and :meth:`~repro.runtime.integrity.IntegrityManager.
-        reseed_node` tops them back up.
-        """
-        extra = self.config.replication_factor - 1
-        if extra <= 0:
-            return []
-        others = sorted(
-            w.name
-            for w in self.pool.workers.values()
-            if w.available and w.name != primary
-        )
-        return others[:extra]
-
-    def recompute_corrupt(self, writers, extra_consumers=()) -> List[str]:
-        """Re-execute writers whose outputs have no intact copy left.
-
-        Returns the labels of the invalidated data versions (see
-        :func:`repro.runtime.integrity.recover_corrupt_versions`).
-        """
-        with self.lock:
-            return igr.recover_corrupt_versions(self, writers, extra_consumers)
-
-    def journal_task_event(
-        self, task: TaskInvocation, kind: str, node: str = ""
-    ) -> None:
-        """Append a task record (executors journal failed attempts)."""
-        session = self._sessions.get(task.study)
-        journal = session.journal if session is not None else None
-        if journal is None or task.task_key is None:
-            return
-        journal.append(
-            kind, task.task_key, task=task.label, node=node or (task.node or "")
-        )
-
-    def fail_descendants(
-        self, task: TaskInvocation, now: float
-    ) -> List[TaskInvocation]:
-        """Cancel every unfinished transitive consumer of a dead task.
-
-        Called by the executors when ``task`` fails *terminally* (retry
-        budget exhausted, or reaped by the starvation watchdog).  Its
-        consumers can never become ready — without this they would sit
-        in SUBMITTED forever and ``wait_for`` would hang (simulated: a
-        "simulation stalled" crash) instead of surfacing the root
-        failure.  Each victim fails with :class:`UpstreamFailureError`
-        chained to the producer's error.
-        """
-        cause = task.error or RuntimeError("unknown")
-        victims: List[TaskInvocation] = []
-        with self.lock:
-            for dep in self.graph.descendants(task):
-                if dep.state in (TaskState.DONE, TaskState.FAILED):
-                    continue
-                exc = UpstreamFailureError(dep.label, task.label, cause)
-                dep.add_history(f"cancelled: {exc}")
-                dep.state = TaskState.FAILED
-                dep.error = exc
-                self.journal_task_event(dep, ckpt.FAILED, node="")
-                self.resilience.record(
-                    now, UPSTREAM_CANCELLED, dep.label, "",
-                    detail=f"producer {task.label} failed terminally",
-                )
-                victims.append(dep)
-        return victims
-
-    # ------------------------------------------------------------------
-    # Crash consistency / lineage recovery
-    # ------------------------------------------------------------------
-    def recover_lost_data(self, node: str) -> List[str]:
-        """Node loss: invalidate resident data, re-run the minimal lineage.
-
-        Returns the labels of the destroyed data versions (see
-        :func:`repro.runtime.checkpoint.recover_lost_data`).
-        """
-        with self.lock:
-            return ckpt.recover_lost_data(self, node)
-
-    def resume_stats(self) -> Optional[Dict[str, Any]]:
-        """Journal-replay summary for resumed sessions (else ``None``).
-
-        In service mode the calling thread's study scope selects which
-        study's recovery is summarised.
-        """
-        recovery = self._scope.session.recovery
-        if recovery is None:
-            return None
-        stats = recovery.summary()
-        stats["restored_this_session"] = recovery.restored
-        return stats
-
-    # ------------------------------------------------------------------
-    # Multi-tenant study sessions (service mode)
-    # ------------------------------------------------------------------
-    def open_study(
-        self,
-        study_id: str,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        *,
-        priority: int = 0,
-        weight: float = 1.0,
-        tenant: str = "",
-        max_tenant_slots: Optional[int] = None,
-    ) -> ckpt.StudySession:
-        """Open a fault-isolated session for one tenant study.
-
-        The session bundles a task keyer salted with ``study_id`` (so two
-        studies running the identical space never share task keys), its
-        own write-ahead journal and checkpoint store under
-        ``checkpoint_dir``, and — when that directory already holds a
-        journal from a previous daemon life — a recovery manager that
-        replays it, giving the study exactly-once resumption after a
-        whole-daemon crash.  The study is also registered with the
-        dispatch engine as a fair-share lane (``priority``/``weight``)
-        under the tenant's slot quota.
-        """
-        if not study_id:
-            raise ValueError("study_id must be non-empty")
-        if study_id in self._sessions:
-            raise ValueError(f"study {study_id!r} is already open")
-        ckpt_path = Path(checkpoint_dir) if checkpoint_dir is not None else None
-        # A journal from a previous daemon life is replayed so the
-        # completed prefix restores instead of re-executing.
-        replay = (
-            ckpt_path
-            if ckpt_path is not None and (ckpt_path / ckpt.JOURNAL_FILE).exists()
-            else None
-        )
-        session = self._build_session(study_id, ckpt_path, replay, tenant=tenant)
-        session.open(self.cluster.name)
-        with self.lock:
-            self._sessions[study_id] = session
-            # Under the runtime lock: the dispatch engine's share table is
-            # also read by scheduling rounds, which run under this lock.
-            self.dispatcher.register_study(
-                study_id, priority=priority, weight=weight,
-                tenant=tenant, max_tenant_slots=max_tenant_slots,
-            )
-        return session
-
-    def _build_session(
-        self,
-        study_id: str,
-        checkpoint_dir: Optional[Path],
-        replay_dir: Optional[Path],
-        tenant: str = "",
-    ) -> ckpt.StudySession:
-        """The one construction of a keyer / journal / store / recovery
-        bundle: the solo runtime's (study "") and every tenant study's.
-
-        ``replay_dir`` holds a previous life's journal to restore from;
-        without a ``checkpoint_dir`` nothing is keyed or journaled.
-        """
-        recovery = (
-            ckpt.RecoveryManager(replay_dir, log=self.resilience)
-            if replay_dir is not None
-            else None
-        )
-        if checkpoint_dir is None:
-            return ckpt.StudySession(study_id, recovery=recovery, tenant=tenant)
-        return ckpt.StudySession(
-            study_id,
-            keyer=ckpt.TaskKeyer(namespace=study_id),
-            journal=ckpt.WriteAheadJournal(
-                checkpoint_dir / ckpt.JOURNAL_FILE,
-                fsync=self.config.journal_fsync,
-                buffer_records=self.config.journal_buffer_records,
-            ),
-            checkpoint_store=ckpt.CheckpointStore(
-                checkpoint_dir / ckpt.OUTPUTS_DIR,
-                cadence=self.config.checkpoint_every,
-            ),
-            recovery=recovery,
-            tenant=tenant,
-        )
-
-    def close_study(self, study_id: str) -> None:
-        """Close a study session: flush its journal, drop its share lane."""
-        if not study_id:
-            raise ValueError("the solo session closes with the runtime")
-        with self.lock:
-            session = self._sessions.pop(study_id, None)
-            self._joins.pop(study_id, None)
-            self.dispatcher.unregister_study(study_id)
-        if session is not None:
-            session.close()
-
-    def checkpoint_store_for(
-        self, task: TaskInvocation
-    ) -> Optional[ckpt.CheckpointStore]:
-        """The spill store of ``task``'s study (None once it closed)."""
-        session = self._sessions.get(task.study)
-        return session.checkpoint_store if session is not None else None
-
-    def preempt_spill_dir(self) -> Optional[Path]:
-        """Directory for suspend spills in the calling thread's scope.
-
-        Lives beside the checkpoint store's outputs directory (per-study
-        in service mode, global otherwise) so suspend spills inherit the
-        same crash-safety story and survive daemon generations at a
-        stable path.  ``None`` — preemption disabled — when no checkpoint
-        directory is configured, since warm suspension without a durable
-        spill target would silently be a cold restart.
-        """
-        store = self._scope.session.checkpoint_store
-        if store is None:
-            return None
-        return store.directory.parent / "preempt"
-
-    @contextmanager
-    def study_scope(self, session: ckpt.StudySession) -> Iterator[None]:
-        """Route this thread's submissions through ``session``.
-
-        Worker threads of the service daemon wrap each study's runner in
-        this scope; everything the study submits is keyed, journaled and
-        restored against the study's namespace, while other threads stay
-        in theirs (the solo session unless scoped).
-        """
-        scope = self._scope
-        previous, scope.session = scope.session, session
-        try:
-            yield
-        finally:
-            scope.session = previous
-
-    def abandon_study(
-        self, study_id: str, reason: str = "", kind: str = STUDY_FAILED
-    ) -> int:
-        """Terminate one study, leaving every other tenant untouched.
-
-        Fails all of the study's unfinished tasks with
-        :class:`StudyAbandonedError` (terminal — never retried), journals
-        the failures into the study's own journal, tombstones its queued
-        entries in the dispatch engine, and records one ``study_failed``
-        resilience event (``kind`` selects ``study_cancelled`` for
-        tenant-initiated cancellation).  Running attempts of the study
-        resolve quietly: the executors' completion paths discard results
-        for tasks that are no longer RUNNING.  Returns the number of
-        tasks cancelled.
-        """
-        now = self.executor.clock()
-        victims: List[TaskInvocation] = []
-        with self.lock:
-            for task in self.graph.tasks():
-                if task.study != study_id:
-                    continue
-                if task.state in (TaskState.DONE, TaskState.FAILED):
-                    continue
-                exc = StudyAbandonedError(task.label, study_id, reason)
-                task.add_history(f"study abandoned: {exc}")
-                task.state = TaskState.FAILED
-                task.error = exc
-                self.journal_task_event(task, ckpt.FAILED, node="")
-                victims.append(task)
-            self.dispatcher.purge(victims)
-        self.resilience.record(
-            now, kind, detail=f"study={study_id} reason={reason} "
-            f"cancelled={len(victims)}",
-        )
-        # Wake any waiter blocked on the study's tasks so the study's
-        # worker thread observes the terminal failures promptly.
-        self.executor.notify_task_resolutions()
-        return len(victims)
+            session = self.sessions.by_id.get(task.study)
+            if session is not None and session.joins.get(task.content_key) is task:
+                session.joins.pop(task.content_key, None)
 
     # ------------------------------------------------------------------
     # Synchronisation
@@ -1032,79 +531,24 @@ class COMPSsRuntime:
         done, then returns ``obj`` with futures replaced by values.
         """
         futures: List[Future] = []
-        self._collect_futures(obj, futures)
+        collect_futures(obj, futures)
         tasks = sorted({f.invocation for f in futures}, key=lambda t: t.task_id)
         if tasks:
-            self._wait_verified(tasks)
+            if self.integrity is None:
+                self.executor.wait_for(tasks)
+            else:
+                self.integrity.wait_verified(self, tasks)
             if self.config.graph:  # DOT export is their only reader
                 self.sync_points.append(
                     (len(self.sync_points) + 1, [t.task_id for t in tasks])
                 )
-        return self._substitute(obj)
-
-    def _wait_verified(self, tasks: List[TaskInvocation]) -> None:
-        """Wait for ``tasks``, then verify what the driver is about to read.
-
-        A corrupt output that cannot be repaired from a replica sends its
-        writer back through the lineage machinery and the wait repeats;
-        the loop is bounded so persistent corruption (e.g. a deterministic
-        injector that re-corrupts every attempt) fails loudly instead of
-        spinning forever.
-        """
-        self.executor.wait_for(tasks)
-        if self.integrity is None:
-            return
-        for _ in range(25):
-            bad: List[TaskInvocation] = []
-            with self.lock:
-                for task in tasks:
-                    versions = self.access.versions_written_by(task)
-                    if not versions:
-                        continue
-                    outcome = self.integrity.verify_writer(task, versions)
-                    if not outcome.ok:
-                        bad.append(task)
-                if bad:
-                    igr.recover_corrupt_versions(self, bad)
-            if not bad:
-                return
-            self.executor.notify_topology_change()
-            self.executor.wait_for(tasks)
-        raise igr.IntegrityError(
-            "corrupt outputs persisted after 25 repair rounds: "
-            + ", ".join(t.label for t in bad)
-        )
+        return substitute(obj)
 
     def barrier(self) -> None:
         """Wait for every submitted task to complete."""
         unfinished = self.graph.unfinished()
         if unfinished:
             self.executor.wait_for(unfinished)
-
-    @classmethod
-    def _collect_futures(cls, obj: Any, out: List[Future]) -> None:
-        if is_future(obj):
-            out.append(obj)
-        elif isinstance(obj, (list, tuple, set)):
-            for item in obj:
-                cls._collect_futures(item, out)
-        elif isinstance(obj, dict):
-            for item in obj.values():
-                cls._collect_futures(item, out)
-
-    @classmethod
-    def _substitute(cls, obj: Any) -> Any:
-        if is_future(obj):
-            return obj.result()
-        if isinstance(obj, list):
-            return [cls._substitute(i) for i in obj]
-        if isinstance(obj, tuple):
-            return tuple(cls._substitute(i) for i in obj)
-        if isinstance(obj, set):
-            return {cls._substitute(i) for i in obj}
-        if isinstance(obj, dict):
-            return {k: cls._substitute(v) for k, v in obj.items()}
-        return obj
 
     # ------------------------------------------------------------------
     # Elasticity (paper §3: "grids, clusters, clouds")
@@ -1141,7 +585,7 @@ class COMPSsRuntime:
             raise ValueError(f"drain deadline must be > 0, got {deadline}")
         if not worker.available:
             return  # already draining or down
-        spilled = self._spill_node_data(name)
+        spilled = self.sessions.spill_node_data(name)
         self.pool.drain_worker(name)
         # Suspend-not-recompute: flag the node's resident preemptible
         # trials so they spill warm at their next checkpoint epoch and
@@ -1179,7 +623,7 @@ class COMPSsRuntime:
         worker = self.pool.workers.get(name)
         if worker is None or not worker.draining:
             return
-        spilled = self._spill_node_data(name)
+        spilled = self.sessions.spill_node_data(name)
         self.pool.retire_worker(name)
         self.resilience.record(
             self.executor.clock(), DRAIN_COMPLETE, node=name,
@@ -1211,37 +655,6 @@ class COMPSsRuntime:
             detail=f"reseeded={reseeded}" if reseeded else "",
         )
         self.executor.notify_topology_change()
-
-    def _spill_node_data(self, node: str) -> int:
-        """Persist data resident on ``node`` before it goes away.
-
-        Two mechanisms, both best-effort: every DONE output produced on
-        the node is spilled to the checkpoint store (when configured, and
-        regardless of the spill cadence), and the simulated integrity
-        manager copies the node's only-good copies onto other up nodes.
-        Returns the number of task outputs protected.
-        """
-        protected = 0
-        with self.lock:
-            for task in self.graph.tasks():
-                # Only a journaled (keyed) task has a store to spill to.
-                if (
-                    task.task_key is None
-                    or task.state != TaskState.DONE
-                    or task.node != node
-                ):
-                    continue
-                store = self.checkpoint_store_for(task)
-                if store is not None and store.save(task.task_key, task.result):
-                    protected += 1
-            if self.integrity is not None:
-                targets = [
-                    w.name
-                    for w in self.pool.workers.values()
-                    if w.available and w.name != node
-                ]
-                protected += self.integrity.evacuate(node, targets)
-        return protected
 
     # ------------------------------------------------------------------
     # Introspection / artefacts

@@ -3,12 +3,28 @@
 from __future__ import annotations
 
 import enum
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.pycompss_api.constraint import ResourceConstraint
-from repro.pycompss_api.parameter import ParameterSpec, normalize_param
+from repro.pycompss_api.parameter import IN, ParameterSpec, normalize_param
+from repro.runtime.future import Future, collect_futures
+
+#: Exact types that can never create a dependency edge: not trackable by
+#: the access processor and never a FILE path (strings stay out — they
+#: can name files).  Exact-type check on purpose: an int subclass falls
+#: through to the full scan, which handles it like any other value.
+_DEP_FREE_TYPES = frozenset((int, float, complex, bool, type(None)))
+
+_POSITIONAL = (
+    inspect.Parameter.POSITIONAL_ONLY,
+    inspect.Parameter.POSITIONAL_OR_KEYWORD,
+)
+
+#: One access of a task argument: the value and its direction spec.
+Access = Tuple[Any, ParameterSpec]
 
 
 class TaskKind(str, enum.Enum):
@@ -64,9 +80,83 @@ class TaskDefinition:
 
     def spec_for(self, param_name: str) -> ParameterSpec:
         """Direction spec for ``param_name`` (default: IN)."""
-        from repro.pycompss_api.parameter import IN
-
         return self.param_specs.get(param_name, IN)
+
+    def accesses(self, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> List[Access]:
+        """``(value, spec)`` for every argument that may carry a dependency.
+
+        Variadic parameters give one access per element, and a container
+        argument one more (spec IN) per future nested in it.  A plainly
+        positional call — no kwargs, no variadic parameters, every
+        required parameter filled — pairs names with values by ``zip``
+        (``Signature.bind`` costs ~15µs a call) and skips dep-free
+        scalars, so an all-scalar call scans to ``[]``.
+        """
+        out: List[Access] = []
+        fast = getattr(self, "_positional", False)
+        if fast is False:
+            fast = self._positional = self._positional_info()
+        if fast is not None and not kwargs:
+            names, n_required = fast
+            if n_required <= len(args) <= len(names):
+                free = _DEP_FREE_TYPES
+                for name, value in zip(names, args):
+                    if type(value) not in free:
+                        _expand(value, self.spec_for(name), out)
+                return out
+        try:
+            bound = self._signature().bind(*args, **kwargs)
+        except TypeError:
+            # Signature mismatch surfaces when the body runs; fall back to
+            # positional names so dependency detection still works.
+            for i, value in enumerate(args):
+                _expand(value, self.spec_for(f"arg{i}"), out)
+            for key, value in kwargs.items():
+                _expand(value, self.spec_for(key), out)
+            return out
+        params = bound.signature.parameters
+        for name, value in bound.arguments.items():
+            kind = params[name].kind
+            if kind == inspect.Parameter.VAR_POSITIONAL:
+                spec = self.spec_for(name)
+                for item in value:
+                    _expand(item, spec, out)
+            elif kind == inspect.Parameter.VAR_KEYWORD:
+                for key, item in value.items():
+                    _expand(item, self.spec_for(key), out)
+            else:
+                _expand(value, self.spec_for(name), out)
+        return out
+
+    def _signature(self) -> inspect.Signature:
+        """``inspect.signature(func)``, cached: ~10µs and the same for
+        every invocation of this definition."""
+        sig = getattr(self, "_signature_cache", None)
+        if sig is None:
+            sig = self._signature_cache = inspect.signature(self.func)
+        return sig
+
+    def _positional_info(self) -> Optional[Tuple[Tuple[str, ...], int]]:
+        """``(names, n_required)`` when the signature is plainly positional.
+
+        ``None`` (fast path unusable) for signatures with variadic or
+        keyword-only parameters, or none to inspect.
+        """
+        try:
+            sig = self._signature()
+        except (TypeError, ValueError):
+            return None
+        names = []
+        n_required = 0
+        for name, param in sig.parameters.items():
+            if param.kind not in _POSITIONAL:
+                return None
+            names.append(name)
+            if param.default is inspect.Parameter.empty:
+                n_required += 1
+        # Required params always precede defaults in these kinds, so
+        # ``n_required <= len(args)`` means every required one is filled.
+        return tuple(names), n_required
 
     def add_param_specs(self, specs: Dict[str, object]) -> None:
         """Normalise and record user-supplied direction hints."""
@@ -108,6 +198,26 @@ class TaskDefinition:
         key = tuple(c.constraint.class_key for c in self.all_candidates())
         self._constraint_class_cache = (token, key)
         return key
+
+
+def _expand(value: Any, spec: ParameterSpec, out: List[Access]) -> None:
+    """Append ``value``'s access plus one per future nested in it.
+
+    A task receiving a list of futures (e.g. the paper's final
+    ``plot(results)`` task) must depend on every producer.
+    """
+    out.append((value, spec))
+    if isinstance(value, (list, tuple, set)):
+        items = value
+    elif isinstance(value, dict):
+        items = value.values()
+    else:
+        return
+    nested: List[Future] = []
+    for item in items:
+        collect_futures(item, nested)
+    for fut in nested:
+        out.append((fut, IN))
 
 
 _invocation_ids = itertools.count(1)

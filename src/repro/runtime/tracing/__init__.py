@@ -8,14 +8,13 @@ recomputes everything the paper reads off its Paraver screenshots
 (Figs. 4–6), and the exporter writes a Paraver-like ``.prv`` text file.
 """
 
-from repro.runtime.tracing.extrae import TraceRecorder, TaskRecord, TraceEvent
+from repro.runtime.tracing.extrae import TraceRecorder, TaskRecord
 from repro.runtime.tracing.analysis import TraceAnalysis
 from repro.runtime.tracing.paraver import export_prv
 
 __all__ = [
     "TraceRecorder",
     "TaskRecord",
-    "TraceEvent",
     "TraceAnalysis",
     "export_prv",
 ]

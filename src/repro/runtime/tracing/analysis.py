@@ -81,9 +81,12 @@ class TraceAnalysis:
         dispatch=None,
     ):
         self.records: List[TaskRecord] = list(recorder.records)
-        self.events = list(recorder.events)
         self.resilience: List[ResilienceEvent] = (
             list(resilience.events) if resilience is not None else []
+        )
+        #: Exact per-kind totals, evicted events included.
+        self._counts: Dict[str, int] = (
+            dict(resilience.totals) if resilience is not None else {}
         )
         self._dispatch: Dict[str, int] = (
             dispatch.snapshot() if dispatch is not None else {}
@@ -249,11 +252,9 @@ class TraceAnalysis:
     # Resilience
     # ------------------------------------------------------------------
     def resilience_counts(self) -> Dict[str, int]:
-        """``event kind → occurrences`` over the resilience log."""
-        out: Dict[str, int] = {}
-        for e in self.resilience:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
+        """``event kind → occurrences`` over the whole resilience log,
+        events the ring buffer evicted included."""
+        return dict(self._counts)
 
     def _rollup(self, name: str) -> Dict[str, int]:
         """The ``name`` roll-up of :data:`_ROLLUPS` over the log."""

@@ -1,15 +1,14 @@
 """Trace recording (the Extrae stand-in).
 
-The recorder is deliberately dumb — executors push
-:class:`TaskRecord` intervals and point :class:`TraceEvent` flags into
-lists — so that recording overhead is negligible and both the real and
-the simulated executor share it.  Tracing is optional (the paper: "both
+The recorder is deliberately dumb — executors push :class:`TaskRecord`
+intervals into a list — so that recording overhead is negligible and
+both the real and the simulated executor share it.  Tracing is optional (the paper: "both
 tracing and graph generation create a performance overhead … easily
 turned off by a simple flag").
 
 Zero-cost-when-off contract: executors must gate on
 :attr:`TraceRecorder.enabled` *before* constructing a
-:class:`TaskRecord`/:class:`TraceEvent`, so the traces-off fast path
+:class:`TaskRecord`, so the traces-off fast path
 pays neither object construction nor a method call per task.  The
 recorder's own no-op guard remains only as a safety net for callers
 outside the dispatch hot path.
@@ -47,18 +46,8 @@ class TaskRecord:
             )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """A point event (the paper's 'event flags'), e.g. a task start."""
-
-    time: float
-    kind: str
-    task_label: str
-    node: str
-
-
 class TraceRecorder:
-    """Collects task records and point events.
+    """Collects task records.
 
     Parameters
     ----------
@@ -70,24 +59,15 @@ class TraceRecorder:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.records: List[TaskRecord] = []
-        self.events: List[TraceEvent] = []
 
     def record_task(self, record: TaskRecord) -> None:
         """Store one completed (or failed) task attempt interval."""
         if self.enabled:
             self.records.append(record)
 
-    def record_event(
-        self, time: float, kind: str, task_label: str, node: str
-    ) -> None:
-        """Store one point event."""
-        if self.enabled:
-            self.events.append(TraceEvent(time, kind, task_label, node))
-
     def clear(self) -> None:
         """Drop everything recorded so far."""
         self.records.clear()
-        self.events.clear()
 
     @property
     def makespan(self) -> float:
@@ -100,6 +80,3 @@ class TraceRecorder:
 
     def records_for_node(self, node: str) -> List[TaskRecord]:
         return [r for r in self.records if r.node == node]
-
-    def events_of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]

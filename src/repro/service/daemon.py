@@ -3,7 +3,7 @@
 One :class:`HPOService` owns one :class:`~repro.runtime.runtime.
 COMPSsRuntime` (and therefore one shared :class:`ResourcePool`) and runs
 admitted studies in worker threads, each inside its own
-:meth:`~repro.runtime.runtime.COMPSsRuntime.study_scope` so journaling,
+:meth:`~repro.runtime.sessions.StudySessions.scope` so journaling,
 task keys and recovery are namespaced per study.  The daemon's main loop
 is a plain poll over the file-spool protocol — no sockets, no extra
 dependencies — which is also what makes whole-daemon crash recovery
@@ -287,7 +287,7 @@ class HPOService:
                 study_id, proto.QUEUED,
                 detail="drain deadline: re-queued for next daemon life",
             )
-            runtime.abandon_study(
+            runtime.sessions.abandon(
                 study_id, reason="daemon draining", kind=rsl.STUDY_CANCELLED
             )
         for thread in list(self._running.values()):
@@ -593,7 +593,7 @@ class HPOService:
                 sid, proto.SUSPENDED,
                 detail="suspend grace expired: in-flight tasks abandoned",
             )
-            self.runtime.abandon_study(
+            self.runtime.sessions.abandon(
                 sid, reason="suspend grace expired",
                 kind=rsl.STUDY_SUSPENDED,
             )
@@ -638,7 +638,7 @@ class HPOService:
         session = None
         try:
             objective = proto.resolve_objective(request.objective)
-            session = runtime.open_study(
+            session = runtime.sessions.open(
                 sid,
                 checkpoint_dir=self.paths.checkpoint_dir(sid),
                 priority=request.priority,
@@ -659,7 +659,7 @@ class HPOService:
                     objective="train" if request.objective == "train"
                     else "mock",
                 )
-            with runtime.study_scope(session):
+            with runtime.sessions.scope(session):
                 runner = PyCOMPSsRunner(
                     request.algorithm,
                     space=SearchSpace.from_dict(request.space),
@@ -674,18 +674,18 @@ class HPOService:
                 study = runner.run()
             self._finish_study(sid, study)
         except StudyCancelledError as exc:
-            runtime.abandon_study(sid, str(exc), kind=rsl.STUDY_CANCELLED)
+            runtime.sessions.abandon(sid, str(exc), kind=rsl.STUDY_CANCELLED)
             self._write_state(sid, proto.CANCELLED, detail=str(exc))
         except StudySuspendedError as exc:
             # Warm park, not a failure: trials spilled their training
             # state, the study re-enqueues once pressure clears and its
             # journal + spills make the resumption exactly-once.
-            runtime.abandon_study(sid, str(exc), kind=rsl.STUDY_SUSPENDED)
+            runtime.sessions.abandon(sid, str(exc), kind=rsl.STUDY_SUSPENDED)
             self._write_state(sid, proto.SUSPENDED, detail=str(exc))
         except StudyFailedError as exc:
             # The study's own budget gave out: terminate it, leave every
             # other tenant untouched (abandon records `study_failed`).
-            runtime.abandon_study(sid, str(exc))
+            runtime.sessions.abandon(sid, str(exc))
             self._write_state(sid, proto.FAILED, detail=str(exc))
         except Exception as exc:  # noqa: BLE001 - isolate tenant failures
             with self._lock:
@@ -696,14 +696,14 @@ class HPOService:
                 # Shutdown re-queued it, or the suspend-grace escalation
                 # already parked it as 'suspended' — don't overwrite.
                 return
-            runtime.abandon_study(sid, f"{type(exc).__name__}: {exc}")
+            runtime.sessions.abandon(sid, f"{type(exc).__name__}: {exc}")
             self._write_state(
                 sid, proto.FAILED, detail=f"{type(exc).__name__}: {exc}"
             )
             _log.warning("study %s failed: %s", sid, exc)
         finally:
             if session is not None:
-                runtime.close_study(sid)
+                runtime.sessions.close(sid)
 
     def _finish_study(self, sid: str, study: Study) -> None:
         proto.atomic_write_json(self.paths.result_file(sid), study.as_dict())

@@ -4,7 +4,8 @@ The batching tentpole buffers clean completions and replays them through
 one engine drain per simulator wake.  These tests pin its contract:
 
 * placements are byte-identical to the unbatched round-per-event path
-  (``batch_wakes=False``) under every scheduling policy;
+  (``batch_wakes=False``) under every scheduling policy, with tracing on
+  too — and so are the trace records, in fewer scheduling rounds;
 * the vectorised event core (``step_batch``) is observably identical to
   repeated ``step`` calls;
 * ``stream_completed`` frees finished tasks while results stay correct;
@@ -52,6 +53,11 @@ def _layered_workload():
 
 def _run_recorded(scheduler: str, batch_wakes: bool):
     """Run the layered workload; return every (time, task, node, cores)."""
+    return _run(scheduler, batch_wakes)[0]
+
+
+def _run(scheduler: str, batch_wakes: bool, tracing: bool = False):
+    """Run the layered workload: placements, trace records, rounds."""
     records = []
     orig = SimulatedExecutor._start
 
@@ -71,7 +77,7 @@ def _run_recorded(scheduler: str, batch_wakes: bool):
         cluster=mare_nostrum4(2),
         scheduler=scheduler,
         executor="simulated",
-        tracing=False,
+        tracing=tracing,
         execute_bodies=True,  # real results: the dataflow is verified too
         batch_wakes=batch_wakes,
         # Uneven durations so completions interleave and contention for
@@ -80,12 +86,12 @@ def _run_recorded(scheduler: str, batch_wakes: bool):
     )
     SimulatedExecutor._start = recording_start
     try:
-        with COMPSs(cfg):
+        with COMPSs(cfg) as rt:
             out = compss_wait_on(_layered_workload())
     finally:
         SimulatedExecutor._start = orig
     assert out == [sum(range(4 * i, 4 * i + 4)) for i in range(10)]
-    return records
+    return records, rt.tracer.records, rt.dispatcher.stats.rounds
 
 
 class TestBatchedEqualsUnbatched:
@@ -97,6 +103,18 @@ class TestBatchedEqualsUnbatched:
         unbatched = _run_recorded(scheduler, batch_wakes=False)
         assert batched == unbatched
         assert len(batched) == 70
+
+    @pytest.mark.parametrize(
+        "scheduler", ["fifo", "priority", "lpt", "locality"]
+    )
+    def test_traced_run_stays_batched(self, scheduler):
+        batched, traced, rounds = _run(scheduler, True, tracing=True)
+        unbatched, traced_ref, _ = _run(scheduler, False, tracing=True)
+        assert batched == unbatched
+        assert traced == traced_ref
+        assert len(traced) == 70
+        # Tracing no longer forces a scheduling round per completion.
+        assert rounds < len(batched)
 
 
 class TestStepBatch:

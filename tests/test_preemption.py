@@ -233,7 +233,7 @@ class TestRuntimeWiring:
     def test_no_checkpoint_dir_disables_preemption(self):
         rt = COMPSsRuntime(RuntimeConfig(cluster=local_machine(2))).start()
         try:
-            assert rt.preempt_spill_dir() is None
+            assert rt.sessions.preempt_spill_dir() is None
         finally:
             rt.stop(wait=False)
 
@@ -243,7 +243,7 @@ class TestRuntimeWiring:
         )
         rt = COMPSsRuntime(cfg).start()
         try:
-            spill = rt.preempt_spill_dir()
+            spill = rt.sessions.preempt_spill_dir()
             assert spill is not None
             assert spill.parent == (tmp_path / "ckpt")
             assert spill.name == "preempt"
@@ -259,7 +259,7 @@ class TestRuntimeWiring:
         rt = COMPSsRuntime(cfg).start()
         try:
             node = next(iter(rt.pool.workers))
-            ctx = PreemptContext("res-0", rt.preempt_spill_dir())
+            ctx = PreemptContext("res-0", rt.sessions.preempt_spill_dir())
             rt.preemption.register(ctx, FakeInvocation(node=node))
             rt.drain_node(node, deadline_s=30.0)
             assert rt.preemption.is_suspended("res-0")
@@ -297,13 +297,13 @@ class TestDispatchPause:
         cfg = RuntimeConfig(cluster=local_machine(2))
         rt = COMPSsRuntime(cfg).start()
         try:
-            session = rt.open_study("pausable")
+            session = rt.sessions.open("pausable")
             rt.pause_study_dispatch("pausable")
             definition = TaskDefinition(
                 func=lambda x: x + 1, name="inc", returns=int, n_returns=1,
                 constraint=ResourceConstraint(cpu_units=1),
             )
-            with rt.study_scope(session):
+            with rt.sessions.scope(session):
                 fut = rt.submit(definition, (1,), {})
             import time as _time
 
@@ -315,7 +315,7 @@ class TestDispatchPause:
             assert rt.dispatcher.stats.paused_skips > 0
             assert rt.dispatcher.pending() == 1
             rt.resume_study_dispatch("pausable")
-            with rt.study_scope(session):
+            with rt.sessions.scope(session):
                 assert rt.wait_on(fut) == 2
         finally:
             rt.stop(wait=False)

@@ -338,7 +338,7 @@ class TestRuntimeResume:
         rt2 = COMPSsRuntime(RuntimeConfig(), resume_from=str(tmp_path)).start()
         try:
             assert drive(rt2) == 113
-            stats = rt2.resume_stats()
+            stats = rt2.sessions.resume_stats()
             assert stats["restored_this_session"] == 3
             assert stats["completed"] == 3
         finally:
@@ -364,7 +364,7 @@ class TestRuntimeResume:
         ).start()
         try:
             assert drive(rt2) == 113
-            assert rt2.recovery is not None
+            assert rt2.sessions.solo.recovery is not None
         finally:
             rt2.stop()
 
@@ -413,8 +413,8 @@ class TestRuntimeResume:
         ).start()
         try:
             assert drive(rt2) == 113
-            assert rt2.resume_stats()["completed"] == 3
-            assert rt2.resume_stats()["restorable"] == 0
+            assert rt2.sessions.resume_stats()["completed"] == 3
+            assert rt2.sessions.resume_stats()["restorable"] == 0
         finally:
             rt2.stop()
         assert sum(CALLS.values()) == 6  # 3 + 3 re-executions
@@ -510,7 +510,7 @@ class TestLineageRecovery:
         p_def = make_def("produce", produce)
         c_def = make_def("consume", consume)
         scope = (
-            rt.study_scope(rt.open_study(
+            rt.sessions.scope(rt.sessions.open(
                 "s", checkpoint_dir=tmp_path if checkpoint else None
             ))
             if study else contextlib.nullcontext()
@@ -800,15 +800,15 @@ class TestStudySessionNamespacing:
     def test_open_study_builds_namespaced_session(self, tmp_path):
         rt = COMPSsRuntime(RuntimeConfig()).start()
         try:
-            session = rt.open_study("s1", checkpoint_dir=tmp_path / "s1")
+            session = rt.sessions.open("s1", checkpoint_dir=tmp_path / "s1")
             assert session.keyer.namespace == "s1"
             assert session.recovery is None  # fresh: nothing to resume
             assert (tmp_path / "s1" / ckpt.JOURNAL_FILE).exists()
             with pytest.raises(ValueError, match="already open"):
-                rt.open_study("s1", checkpoint_dir=tmp_path / "s1")
-            rt.close_study("s1")
+                rt.sessions.open("s1", checkpoint_dir=tmp_path / "s1")
+            rt.sessions.close("s1")
             # Reopening over an existing journal auto-attaches recovery.
-            session2 = rt.open_study("s1", checkpoint_dir=tmp_path / "s1")
+            session2 = rt.sessions.open("s1", checkpoint_dir=tmp_path / "s1")
             assert session2.recovery is not None
         finally:
             rt.stop()
@@ -822,7 +822,7 @@ class TestStudySessionNamespacing:
 
         rt = COMPSsRuntime(RuntimeConfig()).start()
         sessions = {
-            sid: rt.open_study(sid, checkpoint_dir=tmp_path / sid)
+            sid: rt.sessions.open(sid, checkpoint_dir=tmp_path / sid)
             for sid in ("alpha", "beta")
         }
         d = make_def()
@@ -849,8 +849,8 @@ class TestStudySessionNamespacing:
             t.start()
         for t in threads:
             t.join()
-        rt.close_study("alpha")
-        rt.close_study("beta")
+        rt.sessions.close("alpha")
+        rt.sessions.close("beta")
         rt.stop()
         assert not errors
 
@@ -878,11 +878,11 @@ class TestStudySessionNamespacing:
         d = make_def()
         task = invocation(d, {"lr": 0.5})
         try:
-            session = rt.open_study("replayed", checkpoint_dir=tmp_path)
+            session = rt.sessions.open("replayed", checkpoint_dir=tmp_path)
             key = session.keyer.key_for(task)
             session.journal.append(ckpt.SUBMITTED, key=key, task=task.label)
             session.journal.append(ckpt.COMPLETED, key=key)
-            rt.close_study("replayed")
+            rt.sessions.close("replayed")
         finally:
             rt.stop()
         records, truncated = WriteAheadJournal.replay(

@@ -366,7 +366,7 @@ class TestEndToEndScaling:
         with COMPSs(cfg) as rt:
             compss_wait_on([tiny(i) for i in range(10)])
             assert rt.tracer.records == []
-            assert rt.tracer.events == []
+            assert rt.analysis().records == []
 
     def test_local_executor_uses_fast_path(self):
         @task(returns=int)

@@ -70,15 +70,13 @@ class TestTraceRecorder:
     def test_records_when_enabled(self):
         rec = TraceRecorder(enabled=True)
         rec.record_task(record())
-        rec.record_event(0.0, "task_start", "t1", "n1")
-        assert len(rec.records) == 1 and len(rec.events) == 1
+        assert len(rec.records) == 1
 
     def test_disabled_is_noop(self):
         # Paper §5: tracing "easily turned off by a simple flag".
         rec = TraceRecorder(enabled=False)
         rec.record_task(record())
-        rec.record_event(0.0, "task_start", "t1", "n1")
-        assert not rec.records and not rec.events
+        assert not rec.records
 
     def test_makespan(self):
         rec = TraceRecorder()
@@ -101,9 +99,6 @@ class TestTraceRecorder:
         rec.record_task(record(node="a"))
         rec.record_task(record(label="t2", node="b"))
         assert len(rec.records_for_node("a")) == 1
-        rec.record_event(1.0, "x", "t", "a")
-        assert len(rec.events_of_kind("x")) == 1
-        assert rec.events_of_kind("y") == []
 
 
 class TestTraceAnalysis:

@@ -20,6 +20,7 @@ from repro.runtime.resilience import (
 )
 from repro.runtime.runtime import COMPSsRuntime
 from repro.runtime.stats import render_resilience
+from repro.runtime.tracing import TraceAnalysis, TraceRecorder
 from repro.runtime.task_definition import TaskDefinition
 from repro.simcluster.failures import FailureInjector, FailurePlan
 from repro.simcluster.machines import local_machine, mare_nostrum4
@@ -266,10 +267,23 @@ class TestResilienceLog:
         for i in range(5):
             log.record(float(i), rsl.TIMEOUT, f"t{i}")
         counts = log.counts()
-        assert counts[rsl.TIMEOUT] == 2
+        assert counts[rsl.TIMEOUT] == 5
         assert counts["dropped_events"] == 3
         # No phantom key while nothing has been dropped.
         assert "dropped_events" not in ResilienceLog(maxlen=2).counts()
+
+    def test_counts_are_exact_past_the_ring(self):
+        log = ResilienceLog(maxlen=5)
+        for i in range(12):
+            kind = rsl.NODE_LOST if i % 3 == 0 else rsl.NODE_REJOINED
+            log.record(float(i), kind, node=f"n{i}")
+        assert len(log) == 5
+        assert log.counts() == {
+            rsl.NODE_LOST: 4, rsl.NODE_REJOINED: 8, "dropped_events": 7,
+        }
+        churn = TraceAnalysis(TraceRecorder(), log).churn()
+        assert churn["nodes_lost"] == 4
+        assert churn["nodes_rejoined"] == 8
 
     def test_default_capacity_is_bounded(self):
         log = ResilienceLog()

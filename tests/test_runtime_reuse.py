@@ -551,7 +551,7 @@ class TestStagedGridReuse:
             # Every node was freed with its last consumer, and took its
             # join entry along: nothing pins a result past its use.
             assert runtime.graph.freed_tasks > 0
-            assert [list(j) for j in runtime._joins.values()] == [[]]
+            assert [list(s.joins) for s in runtime.sessions.by_id.values()] == [[]]
         assert executed_epochs() == 36
         reset_epoch_counter()
 
@@ -770,7 +770,9 @@ class TestChaosAcceptance:
             submit("tC", "c")
             service.run_until_idle(max_wait_s=120)
             reuse_stats = service.runtime.reuse.stats()
-            assert not service.runtime._joins  # dropped at study close
+            assert not any(  # dropped at study close
+                s.joins for s in service.runtime.sessions.by_id.values()
+            )
         finally:
             service.shutdown()
 

@@ -199,7 +199,7 @@ def _run(ckpt_dir, n, resume=False):
         config, resume_from=str(ckpt_dir) if resume else None
     ) as rt:
         got = compss_wait_on([bump(x) for x in range(n)])
-        restored = rt.recovery.restored if resume else 0
+        restored = rt.sessions.solo.recovery.restored if resume else 0
     assert got == [x + 1 for x in range(n)]
     return restored
 
