@@ -25,13 +25,6 @@ class LearningRateSchedule(abc.ABC):
         """Learning rate to use for ``epoch`` (0-based)."""
 
 
-class ConstantLR(LearningRateSchedule):
-    """No decay (the default behaviour without a scheduler)."""
-
-    def __call__(self, epoch: int, base_lr: float) -> float:
-        return base_lr
-
-
 class StepDecay(LearningRateSchedule):
     """Multiply by ``factor`` every ``step_size`` epochs.
 

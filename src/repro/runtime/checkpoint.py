@@ -275,6 +275,16 @@ class TaskKeyer:
     def _params_digest(
         self, args: Tuple[Any, ...], kwargs: Dict[str, Any], content: bool = False
     ) -> str:
+        """sha1 of each argument's canonical form and a NUL, then of each
+        kwarg's ``name=``, form and NUL.  Early exit: with no kwargs and only
+        exact ``_PRIMITIVE_TYPES`` positionals, one update of the same bytes."""
+        if not kwargs:
+            for a in args:
+                if type(a) not in _PRIMITIVE_TYPES:
+                    break
+            else:
+                text = "\x00".join(map(repr, args)) + "\x00" if args else ""
+                return hashlib.sha1(text.encode("utf-8", "replace")).hexdigest()
         h = hashlib.sha1()
         canonical = self._canonical
         for a in args:

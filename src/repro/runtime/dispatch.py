@@ -352,6 +352,9 @@ class DispatchEngine:
         seq = self._seq
         heappush = heapq.heappush
         class_for = self._class_for
+        # A run of one definition in one study asks _class_for once.
+        cq: Optional[_ClassQueue] = None
+        definition = None
         n = 0
         for task in tasks:
             tid = task.task_id
@@ -361,9 +364,10 @@ class DispatchEngine:
                 purged.discard(tid)
                 continue
             queued.add(tid)
-            heappush(
-                class_for(task).heap, (sort_key(task), next(seq), task)
-            )
+            if task.definition is not definition or task.study != cq.study:
+                cq = class_for(task)
+                definition = task.definition
+            heappush(cq.heap, (sort_key(task), next(seq), task))
             n += 1
         self.stats.ingested += n
 
@@ -586,11 +590,22 @@ class DispatchEngine:
         Every placement of a registered study is checked against its
         tenant's slot quota and charged to its share.  Uses the pooled
         ``_heads`` / ``_deferred`` scratch lists.
+
+        Early exit: a solo runtime's one class goes straight to
+        :meth:`_place_class`, after the same skips.
         """
-        heads = self._heads
         blocked = self._blocked
         stats = self.stats
         studies = self._studies
+        if len(self._classes) == 1 and not studies:
+            ((key, cq),) = self._classes.items()
+            restrict = blocked.get(key)
+            if cq.heap and restrict is not None and not restrict:
+                stats.blocked_skips += 1
+            elif cq.heap:
+                self._place_class(key, quarantined, out)
+            return
+        heads = self._heads
         multi_study = False
         first_study: Optional[str] = None
         for key, cq in self._classes.items():

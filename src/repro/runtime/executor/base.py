@@ -34,7 +34,7 @@ from repro.runtime.fault import (
 )
 from repro.runtime.future import Future, is_future
 from repro.runtime.scheduler.base import Assignment, release_assignment
-from repro.runtime.task_definition import TaskInvocation, TaskState
+from repro.runtime.task_definition import _DEP_FREE_TYPES, TaskInvocation, TaskState
 from repro.runtime.tracing.extrae import TaskRecord
 from repro.util.logging_utils import get_logger
 
@@ -200,9 +200,10 @@ class Executor(abc.ABC):
         attempts = self._attempts.get(task_id)
         if not attempts or attempt not in attempts:
             return False
-        attempts.remove(attempt)
-        if not attempts:
+        if len(attempts) == 1:  # no backup racing: no list.remove
             del self._attempts[task_id]
+        else:
+            attempts.remove(attempt)
         return True
 
     def node_busy(self, node: str) -> bool:
@@ -496,8 +497,17 @@ class Executor(abc.ABC):
         Only containers that hold a future are rebuilt — anything else,
         ``task.args`` and ``task.kwargs`` included, is passed through as
         the same object, so INOUT mutations land on the caller's object.
+        Early exit: no kwargs and only exact ``_DEP_FREE_TYPES`` positionals
+        return ``task.args`` and ``task.kwargs`` unscanned.
         """
-        return _resolve(task.args), _resolve(task.kwargs)
+        args, kwargs = task.args, task.kwargs
+        if not kwargs:
+            for value in args:
+                if type(value) not in _DEP_FREE_TYPES:
+                    break
+            else:
+                return args, kwargs
+        return _resolve(args), _resolve(kwargs)
 
     @staticmethod
     def fan_out_result(task: TaskInvocation, futures: Sequence[Future], result: Any) -> None:

@@ -31,7 +31,7 @@ from repro.runtime.fault import TaskFailedError, TaskTimeoutError
 from repro.runtime.resources import DOWN
 from repro.runtime.scheduler.base import Assignment, release_assignment
 from repro.runtime.task_definition import TaskInvocation, TaskState
-from repro.simcluster.costmodel import TrainingCostModel, MNIST_LIKE
+from repro.simcluster.costmodel import MNIST_LIKE
 from repro.simcluster.events import DiscreteEventSimulator, EventHandle
 from repro.simcluster.failures import MassLoss, NodeRejoin, PreemptionNotice
 from repro.simcluster.node import NodeSpec
@@ -99,22 +99,12 @@ class SimulatedExecutor(Executor):
     def clock(self) -> float:
         return self.sim.now
 
-    def _cost_model(self) -> TrainingCostModel:
-        assert self.runtime is not None
-        return self.runtime.cost_model
-
     def _duration(
-        self,
-        task: TaskInvocation,
-        spec: NodeSpec,
-        alloc,
-        config: Optional[Mapping[str, Any]] = None,
+        self, spec: NodeSpec, alloc, config: Mapping[str, Any]
     ) -> float:
-        if self.duration_fn is not None:
-            return float(self.duration_fn(task, spec, alloc))
-        if config is None:
-            config = self._find_config(task)
-        return self._cost_model().duration_for_config(
+        """Cost-model seconds of one attempt (no ``duration_fn`` set)."""
+        assert self.runtime is not None
+        return self.runtime.cost_model.duration_for_config(
             config,
             spec,
             cpu_units=alloc.cpu_units,
@@ -160,7 +150,7 @@ class SimulatedExecutor(Executor):
         if config is None:
             config = self._find_config(task)
         dataset = config.get("dataset", None)
-        model = self._cost_model()
+        model = self.runtime.cost_model
         if dataset is None:
             # default_dataset never changes mid-run: resolve it once.
             profile = self._default_profile
@@ -179,9 +169,9 @@ class SimulatedExecutor(Executor):
         return self.runtime.cluster.storage.staging_time(profile.size_mb, node)
 
     def _prepare_inputs(
-        self, task: TaskInvocation, node: str, speculative: bool
+        self, task: TaskInvocation, producers: list, node: str, speculative: bool
     ) -> tuple:
-        """Verify and transfer predecessor outputs onto ``node``.
+        """Verify and transfer ``task``'s predecessors' outputs onto ``node``.
 
         Inter-task data movement: producers on other nodes ship results
         to consumers (paper §3); the charged size is each producer's
@@ -199,11 +189,6 @@ class SimulatedExecutor(Executor):
         """
         assert self.runtime is not None
         runtime = self.runtime
-        producers = runtime.graph.predecessors(task)
-        if not producers:
-            # Independent task (the common HPO shape): nothing to verify
-            # or move.
-            return 0.0, ()
         integrity = runtime.integrity
         network = runtime.cluster.network
         total = 0.0
@@ -596,8 +581,14 @@ class SimulatedExecutor(Executor):
         task = assignment.task
         alloc = assignment.allocation
         node = alloc.node
-        node_spec = runtime.cluster.node(node)
-        transfer, corrupt = self._prepare_inputs(task, node, speculative)
+        node_spec = runtime.pool.workers[node].spec  # not ClusterSpec.node's scan
+        # An independent task (the common HPO shape): nothing to verify or move.
+        transfer, corrupt = 0.0, ()
+        producers = runtime.graph.predecessors(task)
+        if producers:
+            transfer, corrupt = self._prepare_inputs(
+                task, producers, node, speculative
+            )
         if corrupt:
             # A corrupt input with no intact copy anywhere: hand the
             # resources back, pull this consumer out of the running set
@@ -611,7 +602,10 @@ class SimulatedExecutor(Executor):
             task.node = node
         config = self._find_config(task)
         staging = self._staging_time(task, node, config) + transfer
-        duration = self._duration(task, node_spec, alloc, config)
+        if self.duration_fn is not None:
+            duration = float(self.duration_fn(task, node_spec, alloc))
+        else:
+            duration = self._duration(node_spec, alloc, config)
         hang = False
         if runtime.failure_injector is not None and not speculative:
             # Straggler injection models node-local slowness: a backup
@@ -649,7 +643,9 @@ class SimulatedExecutor(Executor):
         runtime = self.runtime
         if not self._detach(task_id, attempt):
             return
-        attempt.cancel_events()
+        attempt.handle = None  # fired: only a deadline or check is left to cancel
+        if attempt.timeout_handle is not None or attempt.spec_check is not None:
+            attempt.cancel_events()
         assignment = attempt.assignment
         start = attempt.start
         task = assignment.task

@@ -75,7 +75,10 @@ def collect_futures(obj: Any, out: List[Future]) -> None:
         out.append(obj)
     elif isinstance(obj, (list, tuple, set)):
         for item in obj:
-            collect_futures(item, out)
+            if type(item) is Future:  # no recursive call for a plain future
+                out.append(item)
+            else:
+                collect_futures(item, out)
     elif isinstance(obj, dict):
         for item in obj.values():
             collect_futures(item, out)
@@ -86,7 +89,7 @@ def substitute(obj: Any) -> Any:
     if isinstance(obj, Future):
         return obj.result()
     if isinstance(obj, list):
-        return [substitute(i) for i in obj]
+        return [i.result() if type(i) is Future else substitute(i) for i in obj]
     if isinstance(obj, tuple):
         return tuple(substitute(i) for i in obj)
     if isinstance(obj, set):

@@ -330,12 +330,11 @@ class TaskGraph:
         return [t for t in self._tasks.values() if t.state != TaskState.DONE]
 
     def predecessors(self, task: TaskInvocation) -> List[TaskInvocation]:
+        pred_ids = self._pred.get(task.task_id)
+        if not pred_ids:  # an independent task: once per simulated start
+            return []
         tasks = self._tasks
-        return [
-            tasks[tid]
-            for tid in self._pred.get(task.task_id, ())
-            if tid in tasks
-        ]
+        return [tasks[tid] for tid in pred_ids if tid in tasks]
 
     def successors(self, task: TaskInvocation) -> List[TaskInvocation]:
         tasks = self._tasks

@@ -14,6 +14,7 @@ supports a per-node ``reserved_cores`` map for that.
 from __future__ import annotations
 
 import threading
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -146,7 +147,7 @@ class Worker:
             and rc.cpu_units <= len(self._free_cpus)
             and rc.gpu_units <= len(self._free_gpus)
             and rc.memory_gb <= self._free_memory
-            and self.matches_labels(rc.node_labels)
+            and (not rc.node_labels or self.matches_labels(rc.node_labels))
         )
 
     def could_ever_host(self, rc: ResourceConstraint) -> bool:
@@ -177,13 +178,17 @@ class Worker:
         return Allocation(self._name, cpus, gpus, rc.memory_gb)
 
     def release(self, alloc: Allocation) -> None:
-        """Return an allocation's slots to the free lists."""
-        if alloc.node != self.name:
-            raise ValueError(f"allocation is for {alloc.node}, not {self.name}")
-        self._free_cpus.extend(alloc.cpu_ids)
-        self._free_cpus.sort()
-        self._free_gpus.extend(alloc.gpu_ids)
-        self._free_gpus.sort()
+        """Return an allocation's slots to the free lists (kept sorted)."""
+        if alloc.node != self._name:
+            raise ValueError(f"allocation is for {alloc.node}, not {self._name}")
+        if len(alloc.cpu_ids) == 1:
+            insort(self._free_cpus, alloc.cpu_ids[0])
+        else:
+            self._free_cpus.extend(alloc.cpu_ids)
+            self._free_cpus.sort()
+        if alloc.gpu_ids:
+            self._free_gpus.extend(alloc.gpu_ids)
+            self._free_gpus.sort()
         self._free_memory += alloc.memory_gb
 
     def drain(self) -> None:
@@ -336,7 +341,10 @@ class ResourcePool:
                     # caller's restrict set is shared across `@implement`
                     # alternatives with different constraints.
                     (name,) = only
-                    if name not in self._static_fit_set(rc):
+                    members = self._static_fit_sets.get(rc.class_key)
+                    if members is None:
+                        members = self._static_fit_set(rc)
+                    if name not in members:
                         return None
                     w = workers.get(name)
                     if w is not None and w.can_host(rc):

@@ -10,6 +10,7 @@ provide the synchronisation API of the paper's Listing 2.
 from __future__ import annotations
 
 import gc
+import operator
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -52,6 +53,9 @@ from repro.runtime.tracing.extrae import TraceRecorder
 from repro.util.logging_utils import get_logger
 
 _log = get_logger("runtime")
+
+_INVOCATION = operator.attrgetter("invocation")
+_TASK_ID = operator.attrgetter("task_id")
 
 _current: Optional["COMPSsRuntime"] = None
 _current_lock = threading.Lock()
@@ -332,7 +336,7 @@ class COMPSsRuntime:
         """
         if not self._started:
             raise RuntimeError("runtime not started")
-        invocation = TaskInvocation(definition=definition, args=args, kwargs=kwargs)
+        invocation = TaskInvocation(definition, args, kwargs)
         # The submitting thread's study scope (the solo session outside
         # service mode) decides which namespace keys/journals/restores it.
         session = self.sessions.local.session
@@ -371,9 +375,11 @@ class COMPSsRuntime:
                     if self.config.graph and label:
                         edge_labels[dep.task_id] = label
             # Each slot gets its data id now; its record waits for a reader.
+            futures: List[Future] = []
             for i in range(definition.n_returns):
-                self.access.register_output_future(Future(invocation, i))
-            futures = self.access.futures_of(invocation.task_id)
+                fut = Future(invocation, i)
+                self.access.register_output_future(fut)
+                futures.append(fut)
             if content_key is not None:
                 # Later identical submissions of this study join this
                 # node (a FAILED one is replaced by its retry here).
@@ -442,6 +448,8 @@ class COMPSsRuntime:
             self.gc_checkpoint()
         if restored is ckpt._MISSING:
             self.executor.notify_submitted(invocation)
+        if len(futures) == 1:
+            return futures[0]
         return self._handle(futures)
 
     @staticmethod
@@ -480,7 +488,10 @@ class COMPSsRuntime:
     def complete_task(self, task: TaskInvocation, result: Any) -> None:
         """Fan the result into futures and unlock successors."""
         futures = self.access.futures_of(task.task_id)
-        Executor.fan_out_result(task, futures, result)
+        if len(futures) == 1:
+            futures[0].set_result(result)
+        else:
+            Executor.fan_out_result(task, futures, result)
         self.graph.mark_done(task)
         if self.access.any_invalidated:
             # Lineage recovery: a re-executed writer re-materialises its
@@ -532,7 +543,11 @@ class COMPSsRuntime:
         """
         futures: List[Future] = []
         collect_futures(obj, futures)
-        tasks = sorted({f.invocation for f in futures}, key=lambda t: t.task_id)
+        # Distinct producers in task-id order, with no Python call per
+        # future; a task's several slots sit side by side once sorted.
+        tasks = sorted(map(_INVOCATION, futures), key=_TASK_ID)
+        if any(map(operator.is_, tasks[1:], tasks)):
+            tasks = [t for t, prev in zip(tasks, [None, *tasks]) if t is not prev]
         if tasks:
             if self.integrity is None:
                 self.executor.wait_for(tasks)

@@ -721,12 +721,14 @@ class HPOService:
         resume = study.metadata.get("resume")
         if resume:
             extra["resume"] = resume
-        self._write_state(sid, proto.COMPLETED, **extra)
         assert self.runtime is not None
+        # Event first: a client that reads 'completed' from disk must
+        # also find the study counted in the runtime's log.
         self.runtime.resilience.record(
             self.runtime.executor.clock(), rsl.STUDY_COMPLETED,
             detail=f"study={sid} trials={len(study.trials)}",
         )
+        self._write_state(sid, proto.COMPLETED, **extra)
 
     # ------------------------------------------------------------------
     # On-disk state

@@ -13,8 +13,6 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.util.validation import check_non_negative
-
 Action = Callable[..., Any]
 
 
@@ -70,15 +68,10 @@ class DiscreteEventSimulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        self.now: float = 0.0  #: virtual time (s); only the engine moves it
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -101,10 +94,15 @@ class DiscreteEventSimulator:
 
         ``args`` are stored on the handle and passed positionally when the
         event fires — cheaper than closing over them in a lambda on hot
-        paths that schedule millions of events.
+        paths that schedule millions of events.  A negative or NaN
+        ``delay`` raises :class:`ValueError`.
         """
-        check_non_negative("delay", delay)
-        return self.schedule_at(self._now + delay, action, label, args)
+        if not delay >= 0:  # not via schedule_at: one call per simulated attempt
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        time = self.now + delay
+        handle = EventHandle(time, next(self._seq), action, label, args)
+        heapq.heappush(self._heap, (time, handle.seq, handle))
+        return handle
 
     def schedule_at(
         self,
@@ -113,10 +111,10 @@ class DiscreteEventSimulator:
         label: str = "",
         args: Tuple[Any, ...] = (),
     ) -> EventHandle:
-        """Schedule ``action`` at absolute virtual ``time`` (>= now)."""
-        if time < self._now:
+        """Schedule ``action`` at absolute virtual ``time`` (>= now, not NaN)."""
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule in the past: t={time} < now={self._now}"
+                f"cannot schedule in the past: t={time} < now={self.now}"
             )
         handle = EventHandle(time, next(self._seq), action, label, args)
         heapq.heappush(self._heap, (time, handle.seq, handle))
@@ -128,7 +126,7 @@ class DiscreteEventSimulator:
             time, _, handle = heapq.heappop(self._heap)
             if handle.cancelled or handle.action is None:
                 continue
-            self._now = time
+            self.now = time
             action, handle.action = handle.action, None
             action(*handle.args)
             self._processed += 1
@@ -176,7 +174,7 @@ class DiscreteEventSimulator:
                 continue
             if batch_time is None:
                 batch_time = time
-                self._now = time
+                self.now = time
             action, handle.action = handle.action, None
             action(*handle.args)
             fired += 1
@@ -199,7 +197,7 @@ class DiscreteEventSimulator:
         while self._heap:
             next_time = self._heap[0][0]
             if until is not None and next_time > until:
-                self._now = max(self._now, until)
+                self.now = max(self.now, until)
                 return
             if not self.step():
                 break
@@ -210,10 +208,10 @@ class DiscreteEventSimulator:
                     "likely a self-rescheduling event loop"
                 )
         if until is not None:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
 
     def advance_to(self, time: float) -> None:
         """Advance the clock without firing events (time must not regress)."""
-        if time < self._now:
-            raise ValueError(f"cannot move clock backwards: {time} < {self._now}")
-        self._now = time
+        if not time >= self.now:
+            raise ValueError(f"cannot move clock backwards: {time} < {self.now}")
+        self.now = time

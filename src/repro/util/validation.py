@@ -30,8 +30,8 @@ def check_positive(name: str, value: Number) -> Number:
 
 
 def check_non_negative(name: str, value: Number) -> Number:
-    """Raise :class:`ValueError` unless ``value`` is >= 0."""
-    if value < 0:
+    """Raise :class:`ValueError` unless ``value`` is >= 0 (NaN is not)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

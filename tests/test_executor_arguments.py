@@ -6,6 +6,7 @@ import gc
 
 from repro.pycompss_api import compss_wait_on, task
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.executor import base
 from repro.runtime.executor.base import Executor
 from repro.runtime.future import Future
 from repro.runtime.runtime import COMPSsRuntime
@@ -13,6 +14,19 @@ from repro.runtime.task_definition import TaskDefinition, TaskInvocation
 from repro.simcluster.machines import local_machine
 
 DEFN = TaskDefinition(func=lambda *a, **k: None, name="t")
+
+
+def spy_resolve(monkeypatch):
+    """Record every top-level value the general path resolves."""
+    seen = []
+    resolve = base._resolve
+
+    def spy(v):
+        seen.append(v)
+        return resolve(v)
+
+    monkeypatch.setattr(base, "_resolve", spy)
+    return seen
 
 
 def done_future(value):
@@ -48,6 +62,35 @@ class TestResolveArguments:
         assert kwargs == {"a": {"k": [3]}, "b": {"f": None}}
         assert kwargs["a"] is nested_plain
         assert t.args[0].__class__ is Future  # the invocation is untouched
+
+    def test_dep_free_call_returns_the_very_args_and_kwargs(self, monkeypatch):
+        # Early exit: no kwargs and only exact int/float/complex/bool/None
+        # positionals — nothing is scanned.
+        scanned = spy_resolve(monkeypatch)
+        t = TaskInvocation(definition=DEFN, args=(1, 2.5, 3j, True, None))
+        args, kwargs = Executor.resolve_arguments(t)
+        assert args is t.args and kwargs is t.kwargs
+        assert scanned == []
+
+    def test_str_or_object_argument_takes_the_general_path(self, monkeypatch):
+        scanned = spy_resolve(monkeypatch)
+        inout = [1, 2]
+        for call_args in (("a",), (1, object()), (inout,)):
+            t = TaskInvocation(definition=DEFN, args=call_args)
+            args, kwargs = Executor.resolve_arguments(t)
+            assert args is t.args and kwargs is t.kwargs
+        assert args[0] is inout  # INOUT mutations reach the caller's list
+        assert len(scanned) == 6  # args and kwargs, per call
+
+    def test_futures_nested_behind_scalars_are_resolved(self):
+        # No kwargs: the early exit's scan must stop at the container.
+        for call_args, want in (
+            ((1, [done_future(2)]), (1, [2])),
+            ((1, (done_future(2), 3)), (1, (2, 3))),
+            ((1, {"k": done_future(2)}), (1, {"k": 2})),
+        ):
+            t = TaskInvocation(definition=DEFN, args=call_args)
+            assert Executor.resolve_arguments(t) == (want, {})
 
     def test_future_only_in_kwargs_keeps_args(self):
         t = TaskInvocation(

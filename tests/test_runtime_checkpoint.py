@@ -2,11 +2,15 @@
 recovery manager, exactly-once resume, and lineage-based data recovery."""
 
 import contextlib
+import enum
+import hashlib
 import json
 import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pycompss_api.constraint import ResourceConstraint
 from repro.runtime import checkpoint as ckpt
@@ -101,6 +105,88 @@ class TestTaskKeyer:
         t = invocation(d, 1)
         assert keyer.key_for(t) is t.task_key
         assert keyer.key_for(t) == t.task_key
+
+
+#: Positional primitives the one-update digest takes, with the edge
+#: cases of their reprs: big and negative ints, NaN / inf / -0.0,
+#: non-ASCII text and lone surrogates (``repr`` escapes them).
+PRIMITIVE = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).map(lambda v: -v),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.text(alphabet=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)),
+    st.binary(),
+    st.none(),
+)
+
+
+def per_argument_digest(keyer, args, content):
+    """The digest as the general path builds it: one update per argument."""
+    h = hashlib.sha1()
+    for a in args:
+        h.update(keyer._canonical(a, content).encode("utf-8", "replace") + b"\x00")
+    return h.hexdigest()
+
+
+class TestPrimitiveDigest:
+    """``_params_digest``'s one-update early exit hashes the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(PRIMITIVE, max_size=6).map(tuple))
+    def test_equals_the_per_argument_digest(self, args):
+        keyer = TaskKeyer()
+        for content in (False, True):
+            assert keyer._params_digest(args, {}, content) == per_argument_digest(
+                keyer, args, content
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(PRIMITIVE, max_size=4).map(tuple))
+    def test_journal_and_content_keys(self, args):
+        definition = TaskDefinition(func=_keyed, name="keyed", cacheable=True)
+        keyer = TaskKeyer()
+        t = invocation(definition, *args)
+        digest = per_argument_digest(keyer, args, False)
+        assert keyer.key_for(t) == hashlib.sha1(
+            f"keyed|{digest}|0".encode("utf-8")
+        ).hexdigest()[:16]
+        qualified = f"{_keyed.__module__}.{_keyed.__qualname__}"
+        digest = per_argument_digest(keyer, args, True)
+        assert keyer.content_key_for(t) == hashlib.sha1(
+            f"{qualified}|keyed|{digest}".encode("utf-8")
+        ).hexdigest()[:16]
+
+    def test_early_exit_only_for_exact_primitives_without_kwargs(
+        self, monkeypatch
+    ):
+        seen = []
+        canonical = TaskKeyer._canonical
+
+        def spy(self, obj, content=False):
+            seen.append(obj)
+            return canonical(self, obj, content)
+
+        monkeypatch.setattr(TaskKeyer, "_canonical", spy)
+        keyer = TaskKeyer()
+        keyer._params_digest((1, "a", None, b"b", 2.5), {})
+        assert seen == []
+        # A container, a kwarg or a primitive's subclass: one form each.
+        for args, kwargs in (((1, [2]), {}), ((1,), {"x": 2}), ((Flag.ON,), {})):
+            seen.clear()
+            keyer._params_digest(args, kwargs)
+            assert len(seen) >= len(args) + len(kwargs)
+
+
+class Flag(enum.IntEnum):
+    ON = 1
+
+
+def _keyed(*args):
+    return 0
 
 
 # ----------------------------------------------------------------------

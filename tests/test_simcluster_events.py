@@ -34,6 +34,28 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # A NaN delay used to pass the ``delay < 0`` check, fire out of
+        # order ([1.0, 2.0, nan, 3.0] for 3, nan, 1, 2) and leave the
+        # clock at NaN, so every later virtual time was NaN.
+        sim = DiscreteEventSimulator()
+        fired = []
+        for delay in (3.0, 1.0, 2.0):
+            sim.schedule(delay, lambda d=delay: fired.append(d))
+        with pytest.raises(ValueError, match="delay must be >= 0, got nan"):
+            sim.schedule(float("nan"), lambda: fired.append("nan"))
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.now == 3.0
+
+    def test_nan_time_rejected(self):
+        sim = DiscreteEventSimulator()
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            sim.advance_to(float("nan"))
+        assert sim.now == 0.0 and sim.pending_events == 0
+
     def test_schedule_in_past_rejected(self):
         sim = DiscreteEventSimulator()
         sim.schedule(5.0, lambda: None)

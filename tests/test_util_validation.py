@@ -3,6 +3,7 @@
 import pytest
 
 from repro.util.validation import (
+    check_at_least,
     check_in_range,
     check_non_negative,
     check_one_of,
@@ -31,7 +32,7 @@ class TestNumericChecks:
     def test_positive_ok(self):
         assert check_positive("n", 3) == 3
 
-    @pytest.mark.parametrize("bad", [0, -1, -0.5])
+    @pytest.mark.parametrize("bad", [0, -1, -0.5, float("nan")])
     def test_positive_rejects(self, bad):
         with pytest.raises(ValueError, match="n must be > 0"):
             check_positive("n", bad)
@@ -42,6 +43,16 @@ class TestNumericChecks:
     def test_non_negative_rejects(self):
         with pytest.raises(ValueError):
             check_non_negative("n", -0.1)
+
+    def test_non_negative_rejects_nan(self):
+        # NaN fails every comparison: ``value < 0`` let it through.
+        with pytest.raises(ValueError, match="n must be >= 0, got nan"):
+            check_non_negative("n", float("nan"))
+
+    @pytest.mark.parametrize("bad", [0, float("nan")])
+    def test_at_least_rejects(self, bad):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            check_at_least("n", bad, 1)
 
 
 class TestCheckInRange:
