@@ -139,16 +139,9 @@ class SimulatedExecutor(Executor):
                 return value
         return {}
 
-    def _staging_time(
-        self,
-        task: TaskInvocation,
-        node: str,
-        config: Optional[Mapping[str, Any]] = None,
-    ) -> float:
+    def _staging_time(self, node: str, config: Mapping[str, Any]) -> float:
         """Input staging cost from the cluster storage model (paper §4)."""
         assert self.runtime is not None
-        if config is None:
-            config = self._find_config(task)
         dataset = config.get("dataset", None)
         model = self.runtime.cost_model
         if dataset is None:
@@ -601,7 +594,7 @@ class SimulatedExecutor(Executor):
         if not speculative:
             task.node = node
         config = self._find_config(task)
-        staging = self._staging_time(task, node, config) + transfer
+        staging = self._staging_time(node, config) + transfer
         if self.duration_fn is not None:
             duration = float(self.duration_fn(task, node_spec, alloc))
         else:
