@@ -119,7 +119,7 @@ class ParamLayer(Layer):
     def _register(self, params: Dict[str, np.ndarray]) -> None:
         """Adopt freshly initialised ``params``; allocate their gradients."""
         self._params = params
-        self._grads = {k: np.zeros_like(p) for k, p in params.items()}
+        self._grads = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
 
     def bind(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
         """Move parameter ``key`` into ``param`` (keeping its values) and

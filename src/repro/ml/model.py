@@ -100,7 +100,6 @@ class Sequential:
         self._fit_rng = None
         self._pending_fit_rng_state = None
         # Set by build(): the arenas every layer's params/grads view into.
-        self._layout: Layout = []
         self._step_triple: List[Tuple[str, np.ndarray, np.ndarray]] = []
         self._head: Optional[Layer] = None  # first parameter layer
         self._tail: List[Layer] = []  # the layers after it, last first
@@ -132,27 +131,47 @@ class Sequential:
         self.built = True
 
     def _bind_arenas(self) -> None:
-        """Move all parameters into one flat array, gradients into another."""
-        total = sum(layer.n_params for layer in self.layers)
-        params, grads = np.empty(total), np.zeros(total)
-        self._layout = []
+        """Move all parameters into one flat array, gradients into another.
+
+        The two arenas are halves of one allocation: as two arrays of a
+        28x28-input MLP's size, the parameter arena came back in freshly
+        mapped pages on every build under glibc's malloc, and copying
+        the parameters in took about a hundred page faults.
+        """
+        entries = [
+            (i, layer, key, p)
+            for i, layer in enumerate(self.layers)
+            for key, p in layer.params.items()
+        ]
+        total = sum(entry[3].size for entry in entries)
+        block = np.empty(2 * total)
+        params, grads = block[:total], block[total:]
+        grads[...] = 0.0
         offset = 0
-        for i, layer in enumerate(self.layers):
-            for key, p in list(layer.params.items()):
-                where = slice(offset, offset + p.size)
-                layer.bind(
-                    key, params[where].reshape(p.shape), grads[where].reshape(p.shape)
-                )
-                self._layout.append((f"{i}:{layer.name}/{key}", where, p.shape))
-                offset += p.size
+        for _, layer, key, p in entries:
+            end = offset + p.size
+            layer.bind(
+                key, params[offset:end].reshape(p.shape),
+                grads[offset:end].reshape(p.shape),
+            )
+            offset = end
         self._step_triple = [(ARENA, params, grads)] if total else []
         # Nothing consumes dL/d(input) of the first parameter layer, so
         # the backward pass ends there without computing it.
-        first = next(
-            (i for i, layer in enumerate(self.layers) if layer.params), None
-        )
+        first = entries[0][0] if entries else None
         self._head = None if first is None else self.layers[first]
         self._tail = self.layers[::-1] if first is None else self.layers[:first:-1]
+
+    def _arena_layout(self) -> Layout:
+        """Name, arena slice and shape of each parameter, in arena order."""
+        layout = []
+        offset = 0
+        for i, layer in enumerate(self.layers):
+            for key, p in layer.params.items():
+                end = offset + p.size
+                layout.append((f"{i}:{layer.name}/{key}", slice(offset, end), p.shape))
+                offset = end
+        return layout
 
     def __setstate__(self, state: Dict) -> None:
         # Pickling and deepcopy turn the views into separate arrays:
@@ -354,7 +373,7 @@ class Sequential:
             "epoch": int(epoch),
             "weights": self.get_weights(),
             "optimizer_iterations": int(self.optimizer.iterations),
-            "optimizer_state": self.optimizer.export_state(self._layout),
+            "optimizer_state": self.optimizer.export_state(self._arena_layout()),
             "history": history.as_dict() if history is not None else None,
         }
         if any(layer.buffers for layer in self.layers):
@@ -379,7 +398,7 @@ class Sequential:
             raise RuntimeError("cannot restore state before build() and compile()")
         self.set_weights(state["weights"])
         self.optimizer.iterations = int(state["optimizer_iterations"])
-        self.optimizer.import_state(self._layout, state["optimizer_state"])
+        self.optimizer.import_state(self._arena_layout(), state["optimizer_state"])
         # Absent in states of buffer-free models and in older spills.
         for layer, saved in zip(self.layers, state.get("buffers", [])):
             for key, value in saved.items():

@@ -62,7 +62,7 @@ from repro.runtime.fault import UnsatisfiableError
 from repro.runtime.resilience import CLASS_STARVED
 from repro.runtime.resources import ResourcePool
 from repro.runtime.scheduler.base import Assignment, Scheduler
-from repro.runtime.task_definition import TaskInvocation
+from repro.runtime.task_definition import TaskDefinition, TaskInvocation
 
 
 @dataclass
@@ -70,13 +70,17 @@ class DispatchStats:
     """Operation counters for the fast path (asserted by the scale tests).
 
     ``placement_probes`` is the count that must stay O(tasks) — it was
-    O(tasks²) on the classic path.
+    O(tasks²) on the classic path.  ``handoffs`` counts placements a
+    batched drain made by passing a finished task's slots straight to
+    the next task of its class (see :meth:`DispatchEngine._hand_off`);
+    they are in ``placed`` but not in ``placement_probes``.
     """
 
     ingested: int = 0
     rounds: int = 0
     placement_probes: int = 0
     placed: int = 0
+    handoffs: int = 0
     blocked_skips: int = 0
     wakes: int = 0
     full_wakes: int = 0
@@ -92,6 +96,7 @@ class DispatchStats:
             "rounds": self.rounds,
             "placement_probes": self.placement_probes,
             "placed": self.placed,
+            "handoffs": self.handoffs,
             "blocked_skips": self.blocked_skips,
             "wakes": self.wakes,
             "full_wakes": self.full_wakes,
@@ -105,13 +110,15 @@ class DispatchStats:
 
 @dataclass
 class _ClassQueue:
-    """One constraint class: a policy-ordered heap plus its wake nodes."""
+    """One constraint class: a policy-ordered heap and its definition."""
 
     key: Tuple
+    #: The definition that opened the class.  Every definition in a class
+    #: has the same candidate constraints, so this one names the nodes
+    #: the class statically fits, with or without queued tasks.
+    definition: TaskDefinition
     #: Heap of (sort_key, seq, task) — policy order with FIFO tiebreak.
     heap: List[Tuple] = field(default_factory=list)
-    #: Names of nodes whose idle capacity fits some candidate impl.
-    nodes: FrozenSet[str] = frozenset()
     #: Owning study ("" outside service mode) — the key's first element.
     study: str = ""
 
@@ -146,6 +153,9 @@ class DispatchEngine:
         self.scheduler = scheduler
         self.pool = pool
         self.stats = DispatchStats()
+        #: Whether placement probes are the base class's: the batched
+        #: drain's hand-off reproduces exactly that probe, no other.
+        self._base_probe = type(scheduler)._try_place is Scheduler._try_place
         #: Starvation watchdog wiring (set by the runtime after
         #: construction): executor clock, resilience log, and the hold
         #: budget before starved tasks are reaped.  ``None`` timeout
@@ -326,9 +336,9 @@ class DispatchEngine:
         key = (task.study, definition.constraint_class())
         cq = self._classes.get(key)
         if cq is None:
-            cq = _ClassQueue(key, study=task.study)
+            cq = _ClassQueue(key, definition, study=task.study)
             self._classes[key] = cq
-            self._register_nodes(cq, task)
+            self._register_nodes(cq)
         # Safe to cache per (engine, definition, study): constraint_class()
         # is itself cached on the definition and decorators finish mutating
         # the constraint before the first submission.  A definition shared
@@ -336,11 +346,10 @@ class DispatchEngine:
         definition._dispatch_class_cache = (self, cq)
         return cq
 
-    def _register_nodes(self, cq: _ClassQueue, task: TaskInvocation) -> None:
+    def _register_nodes(self, cq: _ClassQueue) -> None:
         names: Set[str] = set()
-        for impl in task.definition.all_candidates():
+        for impl in cq.definition.all_candidates():
             names.update(self.pool.static_candidates(impl.constraint))
-        cq.nodes = frozenset(names)
         for name in names:
             self._node_classes.setdefault(name, set()).add(cq.key)
 
@@ -493,15 +502,14 @@ class DispatchEngine:
         if wake_all:
             # Topology changed: static fits are stale — rebuild the
             # node→class index from the pool's (freshly invalidated)
-            # capacity index, and re-probe everything once.
+            # capacity index, and re-probe everything once.  A class
+            # with nothing queued stays indexed: tasks it queues later
+            # must still be woken by releases.
             self.stats.full_wakes += 1
             self._blocked.clear()
             self._node_classes.clear()
             for cq in self._classes.values():
-                if cq.heap:
-                    self._register_nodes(cq, cq.heap[0][2])
-                else:
-                    cq.nodes = frozenset()
+                self._register_nodes(cq)
             return
         if woken and self._blocked:
             blocked = self._blocked
@@ -561,7 +569,9 @@ class DispatchEngine:
         unbatched engine (releasing a whole batch up front would let an
         early task see capacity that, event-by-event, a later task
         claimed first), while the round-level bookkeeping — quarantine
-        check, stats round — is paid once per batch.
+        check, stats round — is paid once per batch.  A unit whose replay
+        would only hand its slots to the next task of its class skips it
+        (:meth:`_hand_off`).
         """
         self.stats.rounds += 1
         self._drain_wakes()
@@ -569,6 +579,17 @@ class DispatchEngine:
         out: List[Assignment] = []
         pool = self.pool
         for assignment, ready in units:
+            if not (self._woken_nodes or self._wake_all):
+                # With no wake pending, ingesting before the release
+                # leaves every queue, wake set and index as the replay
+                # order below does; the hand-off needs the new head.
+                if ready:
+                    self.ingest(ready)
+                    ready = None
+                handed = self._hand_off(assignment, quarantined)
+                if handed is not None:
+                    out.append(handed)
+                    continue
             pool.release(assignment.allocation)
             for extra in assignment.extra_allocations:
                 pool.release(extra)
@@ -577,6 +598,74 @@ class DispatchEngine:
                 self.ingest(ready)
             self._place_ready(quarantined, out)
         return out
+
+    def _hand_off(
+        self, assignment: Assignment, quarantined: List[str]
+    ) -> Optional[Assignment]:
+        """Give a finished unit's slots straight to the head of its class.
+
+        The paper's rule (§4) is that "the next task is assigned a
+        computational unit as soon as one is available".  Replayed unit
+        by unit, that is a release, a wake of the blocked class, a probe
+        restricted to the freed node, and a take of the same slots.  This
+        skips that chain when its outcome is certain:
+
+        * one class, no registered study (no quota, no tenant charge),
+          the base class's placement probe, and this engine as the
+          pool's listener;
+        * no node quarantined, and the class conclusively blocked (an
+          empty restriction set), so the release would wake it on the
+          freed node alone — the caller has checked that no other wake
+          is pending;
+        * the head is not purged, has no ``failed_nodes``, and its
+          definition — its first candidate — is the finished attempt's
+          implementation, a single-node constraint;
+        * :meth:`ResourcePool.hand_over` agrees: the node is UP with no
+          other CPU or GPU free, so the probe would take exactly these
+          ids and leave the class blocked again.
+
+        The stats record what the replay would have: a wake, a placement
+        and a blocked skip; ``handoffs`` stands in for the probe.
+        Returns the head's assignment, or ``None`` for the replay.
+        """
+        if (
+            quarantined
+            or self._studies
+            or not self._base_probe
+            or self.pool.listener is not self
+        ):
+            return None
+        classes = self._classes
+        if len(classes) != 1:
+            return None
+        ((key, cq),) = classes.items()
+        heap = cq.heap
+        restrict = self._blocked.get(key)
+        if not heap or restrict is None or restrict:
+            return None
+        task = heap[0][2]
+        impl = assignment.implementation
+        alloc = assignment.allocation
+        if (
+            task.definition is not impl
+            or task.failed_nodes
+            or task.task_id in self._purged
+            or impl.constraint.nodes != 1
+        ):
+            return None
+        alloc = self.pool.hand_over(alloc)
+        if alloc is None:
+            return None
+        heapq.heappop(heap)
+        self._queued.discard(task.task_id)
+        if self._starved:
+            self._starved.pop(key, None)
+        stats = self.stats
+        stats.handoffs += 1
+        stats.wakes += 1
+        stats.placed += 1
+        stats.blocked_skips += 1
+        return Assignment(task, alloc, impl)
 
     def _place_ready(
         self, quarantined: List[str], out: List[Assignment]

@@ -10,11 +10,12 @@ long-BLAS-call bodies but not CPU-bound Python: the zoo's small-batch
 training spends most of its time in interpreter code between short numpy
 calls, so two training threads contend for the GIL instead of
 overlapping.  The benchmark suite measures it on the 27-config
-real-training grid with 2 slots; measured together on 2026-10-17 on a
-2-core host, ``grid27_train_threads`` took 6.5 s against 3.7 s for a
-plain serial loop (``hpo.serial_baseline_s``) and 2.4 s on
+real-training grid with 2 slots: on a 2-core host ``grid27_train_threads``
+takes about 1.5 times as long as a plain serial loop
+(``hpo.serial_baseline_s``) and 2.7 times as long as
 ``backend="workers"`` (``grid27_train_workers``), with summed body time
-inflated x3.2 (``local.body_inflation``).  Use ``backend="workers"``
+inflated about 2.7-fold (``local.body_inflation``); EXPERIMENTS.md has
+the measurements.  Use ``backend="workers"``
 (:class:`~repro.runtime.executor.workers.WorkerPoolExecutor`, which
 replaces only where bodies run) for CPU-bound training; threads remain
 the default because they need no picklable bodies and start instantly.
@@ -37,7 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runtime import integrity as igr
 from repro.runtime import resilience as rsl
@@ -49,6 +50,15 @@ from repro.util.logging_utils import get_logger
 from repro.util.validation import check_positive
 
 _log = get_logger("runtime.executor.local")
+
+
+class _Wait:
+    """One blocked :meth:`LocalExecutor.wait_for`: awaited tasks not done."""
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, remaining: int):
+        self.remaining = remaining
 
 
 class LocalExecutor(Executor):
@@ -74,8 +84,12 @@ class LocalExecutor(Executor):
         self._bodies: Optional[ThreadPoolExecutor] = None
         self._watchdog: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
-        #: Bumped (under the lock) whenever a task resolves; lets
-        #: ``wait_for`` skip rescans on pure-timeout wake-ups.
+        #: task_id -> the blocked ``wait_for`` calls awaiting it; the
+        #: success path counts each one down (:meth:`_count_down`).
+        self._waits: Dict[int, List[_Wait]] = {}
+        #: Bumped (under the lock) by every out-of-band resolution — a
+        #: give-up or an abandoned study, the only ways an awaited task
+        #: fails — so ``wait_for`` rescans for failures only then.
         self._resolutions = 0
         self._epoch = time.perf_counter()
         self._shutdown = False
@@ -325,8 +339,7 @@ class LocalExecutor(Executor):
             task.start_time, task.end_time = attempt.start, end
             task.node = node
             runtime.complete_task(task, result)
-            self._resolutions += 1
-            self._done_cond.notify_all()
+            self._count_down(task)
         self._record(task, assignment, attempt.start, end, success=True)
         release_assignment(runtime.pool, assignment)
         runtime.node_health.record_success(node)
@@ -373,39 +386,73 @@ class LocalExecutor(Executor):
     # ------------------------------------------------------------------
     # Synchronisation
     # ------------------------------------------------------------------
+    def _count_down(self, task: TaskInvocation) -> None:
+        """Count ``task``'s completion against every wait blocked on it.
+
+        Called with the lock held; wakes the waiters only when one of
+        them has nothing left to wait for.
+        """
+        waits = self._waits.pop(task.task_id, None)
+        if waits:
+            done = False
+            for wait in waits:
+                wait.remaining -= 1
+                done = done or not wait.remaining
+            if done:
+                self._done_cond.notify_all()
+
     def wait_for(self, tasks: Sequence[TaskInvocation]) -> None:
         with self._done_cond:
-            # Track only the not-yet-finished subset so each wake-up scans
-            # a shrinking list instead of every awaited task, and rescan
-            # only when something actually resolved — a pure-timeout wake
-            # (the 0.5s elastic heartbeat) changes no task state.
-            pending = list(tasks)
-            seen = self._resolutions - 1
-            while True:
-                if self._resolutions != seen:
-                    seen = self._resolutions
-                    still = []
-                    for t in pending:
-                        if t.state == TaskState.FAILED:
-                            cause = t.error or RuntimeError("unknown")
-                            raise TaskFailedError(t, cause) from cause
-                        if t.state != TaskState.DONE:
-                            still.append(t)
-                    pending = still
-                    if not pending:
-                        return
-                    # Rescan cadence doubles as GC relief: freeze the
-                    # completed-task history out of the cycle
-                    # collector's scan set (see runtime.gc_checkpoint).
+            # Each task's state is read once here; after that the success
+            # path counts the wait down, and only an out-of-band
+            # resolution (a give-up, an abandoned study) rescans the
+            # awaited tasks for failures.
+            failures = self._resolutions
+            pending = self._unfinished(tasks)
+            if not pending:
+                return
+            wait = _Wait(len(pending))
+            waits = self._waits
+            for t in pending:
+                waits.setdefault(t.task_id, []).append(wait)
+            try:
+                while wait.remaining:
+                    self._done_cond.wait(timeout=0.5)
+                    # The poll doubles as the elastic heartbeat: complete
+                    # idle drains and reap starved-out classes so a study
+                    # whose only remaining work is unplaceable fails with
+                    # ResourceStarvationError instead of spinning here.
+                    self._check_drains()
+                    self._reap_starved()
+                    if self._resolutions != failures:
+                        failures = self._resolutions
+                        self._unfinished(pending)
+                    # The wake-up cadence doubles as GC relief: freeze the
+                    # completed-task history out of the cycle collector's
+                    # scan set (see runtime.gc_checkpoint).
                     if self.runtime is not None:
                         self.runtime.gc_checkpoint()
-                self._done_cond.wait(timeout=0.5)
-                # The poll doubles as the elastic heartbeat: complete
-                # idle drains and reap starved-out classes so a study
-                # whose only remaining work is unplaceable fails with
-                # ResourceStarvationError instead of spinning here.
-                self._check_drains()
-                self._reap_starved()
+            finally:
+                # Leaving early (a failure): drop this wait's entries.
+                for t in pending if wait.remaining else ():
+                    others = waits.get(t.task_id)
+                    if others is not None and wait in others:
+                        others.remove(wait)
+                        if not others:
+                            del waits[t.task_id]
+
+    @staticmethod
+    def _unfinished(tasks: Sequence[TaskInvocation]) -> List[TaskInvocation]:
+        """The tasks not yet done; raises for the first failed one."""
+        still = []
+        for t in tasks:
+            state = t.state
+            if state == TaskState.FAILED:
+                cause = t.error or RuntimeError("unknown")
+                raise TaskFailedError(t, cause) from cause
+            if state != TaskState.DONE:
+                still.append(t)
+        return still
 
     def shutdown(self) -> None:
         with self._lock:

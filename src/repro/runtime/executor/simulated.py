@@ -22,7 +22,7 @@ scenarios are therefore bit-deterministic under a fixed seed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.runtime import lineage
 from repro.runtime import resilience as rsl
@@ -76,6 +76,10 @@ class SimulatedExecutor(Executor):
         self.default_dataset = default_dataset
         #: Lazily-resolved default dataset profile (``_staging_time``).
         self._default_profile = None
+        #: node -> staging seconds of a task whose config names no
+        #: dataset, kept only for a stateless storage model (its answer
+        #: depends on size and node alone).
+        self._plain_staging: Dict[str, float] = {}
         self._failures_scheduled = False
         self._starvation_handle: Optional[EventHandle] = None
         self._starvation_at = 0.0
@@ -159,7 +163,11 @@ class SimulatedExecutor(Executor):
                 profile = model._resolve_dataset(dataset)
             except KeyError:
                 return 0.0
-        return self.runtime.cluster.storage.staging_time(profile.size_mb, node)
+        storage = self.runtime.cluster.storage
+        seconds = storage.staging_time(profile.size_mb, node)
+        if dataset is None and storage.stateless:
+            self._plain_staging[node] = seconds
+        return seconds
 
     def _prepare_inputs(
         self, task: TaskInvocation, producers: list, node: str, speculative: bool
@@ -594,7 +602,10 @@ class SimulatedExecutor(Executor):
         if not speculative:
             task.node = node
         config = self._find_config(task)
-        staging = self._staging_time(node, config) + transfer
+        staging = None if "dataset" in config else self._plain_staging.get(node)
+        if staging is None:
+            staging = self._staging_time(node, config)
+        staging += transfer
         if self.duration_fn is not None:
             duration = float(self.duration_fn(task, node_spec, alloc))
         else:

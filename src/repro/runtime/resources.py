@@ -401,6 +401,37 @@ class ResourcePool:
             if self.listener is not None:
                 self.listener.on_release(alloc.node)
 
+    def hand_over(self, alloc: Allocation) -> Optional[Allocation]:
+        """Move ``alloc``'s slots to a new holder without freeing them.
+
+        ``alloc`` must have been taken for a single-node constraint, and
+        the new holder must ask for that same constraint.  When ``alloc``'s
+        node is UP and has no other CPU or GPU free, a :meth:`release`
+        followed by a take would return exactly these CPU and GPU ids and
+        leave the node full again.  In that case this returns a fresh
+        :class:`Allocation` of the same slots, with the free memory moved
+        through the same two float operations, and notifies no listener.
+        Otherwise, or for a tenant-stamped allocation, it returns
+        ``None`` and changes nothing: the caller releases ``alloc``.
+        """
+        with self._lock:
+            w = self.workers.get(alloc.node)
+            if (
+                w is None
+                or w._state != UP
+                or w._free_cpus
+                or w._free_gpus
+                or alloc.tenant
+            ):
+                return None
+            memory = alloc.memory_gb
+            free = w._free_memory + memory
+            if memory > free:
+                return None
+            if memory:
+                w._free_memory = free - memory
+            return Allocation(alloc.node, alloc.cpu_ids, alloc.gpu_ids, memory)
+
     def charge_tenant(self, alloc: Allocation, tenant: str) -> None:
         """Stamp ``alloc`` as one running slot of ``tenant`` (service mode).
 

@@ -335,7 +335,8 @@ class TraceAnalysis:
         per round) ≫ 1 is the signature of batching paying off.
         ``wakes`` counts blocked constraint classes woken by freed
         capacity; ``full_wakes`` counts topology changes that re-probe
-        every class.  All zero when no dispatch stats were captured.
+        every class; ``handoffs`` counts placements that took a finished
+        task's slots without a probe.  All zero when no dispatch stats were captured.
         """
         d = self._dispatch
         rounds = d.get("rounds", 0)
@@ -347,6 +348,7 @@ class TraceAnalysis:
             "wakes": d.get("wakes", 0),
             "full_wakes": d.get("full_wakes", 0),
             "placement_probes": d.get("placement_probes", 0),
+            "handoffs": d.get("handoffs", 0),
             "blocked_skips": d.get("blocked_skips", 0),
             "fair_rounds": d.get("fair_rounds", 0),
             "quota_skips": d.get("quota_skips", 0),

@@ -19,6 +19,11 @@ from repro.util.validation import check_non_negative, check_positive
 class StorageModel(abc.ABC):
     """Abstract staging-cost model for task input data."""
 
+    #: Whether :meth:`staging_time` depends on its arguments alone, with
+    #: no memory of earlier stagings; the simulated executor then asks
+    #: once per node for a task whose config names no dataset.
+    stateless = False
+
     @abc.abstractmethod
     def staging_time(self, size_mb: float, node: str) -> float:
         """Seconds to make ``size_mb`` of input available on ``node``."""
@@ -44,6 +49,8 @@ class SharedParallelFilesystem(StorageModel):
 
     read_bandwidth_mbps: float = 4000.0
     write_bandwidth_mbps: float = 2500.0
+
+    stateless = True
 
     def __post_init__(self) -> None:
         check_positive("read_bandwidth_mbps", self.read_bandwidth_mbps)

@@ -255,6 +255,26 @@ class TestBlockedClassWakes:
         (second,) = engine.schedule_round()
         assert second.task is tasks[1]
 
+    def test_class_empty_at_a_topology_change_is_still_woken(self):
+        # A topology change rebuilds the node->class wake index.  A class
+        # with nothing queued at that moment must stay in it, or its
+        # later tasks, once blocked, wait for the next topology change
+        # instead of the next release.
+        pool = ResourcePool(local_machine(2))
+        engine = DispatchEngine(FIFOScheduler(), pool)
+        pool.listener = engine
+        tasks = [make_task(name="t") for _ in range(4)]
+        engine.ingest(tasks[:2])
+        first, _second = engine.schedule_round()
+        engine.on_topology_change()
+        assert engine.schedule_round() == []
+        engine.ingest(tasks[2:])
+        assert engine.schedule_round() == []  # blocked: the node is full
+        pool.release(first.allocation)
+        (third,) = engine.schedule_round()
+        assert third.task is tasks[2]
+        assert third.allocation.cpu_ids == first.allocation.cpu_ids
+
     def test_unsatisfiable_task_raises_from_round(self):
         pool = ResourcePool(local_machine(2))
         engine = DispatchEngine(FIFOScheduler(), pool)

@@ -1,5 +1,6 @@
 """Tests for real (threaded) execution."""
 
+import sys
 import threading
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from repro.pycompss_api import COMPSs, compss_barrier, compss_wait_on, constraint, task
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.fault import RetryPolicy, TaskFailedError
+from repro.runtime.task_definition import TaskInvocation
 from repro.simcluster.failures import FailureInjector, FailurePlan
 from repro.simcluster.machines import local_machine
 
@@ -168,6 +170,77 @@ class TestFaultTolerance:
             with pytest.raises(TaskFailedError):
                 compss_wait_on(fut)
         assert len(calls) == 2  # original + one same-node retry
+
+
+class TestWaitForCountdown:
+    """``wait_for`` reads each awaited task once; completions count it down."""
+
+    def test_wave_reads_each_awaited_state_once(self, monkeypatch):
+        slot = TaskInvocation.__dict__["state"]
+        reads = 0
+
+        def read_state(task):
+            nonlocal reads
+            if sys._getframe(1).f_code.co_name in ("wait_for", "_unfinished"):
+                reads += 1
+            return slot.__get__(task, TaskInvocation)
+
+        n = 2000
+        with COMPSs(cluster=local_machine(2)):
+            assert compss_wait_on(add_one(0)) == 1
+            monkeypatch.setattr(
+                TaskInvocation, "state", property(read_state, slot.__set__)
+            )
+            futs = [add_one(i) for i in range(n)]
+            assert compss_wait_on(futs) == list(range(1, n + 1))
+            monkeypatch.undo()
+        # A rescan per resolution read O(n^2) states (3-16 per task at
+        # n = 2000, growing with n); the countdown reads each one once.
+        assert reads == n
+
+    def test_failure_among_many_raises_at_the_waiter(self):
+        plan = FailurePlan().fail_task("add_one-40", 0, 1, 2)
+        cfg = RuntimeConfig(
+            cluster=local_machine(2),
+            failure_injector=FailureInjector(plan),
+            retry_policy=RetryPolicy(same_node_retries=1, resubmissions=1),
+        )
+        with COMPSs(cfg) as rt:
+            futs = [add_one(i) for i in range(100)]
+            with pytest.raises(TaskFailedError, match="add_one-40"):
+                compss_wait_on(futs)
+            assert compss_wait_on(futs[:39]) == list(range(1, 40))
+            assert not rt.executor._waits
+
+    def test_heartbeat_still_checks_drains_and_starvation(self, monkeypatch):
+        from repro.runtime.executor.local import LocalExecutor
+
+        beats = []
+        reap = LocalExecutor._reap_starved
+        check = LocalExecutor._check_drains
+
+        def counted_reap(self):
+            beats.append("reap")
+            return reap(self)
+
+        def counted_check(self):
+            beats.append("drains")
+            return check(self)
+
+        monkeypatch.setattr(LocalExecutor, "_reap_starved", counted_reap)
+        monkeypatch.setattr(LocalExecutor, "_check_drains", counted_check)
+
+        @task(returns=int)
+        def napping(x):
+            time.sleep(1.2)
+            return x
+
+        with COMPSs(cluster=local_machine(1)):
+            fut = napping(3)
+            beats.clear()
+            assert compss_wait_on(fut) == 3
+        # Two 0.5 s heartbeats and the final wake-up, each running both.
+        assert beats.count("reap") >= 2 and beats.count("drains") >= 2
 
 
 def _module_square_definition():

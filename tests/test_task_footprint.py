@@ -354,11 +354,13 @@ LIVE_TASK_BUDGET_B = 650
 
 #: Calls into ``repro`` code per streamed independent task (submit,
 #: dispatch, start and complete), counted by ``sys.setprofile``: a
-#: deterministic count, whatever the host.  Measured at 54 on CPython
-#: 3.11, against 89-91 before the per-task path lost its redundant hops;
-#: the budget leaves 11 calls of headroom.  CPython 3.12 inlines
-#: comprehensions, so its count can only be lower.
-STREAMED_TASK_CALL_BUDGET = 65
+#: deterministic count, whatever the host.  Measured at 40.8 on CPython
+#: 3.11: 89-91 before the per-task path lost its redundant hops, 54
+#: before a batched drain handed a finished task's CPU straight to the
+#: next queued task and staging times were kept per node.  The budget
+#: leaves about 10 % of headroom.  CPython 3.12 inlines comprehensions,
+#: so its count can only be lower.
+STREAMED_TASK_CALL_BUDGET = 45
 
 
 def test_streamed_task_call_budget(tmp_path):
