@@ -138,7 +138,7 @@ class PreemptionCheckpoint(Callback):
     ``should_suspend()`` answers True at a checkpoint epoch, the callback
     captures the model's full training state (weights, optimiser, RNG
     streams, history) with the epoch *cursor* pointing at the next epoch
-    to run, hands it to ``spill`` (atomic write + checksum sidecar), and
+    to run, hands it to ``spill`` (one atomic, self-verifying entry), and
     stops training.  The owner detects the stop via ``suspended_epoch``
     and requeues the trial as a resumable task.
 

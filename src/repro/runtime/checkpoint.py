@@ -12,9 +12,11 @@ versions it held.  Three cooperating pieces:
   :class:`TaskKeyer`'s deterministic ids (task name + parameter digest +
   occurrence index), which are stable across processes — re-running the
   same driver program regenerates the same keys in the same order.
-* :class:`CheckpointStore` — spills completed task outputs to disk
-  (pickle) at a configurable cadence (every task / every N / off), so a
+* :class:`CheckpointStore` — spills completed task outputs to disk at a
+  configurable cadence (every task / every N / off), so a
   journaled-complete task can be *restored* instead of re-executed.
+  Each spill is one self-verifying file; every file write and fsync
+  goes through :mod:`repro.util.durable`.
 * :class:`RecoveryManager` — on restart, replays the journal (tolerating
   a torn final record from a mid-write crash), and answers "was this key
   already completed, and is its output restorable?".  The runtime uses it
@@ -30,7 +32,6 @@ journal, store and recovery are bundled in a
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -38,6 +39,7 @@ import threading
 from array import array
 from pathlib import Path
 from typing import (
+    IO,
     Any,
     Dict,
     List,
@@ -51,6 +53,8 @@ from typing import (
 
 from repro.runtime.future import is_future
 from repro.runtime.task_definition import TaskInvocation
+from repro.util import durable
+from repro.util.durable import CheckpointCorruptError
 from repro.util.logging_utils import get_logger
 from repro.util.validation import check_one_of
 
@@ -92,17 +96,6 @@ _COMMIT_FIELDS = frozenset({"task", "node", "stored"})
 _COMMIT_LINE = '{"key": %s, "node": %s, "rec": %s, "seq": %d, "stored": %s, "task": %s}'
 
 
-def sidecar_digest(payload: bytes) -> str:
-    """The sidecar digest contract: full sha256 over the pickled bytes.
-
-    One definition shared by every sidecar writer and verifier —
-    checkpoint spills, preemption spills and reuse-cache entries all use
-    the identical ``<key>.sum`` format, so ``repro recover`` and
-    ``repro gc`` can audit any of them with one code path.
-    """
-    return hashlib.sha256(payload).hexdigest()
-
-
 class JournalCorruptError(RuntimeError):
     """A journal record *before* the final one failed to parse.
 
@@ -114,15 +107,6 @@ class JournalCorruptError(RuntimeError):
 
 class _UnstableArgument(Exception):
     """An argument with no process-stable canonical form (content keys)."""
-
-
-class CheckpointCorruptError(RuntimeError):
-    """A spilled output failed its checksum or could not be unpickled.
-
-    Recovery treats a corrupt spill exactly like a *missing* one — the
-    task re-executes — so a bit-flip on disk degrades to recompute
-    instead of a crash (or worse, a silently wrong restored value).
-    """
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +362,7 @@ class WriteAheadJournal:
         self.path = Path(path)
         self.fsync = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: Optional[io.TextIOWrapper] = open(  # noqa: SIM115 - long-lived
-            self.path, "a", encoding="utf-8"
-        )
+        self._fh: Optional[IO[str]] = durable.open_append(self.path)
         self._seq = 0
         self._buffer: List[str] = []
         self._buffer_limit = max(1, int(buffer_records))
@@ -422,7 +404,7 @@ class WriteAheadJournal:
             self._buffer.clear()
         self._fh.flush()
         if sync:
-            os.fsync(self._fh.fileno())
+            durable.fs.fsync_file(self._fh)
 
     def open_session(self, **fields: Any) -> None:
         """Mark the start of one driver process in the journal."""
@@ -433,7 +415,7 @@ class WriteAheadJournal:
             if self._fh is not None:
                 self._flush_locked(sync=False)
                 try:
-                    os.fsync(self._fh.fileno())
+                    durable.fs.fsync_file(self._fh)
                 except OSError:  # pragma: no cover - closed/odd fds
                     pass
                 self._fh.close()
@@ -502,12 +484,11 @@ class CheckpointStore:
     ``cadence`` controls spilling: ``1`` spills every completion,
     ``N > 1`` every Nth completion, ``None`` disables spilling (journal
     only — resume then re-executes everything, but still knows exactly
-    what was done).  Writes are atomic (temp file + rename) so a crash
-    mid-spill never leaves a half-written output that replay would trust,
-    and each spill gets a ``<key>.sum`` sha256 sidecar so a later load
-    can prove the bytes are the ones that were written (bit-rot, torn
-    disks, manual tampering).  Spills from older versions without a
-    sidecar stay loadable — they are verified by unpickling alone.
+    what was done).  Each spill is one self-verifying ``<key>.pkl``
+    entry (:func:`repro.util.durable.dump_entry`): a crash mid-spill
+    leaves the previous entry or none, and every load proves the
+    entry's sha256 before unpickling (bit-rot, torn disks, manual
+    tampering).  Headerless spills of older versions verify as corrupt.
     """
 
     def __init__(self, directory: Union[str, Path], cadence: Optional[int] = 1):
@@ -523,9 +504,6 @@ class CheckpointStore:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
-    def _sum_path(self, key: str) -> Path:
-        return self.directory / f"{key}.sum"
-
     def should_spill(self) -> bool:
         """Cadence decision for the next completion (counts the call)."""
         if self.cadence is None:
@@ -536,90 +514,47 @@ class CheckpointStore:
     def save(self, key: str, value: Any, overwrite: bool = False) -> bool:
         """Atomically persist ``value``; False if it cannot be pickled.
 
-        The payload is serialised once, its sha256 recorded in a
-        ``<key>.sum`` sidecar (also written atomically, after the data
-        file — a crash between the two leaves a sidecar-less spill,
-        which loads via the unpickle-only legacy path).  ``overwrite``
-        replaces an existing spill (suspend spills of the same trial
-        supersede each other as training advances); without it an
-        existing spill is kept — task outputs are immutable.
+        ``overwrite`` replaces an existing spill (suspend spills of the
+        same trial supersede each other as training advances); without
+        it an existing spill is kept — task outputs are immutable.
         """
         target = self._path(key)
         if target.exists() and not overwrite:
             return True
         try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            durable.dump_entry(target, value)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             _log.warning("output of %s not checkpointable: %s", key, exc)
             return False
-        tmp = target.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-        sum_tmp = target.with_suffix(".sumtmp")
-        with open(sum_tmp, "w", encoding="ascii") as fh:
-            fh.write(sidecar_digest(payload) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(sum_tmp, self._sum_path(key))
         self.spilled += 1
         return True
 
     def has(self, key: str) -> bool:
         return self._path(key).exists()
 
-    def remove(self, key: str) -> None:
-        """Drop one spill and its sidecar (idempotent)."""
-        for path in (self._path(key), self._sum_path(key)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    def size(self, key: str) -> int:
+        """Bytes on disk of ``key``'s spill (0 when absent)."""
+        try:
+            return self._path(key).stat().st_size
+        except OSError:
+            return 0
 
-    def load(self, key: str) -> Any:
-        """The stored output for ``key`` (raises FileNotFoundError if absent)."""
-        with open(self._path(key), "rb") as fh:
-            return pickle.load(fh)
+    def remove(self, key: str) -> int:
+        """Drop one spill (idempotent); the bytes it held."""
+        size = self.size(key)
+        try:
+            self._path(key).unlink()
+        except OSError:
+            return 0
+        return size
 
     def load_verified(self, key: str) -> Any:
-        """Load ``key`` after proving its bytes match the ``.sum`` sidecar.
-
-        Raises :class:`CheckpointCorruptError` on a digest mismatch or
-        any unpickle failure (truncated file, flipped bytes inside a
-        still-parseable stream, sidecar-less legacy spill that no longer
-        parses); ``FileNotFoundError`` if the spill is absent.
-        """
-        with open(self._path(key), "rb") as fh:
-            payload = fh.read()
-        sum_path = self._sum_path(key)
-        if sum_path.exists():
-            expected = sum_path.read_text(encoding="ascii").strip()
-            actual = sidecar_digest(payload)
-            if actual != expected:
-                raise CheckpointCorruptError(
-                    f"spill {key}: sha256 {actual[:16]}… does not match "
-                    f"recorded {expected[:16]}…"
-                )
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:  # noqa: BLE001 - any unpickle failure is corruption
-            raise CheckpointCorruptError(
-                f"spill {key}: unreadable pickle ({exc!r})"
-            ) from exc
+        """``key``'s spill, digest proven (:func:`repro.util.durable.load_entry`)."""
+        return durable.load_entry(self._path(key))
 
     def verify(self, key: str) -> str:
         """Integrity state of one spill: ``"ok"`` / ``"corrupt"`` / ``"missing"``."""
-        if not self._path(key).exists():
-            return "missing"
-        try:
-            self.load_verified(key)
-        except CheckpointCorruptError:
-            return "corrupt"
-        except OSError:
-            return "missing"
-        return "ok"
+        return durable.verify_entry(self._path(key))
 
     def verify_spills(self, keys) -> Dict[str, int]:
         """``{"ok": n, "corrupt": n, "missing": n}`` over ``keys``."""
@@ -639,41 +574,28 @@ class CheckpointStore:
         with any journal record — completed spills a resume may restore,
         suspend spills a parked study may warm-resume).  Abandoned and
         superseded studies leave exactly such unreferenced spills behind
-        forever; this reclaims them.
-        Stray ``.tmp``/``.sumtmp`` files (a writer SIGKILLed mid-publish)
-        are always swept — the atomic-rename protocol guarantees no
-        reader ever trusted them.  ``dry_run`` reports without deleting.
+        forever; this reclaims them.  Leftover files
+        (:func:`repro.util.durable.is_leftover`: a writer's temp, an
+        older version's ``.sum`` sidecar) are always swept — no reader
+        ever opens them.  ``dry_run`` reports without deleting.
         """
         orphans: List[str] = []
-        freed = 0
-        for path in sorted(self.directory.glob("*.pkl")):
-            key = path.stem
-            if key in referenced:
-                continue
-            orphans.append(key)
-            for victim in (path, self._sum_path(key)):
-                try:
-                    freed += victim.stat().st_size
-                except OSError:
+        freed = torn = 0
+        for path in sorted(self.directory.iterdir()):
+            if path.suffix == ".pkl":
+                if path.stem in referenced:
                     continue
-                if not dry_run:
-                    try:
-                        victim.unlink()
-                    except OSError:
-                        pass
-        torn = 0
-        for pattern in ("*.tmp", "*.sumtmp"):
-            for path in self.directory.glob(pattern):
+                orphans.append(path.stem)
+            elif durable.is_leftover(path):
                 torn += 1
-                try:
-                    freed += path.stat().st_size
-                except OSError:
-                    pass
+            else:
+                continue
+            try:
+                freed += path.stat().st_size
                 if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
+                    path.unlink()
+            except OSError:
+                pass
         return {
             "orphans": len(orphans),
             "orphan_keys": orphans,

@@ -524,7 +524,7 @@ class IntegrityManager:
         """Account one reuse-cache hit-time verification.
 
         The :class:`~repro.runtime.reuse.ReuseCache` proves every
-        candidate hit against its ``.sum`` sidecar before returning it;
+        candidate hit against its recorded sha256 before returning it;
         routing the tally through the integrity manager keeps one ledger
         for *all* verified reads, so the chaos acceptance's "zero
         unverified reads" claim covers cache restores too.

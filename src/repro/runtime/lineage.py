@@ -96,9 +96,16 @@ def rerun_writers(
     batch += aborted.values()
     graph.invalidate(batch)
     # Entries already handed to the dispatch engine's class heaps cannot
-    # be removed from the graph's ready deque above; tombstone them so a
+    # be removed from the graph's ready deque above; tombstone them, and
+    # the queued consumers the invalidation sent back to waiting, so a
     # scheduling round does not place a task whose inputs are gone.
-    runtime.dispatcher.purge([t for t in batch if t.state != TaskState.READY])
+    runtime.dispatcher.purge(
+        [t for t in batch if t.state != TaskState.READY]
+        + [
+            s for t in to_rerun.values() for s in graph.successors(t)
+            if s.state == TaskState.SUBMITTED
+        ]
+    )
     return labels, len(aborted)
 
 

@@ -7,7 +7,7 @@ schedulers could only stop trials at rung barriers.  This module makes
 "stop" mean "suspend": a :class:`PreemptionController` raises a per-trial
 flag, the trial's checkpoint-epoch callback (riding ``Sequential.fit``'s
 ``on_epoch_end`` hook) observes it, spills model + optimiser + epoch
-cursor through the atomic spill + ``.sum`` sidecar machinery of
+cursor as one self-verifying entry through
 :class:`~repro.runtime.checkpoint.CheckpointStore`, and stops warm; the
 HPO runner resubmits the trial as a resumable task that restores the
 spill and continues from the cursor — byte-identical to a run that was
@@ -18,9 +18,9 @@ The flag transport is a flag *file* next to the spill (plus an
 in-process fast path), so cooperative suspension works across every
 executor backend — in-driver threads, supervised worker processes
 and the simulated executor — without any channel beyond the filesystem the spill
-machinery already requires.  A torn suspend spill (crash mid-write)
-fails sidecar verification and is treated as missing: the trial restarts
-cold, which is slower but never wrong.
+machinery already requires.  A crash mid-spill leaves the previous
+spill (or none), and a spill that fails its digest is treated as
+missing: the trial restarts cold, which is slower but never wrong.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class PreemptContext:
     def load(self) -> Optional[Dict[str, Any]]:
         """The last spilled training state; None when absent *or* torn.
 
-        Corrupt == missing: a spill that fails its ``.sum`` sidecar (or
-        does not unpickle) is discarded and the trial restarts cold —
+        Corrupt == missing: a spill that fails its digest (or does not
+        unpickle) is discarded and the trial restarts cold —
         re-executed epochs, never a wrong restore.
         """
         store = self._store()

@@ -104,7 +104,7 @@ SUSPEND_SPILL = "suspend_spill"
 RUNG_PROMOTION = "rung_promotion"
 STUDY_SUSPENDED = "study_suspended"
 #: Cross-trial reuse events: a stage resolved from the content-addressed
-#: cache after sidecar verification (hit), missed and was computed, was
+#: cache after digest verification (hit), missed and was computed, was
 #: a duplicate of a node its study already submitted (join — no task), an
 #: entry failed verification (corrupt/truncated — treated as a miss,
 #: quarantined after ``poison_threshold`` failures), or an entry was shed

@@ -23,11 +23,11 @@ A cache that returns a torn, stale or corrupt entry silently poisons
 every downstream trial — worse than no cache at all — so the layer is
 engineered robustness-first:
 
-* **Verified hits.**  Every entry is a pickle with a ``.sum`` sha256
-  sidecar (the same atomic-publication discipline as
+* **Verified hits.**  Every entry is one self-verifying file: a sha256
+  header line, then the pickle (the spill format of
   :class:`~repro.runtime.checkpoint.CheckpointStore`, which this class
   builds on).  A hit is only a hit after the bytes re-hash to the
-  sidecar and unpickle cleanly; anything else is a *miss* (recompute),
+  header and unpickle cleanly; anything else is a *miss* (recompute),
   never a wrong restore.  Verifications are accounted through the
   runtime's :class:`~repro.runtime.integrity.IntegrityManager` so the
   chaos acceptance can assert zero unverified cache reads.
@@ -36,12 +36,12 @@ engineered robustness-first:
   marker): something is systematically corrupting it, so the cache stops
   trusting *and* stops republishing it — the stage simply recomputes
   forever, which is always correct.
-* **Atomic publication.**  Entries become visible only via
-  ``os.replace`` of a fully-fsynced temp file; a SIGKILL mid-write
-  leaves a ``.tmp`` no reader ever opens.
-  Entries are immutable and the first publish wins, so two processes
-  that miss the same key concurrently both compute it and the loser's
-  publish is a no-op: a race duplicates work, never corrupts a value.
+* **Atomic publication.**  An entry becomes visible only by the rename
+  of a fully-fsynced temp file (:func:`repro.util.durable.write_atomic`);
+  a SIGKILL mid-write leaves a ``.tmp`` no reader ever opens.  Entries
+  are immutable and a publish of a key on disk is a no-op; two racing
+  misses both compute and publish the same verified value, so a race
+  duplicates work, never corrupts a value.
 * **Bounded disk.**  ``max_bytes`` caps the store; the evictor sheds
   entries LRU-by-atime (hits ``os.utime`` their entry) and never evicts
   the key whose publish triggered the pass.
@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.runtime.checkpoint import CheckpointCorruptError, CheckpointStore
+from repro.util import durable
 from repro.util.logging_utils import get_logger
 from repro.util.validation import check_positive
 
@@ -72,11 +73,6 @@ QUARANTINE_DIR = "quarantine"
 
 #: Sentinel distinguishing "miss — compute it" from a cached ``None``.
 MISS = object()
-
-#: Files no reader ever opens: torn publications (``.tmp``/``.sumtmp``)
-#: and the single-flight lease files of older versions (``.lease``,
-#: ``.takeover-*``).  ``gc`` reaps them.
-_LEFTOVER_SUFFIXES = (".tmp", ".sumtmp", ".lease")
 
 
 class ReuseCache:
@@ -123,8 +119,8 @@ class ReuseCache:
         self.integrity = integrity
         self.log = log
         self.clock = clock or (lambda: 0.0)
-        #: Entry storage: atomic temp+rename writes, ``.sum`` sidecars,
-        #: checksum-verified loads — exactly the spill discipline.
+        #: Entry storage: atomic self-verifying entries, checksum-verified
+        #: loads — exactly the spill discipline.
         self.store = CheckpointStore(self.directory, cadence=1)
         # Concurrent submitters (daemon tenant threads) and completion
         # callbacks (executor worker threads) share the counters.
@@ -144,13 +140,13 @@ class ReuseCache:
         self.publish_skipped = 0
         self.evicted = 0
         self.evicted_bytes = 0
-        #: Hits returned without sidecar verification — zero by
+        #: Hits returned without digest verification — zero by
         #: construction; the chaos acceptance asserts it stays zero.
         self.unverified_hits = 0
         #: Wall seconds spent verifying hits (the bench's overhead%).
         self.verify_time_s = 0.0
         self._bytes = sum(
-            self._entry_bytes(p.stem) for p in self.directory.glob("*.pkl")
+            self.store.size(p.stem) for p in self.directory.glob("*.pkl")
         )
 
     # ------------------------------------------------------------------
@@ -161,15 +157,6 @@ class ReuseCache:
 
     def is_quarantined(self, key: str) -> bool:
         return self._marker_path(key).exists()
-
-    def _entry_bytes(self, key: str) -> int:
-        size = 0
-        for path in (self.store._path(key), self.store._sum_path(key)):
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
-        return size
 
     def _event(self, kind: str, detail: str = "", key: str = "") -> None:
         if self.log is not None:
@@ -256,8 +243,7 @@ class ReuseCache:
         _log.warning("cache entry %s corrupt (%s); treating as miss", key, detail)
         # Drop the poisoned bytes so the next writer republishes cleanly
         # (save() keeps existing entries).
-        freed = self._entry_bytes(key)
-        self.store.remove(key)
+        freed = self.store.remove(key)
         with self._lock:
             self._bytes = max(0, self._bytes - freed)
         if count >= self.poison_threshold and not self.is_quarantined(key):
@@ -266,15 +252,11 @@ class ReuseCache:
     def _quarantine(self, key: str, failures: int) -> None:
         from repro.runtime import resilience as rsl
 
-        marker = self._marker_path(key)
-        tmp = marker.with_suffix(".tmp")
+        record = {"key": key, "failures": failures, "time": time.time()}
         try:
-            tmp.write_text(
-                json.dumps({"key": key, "failures": failures, "time": time.time()})
-                + "\n",
-                encoding="utf-8",
+            durable.write_atomic(
+                self._marker_path(key), (json.dumps(record) + "\n").encode()
             )
-            os.replace(tmp, marker)
         except OSError:  # pragma: no cover - marker write is best-effort
             return
         with self._lock:
@@ -295,9 +277,9 @@ class ReuseCache:
     def publish(self, key: str, value: Any) -> bool:
         """Atomically publish ``value`` under ``key``.
 
-        First publisher wins (entries are immutable); a quarantined key
-        or an unpicklable value is skipped — callers lose nothing, the
-        stage result is already in memory.
+        A key already on disk is kept (entries are immutable); a
+        quarantined key or an unpicklable value is skipped — callers lose
+        nothing, the stage result is already in memory.
         """
         if self.is_quarantined(key):
             with self._lock:
@@ -309,7 +291,7 @@ class ReuseCache:
                 self.publish_skipped += 1
             return False
         if not existed:
-            size = self._entry_bytes(key)
+            size = self.store.size(key)
             with self._lock:
                 self.published += 1
                 self._bytes += size
@@ -340,8 +322,7 @@ class ReuseCache:
             with self._lock:
                 if self._bytes <= self.max_bytes:
                     break
-            freed = self._entry_bytes(key)
-            self.store.remove(key)
+            freed = self.store.remove(key)
             with self._lock:
                 self._bytes = max(0, self._bytes - freed)
                 self.evicted += 1
@@ -396,7 +377,7 @@ class ReuseCache:
         verified), leftover files and quarantine markers; ``None`` when
         ``directory`` does not exist.  ``reapable`` collects what no
         running process will ever read again: leftovers (see
-        ``_LEFTOVER_SUFFIXES``) and corrupt entries with their sidecars.
+        :func:`repro.util.durable.is_leftover`) and corrupt entries.
         """
         directory = Path(directory)
         if not directory.is_dir():
@@ -405,29 +386,34 @@ class ReuseCache:
         store = CheckpointStore(directory, cadence=None)
         entries = corrupt = leftovers = total_bytes = 0
         for path in sorted(directory.iterdir()):
-            if path.suffix in (".pkl", ".sum"):
+            if path.suffix == ".pkl":
                 try:
                     total_bytes += path.stat().st_size
                 except OSError:
                     continue
-                if path.suffix == ".pkl":
-                    entries += 1
-                    if store.verify(path.stem) == "corrupt":
-                        corrupt += 1
-                        reapable += [path, store._sum_path(path.stem)]
-            elif path.suffix in _LEFTOVER_SUFFIXES or ".takeover-" in path.name:
+                entries += 1
+                if store.verify(path.stem) == "corrupt":
+                    corrupt += 1
+                    reapable.append(path)
+            elif durable.is_leftover(path):
                 leftovers += 1
                 reapable.append(path)
         quarantine = directory / QUARANTINE_DIR
+        markers = 0
+        if quarantine.is_dir():
+            for path in quarantine.iterdir():
+                if path.suffix == ".bad":
+                    markers += 1
+                elif durable.is_leftover(path):
+                    leftovers += 1
+                    reapable.append(path)
         return {
             "directory": str(directory),
             "entries": entries,
             "bytes": total_bytes,
             "corrupt": corrupt,
             "leftovers": leftovers,
-            "quarantined": (
-                len(list(quarantine.glob("*.bad"))) if quarantine.is_dir() else 0
-            ),
+            "quarantined": markers,
         }
 
     @classmethod
@@ -460,10 +446,10 @@ class ReuseCache:
     # Chaos hooks (FailureInjector)
     # ------------------------------------------------------------------
     def corrupt_entry(self, key: str) -> bool:
-        """Silently flip bytes in ``key``'s entry (chaos injection).
+        """Silently flip a byte in ``key``'s entry (chaos injection).
 
-        The sidecar is left intact, so the corruption is exactly the
-        bit-rot the verify path must catch at the next hit attempt.
+        The recorded digest is not updated, so the corruption is exactly
+        the bit-rot the verify path must catch at the next hit attempt.
         """
         path = self.store._path(key)
         try:
@@ -474,6 +460,6 @@ class ReuseCache:
             return False
         data[len(data) // 2] ^= 0xFF
         # Deliberately NOT atomic-rename: chaos stands in for in-place
-        # media rot, which is what sidecar verification exists to catch.
+        # media rot, which is what digest verification exists to catch.
         path.write_bytes(bytes(data))
         return True

@@ -520,7 +520,7 @@ class COMPSsRuntime:
                 reuse.publish(task.content_key, result)
                 if injector is not None and injector.cache_corrupts(task.label):
                     # Chaos: bit-rot the freshly-published entry in place
-                    # (payload flipped, sidecar intact).  Detection happens
+                    # (a byte flipped, digest intact).  Detection happens
                     # at the next hit's verify — never silently consumed.
                     reuse.corrupt_entry(task.content_key)
 

@@ -11,8 +11,6 @@ idempotent, so timed-out calls are safe to retry verbatim.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 import uuid
 from pathlib import Path
@@ -24,6 +22,7 @@ from repro.service.errors import (
     StudyNotFoundError,
     error_for_code,
 )
+from repro.util.durable import write_atomic
 
 
 class ServiceClient:
@@ -95,12 +94,10 @@ class ServiceClient:
         """Atomically place the request in the daemon's inbox."""
         self.paths.inbox.mkdir(parents=True, exist_ok=True)
         name = f"{request.study_id}.{uuid.uuid4().hex[:8]}.json"
-        fd, tmp = tempfile.mkstemp(
-            prefix=".submit.", suffix=".tmp", dir=str(self.paths.inbox)
+        # Unsorted: the order of the space's keys is the grid's order.
+        write_atomic(
+            self.paths.inbox / name, json.dumps(request.to_payload()).encode()
         )
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(request.to_payload(), fh)
-        os.replace(tmp, self.paths.inbox / name)
 
     # ------------------------------------------------------------------
     def status(self, study_id: str) -> Dict[str, Any]:

@@ -12,8 +12,9 @@ Layout under the service root directory::
         checkpoint/                # the study's journal + spilled outputs
         result.json                # final Study.as_dict() when completed
 
-Every JSON file is written with write-to-temp + ``os.replace`` so a
-reader never observes a torn write; the transport therefore works over
+Every JSON file is written with :func:`repro.util.durable.write_atomic`
+(fsync'd temp file, rename, directory fsync), so a reader never observes
+a torn write and a written file survives a crash; the transport works over
 any POSIX filesystem — including the shared parallel filesystems of the
 paper's clusters, where a login-node daemon and compute-side clients see
 the same directory.
@@ -22,14 +23,13 @@ the same directory.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.hpo.algorithms import ALGORITHMS
+from repro.util.durable import write_atomic
 from repro.util.knobs import knob, validate
 from repro.util.validation import (
     check_at_least,
@@ -68,19 +68,7 @@ CHECKPOINT_DIR = "checkpoint"
 def atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
     """Write ``payload`` to ``path`` so readers never see a torn file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent)
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True).encode())
 
 
 def read_json(path: Path) -> Optional[Dict[str, Any]]:

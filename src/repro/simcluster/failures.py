@@ -78,7 +78,7 @@ class FailurePlan:
         links); applied on top of the network model.
     cache_corruptions:
         Task labels whose first reuse-cache publication is bit-rotted in
-        place (payload flipped, sidecar digest intact) — exercises the
+        place (a byte flipped, recorded digest intact) — exercises the
         verified-hit path: the next reader must detect the mismatch and
         recompute, never consume the bad bytes.
     lost_publications:
@@ -171,8 +171,8 @@ class FailurePlan:
     def corrupt_cache_entry(self, task_label: str) -> "FailurePlan":
         """Bit-rot ``task_label``'s first reuse-cache entry after publish.
 
-        The payload is flipped in place while the ``.sum`` sidecar keeps
-        the original digest, so the corruption is only discoverable at
+        A byte is flipped in place while the entry's header keeps the
+        original digest, so the corruption is only discoverable at
         hit-verify time — exactly the bit-rot scenario the verified-hit
         contract exists for.
         """
@@ -414,7 +414,7 @@ class FailureInjector:
         Each attempt (including retries and re-stagings) draws afresh.
     cache_corrupt_prob:
         I.i.d. probability that one reuse-cache publication is bit-rotted
-        in place right after landing (sidecar digest intact).  Each
+        in place right after landing (recorded digest intact).  Each
         publication of a label draws afresh, so a republished entry is
         not doomed to re-corrupt.
     seed:

@@ -351,8 +351,7 @@ def _run_mix(mix, batch_wakes):
     """Run one drawn mix; return placements, trace, outcome and stats.
 
     The outcome is the results and the end time, or the error the wait
-    raised: a drain that runs out its lead time loses the node, and
-    lineage recovery after that can fail a wait in both modes alike.
+    raised, so the property compares failures across modes as well.
     """
     reset_invocation_counter()
     starts = []
@@ -416,6 +415,48 @@ def test_hand_off_keeps_batched_runs_identical(mix):
     unbatched = _run_mix(mix, batch_wakes=False)
     assert batched[:3] == unbatched[:3]
     assert batched[3].placed == unbatched[3].placed == len(batched[0])
+
+
+def test_queued_consumer_of_lost_data_waits_for_its_rerun_producers():
+    """Shrunk from the property above.  Task 5 reads tasks 1 and 3, and
+    is queued when the drain of their node runs out its lead time.  Node
+    loss re-runs 1 and 3 and must pull 5 back out of the dispatch queue;
+    left queued, it started as soon as one producer finished, and a
+    batched drain started it a second time when the other readied it."""
+    mix = {
+        "cores": [4],
+        "tasks": [("one_cpu", [])] * 4 + [("one_cpu", [0, 2])]
+        + [("one_cpu", [])] * 9,
+        "durations": [3.5, 1.0],
+        "fail": [],
+        "quarantine": None,
+        "drain": ("n0", 0.5),
+        "scheduler": "fifo",
+    }
+    batched = _run_mix(mix, batch_wakes=True)
+    unbatched = _run_mix(mix, batch_wakes=False)
+    for starts in (batched[0], unbatched[0]):
+        assert [label for _, label, _, _ in starts].count("one_cpu-5") == 1
+    assert batched[:3] == unbatched[:3]
+
+
+@pytest.mark.parametrize("batch_wakes", [True, False])
+def test_wait_survives_a_drain_that_loses_a_producer(batch_wakes):
+    """Task 2 reads task 1; the node's drain runs out its lead time while
+    task 2 is queued.  The wait used to raise "future of one_cpu-1
+    accessed before completion" at t = 6.5 (task 2 had started on the
+    lost output), and a second wait stalled."""
+    mix = {
+        "cores": [3],
+        "tasks": [("one_cpu", []), ("one_cpu", [0])] + [("one_cpu", [])] * 3,
+        "durations": [1.0, 3.5],
+        "fail": [],
+        "quarantine": None,
+        "drain": ("n0", 2.5),
+        "scheduler": "fifo",
+    }
+    _, _, outcome, _ = _run_mix(mix, batch_wakes=batch_wakes)
+    assert outcome == ([1, 2, 1, 1, 1], 10.026)
 
 
 def _engine(cores, nodes=1, gpus=0):

@@ -96,28 +96,6 @@ class TestPreemptContext:
         assert ctx.load() is None
         assert ctx.load() is None  # removed: stays missing, idempotent
 
-    def test_sidecarless_first_spill_is_complete(self, tmp_path):
-        """SIGKILL between the data rename and the .sum rename of a
-        *first* spill leaves complete data (renames are atomic): loading
-        it is correct, not a torn restore."""
-        ctx = PreemptContext("k4", tmp_path)
-        ctx.spill({"epoch": 1})
-        (tmp_path / "k4.sum").unlink()
-        assert ctx.load() == {"epoch": 1}
-
-    def test_superseding_spill_killed_mid_write_reads_as_missing(
-        self, tmp_path
-    ):
-        """SIGKILL between the renames of a *superseding* spill leaves
-        the new data with the old sidecar — the mismatch must read as
-        missing (cold restart), never as either half-state."""
-        ctx = PreemptContext("k5", tmp_path)
-        ctx.spill({"epoch": 1})
-        old_sum = (tmp_path / "k5.sum").read_text()
-        ctx.spill({"epoch": 4})
-        (tmp_path / "k5.sum").write_text(old_sum)  # .sum rename never ran
-        assert ctx.load() is None
-
 
 # ----------------------------------------------------------------------
 # PreemptionController

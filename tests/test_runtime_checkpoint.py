@@ -31,6 +31,7 @@ from repro.runtime.task_definition import TaskDefinition, TaskInvocation, TaskSt
 from repro.simcluster.failures import FailureInjector, FailurePlan
 from repro.simcluster.machines import ClusterSpec, local_machine
 from repro.simcluster.node import NodeSpec
+from repro.util import durable
 
 
 def make_def(name="experiment", func=None, cpu=1):
@@ -300,7 +301,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path / "outputs")
         assert store.save("k1", {"val_accuracy": 0.9})
         assert store.has("k1")
-        assert store.load("k1") == {"val_accuracy": 0.9}
+        assert store.load_verified("k1") == {"val_accuracy": 0.9}
         assert not store.has("k2")
 
     def test_cadence_every_n(self, tmp_path):
@@ -331,7 +332,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.save("k", 1)
         assert store.save("k", 2)  # no-op, still True
-        assert store.load("k") == 1
+        assert store.load_verified("k") == 1
 
 
 # ----------------------------------------------------------------------
@@ -532,11 +533,11 @@ class TestRuntimeResume:
     ):
         """The crash-consistency tax as a count: under
         ``journal_fsync="commit"`` each completion costs one fsync, and
-        each output spilled at cadence 10 two more (data, sidecar)."""
+        each output spilled at cadence 10 two more (entry, directory)."""
         fsyncs = []
-        real_fsync = ckpt.os.fsync
+        real_fsync = durable.os.fsync
         monkeypatch.setattr(
-            ckpt.os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+            durable.os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
         )
         cfg = RuntimeConfig(
             cluster=local_machine(4), executor="simulated",
@@ -551,8 +552,9 @@ class TestRuntimeResume:
             ) == list(range(1, 28))
         spills = len(list((tmp_path / ckpt.OUTPUTS_DIR).glob("*.pkl")))
         assert spills == 2  # the 10th and 20th of 27 completions
-        # session record + one per completion + two per spill + close
-        assert len(fsyncs) == 1 + 27 + 2 * spills + 1
+        # journal directory at creation + session record + one per
+        # completion + two per spill + close
+        assert len(fsyncs) == 1 + 1 + 27 + 2 * spills + 1
 
 
 # ----------------------------------------------------------------------
@@ -707,10 +709,11 @@ class TestGraphInvalidate:
 class TestSpillIntegrity:
     """Checksummed spills: corruption degrades to recompute, never a crash."""
 
-    def test_save_writes_checksum_sidecar(self, tmp_path):
+    def test_save_writes_one_self_verifying_file(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.save("k1", {"val_accuracy": 0.9})
-        assert (tmp_path / "k1.sum").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["k1.pkl"]
+        assert (tmp_path / "k1.pkl").read_bytes().startswith(durable.ENTRY_TAG)
         assert store.verify("k1") == "ok"
         assert store.load_verified("k1") == {"val_accuracy": 0.9}
 
@@ -738,11 +741,28 @@ class TestSpillIntegrity:
         with pytest.raises(FileNotFoundError):
             store.load_verified("ghost")
 
-    def test_legacy_sidecarless_spill_still_loads(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        (tmp_path / "old.pkl").write_bytes(pickle.dumps(42))
-        assert store.verify("old") == "ok"
-        assert store.load_verified("old") == 42
+    def test_legacy_headerless_spill_verifies_corrupt_and_reexecutes(
+        self, tmp_path
+    ):
+        """An older version's two-file spill (bare pickle plus a ``.sum``
+        sidecar) is not read: it verifies corrupt, the task re-executes,
+        and ``repro gc`` reaps the sidecar as a leftover."""
+        j = WriteAheadJournal(tmp_path / ckpt.JOURNAL_FILE, fsync="off")
+        j.append(ckpt.COMPLETED, "old", stored=True)
+        j.close()
+        outputs = tmp_path / ckpt.OUTPUTS_DIR
+        outputs.mkdir()
+        payload = pickle.dumps(42)
+        (outputs / "old.pkl").write_bytes(payload)
+        (outputs / "old.sum").write_text(hashlib.sha256(payload).hexdigest())
+        store = CheckpointStore(outputs)
+        assert store.verify("old") == "corrupt"
+        with pytest.raises(ckpt.CheckpointCorruptError):
+            store.load_verified("old")
+        assert RecoveryManager(tmp_path).restored_result("old") is ckpt._MISSING
+        swept = store.sweep_orphans({"old"})
+        assert swept["orphans"] == 0 and swept["torn_temps"] == 1
+        assert not (outputs / "old.sum").exists()
 
     def test_legacy_garbage_spill_is_corrupt_not_crash(self, tmp_path):
         store = CheckpointStore(tmp_path)

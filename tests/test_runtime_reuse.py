@@ -22,6 +22,7 @@ Covers the tentpole contract of the content-addressed stage cache:
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -141,6 +142,34 @@ class TestConcurrentWriters:
         assert second.stats()["published"] == 0
         assert first.acquire("k") == "A"
 
+    def test_simultaneous_publishers_of_one_key_both_succeed(self, tmp_path):
+        """Two threads publishing the same key at the same instant (two
+        tenants sharing a stage, a spill racing its speculative backup)
+        each write their own temp file: neither publish raises, and the
+        entry left behind verifies."""
+        cache = make_cache(tmp_path)
+        value = list(range(20_000))
+        rounds = 200
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def publisher():
+            for i in range(rounds):
+                try:
+                    barrier.wait(timeout=30)
+                    cache.publish(f"k{i}", value)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=publisher) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(cache.store.verify(f"k{i}") == "ok" for i in range(rounds))
+
 
 # ----------------------------------------------------------------------
 # Unit: eviction and atomic publication
@@ -220,17 +249,20 @@ class TestScanAndGc:
         cache.acquire("k")
         cache.publish("k", "v")
         # What an older version left behind: a fresh lease next to the
-        # entry, a lease with no entry, and a takeover temp.
+        # entry, a lease with no entry, a takeover temp, and a digest
+        # sidecar with its temp.
         leftovers = [
             tmp_path / "cache" / name
-            for name in ("k.lease", "gone.lease", "k.takeover-1-2")
+            for name in (
+                "k.lease", "gone.lease", "k.takeover-1-2", "k.sum", "k.sumtmp",
+            )
         ]
         for path in leftovers:
             path.write_text("{}")
         assert make_cache(tmp_path).acquire("k") == "v"  # never blocks
         assert make_cache(tmp_path).acquire("gone") is MISS
         report = ReuseCache.gc(tmp_path / "cache")
-        assert report["leftovers"] == 3
+        assert report["leftovers"] == 5
         assert not any(path.exists() for path in leftovers)
         assert cache.acquire("k") == "v"  # intact entries untouched
 
