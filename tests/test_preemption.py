@@ -96,6 +96,35 @@ class TestPreemptContext:
         assert ctx.load() is None
         assert ctx.load() is None  # removed: stays missing, idempotent
 
+    def test_sidecarless_first_spill_is_complete(self, tmp_path):
+        """A first spill is one self-verifying file with no sidecar: it
+        loads whole, and a stray ``.sum`` left by an older version
+        changes nothing."""
+        ctx = PreemptContext("k4", tmp_path)
+        ctx.spill({"epoch": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k4.pkl"]
+        assert ctx.load() == {"epoch": 1}
+        (tmp_path / "k4.sum").write_text("not-a-digest")
+        assert ctx.load() == {"epoch": 1}
+
+    def test_superseding_spill_killed_mid_write_reads_as_missing(
+        self, tmp_path
+    ):
+        """A superseding spill torn in place — its payload behind the
+        previous spill's digest header — must read as missing (cold
+        restart), never as either half-state.  (Killed before its
+        rename, it leaves the previous spill, which then loads; the
+        crash-state enumeration covers that.)"""
+        ctx = PreemptContext("k5", tmp_path)
+        pkl = tmp_path / "k5.pkl"
+        ctx.spill({"epoch": 1})
+        old_header = pkl.read_bytes().split(b"\n", 1)[0]
+        ctx.spill({"epoch": 4})
+        new_payload = pkl.read_bytes().split(b"\n", 1)[1]
+        pkl.write_bytes(old_header + b"\n" + new_payload)
+        assert ctx.load() is None
+        assert ctx.load() is None  # removed: stays missing
+
 
 # ----------------------------------------------------------------------
 # PreemptionController
