@@ -12,7 +12,8 @@ rules per parameter direction:
   readers (anti-dependency) to preserve sequential semantics.
 
 Futures are handled as data too: the producing task is the writer of the
-future's datum.  A return slot gets its data id at submit, but its
+future's datum, and holds its futures itself (``TaskInvocation.outputs``).
+A return slot gets its data id at submit, but its
 :class:`DataInfo` / :class:`DataVersion` only when something first needs
 them — a consumer reading or updating the future, a lineage query, or
 integrity sealing.  An output nothing reads (the common streaming shape)
@@ -25,7 +26,7 @@ import itertools
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.pycompss_api.parameter import ParameterSpec
-from repro.runtime.future import Future, is_future
+from repro.runtime.future import Future, is_future, slot_futures
 from repro.runtime.task_definition import TaskInvocation
 
 class DataVersion:
@@ -105,13 +106,11 @@ class AccessProcessor:
         self._data_ids = itertools.count(1)
         self._by_obj_id: Dict[int, DataInfo] = {}
         self._keepalive: Dict[int, Any] = {}
-        #: writer task_id -> its return-slot futures, in slot order.
-        self._futures: Dict[int, List[Future]] = {}
         #: return-slot data id -> its record, made on first need.
         self._future_data: Dict[int, DataInfo] = {}
         self._by_path: Dict[str, DataInfo] = {}
         #: writer task_id -> versions it wrote through OUT / INOUT
-        #: parameters (return slots are found through ``_futures``).
+        #: parameters (return slots are found through the task's futures).
         self._by_writer: Dict[int, List[DataVersion]] = {}
         #: True once any version was ever invalidated — lets the
         #: per-completion revalidation pass skip entirely in the
@@ -134,21 +133,25 @@ class AccessProcessor:
     def register_output_future(self, fut: Future) -> str:
         """Register a task's return slot as a written datum; returns label.
 
-        Reserves the slot's data id and files the future under its task;
-        the record itself waits for :meth:`_info_for_future`.
+        Reserves the slot's data id and files the future in its task's
+        ``outputs`` (slot order); the record itself waits for
+        :meth:`_info_for_future`.
         """
         fut.data_id = data_id = next(self._data_ids)
-        tid = fut.invocation.task_id
-        futures = self._futures.get(tid)
-        if futures is None:
-            self._futures[tid] = [fut]
+        task = fut.invocation
+        held = task.outputs
+        if held is None:
+            task.outputs = fut
+        elif type(held) is Future:
+            task.outputs = (held, fut)
         else:
-            futures.append(fut)
+            task.outputs = held + (fut,)
         return f"d{data_id}v1"
 
-    def futures_of(self, task_id: int) -> Sequence[Future]:
-        """The return-slot futures of task ``task_id`` (slot order)."""
-        return self._futures.get(task_id, ())
+    @staticmethod
+    def futures_of(task: TaskInvocation) -> Sequence[Future]:
+        """The return-slot futures of ``task`` (slot order)."""
+        return slot_futures(task.outputs)
 
     def _info_for_future(self, fut: Future) -> DataInfo:
         """The return slot's record, made (version 1, by its task) on
@@ -238,9 +241,8 @@ class AccessProcessor:
         Parameter writes first, in access order, then the return slots —
         the order submit registered them in.
         """
-        tid = task.task_id
-        out = list(self._by_writer.get(tid, ()))
-        for fut in self._futures.get(tid, ()):
+        out = list(self._by_writer.get(task.task_id, ()))
+        for fut in self.futures_of(task):
             out.append(self._info_for_future(fut).versions[0])
         return out
 
@@ -254,7 +256,7 @@ class AccessProcessor:
         """
         return [
             (fut.index, self._info_for_future(fut).versions[0])
-            for fut in self._futures.get(task.task_id, ())
+            for fut in self.futures_of(task)
         ]
 
     def invalidate_versions_written_by(self, tasks) -> List[str]:
@@ -280,10 +282,9 @@ class AccessProcessor:
 
         Only existing records can carry the flag, so none is made here.
         """
-        tid = task.task_id
-        for version in self._by_writer.get(tid, ()):
+        for version in self._by_writer.get(task.task_id, ()):
             version.invalidated = False
-        for fut in self._futures.get(tid, ()):
+        for fut in self.futures_of(task):
             info = self._future_data.get(fut.data_id)
             if info is not None:
                 info.versions[0].invalidated = False
@@ -305,22 +306,29 @@ class AccessProcessor:
         lost.sort(key=lambda v: (v.data_id, v.version))
         return [v.label for v in lost]
 
-    def release_task(self, task_id: int) -> None:
+    def release_task(self, task: TaskInvocation) -> None:
         """Drop a freed task's future/writer registrations (streaming).
 
         Called via ``TaskGraph.on_free`` once every consumer of the task
         has completed — nothing can read these versions again, so the
         version objects (and through them the task invocation) become
-        collectable.  A future the caller still holds forgets its data
-        id, so a late reader books a fresh datum.  Object-keyed data
-        (INOUT containers) stays: it is bounded by live user objects,
-        not by task count.
+        collectable.  The task lets go of its futures, which breaks the
+        task-future reference cycle, so reference counting frees both.
+        A future the caller still holds forgets its data id, so a late
+        reader books a fresh datum.  Object-keyed data (INOUT containers)
+        stays: it is bounded by live user objects, not by task count.
         """
-        future_data = self._future_data
-        for fut in self._futures.pop(task_id, ()):
-            future_data.pop(fut.data_id, None)
-            fut.data_id = None
-        self._by_writer.pop(task_id, None)
+        held = task.outputs
+        if held is not None:
+            task.outputs = None
+            future_data = self._future_data
+            # slot_futures, inline: this runs once per freed task.
+            for fut in (held,) if type(held) is Future else held:
+                if future_data:
+                    future_data.pop(fut.data_id, None)
+                fut.data_id = None
+        if self._by_writer:
+            self._by_writer.pop(task.task_id, None)
 
     @staticmethod
     def _is_trackable(obj: Any) -> bool:
@@ -344,7 +352,6 @@ class AccessProcessor:
         """Drop all tracked data (used between runtime sessions)."""
         self._by_obj_id.clear()
         self._keepalive.clear()
-        self._futures.clear()
         self._future_data.clear()
         self._by_path.clear()
         self._by_writer.clear()

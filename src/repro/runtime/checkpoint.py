@@ -90,10 +90,11 @@ _PRIMITIVE_TYPES = frozenset(_PRIMITIVES)
 # ``json.dumps(..., sort_keys=True)`` builds a ``JSONEncoder`` per call.
 _encode_record = json.JSONEncoder(sort_keys=True).encode
 _escape = json.encoder.encode_basestring_ascii
-#: The per-task ``completed`` record is formatted by hand, to the bytes
-#: ``_encode_record`` gives for the same fields.
-_COMMIT_FIELDS = frozenset({"task", "node", "stored"})
+#: A commit record (``task``, ``node``, ``stored`` passed positionally)
+#: is formatted by hand, to the bytes ``_encode_record`` gives for the
+#: same fields: keys in sorted order, each kind's JSON form precomputed.
 _COMMIT_LINE = '{"key": %s, "node": %s, "rec": %s, "seq": %d, "stored": %s, "task": %s}'
+_KIND_JSON = {kind: _escape(kind) for kind in RECORD_KINDS}
 
 
 class JournalCorruptError(RuntimeError):
@@ -203,7 +204,14 @@ class TaskKeyer:
         if task.task_key is not None:
             return task.task_key
         name = task.definition.name
-        digest = self._params_digest(task.args, task.kwargs)
+        args = task.args
+        if len(args) == 1 and type(args[0]) in _PRIMITIVE_TYPES and not task.kwargs:
+            # _params_digest's exact-primitive exit for one argument.
+            digest = hashlib.sha1(
+                (repr(args[0]) + "\x00").encode("utf-8", "replace")
+            ).hexdigest()
+        else:
+            digest = self._params_digest(args, task.kwargs)
         table = self._occurrences.get(name)
         if table is None:
             table = self._occurrences[name] = OccurrenceTable()
@@ -371,17 +379,27 @@ class WriteAheadJournal:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def append(self, kind: str, key: str = "", **fields: Any) -> None:
-        """Buffer one record (flush + fsync according to the policy)."""
+    def append(self, kind: str, key: str = "", *commit: Any, **fields: Any) -> None:
+        """Buffer one record (flush + fsync according to the policy).
+
+        ``commit`` is the per-task form: ``task``, ``node`` and
+        ``stored`` given positionally — the same record as passing them
+        by name.  Two strings, a bool and no other field take the
+        hand-formatted line, without a kwargs dict.
+        """
+        if commit:
+            task, node, stored = commit
+            if fields or type(stored) is not bool:
+                fields = dict(fields, task=task, node=node, stored=stored)
+                commit = ()
         with self._lock:
             if self._fh is None:
                 return
             self._seq += 1
-            if fields.keys() == _COMMIT_FIELDS and type(fields["stored"]) is bool:
+            if commit:
                 line = _COMMIT_LINE % (
-                    _escape(key), _escape(fields["node"]), _escape(kind),
-                    self._seq, "true" if fields["stored"] else "false",
-                    _escape(fields["task"]),
+                    _escape(key), _escape(node), _KIND_JSON[kind], self._seq,
+                    "true" if stored else "false", _escape(task),
                 )
             else:
                 line = _encode_record(

@@ -24,6 +24,14 @@ studies at a few thousand tasks.  This engine makes dispatch incremental:
   never *whether*), so skipping a blocked class never changes an
   assignment — only the cost of discovering it.
 
+**Run queues.**  Under the default submission-order policy
+(``sort_key`` is ``task_id``), the one class of a run with no
+registered study is a plain deque of tasks while its tasks arrive in
+increasing id — every FIFO stream.  The first out-of-order ingest (a
+retry, a re-readied task) turns it into the ``(sort_key, seq, task)``
+heap, whose pop order the deque already was; so does a second class or
+a registered study, before the merge loop ever reads a seq.
+
 Tasks carrying ``failed_nodes`` (fault-tolerance resubmissions) are the
 one per-task feasibility wrinkle: they may *refuse* nodes their class
 would accept, so a placement failure of such a task never blocks its
@@ -55,7 +63,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.runtime.fault import UnsatisfiableError
@@ -110,7 +120,12 @@ class DispatchStats:
 
 @dataclass
 class _ClassQueue:
-    """One constraint class: a policy-ordered heap and its definition."""
+    """One constraint class: a policy-ordered queue and its definition.
+
+    The queue is ``run`` (a deque of tasks in increasing ``task_id``)
+    while the engine allows run queues, else ``heap``; one of them is
+    always empty.
+    """
 
     key: Tuple
     #: The definition that opened the class.  Every definition in a class
@@ -121,6 +136,8 @@ class _ClassQueue:
     heap: List[Tuple] = field(default_factory=list)
     #: Owning study ("" outside service mode) — the key's first element.
     study: str = ""
+    #: Run queue: tasks in increasing task_id (None in heap mode).
+    run: Optional[deque] = None
 
 
 @dataclass
@@ -156,6 +173,10 @@ class DispatchEngine:
         #: Whether placement probes are the base class's: the batched
         #: drain's hand-off reproduces exactly that probe, no other.
         self._base_probe = type(scheduler)._try_place is Scheduler._try_place
+        #: Whether class queues may be run queues: the base class's
+        #: ``task_id`` key, at most one class and no registered study
+        #: (see the module docstring).
+        self._runs = type(scheduler).sort_key is Scheduler.sort_key
         #: Starvation watchdog wiring (set by the runtime after
         #: construction): executor clock, resilience log, and the hold
         #: budget before starved tasks are reaped.  ``None`` timeout
@@ -221,6 +242,7 @@ class DispatchEngine:
             raise ValueError("study id must be non-empty")
         if weight <= 0:
             raise ValueError(f"study weight must be > 0, got {weight!r}")
+        self._end_runs()
         existing = self._studies.get(study)
         share = _StudyShare(
             study=study, priority=priority, weight=weight,
@@ -336,6 +358,8 @@ class DispatchEngine:
         key = (task.study, definition.constraint_class())
         cq = self._classes.get(key)
         if cq is None:
+            if self._classes:
+                self._end_runs()
             cq = _ClassQueue(key, definition, study=task.study)
             self._classes[key] = cq
             self._register_nodes(cq)
@@ -353,6 +377,36 @@ class DispatchEngine:
         for name in names:
             self._node_classes.setdefault(name, set()).add(cq.key)
 
+    def _to_heap(self, cq: _ClassQueue) -> None:
+        """Turn a run queue into the heap it stands for.
+
+        Only the one class can hold a run, so fresh seqs in run order
+        rank its entries exactly as their ingest seqs did.
+        """
+        run, cq.run = cq.run, None
+        if run:
+            seq = self._seq
+            cq.heap = [(t.task_id, next(seq), t) for t in run]  # sorted: a heap
+
+    def _end_runs(self) -> None:
+        """Leave run queues for good (a second class or a study)."""
+        if self._runs:
+            self._runs = False
+            for cq in self._classes.values():
+                self._to_heap(cq)
+
+    def _enqueue(self, cq: _ClassQueue, task: TaskInvocation) -> None:
+        """Queue ``task`` where the run-queue append in :meth:`ingest`
+        does not apply: a class in heap mode, or an out-of-order task."""
+        heap = cq.heap
+        if cq.run is not None:
+            self._to_heap(cq)
+            heap = cq.heap
+        elif not heap and self._runs:
+            cq.run = deque((task,))
+            return
+        heapq.heappush(heap, (self.scheduler.sort_key(task), next(self._seq), task))
+
     def ingest(self, tasks: Iterable[TaskInvocation]) -> None:
         """Add newly-ready tasks to their class queues."""
         queued = self._queued
@@ -360,6 +414,7 @@ class DispatchEngine:
         sort_key = self.scheduler.sort_key
         seq = self._seq
         heappush = heapq.heappush
+        enqueue = self._enqueue
         class_for = self._class_for
         # A run of one definition in one study asks _class_for once.
         cq: Optional[_ClassQueue] = None
@@ -376,7 +431,13 @@ class DispatchEngine:
             if task.definition is not definition or task.study != cq.study:
                 cq = class_for(task)
                 definition = task.definition
-            heappush(cq.heap, (sort_key(task), next(seq), task))
+            run = cq.run
+            if run is not None and (not run or tid > run[-1].task_id):
+                run.append(task)
+            elif run is None and cq.heap:
+                heappush(cq.heap, (sort_key(task), next(seq), task))
+            else:
+                enqueue(cq, task)
             n += 1
         self.stats.ingested += n
 
@@ -407,6 +468,8 @@ class DispatchEngine:
         if n_purged < 64 or n_purged * 2 <= len(self._queued):
             return
         for cq in self._classes.values():
+            if cq.run:
+                cq.run = deque(t for t in cq.run if t.task_id not in purged)
             heap = cq.heap
             if any(e[2].task_id in purged for e in heap):
                 heap[:] = [e for e in heap if e[2].task_id not in purged]
@@ -428,6 +491,9 @@ class DispatchEngine:
     def waiting_tasks(self) -> List[TaskInvocation]:
         """Queued tasks in policy order (debugging / tests)."""
         entries = [e for cq in self._classes.values() for e in cq.heap]
+        entries += [
+            (t.task_id, 0, t) for cq in self._classes.values() for t in cq.run or ()
+        ]
         return [
             task
             for _, _, task in sorted(entries)
@@ -480,8 +546,8 @@ class DispatchEngine:
             if now - since < self.starvation_timeout_s - 1e-9:
                 continue
             cq = self._classes.get(key)
-            while cq is not None and cq.heap:
-                _, _, task = heapq.heappop(cq.heap)
+            while cq is not None and (cq.run or cq.heap):
+                task = cq.run.popleft() if cq.run else heapq.heappop(cq.heap)[2]
                 self._queued.discard(task.task_id)
                 if task.task_id in self._purged:
                     self._purged.discard(task.task_id)
@@ -639,11 +705,11 @@ class DispatchEngine:
         if len(classes) != 1:
             return None
         ((key, cq),) = classes.items()
-        heap = cq.heap
+        run, heap = cq.run, cq.heap
         restrict = self._blocked.get(key)
-        if not heap or restrict is None or restrict:
+        if not (run or heap) or restrict is None or restrict:
             return None
-        task = heap[0][2]
+        task = run[0] if run else heap[0][2]
         impl = assignment.implementation
         alloc = assignment.allocation
         if (
@@ -656,7 +722,10 @@ class DispatchEngine:
         alloc = self.pool.hand_over(alloc)
         if alloc is None:
             return None
-        heapq.heappop(heap)
+        if run:
+            run.popleft()
+        else:
+            heapq.heappop(heap)
         self._queued.discard(task.task_id)
         if self._starved:
             self._starved.pop(key, None)
@@ -688,11 +757,12 @@ class DispatchEngine:
         studies = self._studies
         if len(self._classes) == 1 and not studies:
             ((key, cq),) = self._classes.items()
-            restrict = blocked.get(key)
-            if cq.heap and restrict is not None and not restrict:
-                stats.blocked_skips += 1
-            elif cq.heap:
-                self._place_class(key, quarantined, out)
+            if cq.run or cq.heap:
+                restrict = blocked.get(key)
+                if restrict is not None and not restrict:
+                    stats.blocked_skips += 1
+                else:
+                    self._place_class(key, quarantined, out)
             return
         heads = self._heads
         multi_study = False
@@ -816,10 +886,12 @@ class DispatchEngine:
         Behaviourally identical to the merge loop in
         :meth:`_place_ready` when only one head exists: tasks are probed
         in heap (= policy) order, deferral and blocking semantics match,
-        and a conclusive block ends the round.
+        and a conclusive block ends the round.  The class may be a run
+        queue (its entries are then tasks, deferred ones go back in front).
         """
         cq = self._classes[key]
-        heap = cq.heap
+        run, heap = cq.run, cq.heap
+        pop = run.popleft if run is not None else partial(heapq.heappop, heap)
         blocked = self._blocked
         stats = self.stats
         purged = self._purged
@@ -828,10 +900,10 @@ class DispatchEngine:
         pool = self.pool
         deferred = self._deferred
         try:
-            while heap:
-                task = heap[0][2]
+            while run or heap:
+                task = run[0] if run else heap[0][2]
                 if task.task_id in purged:
-                    heapq.heappop(heap)
+                    pop()
                     queued.discard(task.task_id)
                     purged.discard(task.task_id)
                     continue
@@ -848,7 +920,7 @@ class DispatchEngine:
                     return
                 self._starved.pop(key, None)
                 if placed is not None:
-                    heapq.heappop(heap)
+                    pop()
                     queued.discard(task.task_id)
                     out.append(placed)
                     stats.placed += 1
@@ -860,12 +932,15 @@ class DispatchEngine:
                         stats.blocked_skips += 1
                         return
                 elif task.failed_nodes:
-                    deferred.append(heapq.heappop(heap))
+                    deferred.append(pop())
                 else:
                     blocked[key] = set()
                     return
         finally:
             if deferred:
-                for entry in deferred:
-                    heapq.heappush(heap, entry)
+                if run is not None:
+                    run.extendleft(reversed(deferred))
+                else:
+                    for entry in deferred:
+                        heapq.heappush(heap, entry)
                 deferred.clear()

@@ -8,7 +8,7 @@ per return slot.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task_definition import TaskInvocation
@@ -64,6 +64,13 @@ class Future:
         return f"<Future {self.invocation.label}[{self.index}] {state}>"
 
 
+def slot_futures(outputs: Any) -> Tuple[Future, ...]:
+    """A task's ``outputs`` (one future, a tuple or None) as a tuple."""
+    if type(outputs) is Future:
+        return (outputs,)
+    return outputs or ()
+
+
 def is_future(obj: Any) -> bool:
     """True if ``obj`` is a runtime future."""
     return isinstance(obj, Future)
@@ -89,7 +96,13 @@ def substitute(obj: Any) -> Any:
     if isinstance(obj, Future):
         return obj.result()
     if isinstance(obj, list):
-        return [i.result() if type(i) is Future else substitute(i) for i in obj]
+        # A plain future's value is read in place; only an unresolved one
+        # goes through result() (which raises).
+        return [
+            (i.result() if i._value is _UNSET else i._value)
+            if type(i) is Future else substitute(i)
+            for i in obj
+        ]
     if isinstance(obj, tuple):
         return tuple(substitute(i) for i in obj)
     if isinstance(obj, set):

@@ -85,7 +85,7 @@ def rerun_writers(
     for t in to_rerun.values():
         if integrity is not None:
             integrity.discard(t)
-        for fut in runtime.access.futures_of(t.task_id):
+        for fut in runtime.access.futures_of(t):
             fut.invalidate()
         t.result = None
         t.start_time = t.end_time = None

@@ -13,7 +13,7 @@ import gc
 import operator
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import integrity as igr
@@ -24,7 +24,7 @@ from repro.runtime.dot import export_dot, render_dot
 from repro.runtime.executor.base import Executor
 from repro.runtime.executor.local import LocalExecutor
 from repro.runtime.executor.simulated import SimulatedExecutor
-from repro.runtime.future import Future, collect_futures, substitute
+from repro.runtime.future import Future, collect_futures, slot_futures, substitute
 from repro.runtime.graph import TaskGraph
 from repro.runtime.lineage import fail_descendants
 from repro.pycompss_api.task_group import record_submission
@@ -178,12 +178,7 @@ class COMPSsRuntime:
                 log=self.resilience,
                 clock=self.executor.clock,
             )
-        # Streaming mode: the graph frees fully-consumed completed tasks
-        # and tells us to drop their registry entries, so memory tracks
-        # the active frontier instead of the whole study.
         self.graph.stream_completed = self.config.stream_completed
-        if self.config.stream_completed:
-            self.graph.on_free = self._on_task_freed
         self.sync_points: List[Tuple[int, List[int]]] = []
         self._started = False
         # ---- Crash-consistency layer (write-ahead journal + store) ----
@@ -228,6 +223,16 @@ class COMPSsRuntime:
         #: keyer (not the journal one): content keys touch no occurrence
         #: state and must exist even when journaling is off.
         self._content_keyer = ckpt.TaskKeyer()
+        # Streaming mode: the graph frees fully-consumed completed tasks
+        # and tells us to drop their registry entries, so memory tracks
+        # the active frontier instead of the whole study.  Without a
+        # reuse cache no task has a join entry to drop, so the access
+        # processor is told directly.
+        if self.config.stream_completed:
+            self.graph.on_free = (
+                self._on_task_freed if self.reuse is not None
+                else self.access.release_task
+            )
 
     def _make_executor(self) -> Executor:
         ex = self.config.executor
@@ -375,11 +380,11 @@ class COMPSsRuntime:
                     if self.config.graph and label:
                         edge_labels[dep.task_id] = label
             # Each slot gets its data id now; its record waits for a reader.
-            futures: List[Future] = []
             for i in range(definition.n_returns):
-                fut = Future(invocation, i)
-                self.access.register_output_future(fut)
-                futures.append(fut)
+                self.access.register_output_future(Future(invocation, i))
+            # Kept here: a task that is DONE at add may be freed (and let
+            # go of its futures) before submit returns them.
+            outputs = invocation.outputs
             if content_key is not None:
                 # Later identical submissions of this study join this
                 # node (a FAILED one is replaced by its retry here).
@@ -419,7 +424,9 @@ class COMPSsRuntime:
                     fail_descendants(self, dep, self.executor.clock())
                     break
             if restored is not ckpt._MISSING:
-                Executor.fan_out_result(invocation, futures, restored)
+                Executor.fan_out_result(
+                    invocation, slot_futures(outputs), restored
+                )
                 # Restored outputs verified at spill load; seal them so
                 # consumers can verify them like freshly-produced ones.
                 if self.integrity is not None:
@@ -448,16 +455,7 @@ class COMPSsRuntime:
             self.gc_checkpoint()
         if restored is ckpt._MISSING:
             self.executor.notify_submitted(invocation)
-        if len(futures) == 1:
-            return futures[0]
-        return self._handle(futures)
-
-    @staticmethod
-    def _handle(futures: Sequence[Future]):
-        """What ``submit`` returns for a task's future slots."""
-        if not futures:
-            return None
-        return futures[0] if len(futures) == 1 else tuple(futures)
+        return outputs
 
     def _join_in_flight(self, session: StudySession, content_key: str):
         """The futures of ``session``'s live node for ``content_key``, if any.
@@ -476,22 +474,22 @@ class COMPSsRuntime:
             prior = session.joins.get(content_key)
             if prior is None or prior.state is TaskState.FAILED:
                 return None
-            futures = self.access.futures_of(prior.task_id)
+            outputs = prior.outputs
         self.reuse.note_join(content_key)
         # A joined node belongs to every TaskGroup open at this submit.
         record_submission(prior)
-        return self._handle(futures)
+        return outputs
 
     # ------------------------------------------------------------------
     # Completion (called by executors)
     # ------------------------------------------------------------------
     def complete_task(self, task: TaskInvocation, result: Any) -> None:
         """Fan the result into futures and unlock successors."""
-        futures = self.access.futures_of(task.task_id)
-        if len(futures) == 1:
-            futures[0].set_result(result)
+        outputs = task.outputs
+        if type(outputs) is Future:
+            outputs.set_result(result)
         else:
-            Executor.fan_out_result(task, futures, result)
+            Executor.fan_out_result(task, slot_futures(outputs), result)
         self.graph.mark_done(task)
         if self.access.any_invalidated:
             # Lineage recovery: a re-executed writer re-materialises its
@@ -505,11 +503,11 @@ class COMPSsRuntime:
         if journal is not None and task.task_key is not None:
             stored = False
             store = session.checkpoint_store
-            if store is not None and store.should_spill():
+            if store is not None and store.cadence and store.should_spill():
                 stored = store.save(task.task_key, result)
             journal.append(
                 ckpt.COMPLETED, task.task_key,
-                task=task.label, node=task.node or "", stored=stored,
+                task.label, task.node or "", stored,
             )
         reuse = self.reuse
         if reuse is not None and task.content_key is not None:
@@ -526,7 +524,7 @@ class COMPSsRuntime:
 
     def _on_task_freed(self, task: TaskInvocation) -> None:
         """Streaming: drop registry entries of a graph-freed task."""
-        self.access.release_task(task.task_id)
+        self.access.release_task(task)
         if task.content_key is not None:
             session = self.sessions.by_id.get(task.study)
             if session is not None and session.joins.get(task.content_key) is task:

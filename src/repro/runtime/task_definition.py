@@ -257,12 +257,19 @@ class TaskInvocation:
     the id of the study session that submitted the task (``""`` outside
     service mode); it routes journaling to the study's namespaced
     journal and gives the dispatch engine its fair-share dimension.
+    ``outputs`` holds the return-slot futures in the shape ``submit``
+    returns them: one :class:`~repro.runtime.future.Future`, a tuple of
+    them for a multi-return task, or None (``returns=0``, or once a
+    streaming free released them);
+    :meth:`AccessProcessor.futures_of
+    <repro.runtime.access_processor.AccessProcessor.futures_of>` gives
+    it as a tuple.
     """
 
     __slots__ = (
         "definition", "args", "kwargs", "task_id", "state", "attempts",
         "failed_nodes", "attempt_history", "result", "error", "start_time",
-        "end_time", "node", "task_key", "study", "content_key",
+        "end_time", "node", "task_key", "study", "content_key", "outputs",
     )
 
     def __init__(
@@ -291,6 +298,7 @@ class TaskInvocation:
         #: Namespace-free reuse-cache identity (cacheable tasks only);
         #: assigned by TaskKeyer.content_key_for on the submit path.
         self.content_key: Optional[str] = None
+        self.outputs: Any = None
 
     def add_history(self, line: str) -> None:
         """Append one line to ``attempt_history``."""

@@ -6,6 +6,7 @@ import enum
 import hashlib
 import json
 import pickle
+import tempfile
 from collections import Counter
 
 import pytest
@@ -120,9 +121,14 @@ PRIMITIVE = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
     st.text(),
     st.text(alphabet=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)),
+    st.text(alphabet="\"'\\\x00\n\u00e9\u20ac\U0001f600 \ud800a"),
     st.binary(),
     st.none(),
 )
+
+#: Study namespaces: any text a study id can be (no lone surrogates —
+#: a key's raw string is encoded strictly).
+NAMESPACE = st.text(alphabet=st.characters(blacklist_categories=("Cs",)))
 
 
 def per_argument_digest(keyer, args, content):
@@ -180,6 +186,56 @@ class TestPrimitiveDigest:
             seen.clear()
             keyer._params_digest(args, kwargs)
             assert len(seen) >= len(args) + len(kwargs)
+
+
+class TestOnePassPaths:
+    """The per-task fast paths write the bytes of the general paths."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(PRIMITIVE, NAMESPACE, st.integers(min_value=1, max_value=3))
+    def test_one_pass_key_equals_the_general_key(self, arg, namespace, times):
+        keyer = TaskKeyer(namespace)
+        digest = keyer._params_digest((arg,), {})
+        assert digest == per_argument_digest(keyer, (arg,), False)
+        definition = make_def("keyed")
+        for occurrence in range(times):
+            raw = f"keyed|{digest}|{occurrence}"
+            if namespace:
+                raw = f"{namespace}::{raw}"
+            assert keyer.key_for(invocation(definition, arg)) == hashlib.sha1(
+                raw.encode("utf-8")
+            ).hexdigest()[:16]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(), st.text(), st.text(), st.booleans())
+    def test_positional_commit_line_equals_the_encoded_record(
+        self, key, label, node, stored
+    ):
+        with tempfile.TemporaryDirectory() as d:
+            j = WriteAheadJournal(f"{d}/j.jsonl", fsync="off", buffer_records=8)
+            j.append(ckpt.COMPLETED, key, label, node, stored)
+            j.append(ckpt.COMPLETED, key, task=label, node=node, stored=stored)
+            lines = list(j._buffer)
+            j.close()
+        assert lines == [
+            ckpt._encode_record({
+                "rec": ckpt.COMPLETED, "key": key, "seq": seq,
+                "task": label, "node": node, "stored": stored,
+            })
+            for seq in (1, 2)
+        ]
+
+    def test_commit_fields_of_other_types_take_the_general_line(self, tmp_path):
+        j = WriteAheadJournal(tmp_path / "j.jsonl", fsync="off")
+        j.append(ckpt.COMPLETED, "k", "t-1", "n1", 1)
+        j.append(ckpt.COMPLETED, "k", "t-2", "n1", False, restored=True)
+        j.close()
+        assert (tmp_path / "j.jsonl").read_text().splitlines() == [
+            '{"key": "k", "node": "n1", "rec": "completed", "seq": 1, '
+            '"stored": 1, "task": "t-1"}',
+            '{"key": "k", "node": "n1", "rec": "completed", "restored": true, '
+            '"seq": 2, "stored": false, "task": "t-2"}',
+        ]
 
 
 class Flag(enum.IntEnum):

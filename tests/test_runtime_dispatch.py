@@ -10,6 +10,8 @@ tracing.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pycompss_api import COMPSs, compss_wait_on, task
 from repro.pycompss_api.constraint import ResourceConstraint
@@ -29,7 +31,8 @@ from repro.runtime.task_definition import (
     TaskState,
     reset_invocation_counter,
 )
-from repro.simcluster.machines import local_machine, mare_nostrum4
+from repro.simcluster.machines import ClusterSpec, local_machine, mare_nostrum4
+from repro.simcluster.node import NodeSpec
 from tests.test_runtime_scheduler import assign
 
 
@@ -418,8 +421,9 @@ class TestPurgeTombstoneHygiene:
         engine.purge(tasks[1:400])
         # Tombstones outnumbered live entries, so the heaps were rebuilt
         # without them and the tombstone set is empty again.
-        total_heap = sum(len(cq.heap) for cq in engine._classes.values())
-        assert total_heap == 100
+        # A class queue is a run (deque) or a heap; one of them is empty.
+        total_queued = sum(len(cq.run or cq.heap) for cq in engine._classes.values())
+        assert total_queued == 100
         assert engine.pending() == 100
         assert not engine._purged
         # Revived (re-readied) tasks are clean re-ingests after the
@@ -438,8 +442,9 @@ class TestPurgeTombstoneHygiene:
         engine.ingest(tasks)
         (first,) = engine.schedule_round()
         engine.purge(tasks[1:6])
-        total_heap = sum(len(cq.heap) for cq in engine._classes.values())
-        assert total_heap == 19  # entries still there...
+        # A class queue is a run (deque) or a heap; one of them is empty.
+        total_queued = sum(len(cq.run or cq.heap) for cq in engine._classes.values())
+        assert total_queued == 19  # entries still there...
         assert engine.pending() == 14  # ...but not counted
         assert len(engine.waiting_tasks()) == 14
 
@@ -641,3 +646,132 @@ class TestFairShareScheduling:
         engine.unregister_study("gone")
         engine.unregister_study("gone")
         assert engine.study_shares() == {}
+
+
+# ----------------------------------------------------------------------
+# Run queues (a FIFO class queue as a deque)
+# ----------------------------------------------------------------------
+def _engine(runs=True, scheduler=None):
+    nodes = [
+        NodeSpec(name=name, cpu_cores=2, gpus=0, memory_gb=16.0, core_gflops=8.0)
+        for name in ("a", "b")
+    ]
+    pool = ResourcePool(ClusterSpec(name="two", nodes=nodes))
+    engine = DispatchEngine(scheduler or FIFOScheduler(), pool)
+    pool.listener = engine
+    if not runs:
+        engine._runs = False
+    return engine
+
+
+class TestRunQueues:
+    def test_in_order_ingest_is_a_run_queue(self):
+        engine = _engine()
+        tasks = [make_task() for _ in range(6)]
+        engine.ingest(tasks[:4])
+        engine.ingest(tasks[4:])
+        (cq,) = engine._classes.values()
+        assert list(cq.run) == tasks and cq.heap == []
+        placed = [a.task for a in engine.schedule_round()]
+        assert placed == tasks[:4]
+        assert engine.waiting_tasks() == tasks[4:]
+
+    def test_out_of_order_ingest_becomes_the_heap(self):
+        engine = _engine()
+        tasks = [make_task() for _ in range(5)]
+        engine.ingest([tasks[1], tasks[3]])
+        engine.ingest([tasks[2], tasks[0], tasks[4]])
+        (cq,) = engine._classes.values()
+        assert cq.run is None and len(cq.heap) == 5
+        assert engine.waiting_tasks() == tasks
+        assert [a.task for a in engine.schedule_round()] == tasks[:4]
+        # Drained empty, the class queues a run again.
+        cq.heap.clear()
+        engine._queued.clear()
+        engine.ingest([make_task()])
+        assert cq.run is not None and len(cq.run) == 1
+
+    def test_a_second_class_or_a_study_ends_runs(self):
+        engine = _engine()
+        engine.ingest([make_task(), make_task()])
+        (cq,) = engine._classes.values()
+        engine.ingest([make_task(cpu=2)])
+        assert not engine._runs
+        assert all(c.run is None for c in engine._classes.values())
+        assert [t.task_id for _, _, t in sorted(cq.heap)] == [1, 2]
+        other = _engine()
+        other.ingest([make_task()])
+        other.register_study("s1")
+        assert not other._runs
+        assert all(c.run is None for c in other._classes.values())
+
+    def test_deferred_tasks_go_back_in_front(self):
+        # Task 5 refuses node a: deferred while b is full, it must still
+        # be first in line when b frees a CPU, as in the heap.
+        for runs in (True, False):
+            reset_invocation_counter()
+            tasks = [make_task() for _ in range(8)]
+            tasks[4].add_failed_node("a")
+            engine = _engine(runs=runs)
+            engine.ingest(tasks)
+            first = engine.schedule_round()
+            assert [a.task.task_id for a in first] == [1, 2, 3, 4]
+            on_b = next(a for a in first if a.allocation.node == "b")
+            engine.pool.release(on_b.allocation)
+            assert [a.task.task_id for a in engine.schedule_round()] == [5]
+
+    def test_other_policies_never_use_runs(self):
+        engine = _engine(scheduler=PriorityScheduler())
+        engine.ingest([make_task() for _ in range(3)])
+        (cq,) = engine._classes.values()
+        assert cq.run is None and len(cq.heap) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_places_exactly_as_the_heap(self, data):
+        """Random ingest orders, rounds, releases, purges and deferred
+        tasks: a run-queue engine and a heap-only one place the same
+        tasks on the same CPUs in the same order."""
+        reset_invocation_counter()
+        tasks = [make_task() for _ in range(24)]
+        for t in data.draw(st.lists(st.sampled_from(tasks), max_size=3)):
+            t.add_failed_node("a")
+        order = data.draw(st.permutations(tasks))
+        runs, heaps = _engine(), _engine(runs=False)
+        running = {id(runs): [], id(heaps): []}
+        placed = {id(runs): [], id(heaps): []}
+        at = 0
+        steps = data.draw(st.lists(
+            st.sampled_from(["ingest", "round", "release", "purge"]),
+            min_size=1, max_size=40,
+        ))
+        for step in steps:
+            if step == "ingest":
+                k = data.draw(st.integers(min_value=1, max_value=6))
+                batch, at = order[at:at + k], at + k
+            elif step == "purge":
+                victims = data.draw(st.lists(st.sampled_from(tasks), max_size=3))
+            elif step == "release":
+                if not running[id(runs)]:
+                    continue
+                i = data.draw(st.integers(0, len(running[id(runs)]) - 1))
+            for engine in (runs, heaps):
+                mine = running[id(engine)]
+                if step == "ingest":
+                    engine.ingest(batch)
+                elif step == "purge":
+                    engine.purge(victims)
+                    engine.ingest(victims[:1])  # one is re-readied
+                elif step == "release":
+                    engine.pool.release(mine.pop(i).allocation)
+                else:
+                    for a in engine.schedule_round():
+                        mine.append(a)
+                        placed[id(engine)].append(
+                            (a.task.task_id, a.allocation.node,
+                             tuple(a.allocation.cpu_ids))
+                        )
+            assert runs.waiting_tasks() == heaps.waiting_tasks()
+            assert runs.pending() == heaps.pending()
+        assert placed[id(runs)] == placed[id(heaps)]
+        assert runs.stats.snapshot() == heaps.stats.snapshot()

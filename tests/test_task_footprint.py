@@ -15,6 +15,7 @@ import gc
 import os
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -134,12 +135,12 @@ class TestOutputRecords:
 
     def test_unread_output_leaves_no_record(self):
         ap, (a, b) = outputs(1, 3)
-        assert [f.data_id for f in ap.futures_of(b.task_id)] == [2, 3, 4]
+        assert [f.data_id for f in ap.futures_of(b)] == [2, 3, 4]
         assert not ap._future_data and not ap._by_writer
 
     def test_read_output_creates_exactly_one_record(self):
         ap, (a,) = outputs(1)
-        fut = ap.futures_of(a.task_id)[0]
+        fut = ap.futures_of(a)[0]
         r1, r2 = make_task(), make_task()
         assert ap.process_access(r1, fut, IN) == ({a}, ["d1v1"])
         assert ap.process_access(r2, fut, IN) == ({a}, ["d1v1"])
@@ -149,17 +150,20 @@ class TestOutputRecords:
 
     def test_streaming_free_drops_the_record(self):
         ap, (a, b) = outputs(1, 1)
-        fa = ap.futures_of(a.task_id)[0]
+        fa = ap.futures_of(a)[0]
         ap.process_access(make_task(), fa, IN)
-        ap.release_task(a.task_id)
-        ap.release_task(b.task_id)
-        assert not (ap._future_data or ap._futures or ap._by_writer)
+        ap.release_task(a)
+        ap.release_task(b)
+        assert not (ap._future_data or ap._by_writer)
+        # The freed tasks let go of their futures, which forget their ids.
+        assert a.outputs is None and b.outputs is None
+        assert ap.futures_of(a) == () and fa.data_id is None
         # A late reader of a released future books a fresh datum.
         assert ap.process_access(make_task(), fa, IN) == ({a}, ["d3v1"])
 
     def test_lineage_queries_make_the_records_in_write_order(self):
         ap, (a,) = outputs(3)
-        futs = ap.futures_of(a.task_id)
+        futs = ap.futures_of(a)
         ap.process_access(make_task(), futs[2], IN)
         assert [v.label for v in ap.versions_written_by(a)] == [
             "d1v1", "d2v1", "d3v1",
@@ -320,7 +324,7 @@ class TestOutputRecordsInRuntime:
             access = rt.access
             assert list(access._future_data) == [a.data_id]
             assert not access._by_writer
-            assert [f.data_id for f in access.futures_of(c.invocation.task_id)] == [
+            assert [f.data_id for f in access.futures_of(c.invocation)] == [
                 c.data_id
             ]
 
@@ -330,7 +334,9 @@ class TestOutputRecordsInRuntime:
             chain = [tiny(f) for f in futs]
             assert compss_wait_on(chain) == [i + 2 for i in range(10)]
             access = rt.access
-            assert not (access._future_data or access._futures or access._by_writer)
+            assert not (access._future_data or access._by_writer)
+            for fut in futs + chain:
+                assert fut.invocation.outputs is None and fut.data_id is None
 
 
 def stream_config(tmp_path, **overrides):
@@ -345,33 +351,41 @@ def stream_config(tmp_path, **overrides):
 
 
 #: Bytes one live independent task may hold (graph node, future and its
-#: data id, journal key).  Measured at 591 B on CPython 3.11; an int
-#: object per occurrence-counter slot made it 626 B, a data record per
-#: return slot ~1.03 kB, and per-task adjacency lists, pending counts,
-#: label lists and bookkeeping lists ~1.67 kB.
-LIVE_TASK_BUDGET_B = 650
+#: data id, journal key).  Measured at 506 B on CPython 3.11, 591 B
+#: while the access processor kept a futures list per task in a dict;
+#: an int object per occurrence-counter slot made it 626 B, a data
+#: record per return slot ~1.03 kB, and per-task adjacency lists,
+#: pending counts, label lists and bookkeeping lists ~1.67 kB.  The
+#: budget leaves about 10 % of headroom.
+LIVE_TASK_BUDGET_B = 555
+
+#: The same task once the dispatch engine has queued it: 560 B on
+#: CPython 3.11, 736 B while every queued task was a heap entry (a
+#: 3-tuple and a seq int) and a futures list.  About 10 % of headroom.
+QUEUED_TASK_BUDGET_B = 615
 
 
 #: Calls into ``repro`` code per streamed independent task (submit,
 #: dispatch, start and complete), counted by ``sys.setprofile``: a
-#: deterministic count, whatever the host.  Measured at 40.8 on CPython
-#: 3.11: 89-91 before the per-task path lost its redundant hops, 54
-#: before a batched drain handed a finished task's CPU straight to the
-#: next queued task and staging times were kept per node.  The budget
-#: leaves about 10 % of headroom.  CPython 3.12 inlines comprehensions,
-#: so its count can only be lower.
-STREAMED_TASK_CALL_BUDGET = 45
+#: deterministic count, whatever the host.  Measured at 34.8 on CPython
+#: 3.11: 40.8 before keys, commit lines, futures and the run queue took
+#: one pass each, 89-91 before the per-task path lost its redundant
+#: hops, 54 before a batched drain handed a finished task's CPU straight
+#: to the next queued task and staging times were kept per node.  The
+#: budget leaves about 10 % of headroom.  CPython 3.12 inlines
+#: comprehensions, so its count can only be lower.
+STREAMED_TASK_CALL_BUDGET = 38
 
 
 def test_streamed_task_call_budget(tmp_path):
     n = 5000
     package = os.path.dirname(repro.__file__) + os.sep
-    calls = 0
+    calls = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
+            code = frame.f_code
+            calls[code.co_filename[len(package):], code.co_name] += 1
 
     with COMPSsRuntime(stream_config(tmp_path, tracing=False)):
         compss_wait_on([tiny(i) for i in range(n)])  # warm wave
@@ -381,8 +395,15 @@ def test_streamed_task_call_budget(tmp_path):
         finally:
             sys.setprofile(None)
     assert got[-1] == 2 * n
-    per_task = calls / n
-    assert per_task <= STREAMED_TASK_CALL_BUDGET, f"{per_task:.1f} calls per task"
+    per_task = sum(calls.values()) / n
+    # On failure, name the functions: calls per task of each, most first.
+    by_function = "\n".join(
+        f"{made / n:6.2f}  {path}:{name}"
+        for (path, name), made in calls.most_common()
+    )
+    assert per_task <= STREAMED_TASK_CALL_BUDGET, (
+        f"{per_task:.1f} calls per task:\n{by_function}"
+    )
 
 
 def test_live_independent_task_stays_under_budget(tmp_path):
@@ -399,6 +420,49 @@ def test_live_independent_task_stays_under_budget(tmp_path):
             tracemalloc.stop()
         assert compss_wait_on(futures[-1]) == n
     assert per_task < LIVE_TASK_BUDGET_B, f"{per_task:.0f} B per live task"
+
+
+def test_queued_independent_task_stays_under_budget(tmp_path):
+    """The bytes a live task holds once the dispatch engine queued it.
+
+    ``LIVE_TASK_BUDGET_B`` measures before the executor ingests the
+    wave; this one ingests it the way a scheduling round does (ready
+    tasks into their class queue), so the queue entry counts too.
+    """
+    n = 5000
+    with COMPSsRuntime(stream_config(tmp_path)) as rt:
+        compss_wait_on([tiny(i) for i in range(100)])  # warm every path
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            futures = [tiny(i) for i in range(n)]
+            with rt.lock:
+                rt.dispatcher.ingest(rt.graph.pop_ready())
+            per_task = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert rt.dispatcher.pending() == n
+        assert compss_wait_on(futures[-1]) == n
+    assert per_task < QUEUED_TASK_BUDGET_B, f"{per_task:.0f} B per queued task"
+
+
+def test_freed_tasks_need_no_cycle_collector(tmp_path):
+    """A task holds its futures and each future its task; the streaming
+    free breaks that cycle, so reference counting alone reclaims both."""
+    def tasks_and_futures():
+        return {id(o) for o in gc.get_objects() if type(o) in (TaskInvocation, Future)}
+
+    with COMPSsRuntime(stream_config(tmp_path, manage_gc=False)):
+        gc.collect()
+        gc.disable()
+        try:
+            before = tasks_and_futures()
+            assert compss_wait_on([tiny(i) for i in range(1000)])[-1] == 1000
+            left = tasks_and_futures() - before
+        finally:
+            gc.enable()
+    assert not left, f"{len(left)} tasks and futures wait for the cycle collector"
 
 
 def test_freed_streamed_task_leaves_nothing_behind(tmp_path):
