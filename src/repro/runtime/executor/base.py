@@ -12,11 +12,14 @@ of in-flight attempts (:class:`Attempt`), the trace record, failure
 accounting (attempt count, node health, ``TIMEOUT`` / ``BACKOFF_WAIT``
 events, the sibling-still-racing rule), the retry decision
 (:func:`~repro.runtime.fault.decide_failure`), give-up with upstream
-cancellation, requeueing, the starvation reap, graceful drains, backup
-placement for speculation and the injected-fault queries.  Each executor
-keeps only how an attempt runs (:meth:`Executor._start`: a pool thread, a
-worker process or a simulator event), how a wait happens
-(:meth:`Executor._after`: a timer or a scheduled event) and its clock.
+cancellation, requeueing, graceful drains, backup placement for
+speculation and the injected-fault queries.  Its timers are armed here
+too, through one primitive: straggler checks, the starvation deadline,
+drain deadlines and backoff waits all go through :meth:`Executor._at`.
+Each executor keeps only how an attempt runs (:meth:`Executor._start`: a
+pool thread, a worker process or a simulator event), how a call is
+deferred to a point in time (:meth:`Executor._at`: a timer or a scheduled
+event) and its clock.
 """
 
 from __future__ import annotations
@@ -78,9 +81,10 @@ def _resolve(v: Any) -> Any:
 class Attempt:
     """One in-flight attempt of a task (primary or speculative backup).
 
-    The three handles are the simulated executor's pending events for the
-    attempt (completion, deadline, straggler check); the local executors
-    leave them unset.
+    ``handle`` and ``timeout_handle`` are the simulated executor's
+    completion and deadline events (the local executors leave them
+    unset); ``spec_check`` is the straggler check that every executor
+    arms through :meth:`Executor._at`.
     """
 
     __slots__ = ("assignment", "start", "speculative", "handle",
@@ -116,6 +120,9 @@ class Executor(abc.ABC):
         self._attempts: Dict[int, List[Attempt]] = {}
         #: node -> armed drain-deadline handle (graceful drain in progress).
         self._draining: Dict[str, Any] = {}
+        #: The armed starvation deadline and when it fires.
+        self._starvation_handle: Any = None
+        self._starvation_at = 0.0
 
     def bind(self, runtime: "COMPSsRuntime") -> None:
         """Attach to a runtime (graph, pool, scheduler, tracer, policy)."""
@@ -185,12 +192,30 @@ class Executor(abc.ABC):
         """Run one scheduling round."""
         raise NotImplementedError
 
-    def _after(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
-        """Call ``fn(*args)`` after ``delay`` s of this executor's clock.
+    def _at(self, when: float, fn: Callable[..., None], *args: Any) -> Any:
+        """Call ``fn(*args)`` at time ``when`` of this executor's clock.
 
-        Returns a handle with ``cancel()``.
+        The one timing primitive an executor implements.  Returns a
+        handle with ``cancel()``.
         """
         raise NotImplementedError
+
+    def _after(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
+        """Call ``fn(*args)`` after ``delay`` s of this executor's clock."""
+        return self._at(self.clock() + delay, fn, *args)
+
+    def _cancel_timers(self) -> None:
+        """Cancel every armed attempt event, drain deadline and the
+        starvation deadline (at shutdown)."""
+        for attempts in self._attempts.values():
+            for attempt in attempts:
+                attempt.cancel_events()
+        for handle in self._draining.values():
+            handle.cancel()
+        self._draining.clear()
+        if self._starvation_handle is not None:
+            self._starvation_handle.cancel()
+            self._starvation_handle = None
 
     # ------------------------------------------------------------------
     # Attempt registry
@@ -391,9 +416,92 @@ class Executor(abc.ABC):
             task.add_history(f"starved for {waited:g}s: {exc}")
             self._give_up(task, exc, "", now)
 
+    def _arm_starvation_watchdog(self) -> None:
+        """Keep one timer armed at the earliest starvation deadline.
+
+        This is what turns an otherwise-stalled run (every node a class
+        could use is dead or draining, queue empty) into a timed,
+        structured failure instead of a hang.
+        """
+        assert self.runtime is not None
+        deadline = self.runtime.dispatcher.next_starvation_deadline()
+        handle = self._starvation_handle
+        if deadline is None:
+            if handle is not None:
+                handle.cancel()
+                self._starvation_handle = None
+            return
+        if handle is not None:
+            if self._starvation_at <= deadline + 1e-9:
+                return  # armed early enough; the handler re-arms
+            handle.cancel()
+        self._starvation_at = max(deadline, self.clock())
+        self._starvation_handle = self._at(self._starvation_at, self._reap_starved)
+
+    def _reap_starved(self) -> None:
+        """The starvation deadline fired: fail every task whose class
+        starved past the timeout, then re-arm for the next one."""
+        self._starvation_handle = None
+        self._fail_starved(self.clock())
+        self._arm_starvation_watchdog()
+
     # ------------------------------------------------------------------
     # Speculative re-execution
     # ------------------------------------------------------------------
+    def _schedule_spec_check(self, task_id: int, attempt: Attempt) -> None:
+        """Arm a straggler check for ``attempt`` if a median is known."""
+        assert self.runtime is not None
+        detector = self.runtime.straggler
+        if detector is None or attempt.speculative or attempt.spec_check:
+            return
+        assignment = attempt.assignment
+        if assignment.extra_allocations:
+            return  # multinode tasks are not speculated
+        threshold = detector.threshold(assignment.task.definition.name)
+        if threshold is None:
+            return
+        attempt.spec_check = self._at(
+            max(self.clock(), attempt.start + threshold),
+            self._spec_check, task_id, attempt,
+        )
+
+    def _schedule_spec_checks_for_name(self, name: str) -> None:
+        """A completion updated ``name``'s median: arm checks on its peers."""
+        assert self.runtime is not None
+        detector = self.runtime.straggler
+        if detector is None or detector.threshold(name) is None:
+            return
+        for task_id, attempts in list(self._attempts.items()):
+            if len(attempts) != 1:
+                continue
+            attempt = attempts[0]
+            if attempt.assignment.task.definition.name == name:
+                self._schedule_spec_check(task_id, attempt)
+
+    def _spec_check(self, task_id: int, attempt: Attempt) -> None:
+        """Decide whether a running attempt is a straggler; maybe back it up."""
+        assert self.runtime is not None
+        attempt.spec_check = None
+        attempts = self._attempts.get(task_id)
+        if not attempts or attempt not in attempts or len(attempts) > 1:
+            return
+        detector = self.runtime.straggler
+        if detector is None:
+            return
+        threshold = detector.threshold(attempt.assignment.task.definition.name)
+        if threshold is None:
+            return
+        now, due = self.clock(), attempt.start + threshold
+        if now < due:
+            # Median grew since this check was armed: re-arm at the new
+            # threshold.  ``now - start < threshold`` can hold at
+            # ``now == due`` by rounding and would re-arm there forever.
+            attempt.spec_check = self._at(due, self._spec_check, task_id, attempt)
+            return
+        backup = self._backup(attempt, threshold, now)
+        if backup is not None:
+            self._start(backup, speculative=True)
+
     def _backup(
         self, attempt: Attempt, threshold: float, now: float
     ) -> Optional[Assignment]:
@@ -478,11 +586,6 @@ class Executor(abc.ABC):
                 continue
             self._draining.pop(node).cancel()
             self.runtime.finish_drain(node)
-
-    def _cancel_drains(self) -> None:
-        for handle in self._draining.values():
-            handle.cancel()
-        self._draining.clear()
 
     # ------------------------------------------------------------------
     # Argument and result plumbing

@@ -22,14 +22,16 @@ the default because they need no picklable bodies and start instantly.
 
 Retries, backoff, speculation, drains and the starvation reap follow the
 shared attempt lifecycle (:mod:`repro.runtime.executor.base`) in
-wall-clock time.  Backoff waits and drain deadlines are timers, so a
-failed attempt's slot and pool thread are free while it waits.  With
-``task_timeout_s`` set, bodies run behind a wall-clock deadline — a hung
-body becomes a retryable :class:`~repro.runtime.fault.TaskTimeoutError`,
-but the abandoned body keeps its thread until it returns (CPython
-threads cannot be killed; the worker pool hard-kills the process
-instead).  With ``speculation_multiplier`` set, a watchdog thread backs
-up straggling tasks on another node and the first finisher wins.
+wall-clock time.  Its timers — backoff waits, straggler checks, drain
+and starvation deadlines — are ``threading.Timer`` threads that run
+their handler under the runtime lock, so a failed attempt's slot and
+pool thread are free while it waits.  With ``task_timeout_s`` set,
+bodies run behind a wall-clock deadline — a hung body becomes a
+retryable :class:`~repro.runtime.fault.TaskTimeoutError`, but the
+abandoned body keeps its thread until it returns (CPython threads cannot
+be killed; the worker pool hard-kills the process instead).  A blocked
+``wait_for`` wakes every 0.5 s to rescan for out-of-band failures and to
+give the garbage collector its checkpoint.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ from repro.runtime.executor.base import Attempt, Executor
 from repro.runtime.fault import TaskFailedError, TaskTimeoutError
 from repro.runtime.scheduler.base import Assignment, release_assignment
 from repro.runtime.task_definition import TaskInvocation, TaskState
-from repro.util.logging_utils import get_logger
 from repro.util.validation import check_positive
-
-_log = get_logger("runtime.executor.local")
 
 
 class _Wait:
@@ -71,9 +70,6 @@ class LocalExecutor(Executor):
         task-usable CPU count, min 1).
     """
 
-    #: Watchdog poll interval for straggler detection (seconds).
-    SPECULATION_POLL_S = 0.02
-
     def __init__(self, max_parallel: Optional[int] = None):
         super().__init__()
         self.max_parallel = max_parallel
@@ -82,7 +78,6 @@ class LocalExecutor(Executor):
         self._threads: Optional[ThreadPoolExecutor] = None
         #: Deadline-guarded bodies run here (created when timeouts are on).
         self._bodies: Optional[ThreadPoolExecutor] = None
-        self._watchdog: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
         #: task_id -> the blocked ``wait_for`` calls awaiting it; the
         #: success path counts each one down (:meth:`_count_down`).
@@ -107,13 +102,6 @@ class LocalExecutor(Executor):
             max_workers=n, thread_name_prefix="repro-worker"
         )
         self._bind_backend(n)
-        if runtime.straggler is not None:
-            self._watchdog = threading.Thread(
-                target=self._speculation_loop,
-                name="repro-speculation",
-                daemon=True,
-            )
-            self._watchdog.start()
 
     def _bind_backend(self, n: int) -> None:
         """Create the body-execution backend (hook for subclasses)."""
@@ -149,19 +137,19 @@ class LocalExecutor(Executor):
         whose capacity hasn't changed since they last failed to place.
         Releases from completion threads are buffered by the engine and
         drained at the start of the round.  Each round also completes any
-        drain whose node went idle and reaps starved-out classes.
+        drain whose node went idle and re-arms the starvation deadline.
         """
         assert self.runtime is not None and self._threads is not None
         with self._lock:
             if self._shutdown:
                 return
             self._check_drains()
-            self._reap_starved()
             runtime = self.runtime
             runtime.dispatcher.ingest(runtime.graph.pop_ready())
             for assignment in runtime.dispatcher.schedule_round():
                 assignment.task.state = TaskState.RUNNING
                 self._threads.submit(self._run_attempt, assignment)
+            self._arm_starvation_watchdog()
 
     def _start(self, assignment: Assignment, speculative: bool = False) -> None:
         assert self.runtime is not None and self._threads is not None
@@ -171,19 +159,25 @@ class LocalExecutor(Executor):
         assignment.task.state = TaskState.RUNNING
         self._threads.submit(self._run_attempt, assignment, speculative)
 
-    def _after(self, delay: float, fn: Callable[..., None], *args: Any):
-        timer = threading.Timer(delay, self._call_locked, (fn,) + args)
+    def _at(self, when: float, fn: Callable[..., None], *args: Any):
+        timer = threading.Timer(max(0.0, when - self.clock()), self._call_locked)
+        timer.args = (timer, fn) + args
         timer.daemon = True
-        timer.start()
+        if not self._shutdown:  # no timer starts after shutdown
+            timer.start()
         return timer
 
-    def _call_locked(self, fn: Callable[..., None], *args: Any) -> None:
+    def _call_locked(
+        self, timer: threading.Timer, fn: Callable[..., None], *args: Any
+    ) -> None:
         with self._lock:
-            if not self._shutdown:
+            # A timer cancelled under the lock after it woke does not run,
+            # as a cancelled simulator event does not fire.
+            if not self._shutdown and not timer.finished.is_set():
                 fn(*args)
 
     # ------------------------------------------------------------------
-    # Graceful drain / starvation watchdog
+    # Graceful drain
     # ------------------------------------------------------------------
     def drain_node(self, node: str, deadline_s: float) -> None:
         with self._lock:
@@ -215,12 +209,6 @@ class LocalExecutor(Executor):
         runtime.pool.retire_worker(node)
         self._dispatch()
 
-    def _reap_starved(self) -> None:
-        assert self.runtime is not None
-        deadline = self.runtime.dispatcher.next_starvation_deadline()
-        if deadline is not None and self.clock() >= deadline:
-            self._fail_starved(self.clock())
-
     # ------------------------------------------------------------------
     # Attempt execution
     # ------------------------------------------------------------------
@@ -237,6 +225,8 @@ class LocalExecutor(Executor):
             self._attempts.setdefault(task.task_id, []).append(attempt)
             if not speculative:
                 task.node = assignment.allocation.node
+                if runtime.straggler is not None:
+                    self._schedule_spec_check(task.task_id, attempt)
         try:
             self._verify_inputs(task, speculative)
             hang, slow = False, 1.0
@@ -249,6 +239,7 @@ class LocalExecutor(Executor):
         except BaseException as exc:  # noqa: BLE001 - any body error goes to fault handling
             with self._lock:
                 if self._detach(task.task_id, attempt):
+                    attempt.cancel_events()
                     self._attempt_failed(attempt, exc, self.clock())
             return
         self._on_success(attempt, result)
@@ -329,6 +320,8 @@ class LocalExecutor(Executor):
             if not self._detach(task.task_id, attempt):
                 # A sibling won the race and already released this one.
                 return
+            if attempt.spec_check is not None:
+                attempt.cancel_events()
             if task.state in (TaskState.DONE, TaskState.FAILED):
                 # Resolved out of band (its study was abandoned).
                 release_assignment(runtime.pool, assignment)
@@ -344,44 +337,10 @@ class LocalExecutor(Executor):
         release_assignment(runtime.pool, assignment)
         runtime.node_health.record_success(node)
         if runtime.straggler is not None:
-            runtime.straggler.observe(task.definition.name, end - attempt.start)
+            with self._lock:
+                runtime.straggler.observe(task.definition.name, end - attempt.start)
+                self._schedule_spec_checks_for_name(task.definition.name)
         self._dispatch()
-
-    # ------------------------------------------------------------------
-    # Speculative re-execution (watchdog)
-    # ------------------------------------------------------------------
-    def _speculation_loop(self) -> None:
-        while not self._stop_event.wait(self.SPECULATION_POLL_S):
-            try:
-                self._check_stragglers()
-            except Exception:  # noqa: BLE001 - watchdog must never die
-                _log.exception("speculation watchdog error")
-
-    def _check_stragglers(self) -> None:
-        assert self.runtime is not None
-        detector = self.runtime.straggler
-        if detector is None:
-            return
-        with self._lock:
-            if self._shutdown:
-                return
-            now = self.clock()
-            for attempts in list(self._attempts.values()):
-                attempt = attempts[0]
-                if (
-                    len(attempts) != 1
-                    or attempt.speculative
-                    or attempt.assignment.extra_allocations
-                ):
-                    continue
-                threshold = detector.threshold(
-                    attempt.assignment.task.definition.name
-                )
-                if threshold is None or now - attempt.start < threshold:
-                    continue
-                backup = self._backup(attempt, threshold, now)
-                if backup is not None:
-                    self._start(backup, speculative=True)
 
     # ------------------------------------------------------------------
     # Synchronisation
@@ -418,12 +377,6 @@ class LocalExecutor(Executor):
             try:
                 while wait.remaining:
                     self._done_cond.wait(timeout=0.5)
-                    # The poll doubles as the elastic heartbeat: complete
-                    # idle drains and reap starved-out classes so a study
-                    # whose only remaining work is unplaceable fails with
-                    # ResourceStarvationError instead of spinning here.
-                    self._check_drains()
-                    self._reap_starved()
                     if self._resolutions != failures:
                         failures = self._resolutions
                         self._unfinished(pending)
@@ -457,10 +410,8 @@ class LocalExecutor(Executor):
     def shutdown(self) -> None:
         with self._lock:
             self._shutdown = True
-            self._cancel_drains()
+            self._cancel_timers()
         self._stop_event.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=2.0)
         if self._threads is not None:
             self._threads.shutdown(wait=True)
         if self._bodies is not None:

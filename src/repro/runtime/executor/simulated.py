@@ -81,8 +81,6 @@ class SimulatedExecutor(Executor):
         #: depends on size and node alone).
         self._plain_staging: Dict[str, float] = {}
         self._failures_scheduled = False
-        self._starvation_handle: Optional[EventHandle] = None
-        self._starvation_at = 0.0
         #: Buffered completion units — ``(assignment, ready)`` pairs whose
         #: release + scheduling round are deferred into the next batched
         #: engine drain (see :meth:`_drain_pending`).
@@ -476,42 +474,6 @@ class SimulatedExecutor(Executor):
         self._fail_node(node, destroy_data=True)
 
     # ------------------------------------------------------------------
-    # Starvation watchdog
-    # ------------------------------------------------------------------
-    def _arm_starvation_watchdog(self) -> None:
-        """Keep one sim event armed at the earliest starvation deadline.
-
-        This is what turns an otherwise-stalled simulation (every node a
-        class could use is dead or draining, queue empty) into a timed,
-        structured failure instead of a hang.
-        """
-        assert self.runtime is not None
-        deadline = self.runtime.dispatcher.next_starvation_deadline()
-        if deadline is None:
-            if self._starvation_handle is not None:
-                self._starvation_handle.cancel()
-                self._starvation_handle = None
-            return
-        if self._starvation_handle is not None:
-            if self._starvation_at <= deadline + 1e-9:
-                return  # armed early enough; the handler re-arms
-            self._starvation_handle.cancel()
-        self._starvation_at = max(deadline, self.now)
-        self._starvation_handle = self.sim.schedule_at(
-            self._starvation_at,
-            self._reap_starved,
-            "starvation-watchdog",
-        )
-
-    def _reap_starved(self) -> None:
-        """Fail every task whose class starved past the timeout."""
-        assert self.runtime is not None
-        self._drain_pending()
-        self._starvation_handle = None
-        self._fail_starved(self.now)
-        self._arm_starvation_watchdog()
-
-    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def notify_submitted(self, task: TaskInvocation) -> None:
@@ -719,69 +681,10 @@ class SimulatedExecutor(Executor):
         self._attempt_failed(attempt, exc, self.now)
 
     # ------------------------------------------------------------------
-    # Speculative re-execution
+    # Timers
     # ------------------------------------------------------------------
-    def _schedule_spec_check(self, task_id: int, attempt: Attempt) -> None:
-        """Arm a straggler check for ``attempt`` if a median is known."""
-        assert self.runtime is not None
-        detector = self.runtime.straggler
-        if detector is None or attempt.speculative or attempt.spec_check:
-            return
-        assignment = attempt.assignment
-        if assignment.extra_allocations:
-            return  # multinode tasks are not speculated
-        threshold = detector.threshold(assignment.task.definition.name)
-        if threshold is None:
-            return
-        attempt.spec_check = self.sim.schedule_at(
-            max(self.now, attempt.start + threshold),
-            lambda: self._spec_check(task_id, attempt),
-            label=f"spec-check-{assignment.task.label}",
-        )
-
-    def _schedule_spec_checks_for_name(self, name: str) -> None:
-        """A completion updated ``name``'s median: arm checks on its peers."""
-        assert self.runtime is not None
-        detector = self.runtime.straggler
-        if detector is None or detector.threshold(name) is None:
-            return
-        for task_id, attempts in list(self._attempts.items()):
-            if len(attempts) != 1:
-                continue
-            attempt = attempts[0]
-            if attempt.assignment.task.definition.name == name:
-                self._schedule_spec_check(task_id, attempt)
-
-    def _spec_check(self, task_id: int, attempt: Attempt) -> None:
-        """Decide whether a running attempt is a straggler; maybe back it up."""
-        assert self.runtime is not None
-        self._drain_pending()
-        attempt.spec_check = None
-        attempts = self._attempts.get(task_id)
-        if not attempts or attempt not in attempts or len(attempts) > 1:
-            return
-        detector = self.runtime.straggler
-        if detector is None:
-            return
-        task = attempt.assignment.task
-        threshold = detector.threshold(task.definition.name)
-        if threshold is None:
-            return
-        if self.now - attempt.start < threshold:
-            # Median grew since this check was armed; re-arm at the new
-            # threshold (strictly in the future, so this terminates).
-            attempt.spec_check = self.sim.schedule_at(
-                attempt.start + threshold,
-                lambda: self._spec_check(task_id, attempt),
-                label=f"spec-check-{task.label}",
-            )
-            return
-        backup = self._backup(attempt, threshold, self.now)
-        if backup is not None:
-            self._start(backup, speculative=True)
-
-    def _after(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        return self.sim.schedule(delay, self._fire, "after", (fn, args))
+    def _at(self, when: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+        return self.sim.schedule_at(when, self._fire, "at", (fn, args))
 
     def _fire(self, fn: Callable[..., None], args: tuple) -> None:
         # Event-by-event, the buffered completion rounds ran before this.
@@ -861,11 +764,5 @@ class SimulatedExecutor(Executor):
 
     def shutdown(self) -> None:
         self._units.clear()
-        for attempts in self._attempts.values():
-            for attempt in attempts:
-                attempt.cancel_events()
+        self._cancel_timers()
         self._attempts.clear()
-        self._cancel_drains()
-        if self._starvation_handle is not None:
-            self._starvation_handle.cancel()
-            self._starvation_handle = None

@@ -525,12 +525,15 @@ class HPOService:
             ]
         victims = self.controller.suspend_victims(candidates)
         if victims:
-            grace = self.runtime.config.suspend_grace_s
+            # The grace runs on the executor's clock: virtual seconds on
+            # the simulated executor, like the tasks it waits for.
+            runtime = self.runtime
+            deadline = runtime.executor.clock() + runtime.config.suspend_grace_s
             for i in victims:
                 sid = candidates[i].request.study_id
                 with self._lock:
                     self._suspends.add(sid)
-                    self._suspend_deadlines[sid] = time.monotonic() + grace
+                    self._suspend_deadlines[sid] = deadline
                 # Flag the study's in-flight preemptible trials so they
                 # spill warm instead of running their epochs to the end,
                 # and pause its dispatch lane so nothing new starts while
@@ -578,7 +581,10 @@ class HPOService:
         spilled by then still warm-resumes; the rest replays from the
         journal — suspended, never failed.
         """
-        now = time.monotonic()
+        runtime = self.runtime
+        if runtime is None:
+            return
+        now = runtime.executor.clock()
         with self._lock:
             overdue = [
                 sid for sid, deadline in self._suspend_deadlines.items()
@@ -587,13 +593,12 @@ class HPOService:
             for sid in overdue:
                 self._suspend_requeue.add(sid)
                 self._suspend_deadlines.pop(sid, None)
-        assert self.runtime is not None or not overdue
         for sid in overdue:
             self._write_state(
                 sid, proto.SUSPENDED,
                 detail="suspend grace expired: in-flight tasks abandoned",
             )
-            self.runtime.sessions.abandon(
+            runtime.sessions.abandon(
                 sid, reason="suspend grace expired",
                 kind=rsl.STUDY_SUSPENDED,
             )

@@ -7,11 +7,14 @@ import time
 import pytest
 
 from repro.pycompss_api import COMPSs, compss_barrier, compss_wait_on, constraint, task
+from repro.pycompss_api.constraint import ResourceConstraint
+from repro.runtime import resilience as rsl
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.fault import RetryPolicy, TaskFailedError
+from repro.runtime.fault import ResourceStarvationError, RetryPolicy, TaskFailedError
+from repro.runtime.resources import DOWN
 from repro.runtime.task_definition import TaskInvocation
 from repro.simcluster.failures import FailureInjector, FailurePlan
-from repro.simcluster.machines import local_machine
+from repro.simcluster.machines import heterogeneous, local_machine
 
 
 @task(returns=int)
@@ -23,6 +26,12 @@ def add_one(x):
 def slow_square(x):
     time.sleep(0.05)
     return x * x
+
+
+@task(returns=float)
+def nap(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 @task(returns=2)
@@ -212,35 +221,131 @@ class TestWaitForCountdown:
             assert compss_wait_on(futs[:39]) == list(range(1, 40))
             assert not rt.executor._waits
 
-    def test_heartbeat_still_checks_drains_and_starvation(self, monkeypatch):
-        from repro.runtime.executor.local import LocalExecutor
 
-        beats = []
-        reap = LocalExecutor._reap_starved
-        check = LocalExecutor._check_drains
+def _gpu_definition():
+    from repro.runtime.task_definition import TaskDefinition
 
-        def counted_reap(self):
-            beats.append("reap")
-            return reap(self)
+    return TaskDefinition(
+        func=module_level_square, name="gpu_square", returns=int, n_returns=1,
+        constraint=ResourceConstraint(cpu_units=4, gpu_units=1),
+    )
 
-        def counted_check(self):
-            beats.append("drains")
-            return check(self)
 
-        monkeypatch.setattr(LocalExecutor, "_reap_starved", counted_reap)
-        monkeypatch.setattr(LocalExecutor, "_check_drains", counted_check)
+def _wait_until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestTimers:
+    """Starvation, drains and straggler checks run on the executor's own
+    timers, not on ``wait_for``'s 0.5 s wake-up."""
+
+    @staticmethod
+    def runtime(cluster, **kw):
+        from repro.runtime.runtime import COMPSsRuntime
+
+        return COMPSsRuntime(
+            RuntimeConfig(cluster=cluster, executor="local", **kw)
+        ).start()
+
+    def test_starvation_fails_at_its_timeout(self):
+        rt = self.runtime(
+            heterogeneous(cpu_nodes=1, gpu_nodes=1), starvation_timeout_s=0.05
+        )
+        try:
+            rt.drain_node("gpu-0001", deadline_s=5.0)
+            fut = rt.submit(_gpu_definition(), (3,), {})
+            with pytest.raises(TaskFailedError) as err:
+                compss_wait_on(fut)
+            cause = err.value.__cause__
+            assert isinstance(cause, ResourceStarvationError)
+            assert 0.05 <= cause.waited_s < 0.35
+        finally:
+            rt.stop(wait=False)
+
+    def _drain_mid_wait(self, rt, deadline_s, nap_s):
+        """Drain the node while the driver is blocked on a napping task;
+        return ``(task end time, node)``."""
+        started = threading.Event()
+        node = next(iter(rt.pool.workers))
 
         @task(returns=int)
         def napping(x):
-            time.sleep(1.2)
+            started.set()
+            time.sleep(nap_s)
             return x
 
-        with COMPSs(cluster=local_machine(1)):
-            fut = napping(3)
-            beats.clear()
-            assert compss_wait_on(fut) == 3
-        # Two 0.5 s heartbeats and the final wake-up, each running both.
-        assert beats.count("reap") >= 2 and beats.count("drains") >= 2
+        def drain():
+            started.wait()
+            rt.drain_node(node, deadline_s=deadline_s)
+
+        helper = threading.Thread(target=drain)
+        fut = napping(3)
+        helper.start()
+        assert compss_wait_on(fut) == 3
+        helper.join(timeout=5.0)
+        assert not helper.is_alive()
+        [record] = [r for r in rt.tracer.records if r.success]
+        return record.end, node
+
+    def test_drain_completes_when_the_last_attempt_ends(self):
+        rt = self.runtime(local_machine(2))
+        try:
+            end, node = self._drain_mid_wait(rt, deadline_s=5.0, nap_s=0.3)
+            _wait_until(lambda: rt.resilience.of_kind(rsl.DRAIN_COMPLETE))
+            [draining] = rt.resilience.of_kind(rsl.NODE_DRAINING)
+            [complete] = rt.resilience.of_kind(rsl.DRAIN_COMPLETE)
+            assert draining.time < end <= complete.time < end + 0.25
+            assert complete.node == node
+            assert rt.pool.workers[node].state == DOWN
+            assert not rt.resilience.of_kind(rsl.DRAIN_DEADLINE)
+        finally:
+            rt.stop(wait=False)
+
+    def test_drain_deadline_retires_a_busy_node(self):
+        rt = self.runtime(local_machine(2))
+        try:
+            end, node = self._drain_mid_wait(rt, deadline_s=0.1, nap_s=0.6)
+            [draining] = rt.resilience.of_kind(rsl.NODE_DRAINING)
+            [deadline] = rt.resilience.of_kind(rsl.DRAIN_DEADLINE)
+            assert draining.time + 0.1 <= deadline.time < end
+            assert deadline.node == node
+            assert rt.pool.workers[node].state == DOWN
+            assert not rt.resilience.of_kind(rsl.DRAIN_COMPLETE)
+        finally:
+            rt.stop(wait=False)
+
+    def test_no_timer_outlives_stop(self):
+        before = set(threading.enumerate())
+        rt = self.runtime(
+            heterogeneous(cpu_nodes=1, gpu_nodes=1),
+            speculation_multiplier=100.0, starvation_timeout_s=60.0,
+        )
+        try:
+            rt.drain_node("gpu-0001", deadline_s=5.0)
+            assert compss_wait_on([nap(0.05) for _ in range(3)]) == [0.05] * 3
+            straggler = nap(0.5)
+            # A check armed about 5 s out (100 x the 50 ms median) and a
+            # 60 s starvation deadline, both pending at stop().
+            _wait_until(lambda: any(
+                a.spec_check is not None
+                for attempts in list(rt.executor._attempts.values())
+                for a in attempts
+            ))
+            gpu = rt.submit(_gpu_definition(), (3,), {})
+            _wait_until(lambda: rt.executor._starvation_handle is not None)
+        finally:
+            rt.stop(wait=False)
+        assert straggler.done and not gpu.done
+        timers = [
+            t for t in threading.enumerate()
+            if isinstance(t, threading.Timer) and t not in before
+        ]
+        for timer in timers:
+            timer.join(timeout=1.0)
+        assert not [t for t in timers if t.is_alive()]
 
 
 def _module_square_definition():

@@ -452,6 +452,35 @@ class TestSimulatedSpeculation:
             assert rt.virtual_time == pytest.approx(500.0, abs=2.0)
 
 
+class TestSpeculationCheckRounding:
+    def test_check_due_now_launches_instead_of_rearming(self):
+        # 0.2 + 0.5 == 0.7, yet 0.7 - 0.2 < 0.5 in binary floating point.
+        # A check that fired at its due time 0.7 and compared the elapsed
+        # time with the threshold re-armed itself at 0.7, forever.
+        rt = COMPSsRuntime(
+            sim_config(mare_nostrum4(2), duration=100.0,
+                       speculation_multiplier=1.0)
+        ).start()
+        try:
+            ex = rt.executor
+            submit_n(rt, 1, cpu=48)
+            ex.sim.schedule(0.2, ex._dispatch)
+            assert ex.sim.step()
+            [[attempt]] = ex._attempts.values()
+            assert attempt.start == 0.2 and attempt.spec_check is None
+            for _ in range(3):
+                rt.straggler.observe("experiment", 0.5)
+            ex._schedule_spec_checks_for_name("experiment")
+            assert attempt.spec_check.time == 0.7
+            assert ex.sim.step()
+            assert ex.sim.now == 0.7
+            [launched] = rt.resilience.of_kind(rsl.SPECULATION_LAUNCHED)
+            assert launched.time == 0.7
+            assert attempt.spec_check is None
+        finally:
+            rt.stop(wait=False)
+
+
 # ----------------------------------------------------------------------
 # Quarantine-aware scheduling (simulated)
 # ----------------------------------------------------------------------

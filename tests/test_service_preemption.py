@@ -16,7 +16,7 @@ from repro.cli import main as cli_main
 from repro.hpo.objective import fast_mock_objective
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.preemption import clear_local_flags
-from repro.runtime.task_definition import TaskState
+from repro.runtime.task_definition import TaskDefinition, TaskState
 from repro.service import (
     AdmissionConfig,
     HPOService,
@@ -24,7 +24,7 @@ from repro.service import (
     StudyRequest,
 )
 from repro.service import protocol as proto
-from repro.simcluster.machines import local_machine
+from repro.simcluster.machines import local_machine, mare_nostrum4
 
 #: One slow trial per study (~0.8 s): long enough for a suspend to land
 #: mid-flight, short enough for the suite.
@@ -62,6 +62,16 @@ def wait_for(predicate, timeout_s=30.0, what="condition"):
             return
         time.sleep(0.01)
     raise AssertionError(f"timed out waiting for {what}")
+
+
+def placed(service, sid):
+    """Every registered preemptible trial of study ``sid`` is on a worker."""
+    invs = [
+        inv
+        for inv in service.runtime.preemption.registered().values()
+        if getattr(inv, "study", "") == sid
+    ]
+    return bool(invs) and all(inv.state == TaskState.RUNNING for inv in invs)
 
 
 class Pump:
@@ -130,20 +140,9 @@ class TestSuspendNotShed:
                     >= 2,
                     what="both trials registered preemptible",
                 )
-                def placed(sid):
-                    invs = [
-                        inv
-                        for inv in (
-                            service.runtime.preemption.registered().values()
-                        )
-                        if getattr(inv, "study", "") == sid
-                    ]
-                    return bool(invs) and all(
-                        inv.state == TaskState.RUNNING for inv in invs
-                    )
-
                 wait_for(
-                    lambda: placed("keeper") and placed("parkme"),
+                    lambda: placed(service, "keeper")
+                    and placed(service, "parkme"),
                     what="both trials placed on workers",
                 )
                 rss["mb"] = 10_000.0
@@ -212,6 +211,14 @@ class TestSuspendNotShed:
                     ),
                     what="both studies running",
                 )
+                # Pressure before the trials are placed lets the study
+                # park itself at its next trial start, before any grace
+                # runs; apply it only once both trials are running.
+                wait_for(
+                    lambda: placed(service, "keeper")
+                    and placed(service, "stubborn"),
+                    what="both trials placed on workers",
+                )
                 rss["mb"] = 10_000.0
                 wait_for(
                     lambda: client.status("stubborn")["status"]
@@ -230,6 +237,54 @@ class TestSuspendNotShed:
             assert events["loads_shed"] == 0
         finally:
             service.shutdown()
+
+
+class TestSuspendGraceClock:
+    def test_grace_runs_in_virtual_time_on_the_simulated_executor(
+        self, tmp_path
+    ):
+        """On the simulated executor ``suspend_grace_s`` is virtual
+        seconds: a suspended study escalates once the virtual clock
+        passes its grace, with no wall-clock grace elapsing."""
+        rss = {"mb": 0.0}
+        service = HPOService(
+            tmp_path / "svc",
+            runtime_config=RuntimeConfig(
+                cluster=mare_nostrum4(1), executor="simulated",
+                duration_fn=lambda t, n, a: 100.0, suspend_grace_s=60.0,
+            ),
+            admission=AdmissionConfig(rss_limit_mb=100.0,
+                                      max_concurrent_studies=2),
+            rss_fn=lambda: rss["mb"],
+        ).start()
+        client = ServiceClient(service.paths.root, poll_s=0.01)
+        try:
+            # Two running studies (the watchdog never suspends the last
+            # one); their threads stand in for study drivers.
+            for sid, priority in (("keeper", 5), ("stubborn", 0)):
+                service._running[sid] = threading.Thread(target=lambda: None)
+                service._running_meta[sid] = request(sid, priority=priority)
+            rss["mb"] = 10_000.0
+            service._relieve_pressure()
+            service._escalate_suspends()
+            assert set(service._suspend_deadlines) == {"stubborn"}
+            # One simulated task moves the virtual clock 100 s forward.
+            runtime = service.runtime
+            fut = runtime.submit(
+                TaskDefinition(func=lambda x: x, name="tick", returns=int,
+                               n_returns=1),
+                (1,), {},
+            )
+            runtime.wait_on(fut)
+            assert runtime.executor.clock() >= 100.0
+            service._escalate_suspends()
+            assert service._suspend_deadlines == {}
+            state = client.status("stubborn")
+            assert state["status"] == proto.SUSPENDED
+            assert "grace" in state["detail"]
+        finally:
+            service._running.clear()
+            service.shutdown(drain=False)
 
 
 class TestDrainRacesSuspend:
@@ -313,7 +368,7 @@ class TestTornSpill:
                 with service._lock:
                     service._suspends.add("fragile")
                     service._suspend_deadlines["fragile"] = (
-                        time.monotonic() + 30.0
+                        service.runtime.executor.clock() + 30.0
                     )
                 # Hold memory pressure until the spill is torn: the daemon
                 # re-enqueues a suspended study as soon as pressure is
