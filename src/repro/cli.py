@@ -28,22 +28,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.hpo import (
-    PyCOMPSsRunner,
-    TargetAccuracyStopper,
-    accuracy_curves,
-    export_history_csv,
-    get_algorithm,
-    load_search_space,
-)
 from repro.hpo.algorithms import ALGORITHMS
-from repro.hpo.objective import fast_mock_objective, train_experiment
-from repro.pycompss_api.constraint import ResourceConstraint
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.reuse import ReuseCache
-from repro.runtime.runtime import COMPSsRuntime
-from repro.runtime.stats import render_resilience, render_stats
-from repro.runtime.tracing import export_prv
 from repro.service.admission import AdmissionConfig
 from repro.service.protocol import StudyRequest
 from repro.simcluster import (
@@ -299,6 +285,22 @@ def _make_runtime_config(args) -> RuntimeConfig:
 
 
 def cmd_run(args) -> int:
+    # The runtime, HPO and ML stacks load here, in the one command that
+    # runs a study in this process: the service client commands stay light.
+    from repro.hpo import (
+        PyCOMPSsRunner,
+        TargetAccuracyStopper,
+        accuracy_curves,
+        export_history_csv,
+        get_algorithm,
+        load_search_space,
+    )
+    from repro.hpo.objective import fast_mock_objective, train_experiment
+    from repro.pycompss_api.constraint import ResourceConstraint
+    from repro.runtime.runtime import COMPSsRuntime
+    from repro.runtime.stats import render_resilience, render_stats
+    from repro.runtime.tracing import export_prv
+
     set_verbosity(args.verbose)
     space = load_search_space(args.config)
     algorithm = get_algorithm(args.algorithm, space, **_algorithm_kwargs(args))
@@ -457,6 +459,8 @@ def _replay(path: Path):
 
 
 def cmd_recover(args) -> int:
+    from repro.runtime.reuse import ReuseCache
+
     path, recovery = _replay(args.journal)
     if isinstance(recovery, int):
         return recovery
@@ -502,6 +506,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_gc(args) -> int:
+    from repro.runtime.reuse import ReuseCache
+
     path, recovery = _replay(args.journal)
     if isinstance(recovery, int):
         return recovery

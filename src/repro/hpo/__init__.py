@@ -7,71 +7,47 @@ and Hyperband from its future-work list), the task-based runner
 visualisation, and the sequential / process-pool baselines.
 """
 
-from repro.hpo.space import (
-    SearchSpace,
-    Categorical,
-    Integer,
-    Real,
-    Constant,
-    Hyperparameter,
-)
-from repro.hpo.config_file import (
-    load_search_space,
-    parse_search_space,
-    write_config_file,
-    paper_search_space,
-    PAPER_LISTING1,
-)
-from repro.hpo.trial import Study, Trial, TrialResult, TrialStatus
-from repro.hpo.algorithms import (
-    SearchAlgorithm,
-    GridSearch,
-    RandomSearch,
-    BayesianOptimization,
-    TPESearch,
-    HyperbandSearch,
-    SuccessiveHalving,
-    EvolutionarySearch,
-    get_algorithm,
-)
-from repro.hpo.report import (
-    hyperparameter_effects,
-    render_effects,
-    render_report,
-    save_report,
-)
-from repro.hpo.persistence import (
-    compose_resume,
-    load_study,
-    merge_studies,
-    resume_algorithm,
-)
-from repro.hpo.early_stopping import (
-    StudyStopper,
-    TargetAccuracyStopper,
-    MaxTrialsStopper,
-    PlateauStopper,
-)
-from repro.hpo.objective import train_experiment, fast_mock_objective
-from repro.hpo.runner import (
-    ProgressPrinter,
-    PyCOMPSsRunner,
-    StudyCallback,
-    combine_plots,
-    summarise_result,
-)
-from repro.hpo.baselines import (
-    SequentialRunner,
-    ProcessPoolRunner,
-    simulate_pool_makespan,
-)
-from repro.hpo.visualization import (
-    accuracy_curves,
-    config_heatmap,
-    final_accuracy_bars,
-    export_history_csv,
-    time_vs_cores_chart,
-)
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "space": (
+        "SearchSpace", "Categorical", "Integer", "Real", "Constant",
+        "Hyperparameter",
+    ),
+    "config_file": (
+        "load_search_space", "parse_search_space", "write_config_file",
+        "paper_search_space", "PAPER_LISTING1",
+    ),
+    "trial": ("Study", "Trial", "TrialResult", "TrialStatus"),
+    "algorithms": (
+        "SearchAlgorithm", "GridSearch", "RandomSearch",
+        "BayesianOptimization", "TPESearch", "HyperbandSearch",
+        "SuccessiveHalving", "EvolutionarySearch", "get_algorithm",
+    ),
+    "report": (
+        "hyperparameter_effects", "render_effects", "render_report",
+        "save_report",
+    ),
+    "persistence": (
+        "compose_resume", "load_study", "merge_studies", "resume_algorithm",
+    ),
+    "early_stopping": (
+        "StudyStopper", "TargetAccuracyStopper", "MaxTrialsStopper",
+        "PlateauStopper",
+    ),
+    "objective": ("train_experiment", "fast_mock_objective"),
+    "runner": (
+        "ProgressPrinter", "PyCOMPSsRunner", "StudyCallback", "combine_plots",
+        "summarise_result",
+    ),
+    "baselines": (
+        "SequentialRunner", "ProcessPoolRunner", "simulate_pool_makespan",
+    ),
+    "visualization": (
+        "accuracy_curves", "config_heatmap", "final_accuracy_bars",
+        "export_history_csv", "time_vs_cores_chart",
+    ),
+})
 
 __all__ = [
     "SearchSpace",

@@ -8,29 +8,62 @@ the paper announces as future work (§7) — implemented here so the library
 a function and specifying the algorithm".
 """
 
-from typing import Optional, Union
+from __future__ import annotations
 
-from repro.hpo.algorithms.base import SearchAlgorithm
-from repro.hpo.algorithms.grid import GridSearch
-from repro.hpo.algorithms.random_search import RandomSearch
-from repro.hpo.algorithms.bayesian import BayesianOptimization
-from repro.hpo.algorithms.tpe import TPESearch
-from repro.hpo.algorithms.hyperband import HyperbandSearch
-from repro.hpo.algorithms.successive_halving import SuccessiveHalving
-from repro.hpo.algorithms.evolutionary import EvolutionarySearch
-from repro.hpo.algorithms.asha import AsyncASHA
-from repro.hpo.space import SearchSpace
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Type, Union
 
-ALGORITHMS = {
-    "grid": GridSearch,
-    "random": RandomSearch,
-    "bayesian": BayesianOptimization,
-    "tpe": TPESearch,
-    "hyperband": HyperbandSearch,
-    "successive_halving": SuccessiveHalving,
-    "evolutionary": EvolutionarySearch,
-    "asha": AsyncASHA,
-}
+from repro.util.lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.hpo.algorithms.base import SearchAlgorithm
+    from repro.hpo.space import SearchSpace
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "base": ("SearchAlgorithm",),
+    "grid": ("GridSearch",),
+    "random_search": ("RandomSearch",),
+    "bayesian": ("BayesianOptimization",),
+    "tpe": ("TPESearch",),
+    "hyperband": ("HyperbandSearch",),
+    "successive_halving": ("SuccessiveHalving",),
+    "evolutionary": ("EvolutionarySearch",),
+    "asha": ("AsyncASHA",),
+})
+
+
+class _Registry(Mapping):
+    """Name -> algorithm class; a class's module is imported on lookup.
+
+    Membership and iteration read only the names, so validating a name
+    (``service.protocol``) imports no algorithm.
+    """
+
+    def __init__(self, classes: Mapping[str, str]) -> None:
+        self._classes = dict(classes)
+
+    def __getitem__(self, name: str) -> Type[SearchAlgorithm]:
+        return __getattr__(self._classes[name])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._classes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+
+ALGORITHMS: Mapping[str, Type[SearchAlgorithm]] = _Registry({
+    "grid": "GridSearch",
+    "random": "RandomSearch",
+    "bayesian": "BayesianOptimization",
+    "tpe": "TPESearch",
+    "hyperband": "HyperbandSearch",
+    "successive_halving": "SuccessiveHalving",
+    "evolutionary": "EvolutionarySearch",
+    "asha": "AsyncASHA",
+})
 
 
 def get_algorithm(
@@ -41,6 +74,8 @@ def get_algorithm(
     >>> from repro.hpo.config_file import paper_search_space
     >>> algo = get_algorithm("grid", paper_search_space())
     """
+    from repro.hpo.algorithms.base import SearchAlgorithm
+
     if isinstance(name, SearchAlgorithm):
         if kwargs or space is not None:
             raise ValueError("cannot pass space/kwargs with an algorithm instance")

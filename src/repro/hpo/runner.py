@@ -363,12 +363,12 @@ class PyCOMPSsRunner:
                 # Sealed/verified/repaired counters from the end-to-end
                 # data-integrity layer (config.verify_outputs).
                 study.metadata["integrity"] = runtime.integrity.stats()
-            churn = runtime.analysis().churn()
+            churn = rsl.rollup(resilience_counts, "churn")
             if any(churn.values()):
                 # Preemptions, drains, rejoins, starvation — the elastic
                 # view of the run (absent on a static, healthy cluster).
                 study.metadata["churn"] = churn
-            dispatch = runtime.analysis().dispatch()
+            dispatch = runtime.dispatcher.stats.summary()
             if dispatch["rounds"]:
                 # Batched-scheduling observability: rounds vs placements
                 # (avg_batch_size ≫ 1 means batching is engaged), class

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.util.ascii_plot import table as ascii_table
-
 
 class TrialStatus(str, enum.Enum):
     """Lifecycle of a trial."""
@@ -146,7 +144,9 @@ class Study:
             ]
             for t in done[: limit or len(done)]
         ]
-        return ascii_table(
+        from repro.util.ascii_plot import table
+
+        return table(
             ["trial", "config", "val_acc", "val_loss", "epochs", "node"],
             rows,
             title=f"study {self.name!r}: {len(done)}/{len(self.trials)} trials "

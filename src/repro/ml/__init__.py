@@ -18,40 +18,28 @@ Everything is pure numpy and fully vectorised over the batch dimension
 (no per-sample Python loops), following the HPC-Python guide idioms.
 """
 
-from repro.ml.model import Sequential, History
-from repro.ml.losses import CategoricalCrossentropy, MeanSquaredError, get_loss
-from repro.ml.metrics import accuracy, top_k_accuracy
-from repro.ml.callbacks import (
-    Callback,
-    EarlyStopping,
-    TargetMetricStopping,
-    LambdaCallback,
-    PreemptionCheckpoint,
-)
-from repro.ml.optimizers import SGD, Adam, RMSprop, get_optimizer
-from repro.ml.layers import (
-    Layer,
-    Dense,
-    Conv2D,
-    MaxPool2D,
-    AveragePool2D,
-    GlobalAveragePool2D,
-    Flatten,
-    Dropout,
-    BatchNorm,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    Softmax,
-)
-from repro.ml.schedules import (
-    LearningRateScheduler,
-    StepDecay,
-    ExponentialDecay,
-    CosineDecay,
-)
-from repro.ml.serialization import save_weights, load_weights
-from repro.ml.models_zoo import create_model
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "model": ("Sequential", "History"),
+    "losses": ("CategoricalCrossentropy", "MeanSquaredError", "get_loss"),
+    "metrics": ("accuracy", "top_k_accuracy"),
+    "callbacks": (
+        "Callback", "EarlyStopping", "TargetMetricStopping", "LambdaCallback",
+        "PreemptionCheckpoint",
+    ),
+    "optimizers": ("SGD", "Adam", "RMSprop", "get_optimizer"),
+    "layers": (
+        "Layer", "Dense", "Conv2D", "MaxPool2D", "AveragePool2D",
+        "GlobalAveragePool2D", "Flatten", "Dropout", "BatchNorm", "ReLU",
+        "Sigmoid", "Tanh", "Softmax",
+    ),
+    "schedules": (
+        "LearningRateScheduler", "StepDecay", "ExponentialDecay", "CosineDecay",
+    ),
+    "serialization": ("save_weights", "load_weights"),
+    "models_zoo": ("create_model",),
+})
 
 __all__ = [
     "Sequential",

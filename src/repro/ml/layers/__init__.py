@@ -1,14 +1,18 @@
 """Neural-network layers (numpy, batch-vectorised)."""
 
-from repro.ml.layers.base import Layer, ParamLayer
-from repro.ml.layers.dense import Dense
-from repro.ml.layers.conv import Conv2D
-from repro.ml.layers.pool import MaxPool2D
-from repro.ml.layers.flatten import Flatten
-from repro.ml.layers.dropout import Dropout
-from repro.ml.layers.batchnorm import BatchNorm
-from repro.ml.layers.avgpool import AveragePool2D, GlobalAveragePool2D
-from repro.ml.layers.activations import ReLU, Sigmoid, Tanh, Softmax
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "base": ("Layer", "ParamLayer"),
+    "dense": ("Dense",),
+    "conv": ("Conv2D",),
+    "pool": ("MaxPool2D",),
+    "flatten": ("Flatten",),
+    "dropout": ("Dropout",),
+    "batchnorm": ("BatchNorm",),
+    "avgpool": ("AveragePool2D", "GlobalAveragePool2D"),
+    "activations": ("ReLU", "Sigmoid", "Tanh", "Softmax"),
+})
 
 __all__ = [
     "Layer",

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Tuple
 
-from repro.ml.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2D,
-    ReLU,
-)
+from repro.ml.layers import Dense, Flatten, ReLU
 from repro.ml.model import Sequential
 from repro.util.validation import check_positive
 
@@ -35,6 +27,8 @@ def _mlp(
     model.add(Dense(hidden_units))
     model.add(ReLU())
     if dropout > 0:
+        from repro.ml.layers import Dropout
+
         model.add(Dropout(dropout))
     model.add(Dense(max(16, hidden_units // 2)))
     model.add(ReLU())
@@ -51,6 +45,8 @@ def _cnn(
     seed: int,
     batch_norm: bool = False,
 ) -> Sequential:
+    from repro.ml.layers import BatchNorm, Conv2D, Dropout, MaxPool2D
+
     model = Sequential(seed=seed)
     model.add(Conv2D(filters, kernel_size=3, padding="same"))
     if batch_norm:

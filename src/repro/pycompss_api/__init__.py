@@ -18,28 +18,24 @@ are ignored."  When no runtime has been started, ``@task`` functions run
 inline and ``compss_wait_on`` is the identity.
 """
 
+# These three names are also their submodules' names: a direct import of
+# the submodule would bind the module over a lazy name, so they bind here
+# (all three modules import nothing heavy).
 from repro.pycompss_api.task import task
 from repro.pycompss_api.constraint import constraint
 from repro.pycompss_api.implement import implement, binary, mpi, ompss, multinode
-from repro.pycompss_api.parameter import (
-    IN,
-    OUT,
-    INOUT,
-    FILE_IN,
-    FILE_OUT,
-    FILE_INOUT,
-    Direction,
-)
-from repro.pycompss_api.task_group import TaskGroup, compss_barrier_group
-from repro.pycompss_api.api import (
-    compss_start,
-    compss_stop,
-    compss_wait_on,
-    compss_barrier,
-    compss_open,
-    compss_delete_object,
-    COMPSs,
-)
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "parameter": (
+        "IN", "OUT", "INOUT", "FILE_IN", "FILE_OUT", "FILE_INOUT", "Direction",
+    ),
+    "task_group": ("TaskGroup", "compss_barrier_group"),
+    "api": (
+        "compss_start", "compss_stop", "compss_wait_on", "compss_barrier",
+        "compss_open", "compss_delete_object", "COMPSs",
+    ),
+})
 
 __all__ = [
     "task",

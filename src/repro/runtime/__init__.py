@@ -6,16 +6,20 @@ worker processes; or virtually, on a simulated cluster), retries failures, and
 records Extrae-style traces.
 """
 
-from repro.runtime.config import RuntimeConfig
-from repro.runtime.runtime import COMPSsRuntime, current_runtime
-from repro.runtime.future import Future, is_future
-from repro.runtime.fault import RetryPolicy, FaultAction, TaskFailedError
-from repro.runtime.task_definition import TaskDefinition, TaskInvocation, TaskState
-from repro.runtime.graph import TaskGraph
-from repro.runtime.resources import Allocation, ResourcePool, Worker
-from repro.runtime.dot import export_dot, render_dot
-from repro.runtime.tracing import TraceAnalysis, TraceRecorder, export_prv
-from repro.runtime.stats import TaskStats, compute_stats, render_stats
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "config": ("RuntimeConfig",),
+    "runtime": ("COMPSsRuntime", "current_runtime"),
+    "future": ("Future", "is_future"),
+    "fault": ("RetryPolicy", "FaultAction", "TaskFailedError"),
+    "task_definition": ("TaskDefinition", "TaskInvocation", "TaskState"),
+    "graph": ("TaskGraph",),
+    "resources": ("Allocation", "ResourcePool", "Worker"),
+    "dot": ("export_dot", "render_dot"),
+    "tracing": ("TraceAnalysis", "TraceRecorder", "export_prv"),
+    "stats": ("TaskStats", "compute_stats", "render_stats"),
+})
 
 __all__ = [
     "RuntimeConfig",

@@ -117,6 +117,32 @@ class DispatchStats:
             "paused_skips": self.paused_skips,
         }
 
+    def summary(self) -> Dict[str, float]:
+        """Batched-scheduling summary.
+
+        ``rounds`` is the number of scheduling rounds the engine ran;
+        with wake batching on, one round drains *all* completions that
+        arrived in a simulator wake, so ``avg_batch_size`` (tasks placed
+        per round) ≫ 1 is the signature of batching paying off.
+        ``wakes`` counts blocked constraint classes woken by freed
+        capacity; ``full_wakes`` counts topology changes that re-probe
+        every class; ``handoffs`` counts placements that took a finished
+        task's slots without a probe.
+        """
+        rounds, placed = self.rounds, self.placed
+        return {
+            "rounds": rounds,
+            "placed": placed,
+            "avg_batch_size": round(placed / rounds, 3) if rounds else 0.0,
+            "wakes": self.wakes,
+            "full_wakes": self.full_wakes,
+            "placement_probes": self.placement_probes,
+            "handoffs": self.handoffs,
+            "blocked_skips": self.blocked_skips,
+            "fair_rounds": self.fair_rounds,
+            "quota_skips": self.quota_skips,
+        }
+
 
 @dataclass
 class _ClassQueue:

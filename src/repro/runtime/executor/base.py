@@ -120,6 +120,8 @@ class Executor(abc.ABC):
         self._attempts: Dict[int, List[Attempt]] = {}
         #: node -> armed drain-deadline handle (graceful drain in progress).
         self._draining: Dict[str, Any] = {}
+        #: task_id -> armed backoff wait before a retry.
+        self._backoffs: Dict[int, Any] = {}
         #: The armed starvation deadline and when it fires.
         self._starvation_handle: Any = None
         self._starvation_at = 0.0
@@ -205,13 +207,14 @@ class Executor(abc.ABC):
         return self._at(self.clock() + delay, fn, *args)
 
     def _cancel_timers(self) -> None:
-        """Cancel every armed attempt event, drain deadline and the
-        starvation deadline (at shutdown)."""
+        """Cancel every armed attempt event, backoff wait, drain deadline
+        and the starvation deadline (at shutdown)."""
         for attempts in self._attempts.values():
             for attempt in attempts:
                 attempt.cancel_events()
-        for handle in self._draining.values():
+        for handle in (*self._backoffs.values(), *self._draining.values()):
             handle.cancel()
+        self._backoffs.clear()
         self._draining.clear()
         if self._starvation_handle is not None:
             self._starvation_handle.cancel()
@@ -361,11 +364,19 @@ class Executor(abc.ABC):
                 now, rsl.BACKOFF_WAIT, task.label, node,
                 detail=f"{delay:.2f}s before {action.value}",
             )
-            self._after(delay, retry, assignment)
+            self._backoffs[task.task_id] = self._after(
+                delay, self._end_backoff, retry, assignment
+            )
         else:
             retry(assignment)
             return
         self._dispatch()
+
+    def _end_backoff(
+        self, retry: Callable[[Assignment], None], assignment: Assignment
+    ) -> None:
+        del self._backoffs[assignment.task.task_id]
+        retry(assignment)
 
     def _retry_same_node(self, assignment: Assignment) -> None:
         """Reacquire the failed attempt's node and rerun there.

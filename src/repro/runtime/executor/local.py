@@ -42,7 +42,6 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.runtime import integrity as igr
 from repro.runtime import resilience as rsl
 from repro.runtime.executor.base import Attempt, Executor
 from repro.runtime.fault import TaskFailedError, TaskTimeoutError
@@ -267,7 +266,9 @@ class LocalExecutor(Executor):
                     producer, versions, consumer_label=task.label
                 )
                 if not outcome.ok:
-                    raise igr.IntegrityError(
+                    from repro.runtime.integrity import IntegrityError
+
+                    raise IntegrityError(
                         f"input {','.join(outcome.corrupt)} of {task.label} "
                         "is corrupt with no intact copy"
                     )

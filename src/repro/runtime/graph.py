@@ -232,15 +232,6 @@ class TaskGraph:
         seen.discard(start)
         return sorted(seen)
 
-    def ancestors(self, task: TaskInvocation) -> List[TaskInvocation]:
-        """All transitive predecessors of ``task`` (its data lineage)."""
-        tasks = self._tasks
-        return [
-            tasks[tid]
-            for tid in self._reachable(task.task_id, self._pred)
-            if tid in tasks
-        ]
-
     def descendants(self, task: TaskInvocation) -> List[TaskInvocation]:
         """All transitive successors (everything fed by ``task``'s data)."""
         tasks = self._tasks
@@ -321,9 +312,6 @@ class TaskGraph:
     def tasks(self) -> List[TaskInvocation]:
         """All (live) tasks in submission order."""
         return [self._tasks[tid] for tid in sorted(self._tasks)]
-
-    def task(self, task_id: int) -> TaskInvocation:
-        return self._tasks[task_id]
 
     def unfinished(self) -> List[TaskInvocation]:
         """Tasks not yet DONE."""

@@ -27,7 +27,7 @@ import threading
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Mapping, Optional
 
 from repro.util.logging_utils import get_logger
 from repro.util.validation import check_in_range, check_positive
@@ -114,6 +114,51 @@ CACHE_MISS = "cache_miss"
 CACHE_JOIN = "cache_join"
 CACHE_CORRUPT = "cache_corrupt"
 CACHE_EVICT = "cache_evict"
+
+#: ``(roll-up, key, event kind)`` rows behind the six resilience
+#: roll-ups (``worker_churn`` … ``reuse``): each returns its rows' keys,
+#: in table order, mapped to the count of their event kind.
+ROLLUPS = (
+    ("worker_churn", "crashes", WORKER_CRASH),
+    ("worker_churn", "hard_kills", WORKER_KILLED),
+    ("worker_churn", "recycles", WORKER_RECYCLED),
+    ("worker_churn", "poisoned_tasks", POISON_TASK),
+    ("data_integrity", "corruptions", DATA_CORRUPT),
+    ("data_integrity", "replica_repairs", REPLICA_REPAIR),
+    ("data_integrity", "recomputes", INTEGRITY_RECOMPUTE),
+    ("data_integrity", "transfer_retries", TRANSFER_RETRY),
+    ("data_integrity", "transfer_failures", TRANSFER_FAILED),
+    ("churn", "preemption_notices", PREEMPTION_NOTICE),
+    ("churn", "drains_started", NODE_DRAINING),
+    ("churn", "drains_completed", DRAIN_COMPLETE),
+    ("churn", "drain_deadline_escalations", DRAIN_DEADLINE),
+    ("churn", "nodes_lost", NODE_LOST),
+    ("churn", "nodes_rejoined", NODE_REJOINED),
+    ("churn", "classes_starved", CLASS_STARVED),
+    ("churn", "upstream_cancellations", UPSTREAM_CANCELLED),
+    ("service", "studies_admitted", STUDY_ADMITTED),
+    ("service", "studies_completed", STUDY_COMPLETED),
+    ("service", "studies_failed", STUDY_FAILED),
+    ("service", "studies_cancelled", STUDY_CANCELLED),
+    ("service", "studies_suspended", STUDY_SUSPENDED),
+    ("service", "loads_shed", LOAD_SHED),
+    ("preemption", "trials_suspended", TRIAL_SUSPENDED),
+    ("preemption", "suspend_spills", SUSPEND_SPILL),
+    ("preemption", "trials_resumed", TRIAL_RESUMED),
+    ("preemption", "rung_promotions", RUNG_PROMOTION),
+    ("preemption", "studies_suspended", STUDY_SUSPENDED),
+    ("reuse", "cache_hits", CACHE_HIT),
+    ("reuse", "cache_misses", CACHE_MISS),
+    ("reuse", "joined", CACHE_JOIN),
+    ("reuse", "cache_corrupt", CACHE_CORRUPT),
+    ("reuse", "cache_evictions", CACHE_EVICT),
+)
+
+
+def rollup(counts: Mapping[str, int], name: str) -> Dict[str, int]:
+    """The ``name`` roll-up of :data:`ROLLUPS` over ``kind -> count``."""
+    return {key: counts.get(kind, 0) for group, key, kind in ROLLUPS if group == name}
+
 
 EVENT_KINDS = (
     TIMEOUT,

@@ -13,14 +13,12 @@ import gc
 import operator
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.runtime import checkpoint as ckpt
-from repro.runtime import integrity as igr
 from repro.runtime.access_processor import AccessProcessor
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.dispatch import DispatchEngine
-from repro.runtime.dot import export_dot, render_dot
 from repro.runtime.executor.base import Executor
 from repro.runtime.executor.local import LocalExecutor
 from repro.runtime.executor.simulated import SimulatedExecutor
@@ -48,9 +46,12 @@ from repro.runtime.task_definition import (
     TaskState,
     reset_invocation_counter,
 )
-from repro.runtime.tracing.analysis import TraceAnalysis
 from repro.runtime.tracing.extrae import TraceRecorder
 from repro.util.logging_utils import get_logger
+
+if TYPE_CHECKING:
+    from repro.runtime.integrity import IntegrityManager
+    from repro.runtime.tracing.analysis import TraceAnalysis
 
 _log = get_logger("runtime")
 
@@ -164,8 +165,10 @@ class COMPSsRuntime:
         #: checksum on every data version at write time, verifies at
         #: consume time, repairs from replicas, escalates to lineage
         #: recompute.  ``None`` when verification is off (zero overhead).
-        self.integrity: Optional[igr.IntegrityManager] = None
+        self.integrity: Optional[IntegrityManager] = None
         if self.config.verify_outputs:
+            from repro.runtime import integrity as igr
+
             mode = (
                 igr.MODE_SIMULATED
                 if isinstance(self.executor, SimulatedExecutor)
@@ -674,14 +677,20 @@ class COMPSsRuntime:
     # ------------------------------------------------------------------
     def analysis(self) -> TraceAnalysis:
         """Trace analysis over everything recorded so far."""
+        from repro.runtime.tracing.analysis import TraceAnalysis
+
         return TraceAnalysis(self.tracer, self.resilience, self.dispatcher.stats)
 
     def render_graph(self) -> str:
         """DOT text of the current task graph (Fig. 3)."""
+        from repro.runtime.dot import render_dot
+
         return render_dot(self.graph, self.sync_points)
 
     def export_graph(self, path) -> None:
         """Write the DOT graph to ``path``."""
+        from repro.runtime.dot import export_dot
+
         export_dot(self.graph, path, self.sync_points)
 
     @property

@@ -8,9 +8,13 @@ recomputes everything the paper reads off its Paraver screenshots
 (Figs. 4–6), and the exporter writes a Paraver-like ``.prv`` text file.
 """
 
-from repro.runtime.tracing.extrae import TraceRecorder, TaskRecord
-from repro.runtime.tracing.analysis import TraceAnalysis
-from repro.runtime.tracing.paraver import export_prv
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "extrae": ("TraceRecorder", "TaskRecord"),
+    "analysis": ("TraceAnalysis",),
+    "paraver": ("export_prv",),
+})
 
 __all__ = [
     "TraceRecorder",

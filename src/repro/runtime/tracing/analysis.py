@@ -11,54 +11,16 @@ Paraver timeline screenshots.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime import resilience as rsl
+from repro.runtime.dispatch import DispatchStats
 from repro.runtime.resilience import ResilienceEvent, ResilienceLog
 from repro.runtime.tracing.extrae import TaskRecord, TraceRecorder
 from repro.util.validation import check_positive
 
 CoreKey = Tuple[str, str, int]  # (node, "cpu"|"gpu", index)
-
-#: ``(roll-up, key, event kind)`` rows behind the six resilience
-#: roll-ups (``worker_churn`` … ``reuse``): each returns its rows' keys,
-#: in table order, mapped to the count of their event kind.
-_ROLLUPS = (
-    ("worker_churn", "crashes", rsl.WORKER_CRASH),
-    ("worker_churn", "hard_kills", rsl.WORKER_KILLED),
-    ("worker_churn", "recycles", rsl.WORKER_RECYCLED),
-    ("worker_churn", "poisoned_tasks", rsl.POISON_TASK),
-    ("data_integrity", "corruptions", rsl.DATA_CORRUPT),
-    ("data_integrity", "replica_repairs", rsl.REPLICA_REPAIR),
-    ("data_integrity", "recomputes", rsl.INTEGRITY_RECOMPUTE),
-    ("data_integrity", "transfer_retries", rsl.TRANSFER_RETRY),
-    ("data_integrity", "transfer_failures", rsl.TRANSFER_FAILED),
-    ("churn", "preemption_notices", rsl.PREEMPTION_NOTICE),
-    ("churn", "drains_started", rsl.NODE_DRAINING),
-    ("churn", "drains_completed", rsl.DRAIN_COMPLETE),
-    ("churn", "drain_deadline_escalations", rsl.DRAIN_DEADLINE),
-    ("churn", "nodes_lost", rsl.NODE_LOST),
-    ("churn", "nodes_rejoined", rsl.NODE_REJOINED),
-    ("churn", "classes_starved", rsl.CLASS_STARVED),
-    ("churn", "upstream_cancellations", rsl.UPSTREAM_CANCELLED),
-    ("service", "studies_admitted", rsl.STUDY_ADMITTED),
-    ("service", "studies_completed", rsl.STUDY_COMPLETED),
-    ("service", "studies_failed", rsl.STUDY_FAILED),
-    ("service", "studies_cancelled", rsl.STUDY_CANCELLED),
-    ("service", "studies_suspended", rsl.STUDY_SUSPENDED),
-    ("service", "loads_shed", rsl.LOAD_SHED),
-    ("preemption", "trials_suspended", rsl.TRIAL_SUSPENDED),
-    ("preemption", "suspend_spills", rsl.SUSPEND_SPILL),
-    ("preemption", "trials_resumed", rsl.TRIAL_RESUMED),
-    ("preemption", "rung_promotions", rsl.RUNG_PROMOTION),
-    ("preemption", "studies_suspended", rsl.STUDY_SUSPENDED),
-    ("reuse", "cache_hits", rsl.CACHE_HIT),
-    ("reuse", "cache_misses", rsl.CACHE_MISS),
-    ("reuse", "joined", rsl.CACHE_JOIN),
-    ("reuse", "cache_corrupt", rsl.CACHE_CORRUPT),
-    ("reuse", "cache_evictions", rsl.CACHE_EVICT),
-)
-
 
 class TraceAnalysis:
     """Quantitative queries over a recorded trace.
@@ -88,8 +50,8 @@ class TraceAnalysis:
         self._counts: Dict[str, int] = (
             dict(resilience.totals) if resilience is not None else {}
         )
-        self._dispatch: Dict[str, int] = (
-            dispatch.snapshot() if dispatch is not None else {}
+        self._dispatch = (
+            replace(dispatch) if dispatch is not None else DispatchStats()
         )
 
     # ------------------------------------------------------------------
@@ -257,13 +219,8 @@ class TraceAnalysis:
         return dict(self._counts)
 
     def _rollup(self, name: str) -> Dict[str, int]:
-        """The ``name`` roll-up of :data:`_ROLLUPS` over the log."""
-        counts = self.resilience_counts()
-        return {
-            key: counts.get(kind, 0)
-            for rollup, key, kind in _ROLLUPS
-            if rollup == name
-        }
+        """The ``name`` roll-up of :data:`~repro.runtime.resilience.ROLLUPS`."""
+        return rsl.rollup(self._counts, name)
 
     def worker_churn(self) -> Dict[str, int]:
         """Worker-pool lifecycle summary (``backend="workers"`` studies).
@@ -327,47 +284,10 @@ class TraceAnalysis:
         return self._rollup("reuse")
 
     def dispatch(self) -> Dict[str, float]:
-        """Dispatch/batching summary (batched scheduling observability).
-
-        ``rounds`` is the number of scheduling rounds the engine ran;
-        with wake batching on, one round drains *all* completions that
-        arrived in a simulator wake, so ``avg_batch_size`` (tasks placed
-        per round) ≫ 1 is the signature of batching paying off.
-        ``wakes`` counts blocked constraint classes woken by freed
-        capacity; ``full_wakes`` counts topology changes that re-probe
-        every class; ``handoffs`` counts placements that took a finished
-        task's slots without a probe.  All zero when no dispatch stats were captured.
-        """
-        d = self._dispatch
-        rounds = d.get("rounds", 0)
-        placed = d.get("placed", 0)
-        return {
-            "rounds": rounds,
-            "placed": placed,
-            "avg_batch_size": round(placed / rounds, 3) if rounds else 0.0,
-            "wakes": d.get("wakes", 0),
-            "full_wakes": d.get("full_wakes", 0),
-            "placement_probes": d.get("placement_probes", 0),
-            "handoffs": d.get("handoffs", 0),
-            "blocked_skips": d.get("blocked_skips", 0),
-            "fair_rounds": d.get("fair_rounds", 0),
-            "quota_skips": d.get("quota_skips", 0),
-        }
-
-    def resilience_events(self, kind: Optional[str] = None) -> List[ResilienceEvent]:
-        """Resilience events, optionally filtered to one kind."""
-        if kind is None:
-            return list(self.resilience)
-        return [e for e in self.resilience if e.kind == kind]
-
-    def resilience_timeline(self, max_rows: int = 40) -> str:
-        """One line per resilience event, in decision order."""
-        if not self.resilience:
-            return "(no resilience events)"
-        lines = [e.describe() for e in self.resilience[:max_rows]]
-        if len(self.resilience) > max_rows:
-            lines.append(f"... ({len(self.resilience) - max_rows} more events)")
-        return "\n".join(lines)
+        """Dispatch/batching summary
+        (:meth:`~repro.runtime.dispatch.DispatchStats.summary`) at
+        construction; all zero when no dispatch stats were captured."""
+        return self._dispatch.summary()
 
     # ------------------------------------------------------------------
     # Rendering

@@ -20,21 +20,19 @@ shared filesystem — the natural transport on the paper's HPC clusters,
 where a login-node daemon and compute-side clients share ``$HOME``).
 """
 
-from repro.service.admission import AdmissionConfig, AdmissionController
-from repro.service.client import ServiceClient
-from repro.service.daemon import HPOService
-from repro.service.errors import (
-    ClientTimeoutError,
-    QueueFullError,
-    ServiceError,
-    ServiceOverloadedError,
-    StudyCancelledError,
-    StudyConflictError,
-    StudyFailedError,
-    StudyNotFoundError,
-    TenantQuotaError,
-)
-from repro.service.protocol import StudyRequest
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "admission": ("AdmissionConfig", "AdmissionController"),
+    "client": ("ServiceClient",),
+    "daemon": ("HPOService",),
+    "errors": (
+        "ClientTimeoutError", "QueueFullError", "ServiceError",
+        "ServiceOverloadedError", "StudyCancelledError", "StudyConflictError",
+        "StudyFailedError", "StudyNotFoundError", "TenantQuotaError",
+    ),
+    "protocol": ("StudyRequest",),
+})
 
 __all__ = [
     "AdmissionConfig",

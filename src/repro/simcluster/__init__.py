@@ -17,29 +17,22 @@ which core/node, when, and for how long — and those are fully determined by
 the resource model + cost model + scheduler, all of which we implement.
 """
 
-from repro.simcluster.events import DiscreteEventSimulator, EventHandle
-from repro.simcluster.node import NodeSpec, ProcessorKind
-from repro.simcluster.machines import (
-    ClusterSpec,
-    mare_nostrum4,
-    minotauro,
-    cte_power9,
-    local_machine,
-    heterogeneous,
-)
-from repro.simcluster.network import NetworkModel
-from repro.simcluster.storage import (
-    StorageModel,
-    SharedParallelFilesystem,
-    LocalDiskStaging,
-)
-from repro.simcluster.costmodel import (
-    DatasetProfile,
-    MNIST_LIKE,
-    CIFAR10_LIKE,
-    TrainingCostModel,
-)
-from repro.simcluster.failures import FailureInjector, FailurePlan, NodeFailure
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "events": ("DiscreteEventSimulator", "EventHandle"),
+    "node": ("NodeSpec", "ProcessorKind"),
+    "machines": (
+        "ClusterSpec", "mare_nostrum4", "minotauro", "cte_power9",
+        "local_machine", "heterogeneous",
+    ),
+    "network": ("NetworkModel",),
+    "storage": ("StorageModel", "SharedParallelFilesystem", "LocalDiskStaging"),
+    "costmodel": (
+        "DatasetProfile", "MNIST_LIKE", "CIFAR10_LIKE", "TrainingCostModel",
+    ),
+    "failures": ("FailureInjector", "FailurePlan", "NodeFailure"),
+})
 
 __all__ = [
     "DiscreteEventSimulator",

@@ -6,15 +6,16 @@ wall-clock timing, ASCII plotting (the stand-in for the paper's matplotlib
 dashboards), logging configuration, and argument validation.
 """
 
-from repro.util.seeding import SeedSequenceFactory, derive_seed, rng_from
-from repro.util.timing import Stopwatch, format_duration
-from repro.util.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_type,
-    check_one_of,
-)
+from repro.util.lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "seeding": ("SeedSequenceFactory", "derive_seed", "rng_from"),
+    "timing": ("Stopwatch", "format_duration"),
+    "validation": (
+        "check_positive", "check_non_negative", "check_in_range", "check_type",
+        "check_one_of",
+    ),
+})
 
 __all__ = [
     "SeedSequenceFactory",

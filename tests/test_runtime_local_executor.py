@@ -347,6 +347,33 @@ class TestTimers:
             timer.join(timeout=1.0)
         assert not [t for t in timers if t.is_alive()]
 
+    def test_no_backoff_wait_outlives_stop(self):
+        before = set(threading.enumerate())
+        rt = self.runtime(
+            local_machine(1),
+            retry_policy=RetryPolicy(backoff_base_s=30.0, backoff_jitter=0.0),
+        )
+        calls = []
+
+        @task(returns=int)
+        def fails(x):
+            calls.append(x)
+            raise RuntimeError("first attempt fails")
+
+        try:
+            fails(1)
+            _wait_until(lambda: rt.resilience.of_kind(rsl.BACKOFF_WAIT))
+        finally:
+            rt.stop(wait=False)
+        timers = [
+            t for t in threading.enumerate()
+            if isinstance(t, threading.Timer) and t not in before
+        ]
+        for timer in timers:
+            timer.join(timeout=1.0)
+        assert not [t for t in timers if t.is_alive()]
+        assert calls == [1]
+
 
 def _module_square_definition():
     from repro.runtime.task_definition import TaskDefinition
