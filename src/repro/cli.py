@@ -28,30 +28,23 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.hpo.algorithms import ALGORITHMS
-from repro.runtime.config import RuntimeConfig
-from repro.service.admission import AdmissionConfig
-from repro.service.protocol import StudyRequest
-from repro.simcluster import (
-    cte_power9,
-    local_machine,
-    mare_nostrum4,
-    minotauro,
-)
+import repro.simcluster as simcluster  # a lazy surface: loads no preset yet
 from repro.util.knobs import KnobField, check_knob, knob_fields
 from repro.util.logging_utils import set_verbosity
 from repro.util.timing import format_duration
 
 CLUSTERS = {
-    "local": lambda n: local_machine(cpu_cores=4 * max(1, n)),
-    "mn4": mare_nostrum4,
-    "minotauro": minotauro,
-    "power9": cte_power9,
+    "local": lambda n: simcluster.local_machine(cpu_cores=4 * max(1, n)),
+    "mn4": lambda n: simcluster.mare_nostrum4(n),
+    "minotauro": lambda n: simcluster.minotauro(n),
+    "power9": lambda n: simcluster.cte_power9(n),
 }
 
 
 def _algorithm_kwargs(args) -> dict:
     """Budget/seed kwargs the chosen algorithm takes (run and submit)."""
+    from repro.hpo.algorithms import ALGORITHMS
+
     params = inspect.signature(ALGORITHMS[args.algorithm]).parameters
     return {k: getattr(args, k) for k in ("n_trials", "seed") if k in params}
 
@@ -113,8 +106,14 @@ def knob_values(args, cls) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument schema (exposed for tests and docs)."""
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI argument schema (exposed for tests and docs).
+
+    With ``command``, the ``run``, ``serve`` and ``submit`` parsers
+    get their arguments only when it names them, so a client command
+    imports no runtime config for their knob flags; without it,
+    every parser is complete.
+    """
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="Distributed HPO over the PyCOMPSs-like runtime "
@@ -123,42 +122,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an HPO study from a JSON config")
-    run.add_argument("config", type=Path, help="Listing-1 style JSON file")
-    run.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
-    run.add_argument("--nodes", type=int, default=1, help="number of nodes")
-    add_knob_flags(
-        run, RuntimeConfig, "executor", "backend", "task_timeout_s",
-        "max_tasks_per_worker", "poison_threshold", "scheduler",
-    )
-    add_knob_flags(run, StudyRequest, "algorithm")
-    run.add_argument("--n-trials", type=int, default=20,
-                     help="budget for non-exhaustive algorithms")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--cores-per-task", type=int, default=1)
-    run.add_argument("--gpus-per-task", type=int, default=0)
-    add_knob_flags(run, RuntimeConfig, "reserved_cores")
-    run.add_argument("--target-accuracy", type=float, default=None,
-                     help="stop the whole study once reached (paper §6.1)")
-    run.add_argument("--mock-objective", action="store_true",
-                     help="skip real training; use the deterministic mock")
-    add_knob_flags(run, RuntimeConfig, "tracing", "graph")
-    run.add_argument("--out-dir", type=Path, default=None,
-                     help="directory for study/trace/graph artifacts")
-    add_knob_flags(run, RuntimeConfig, "checkpoint_dir", "checkpoint_every")
-    run.add_argument("--resume-from", default=None,
-                     help="checkpoint directory (or journal.jsonl) of a "
-                     "crashed run; completed tasks are restored, not rerun")
-    add_knob_flags(
-        run, RuntimeConfig, "reuse_cache", "cache_dir", "cache_max_bytes"
-    )
-    add_knob_flags(run, StudyRequest, "stage_epochs")
-    add_knob_flags(
-        run, RuntimeConfig, "verify_outputs", "replication_factor",
-        "transfer_retries", "drain_deadline_s", "starvation_timeout_s",
-        "preempt_checkpoint_epochs", "suspend_grace_s",
-        "max_suspended_trials",
-    )
-    run.add_argument("--verbose", action="store_true")
+    if command in (None, "run"):
+        from repro.runtime.config import RuntimeConfig
+        from repro.service.protocol import StudyRequest
+
+        run.add_argument("config", type=Path, help="Listing-1 style JSON file")
+        run.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
+        run.add_argument("--nodes", type=int, default=1, help="number of nodes")
+        add_knob_flags(
+            run, RuntimeConfig, "executor", "backend", "task_timeout_s",
+            "max_tasks_per_worker", "poison_threshold", "scheduler",
+        )
+        add_knob_flags(run, StudyRequest, "algorithm")
+        run.add_argument("--n-trials", type=int, default=20,
+                         help="budget for non-exhaustive algorithms")
+        run.add_argument("--seed", type=int, default=0)
+        run.add_argument("--cores-per-task", type=int, default=1)
+        run.add_argument("--gpus-per-task", type=int, default=0)
+        add_knob_flags(run, RuntimeConfig, "reserved_cores")
+        run.add_argument("--target-accuracy", type=float, default=None,
+                         help="stop the whole study once reached (paper §6.1)")
+        run.add_argument("--mock-objective", action="store_true",
+                         help="skip real training; use the deterministic mock")
+        add_knob_flags(run, RuntimeConfig, "tracing", "graph")
+        run.add_argument("--out-dir", type=Path, default=None,
+                         help="directory for study/trace/graph artifacts")
+        add_knob_flags(run, RuntimeConfig, "checkpoint_dir", "checkpoint_every")
+        run.add_argument("--resume-from", default=None,
+                         help="checkpoint directory (or journal.jsonl) of a "
+                         "crashed run; completed tasks are restored, not rerun")
+        add_knob_flags(
+            run, RuntimeConfig, "reuse_cache", "cache_dir", "cache_max_bytes"
+        )
+        add_knob_flags(run, StudyRequest, "stage_epochs")
+        add_knob_flags(
+            run, RuntimeConfig, "verify_outputs", "replication_factor",
+            "transfer_retries", "drain_deadline_s", "starvation_timeout_s",
+            "preempt_checkpoint_epochs", "suspend_grace_s",
+            "max_suspended_trials",
+        )
+        run.add_argument("--verbose", action="store_true")
 
     describe = sub.add_parser(
         "describe-cluster", help="print a cluster preset's hardware"
@@ -215,46 +218,53 @@ def build_parser() -> argparse.ArgumentParser:
         "directory (fault-isolated studies, admission control, "
         "whole-daemon crash recovery)",
     )
-    serve.add_argument("root", type=Path, help="service root directory")
-    serve.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
-    serve.add_argument("--nodes", type=int, default=1)
-    add_knob_flags(serve, RuntimeConfig, "executor", "backend", "scheduler")
-    add_knob_flags(
-        serve, AdmissionConfig, "max_queued_studies", "max_queued_per_tenant",
-        "max_studies_per_tenant", "max_concurrent_studies", "rss_limit_mb",
-    )
-    add_knob_flags(serve, RuntimeConfig, "reuse_cache", "cache_max_bytes")
-    serve.add_argument("--drain-deadline", type=float, default=30.0,
-                       help="graceful-shutdown budget; stragglers are "
-                       "re-queued for the next daemon life")
-    serve.add_argument("--heartbeat", type=float, default=1.0,
-                       help="daemon.json liveness stamp cadence (seconds)")
-    serve.add_argument("--once", action="store_true",
-                       help="serve until the inbox/queue/running set is "
-                       "empty, then exit (CI soak mode)")
-    serve.add_argument("--max-wait", type=float, default=None,
-                       help="with --once: fail if not idle in this time")
-    serve.add_argument("--verbose", action="store_true")
+    if command in (None, "serve"):
+        from repro.runtime.config import RuntimeConfig
+        from repro.service.admission import AdmissionConfig
+
+        serve.add_argument("root", type=Path, help="service root directory")
+        serve.add_argument("--cluster", choices=sorted(CLUSTERS), default="local")
+        serve.add_argument("--nodes", type=int, default=1)
+        add_knob_flags(serve, RuntimeConfig, "executor", "backend", "scheduler")
+        add_knob_flags(
+            serve, AdmissionConfig, "max_queued_studies", "max_queued_per_tenant",
+            "max_studies_per_tenant", "max_concurrent_studies", "rss_limit_mb",
+        )
+        add_knob_flags(serve, RuntimeConfig, "reuse_cache", "cache_max_bytes")
+        serve.add_argument("--drain-deadline", type=float, default=30.0,
+                           help="graceful-shutdown budget; stragglers are "
+                           "re-queued for the next daemon life")
+        serve.add_argument("--heartbeat", type=float, default=1.0,
+                           help="daemon.json liveness stamp cadence (seconds)")
+        serve.add_argument("--once", action="store_true",
+                           help="serve until the inbox/queue/running set is "
+                           "empty, then exit (CI soak mode)")
+        serve.add_argument("--max-wait", type=float, default=None,
+                           help="with --once: fail if not idle in this time")
+        serve.add_argument("--verbose", action="store_true")
 
     submit = sub.add_parser(
         "submit", help="submit a study to a running service daemon"
     )
-    submit.add_argument("root", type=Path, help="service root directory")
-    submit.add_argument("study_id", help="unique study id (idempotency key)")
-    submit.add_argument("config", type=Path,
-                        help="Listing-1 style JSON search-space file")
-    add_knob_flags(submit, StudyRequest, "tenant", "algorithm")
-    submit.add_argument("--n-trials", type=int, default=20)
-    submit.add_argument("--seed", type=int, default=0)
-    add_knob_flags(
-        submit, StudyRequest, "objective", "priority", "weight", "batch_size",
-        "max_trial_retries", "max_failed_trials", "max_tenant_slots",
-        "stage_epochs",
-    )
-    submit.add_argument("--timeout", type=float, default=30.0,
-                        help="seconds to wait for the admission verdict")
-    submit.add_argument("--no-wait", action="store_true",
-                        help="drop the request and return immediately")
+    if command in (None, "submit"):
+        from repro.service.protocol import StudyRequest
+
+        submit.add_argument("root", type=Path, help="service root directory")
+        submit.add_argument("study_id", help="unique study id (idempotency key)")
+        submit.add_argument("config", type=Path,
+                            help="Listing-1 style JSON search-space file")
+        add_knob_flags(submit, StudyRequest, "tenant", "algorithm")
+        submit.add_argument("--n-trials", type=int, default=20)
+        submit.add_argument("--seed", type=int, default=0)
+        add_knob_flags(
+            submit, StudyRequest, "objective", "priority", "weight", "batch_size",
+            "max_trial_retries", "max_failed_trials", "max_tenant_slots",
+            "stage_epochs",
+        )
+        submit.add_argument("--timeout", type=float, default=30.0,
+                            help="seconds to wait for the admission verdict")
+        submit.add_argument("--no-wait", action="store_true",
+                            help="drop the request and return immediately")
 
     watch = sub.add_parser(
         "watch", help="wait for a submitted study to reach a terminal state"
@@ -276,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_runtime_config(args) -> RuntimeConfig:
+def _make_runtime_config(args):
+    from repro.runtime.config import RuntimeConfig
+
     return RuntimeConfig(
         cluster=CLUSTERS[args.cluster](args.nodes),
         execute_bodies=True,
@@ -341,6 +353,7 @@ def cmd_run(args) -> int:
             stage_plan=stage_plan,
         )
         study = runner.run()
+        analysis = runtime.analysis()
         report_lines = [
             f"cluster: {runtime.cluster.name}  scheduler: {args.scheduler}  "
             f"algorithm: {algorithm.name}",
@@ -351,11 +364,11 @@ def cmd_run(args) -> int:
             "",
             accuracy_curves(study, max_series=8),
             "",
-            runtime.analysis().summary(),
+            analysis.summary(),
             "",
             render_stats(runtime.tracer),
         ]
-        dispatch = runtime.analysis().dispatch()
+        dispatch = analysis.dispatch()
         if dispatch["rounds"]:
             report_lines += ["", (
                 "dispatch: "
@@ -370,7 +383,7 @@ def cmd_run(args) -> int:
             report_lines += ["", runtime.integrity.describe()]
         if runtime.reuse is not None:
             report_lines += ["", runtime.reuse.describe()]
-        churn = runtime.analysis().churn()
+        churn = analysis.churn()
         if any(churn.values()):
             report_lines += ["", (
                 "node churn: "
@@ -383,7 +396,7 @@ def cmd_run(args) -> int:
                 f"{churn['classes_starved']} class(es) starved, "
                 f"{churn['upstream_cancellations']} consumer(s) cancelled"
             )]
-        preempt = runtime.analysis().preemption()
+        preempt = analysis.preemption()
         if any(preempt.values()):
             stats = study.metadata.get("preemption", {})
             report_lines += ["", (
@@ -544,6 +557,7 @@ def cmd_serve(args) -> int:
     import signal
 
     from repro.service import HPOService
+    from repro.service.admission import AdmissionConfig
 
     set_verbosity(args.verbose)
     service = HPOService(
@@ -572,6 +586,7 @@ def cmd_serve(args) -> int:
 
 def cmd_submit(args) -> int:
     from repro.service import ServiceClient, ServiceError
+    from repro.service.protocol import StudyRequest
 
     spec = json.loads(args.config.read_text(encoding="utf-8"))
     request = StudyRequest(
@@ -662,7 +677,9 @@ COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     return COMMANDS[args.command](args)
 
 

@@ -112,6 +112,19 @@ def test_client_commands_load_no_runtime(command, tmp_path):
     assert heavy == []
 
 
+def test_submit_help_loads_no_numpy_and_no_runtime_config():
+    loaded = _modules_after(
+        "from repro.cli import main\n"
+        "try:\n"
+        "    main(['submit', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass"
+    )
+    assert "repro.cli" in loaded
+    assert "numpy" not in loaded
+    assert "repro.runtime.config" not in loaded
+
+
 NEVER_RUN_BY_A_DEFAULT_SESSION = {
     "repro.hpo.baselines",
     "repro.hpo.visualization",

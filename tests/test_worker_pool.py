@@ -47,6 +47,20 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _wait_exited(pid: int, timeout: float = 5.0) -> None:
+    """Wait until ``pid`` (a child of this process) is a zombie or gone."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return
+        if stat.rsplit(")", 1)[1].split()[0] in ("Z", "X"):
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"pid {pid} still running after {timeout}s")
+
+
 def _segfault() -> None:
     """Dereference NULL: the OS kills the process with SIGSEGV."""
     ctypes.string_at(0)
@@ -156,6 +170,21 @@ class TestCrashContainment:
             assert compss_wait_on(fut) == 9
             assert rt.resilience.counts().get("worker_crash", 0) >= 1
 
+    def test_idle_worker_death_found_at_next_claim(self):
+        cfg = RuntimeConfig(
+            cluster=local_machine(2), backend="workers", max_parallel=1,
+        )
+        with COMPSs(cfg) as rt:
+            assert compss_wait_on([add_one(i) for i in range(3)]) == [1, 2, 3]
+            [victim] = rt.executor.worker_pids()
+            os.kill(victim, signal.SIGKILL)
+            _wait_exited(victim)
+            assert compss_wait_on(add_one(10)) == 11
+            crashes = rt.resilience.of_kind("worker_crash")
+            assert len(crashes) == 1
+            assert "idle worker died" in crashes[0].detail
+            assert victim not in rt.executor.worker_pids()
+
     def test_crash_error_is_retryable_not_instant_failure(self, tmp_path):
         # With retries disabled the crash must surface as the cause.
         marker = str(tmp_path / "nocov")
@@ -256,6 +285,19 @@ class TestShutdown:
         while time.time() < deadline and any(_pid_alive(p) for p in pids):
             time.sleep(0.05)
         assert not any(_pid_alive(p) for p in pids)
+
+    def test_slot_threads_are_the_only_pool_threads(self):
+        before = set(threading.enumerate())
+        with COMPSs(cluster=local_machine(4), backend="workers") as rt:
+            assert compss_wait_on([add_one(i) for i in range(16)]) == list(
+                range(1, 17)
+            )
+            assert len(rt.executor.worker_pids()) == 4
+            names = sorted(
+                t.name for t in set(threading.enumerate()) - before
+            )
+        assert names, "no slot thread ran"
+        assert all(name.startswith("repro-worker") for name in names), names
 
     def test_no_leaked_processes_after_chaos(self, tmp_path):
         marker = str(tmp_path / "chaos")
