@@ -22,7 +22,6 @@ and ``report.txt`` (tables + ASCII figures).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -39,14 +38,6 @@ CLUSTERS = {
     "minotauro": lambda n: simcluster.minotauro(n),
     "power9": lambda n: simcluster.cte_power9(n),
 }
-
-
-def _algorithm_kwargs(args) -> dict:
-    """Budget/seed kwargs the chosen algorithm takes (run and submit)."""
-    from repro.hpo.algorithms import ALGORITHMS
-
-    params = inspect.signature(ALGORITHMS[args.algorithm]).parameters
-    return {k: getattr(args, k) for k in ("n_trials", "seed") if k in params}
 
 
 def _dest(field: KnobField) -> str:
@@ -307,6 +298,7 @@ def cmd_run(args) -> int:
         get_algorithm,
         load_search_space,
     )
+    from repro.hpo.algorithms import budget_kwargs
     from repro.hpo.objective import fast_mock_objective, train_experiment
     from repro.pycompss_api.constraint import ResourceConstraint
     from repro.runtime.runtime import COMPSsRuntime
@@ -315,7 +307,8 @@ def cmd_run(args) -> int:
 
     set_verbosity(args.verbose)
     space = load_search_space(args.config)
-    algorithm = get_algorithm(args.algorithm, space, **_algorithm_kwargs(args))
+    budget = budget_kwargs(args.algorithm, {"n_trials": args.n_trials, "seed": args.seed})
+    algorithm = get_algorithm(args.algorithm, space, **budget)
 
     stoppers = []
     if args.target_accuracy is not None:
@@ -592,7 +585,9 @@ def cmd_submit(args) -> int:
     request = StudyRequest(
         study_id=args.study_id,
         space=spec,
-        algorithm_kwargs=_algorithm_kwargs(args),
+        # The daemon drops what the algorithm does not take
+        # (budget_kwargs), so the client imports no algorithm.
+        algorithm_kwargs={"n_trials": args.n_trials, "seed": args.seed},
         **knob_values(args, StudyRequest),
     )
     client = ServiceClient(args.root, timeout_s=args.timeout)

@@ -10,7 +10,8 @@ a function and specifying the algorithm".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Type, Union
+import inspect
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Type, Union
 
 from repro.util.lazy import lazy_surface
 
@@ -91,6 +92,22 @@ def get_algorithm(
     return cls(space, **kwargs)
 
 
+def budget_kwargs(name: str, kwargs: Mapping[str, Any]) -> Dict[str, Any]:
+    """``kwargs`` without the ``n_trials`` / ``seed`` entries that
+    algorithm ``name``'s constructor does not take (grid search takes
+    neither); every other entry passes through.
+
+    The side that builds the algorithm filters, by its signature: a
+    ``repro-hpo submit`` client sends both keys for every algorithm, so
+    it never imports one (and numpy) to read its signature.
+    """
+    params = inspect.signature(ALGORITHMS[name]).parameters
+    return {
+        k: v for k, v in kwargs.items()
+        if k in params or k not in ("n_trials", "seed")
+    }
+
+
 __all__ = [
     "SearchAlgorithm",
     "GridSearch",
@@ -101,5 +118,6 @@ __all__ = [
     "SuccessiveHalving",
     "EvolutionarySearch",
     "AsyncASHA",
+    "budget_kwargs",
     "get_algorithm",
 ]

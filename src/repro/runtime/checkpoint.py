@@ -204,14 +204,7 @@ class TaskKeyer:
         if task.task_key is not None:
             return task.task_key
         name = task.definition.name
-        args = task.args
-        if len(args) == 1 and type(args[0]) in _PRIMITIVE_TYPES and not task.kwargs:
-            # _params_digest's exact-primitive exit for one argument.
-            digest = hashlib.sha1(
-                (repr(args[0]) + "\x00").encode("utf-8", "replace")
-            ).hexdigest()
-        else:
-            digest = self._params_digest(args, task.kwargs)
+        digest = self._params_digest(task.args, task.kwargs)
         table = self._occurrences.get(name)
         if table is None:
             table = self._occurrences[name] = OccurrenceTable()
@@ -268,15 +261,7 @@ class TaskKeyer:
         self, args: Tuple[Any, ...], kwargs: Dict[str, Any], content: bool = False
     ) -> str:
         """sha1 of each argument's canonical form and a NUL, then of each
-        kwarg's ``name=``, form and NUL.  Early exit: with no kwargs and only
-        exact ``_PRIMITIVE_TYPES`` positionals, one update of the same bytes."""
-        if not kwargs:
-            for a in args:
-                if type(a) not in _PRIMITIVE_TYPES:
-                    break
-            else:
-                text = "\x00".join(map(repr, args)) + "\x00" if args else ""
-                return hashlib.sha1(text.encode("utf-8", "replace")).hexdigest()
+        kwarg's ``name=``, form and NUL."""
         h = hashlib.sha1()
         canonical = self._canonical
         for a in args:

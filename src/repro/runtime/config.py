@@ -172,6 +172,12 @@ class RuntimeConfig:
         the unbatched path.  Tracing stays batched: its records are
         identical either way.  ``False`` forces a scheduling round
         per completion event everywhere (the reference behaviour).
+        It stays an option only while it is the reference engine of
+        the tests that hold the batched engine to it:
+        ``tests/test_dispatch_batching.py``'s
+        ``test_placements_byte_identical``,
+        ``test_hand_off_keeps_batched_runs_identical`` and
+        ``test_wait_survives_a_drain_that_loses_a_producer``.
     stream_completed:
         Streaming mode for very large studies: the task graph frees a
         completed task's edges and bookkeeping once every consumer is

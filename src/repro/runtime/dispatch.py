@@ -65,7 +65,6 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.runtime.fault import UnsatisfiableError
@@ -101,21 +100,7 @@ class DispatchStats:
     paused_skips: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "ingested": self.ingested,
-            "rounds": self.rounds,
-            "placement_probes": self.placement_probes,
-            "placed": self.placed,
-            "handoffs": self.handoffs,
-            "blocked_skips": self.blocked_skips,
-            "wakes": self.wakes,
-            "full_wakes": self.full_wakes,
-            "classes_starved": self.classes_starved,
-            "starvation_failures": self.starvation_failures,
-            "fair_rounds": self.fair_rounds,
-            "quota_skips": self.quota_skips,
-            "paused_skips": self.paused_skips,
-        }
+        return dict(vars(self))
 
     def summary(self) -> Dict[str, float]:
         """Batched-scheduling summary.
@@ -238,8 +223,10 @@ class DispatchEngine:
         #: if the task is re-ingested first.
         self._purged: Set[int] = set()
         #: Pooled per-round scratch (reused across rounds so the hot path
-        #: allocates no fresh lists per completion batch).
-        self._heads: List[Tuple] = []
+        #: allocates no fresh lists per completion batch): the round's
+        #: participating classes, then their merge heads; and the
+        #: ``(class, entry)`` pairs set aside.
+        self._heads: List = []
         self._deferred: List[Tuple] = []
         #: study id -> fair-share state of registered studies (empty for
         #: the solo runtime, whose study "" is never registered).
@@ -765,208 +752,146 @@ class DispatchEngine:
     def _place_ready(
         self, quarantined: List[str], out: List[Assignment]
     ) -> None:
-        """One placement pass over the class-queue heads.
+        """One placement pass over the class queues; appends to ``out``.
 
-        Appends assignments to ``out``.  Heads are ``(rank, sort, seq,
-        key)`` (see :meth:`_head`); in a fair round the rank is
-        recomputed on every re-push, because each placement advances its
-        study's vtime — which is what rotates service between tenants.
-        Every placement of a registered study is checked against its
-        tenant's slot quota and charged to its share.  Uses the pooled
-        ``_heads`` / ``_deferred`` scratch lists.
-
-        Early exit: a solo runtime's one class goes straight to
-        :meth:`_place_class`, after the same skips.
+        A class takes part unless its queue is empty, it is conclusively
+        blocked, or its study is paused.  The participants' heads merge
+        in ``(rank, sort, seq, key)`` order (see :meth:`_head`) and
+        :meth:`_step` probes the first; a class keeps the lead while its
+        next head still sorts first, which is what popping and re-pushing
+        that head would give.  A lone participant — every round of a
+        homogeneous solo run — needs no heads at all: within a class,
+        queue order *is* policy order.  In a fair round a head's rank is
+        recomputed whenever it is re-pushed, because each placement
+        advances its study's vtime — which is what rotates service
+        between tenants.  Uses the pooled ``_heads`` / ``_deferred``
+        scratch lists.
         """
         blocked = self._blocked
         stats = self.stats
         studies = self._studies
-        if len(self._classes) == 1 and not studies:
-            ((key, cq),) = self._classes.items()
-            if cq.run or cq.heap:
-                restrict = blocked.get(key)
-                if restrict is not None and not restrict:
-                    stats.blocked_skips += 1
-                else:
-                    self._place_class(key, quarantined, out)
-            return
         heads = self._heads
         multi_study = False
-        first_study: Optional[str] = None
         for key, cq in self._classes.items():
-            heap = cq.heap
-            if not heap:
+            if not (cq.run or cq.heap):
                 continue
             restrict = blocked.get(key)
             if restrict is not None and not restrict:
                 stats.blocked_skips += 1
                 continue
-            share = studies.get(cq.study)
-            if share is not None and share.paused:
-                stats.paused_skips += 1
-                continue
-            if first_study is None:
-                first_study = cq.study
-            elif cq.study != first_study:
+            if studies:
+                share = studies.get(cq.study)
+                if share is not None and share.paused:
+                    stats.paused_skips += 1
+                    continue
+            if heads and cq.study != heads[0].study:
                 multi_study = True
-            heads.append(self._head(cq, False))
+            heads.append(cq)
         if not heads:
             return
         fair = multi_study and bool(studies)
         if fair:
             stats.fair_rounds += 1
-            heads[:] = [self._head(self._classes[h[3]], True) for h in heads]
-        elif len(heads) == 1 and first_study not in studies:
-            # Single participating class of an unregistered study (the
-            # common case in homogeneous solo runs): within a class, heap
-            # order *is* policy order, so the merge adds only overhead.
-            key = heads[0][3]
-            heads.clear()
-            self._place_class(key, quarantined, out)
-            return
-        heapq.heapify(heads)
-        deferred = self._deferred
+        if len(heads) == 1:
+            cq = heads.pop()
+        else:
+            heads[:] = [self._head(cq, fair) for cq in heads]
+            heapq.heapify(heads)
+            cq = self._classes[heapq.heappop(heads)[3]]
         try:
-            while heads:
-                _rank, _sort, seq, key = heapq.heappop(heads)
-                cq = self._classes[key]
-                heap = cq.heap
-                if not heap or heap[0][1] != seq:
-                    continue  # stale head entry
-                task = heap[0][2]
-                if task.task_id in self._purged:
-                    # Invalidated (lineage recovery) while queued: drop the
-                    # stale entry; the graph re-readies it when its inputs
-                    # re-materialise.
-                    heapq.heappop(heap)
-                    self._queued.discard(task.task_id)
-                    self._purged.discard(task.task_id)
-                    if heap:
-                        heapq.heappush(heads, self._head(cq, fair))
-                    continue
+            while True:
                 share = studies.get(cq.study)
-                if share is not None and self._tenant_at_quota(share):
-                    # Over quota: the whole class waits for a release from
-                    # one of the tenant's running tasks.  Not re-pushed —
-                    # quota state cannot change within the round.
-                    stats.quota_skips += 1
-                    continue
-                stats.placement_probes += 1
-                try:
-                    placed = self.scheduler._try_place(
-                        task, self.pool, quarantined, blocked.get(key)
-                    )
-                except UnsatisfiableError as exc:
-                    if exc.permanent:
-                        raise
-                    # Starved: capable nodes exist but all are
-                    # dead/draining.  Hold the class awaiting a rejoin;
-                    # the watchdog reaps it after starvation_timeout_s.
-                    blocked[key] = set()
-                    self._mark_starved(key, task, exc)
-                    continue
-                self._starved.pop(key, None)
-                if placed is not None:
-                    heapq.heappop(heap)
-                    self._queued.discard(task.task_id)
-                    if share is not None:
-                        self._charge_share(share, placed)
-                    out.append(placed)
-                    stats.placed += 1
-                    if heap:
-                        restrict = blocked.get(key)
-                        if restrict is not None and not restrict:
-                            # The allocation itself exhausted the last
-                            # woken node (pruned by try_allocate): the
-                            # class is conclusively blocked again.
-                            stats.blocked_skips += 1
-                        else:
-                            heapq.heappush(heads, self._head(cq, fair))
-                elif task.failed_nodes:
-                    # Per-task avoid sets make this task stricter than its
-                    # class: set it aside and give the next-in-class a go.
-                    deferred.append(heapq.heappop(heap))
-                    if heap:
-                        heapq.heappush(heads, self._head(cq, fair))
-                else:
-                    # Conclusively blocked at the current pool state:
-                    # reset the restriction set — only nodes that free
-                    # capacity from here on are worth re-probing.
-                    blocked[key] = set()
+                while self._step(cq, share, quarantined, out) and (cq.run or cq.heap):
+                    if heads:
+                        head = self._head(cq, fair)
+                        if head > heads[0]:
+                            heapq.heappush(heads, head)
+                            break
+                if not heads:
+                    return
+                cq = self._classes[heapq.heappop(heads)[3]]
         finally:
-            if heads:
-                heads.clear()
+            heads.clear()
+            deferred = self._deferred
             if deferred:
-                for entry in deferred:
-                    task = entry[2]
-                    key = (task.study, task.definition.constraint_class())
-                    heapq.heappush(self._classes[key].heap, entry)
+                # Back in front of their queues, in the order they left.
+                for cq, entry in reversed(deferred):
+                    if cq.run is not None:
+                        cq.run.appendleft(entry)
+                    else:
+                        heapq.heappush(cq.heap, entry)
                 deferred.clear()
 
-    def _place_class(
-        self, key: Tuple, quarantined: List[str], out: List[Assignment]
-    ) -> None:
-        """Tight placement loop for a round with one participating class
-        whose study has no registered share (no quota, no accounting).
-
-        Behaviourally identical to the merge loop in
-        :meth:`_place_ready` when only one head exists: tasks are probed
-        in heap (= policy) order, deferral and blocking semantics match,
-        and a conclusive block ends the round.  The class may be a run
-        queue (its entries are then tasks, deferred ones go back in front).
+    def _step(
+        self,
+        cq: _ClassQueue,
+        share: Optional[_StudyShare],
+        quarantined: List[str],
+        out: List[Assignment],
+    ) -> bool:
+        """Probe the head of ``cq`` once: drop it if purged, place it,
+        set it aside, or block or starve the class.  A registered study's
+        placement is checked against its tenant's slot quota and charged
+        to its share.  Returns whether the class may place again this
+        round — a ``False`` is conclusive for the round.
         """
-        cq = self._classes[key]
         run, heap = cq.run, cq.heap
-        pop = run.popleft if run is not None else partial(heapq.heappop, heap)
-        blocked = self._blocked
+        task = run[0] if run else heap[0][2]
+        tid = task.task_id
+        if tid in self._purged:
+            # Invalidated (lineage recovery) while queued: drop the stale
+            # entry; the graph re-readies it when its inputs re-materialise.
+            run.popleft() if run else heapq.heappop(heap)
+            self._queued.discard(tid)
+            self._purged.discard(tid)
+            return True
         stats = self.stats
-        purged = self._purged
-        queued = self._queued
-        try_place = self.scheduler._try_place
-        pool = self.pool
-        deferred = self._deferred
+        if share is not None and self._tenant_at_quota(share):
+            # Over quota: the whole class waits for a release from one of
+            # the tenant's running tasks — quota state cannot change
+            # within the round.
+            stats.quota_skips += 1
+            return False
+        key = cq.key
+        blocked = self._blocked
+        stats.placement_probes += 1
         try:
-            while run or heap:
-                task = run[0] if run else heap[0][2]
-                if task.task_id in purged:
-                    pop()
-                    queued.discard(task.task_id)
-                    purged.discard(task.task_id)
-                    continue
-                stats.placement_probes += 1
-                try:
-                    placed = try_place(
-                        task, pool, quarantined, blocked.get(key)
-                    )
-                except UnsatisfiableError as exc:
-                    if exc.permanent:
-                        raise
-                    blocked[key] = set()
-                    self._mark_starved(key, task, exc)
-                    return
-                self._starved.pop(key, None)
-                if placed is not None:
-                    pop()
-                    queued.discard(task.task_id)
-                    out.append(placed)
-                    stats.placed += 1
-                    restrict = blocked.get(key)
-                    if restrict is not None and not restrict:
-                        # The allocation itself exhausted the last woken
-                        # node (pruned by try_allocate): conclusively
-                        # blocked again — skip the would-fail re-probe.
-                        stats.blocked_skips += 1
-                        return
-                elif task.failed_nodes:
-                    deferred.append(pop())
-                else:
-                    blocked[key] = set()
-                    return
-        finally:
-            if deferred:
-                if run is not None:
-                    run.extendleft(reversed(deferred))
-                else:
-                    for entry in deferred:
-                        heapq.heappush(heap, entry)
-                deferred.clear()
+            placed = self.scheduler._try_place(
+                task, self.pool, quarantined, blocked.get(key)
+            )
+        except UnsatisfiableError as exc:
+            if exc.permanent:
+                raise
+            # Starved: capable nodes exist but all are dead/draining.
+            # Hold the class awaiting a rejoin; the watchdog reaps it
+            # after starvation_timeout_s.
+            blocked[key] = set()
+            self._mark_starved(key, task, exc)
+            return False
+        if self._starved:
+            self._starved.pop(key, None)
+        if placed is not None:
+            run.popleft() if run else heapq.heappop(heap)
+            self._queued.discard(tid)
+            if share is not None:
+                self._charge_share(share, placed)
+            out.append(placed)
+            stats.placed += 1
+            restrict = blocked.get(key)
+            if restrict is not None and not restrict:
+                # The allocation itself exhausted the last woken node
+                # (pruned by try_allocate): the class is conclusively
+                # blocked again — skip the would-fail re-probe.
+                stats.blocked_skips += 1
+                return False
+            return True
+        if task.failed_nodes:
+            # Per-task avoid sets make this task stricter than its class:
+            # set it aside and give the next-in-class a go.
+            self._deferred.append((cq, run.popleft() if run else heapq.heappop(heap)))
+            return True
+        # Conclusively blocked at the current pool state: reset the
+        # restriction set — only nodes that free capacity from here on
+        # are worth re-probing.
+        blocked[key] = set()
+        return False

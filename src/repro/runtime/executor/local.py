@@ -10,15 +10,22 @@ long-BLAS-call bodies but not CPU-bound Python: the zoo's small-batch
 training spends most of its time in interpreter code between short numpy
 calls, so two training threads contend for the GIL instead of
 overlapping.  The benchmark suite measures it on the 27-config
-real-training grid with 2 slots: on a 2-core host ``grid27_train_threads``
-takes about 1.5 times as long as a plain serial loop
-(``hpo.serial_baseline_s``) and 2.7 times as long as
-``backend="workers"`` (``grid27_train_workers``), with summed body time
-inflated about 2.7-fold (``local.body_inflation``); EXPERIMENTS.md has
-the measurements.  Use ``backend="workers"``
+real-training grid with 2 slots.  On a 2-core host ``grid27_train_threads``
+took 3.55 s, against 2.54 s for a plain serial loop
+(``hpo.serial_baseline_s``) and 1.31 s on ``backend="workers"``
+(``grid27_train_workers``); summed body time was inflated 2.51-fold
+(``local.body_inflation``, one traced rep).  The mechanism is GIL
+hand-off churn: in runs of 3.0–3.7 s the two slot threads made 52,000
+to 119,000 voluntary context switches each
+(``voluntary_ctxt_switches`` in ``/proc/self/task/*/status``).
+Serialising whole steps does not recover serial speed: with one lock
+around every ``train_on_batch`` the grid still took 3.52–3.78 s against
+2.20–2.53 s serially, so it is the hand-offs, not the overlap, that
+cost.  The remedy is a process per slot: ``backend="workers"``
 (:class:`~repro.runtime.executor.workers.WorkerPoolExecutor`, which
-replaces only where bodies run) for CPU-bound training; threads remain
-the default because they need no picklable bodies and start instantly.
+replaces only where bodies run), and making it the default is ROADMAP
+item 3.  Threads remain the default for now because they need no
+picklable bodies and start instantly.
 
 Retries, backoff, speculation, drains and the starvation reap follow the
 shared attempt lifecycle (:mod:`repro.runtime.executor.base`) in

@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.hpo.algorithms import budget_kwargs
 from repro.hpo.runner import PyCOMPSsRunner, StudyCallback
 from repro.hpo.space import SearchSpace
 from repro.hpo.trial import Study, Trial, TrialStatus
@@ -671,7 +672,9 @@ class HPOService:
                     objective=objective,
                     batch_size=request.batch_size,
                     study_name=sid,
-                    algorithm_kwargs=dict(request.algorithm_kwargs),
+                    algorithm_kwargs=budget_kwargs(
+                        request.algorithm, request.algorithm_kwargs
+                    ),
                     callbacks=[guard],
                     max_trial_retries=request.max_trial_retries,
                     stage_plan=stage_plan,

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.hpo.algorithms import ALGORITHMS, get_algorithm
+from repro.hpo.algorithms import ALGORITHMS, budget_kwargs, get_algorithm
 from repro.hpo.config_file import paper_search_space
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -104,12 +104,22 @@ def test_client_commands_load_no_runtime(command, tmp_path):
         *CLIENT_COMMANDS[command], cwd=tmp_path,
     )
     assert "repro.service.client" in loaded  # the command really ran
+    # A real submission sends n_trials and seed unfiltered rather than
+    # import the algorithm to read its signature (the daemon filters).
+    assert "numpy" not in loaded
     heavy = sorted(
         m for m in loaded
         if m in ("repro.runtime.runtime", "repro.hpo.runner")
         or m.startswith(("repro.runtime.executor", "repro.ml"))
     )
     assert heavy == []
+
+
+def test_budget_kwargs_keep_what_the_constructor_takes():
+    budget = {"n_trials": 5, "seed": 1}
+    assert budget_kwargs("grid", budget) == {}
+    assert budget_kwargs("random", budget) == budget
+    assert budget_kwargs("grid", {"dedup": False}) == {"dedup": False}
 
 
 def test_submit_help_loads_no_numpy_and_no_runtime_config():

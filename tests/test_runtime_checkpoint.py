@@ -2,7 +2,6 @@
 recovery manager, exactly-once resume, and lineage-based data recovery."""
 
 import contextlib
-import enum
 import hashlib
 import json
 import pickle
@@ -140,7 +139,7 @@ def per_argument_digest(keyer, args, content):
 
 
 class TestPrimitiveDigest:
-    """``_params_digest``'s one-update early exit hashes the same bytes."""
+    """Keys of primitive arguments hash each one's canonical form and a NUL."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(PRIMITIVE, max_size=6).map(tuple))
@@ -152,59 +151,32 @@ class TestPrimitiveDigest:
             )
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(PRIMITIVE, max_size=4).map(tuple))
-    def test_journal_and_content_keys(self, args):
+    @given(
+        st.lists(PRIMITIVE, max_size=4).map(tuple),
+        NAMESPACE,
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_journal_and_content_keys(self, args, namespace, times):
         definition = TaskDefinition(func=_keyed, name="keyed", cacheable=True)
-        keyer = TaskKeyer()
-        t = invocation(definition, *args)
+        keyer = TaskKeyer(namespace)
         digest = per_argument_digest(keyer, args, False)
-        assert keyer.key_for(t) == hashlib.sha1(
-            f"keyed|{digest}|0".encode("utf-8")
-        ).hexdigest()[:16]
+        for occurrence in range(times):
+            raw = f"keyed|{digest}|{occurrence}"
+            if namespace:
+                raw = f"{namespace}::{raw}"
+            t = invocation(definition, *args)
+            assert keyer.key_for(t) == hashlib.sha1(
+                raw.encode("utf-8")
+            ).hexdigest()[:16]
         qualified = f"{_keyed.__module__}.{_keyed.__qualname__}"
         digest = per_argument_digest(keyer, args, True)
         assert keyer.content_key_for(t) == hashlib.sha1(
             f"{qualified}|keyed|{digest}".encode("utf-8")
         ).hexdigest()[:16]
 
-    def test_early_exit_only_for_exact_primitives_without_kwargs(
-        self, monkeypatch
-    ):
-        seen = []
-        canonical = TaskKeyer._canonical
-
-        def spy(self, obj, content=False):
-            seen.append(obj)
-            return canonical(self, obj, content)
-
-        monkeypatch.setattr(TaskKeyer, "_canonical", spy)
-        keyer = TaskKeyer()
-        keyer._params_digest((1, "a", None, b"b", 2.5), {})
-        assert seen == []
-        # A container, a kwarg or a primitive's subclass: one form each.
-        for args, kwargs in (((1, [2]), {}), ((1,), {"x": 2}), ((Flag.ON,), {})):
-            seen.clear()
-            keyer._params_digest(args, kwargs)
-            assert len(seen) >= len(args) + len(kwargs)
-
 
 class TestOnePassPaths:
     """The per-task fast paths write the bytes of the general paths."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(PRIMITIVE, NAMESPACE, st.integers(min_value=1, max_value=3))
-    def test_one_pass_key_equals_the_general_key(self, arg, namespace, times):
-        keyer = TaskKeyer(namespace)
-        digest = keyer._params_digest((arg,), {})
-        assert digest == per_argument_digest(keyer, (arg,), False)
-        definition = make_def("keyed")
-        for occurrence in range(times):
-            raw = f"keyed|{digest}|{occurrence}"
-            if namespace:
-                raw = f"{namespace}::{raw}"
-            assert keyer.key_for(invocation(definition, arg)) == hashlib.sha1(
-                raw.encode("utf-8")
-            ).hexdigest()[:16]
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(), st.text(), st.text(), st.booleans())
@@ -236,10 +208,6 @@ class TestOnePassPaths:
             '{"key": "k", "node": "n1", "rec": "completed", "restored": true, '
             '"seq": 2, "stored": false, "task": "t-2"}',
         ]
-
-
-class Flag(enum.IntEnum):
-    ON = 1
 
 
 def _keyed(*args):

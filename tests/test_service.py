@@ -170,6 +170,24 @@ class TestServiceEndToEnd:
         assert state["best"]["config"] == solo.best_trial().config
         assert accuracies(client.result("s1")) == accuracies(solo)
 
+    def test_daemon_drops_budget_kwargs_the_algorithm_does_not_take(
+        self, tmp_path
+    ):
+        # ``repro-hpo submit`` sends n_trials and seed for every
+        # algorithm; grid search takes neither.
+        service = make_service(tmp_path).start()
+        client = ServiceClient(service.paths.root, poll_s=0.01)
+        try:
+            client.submit(
+                request("g1", algorithm_kwargs={"n_trials": 20, "seed": 0}),
+                wait_admission=False,
+            )
+            service.run_until_idle(max_wait_s=60)
+        finally:
+            service.shutdown()
+        assert client.status("g1")["status"] == proto.COMPLETED
+        assert accuracies(client.result("g1")) == accuracies(solo_study("g1"))
+
     def test_chaos_poison_study_is_isolated(self, tmp_path):
         """The acceptance chaos test: three tenants, one poisoned.
 

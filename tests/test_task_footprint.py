@@ -367,14 +367,22 @@ QUEUED_TASK_BUDGET_B = 615
 
 #: Calls into ``repro`` code per streamed independent task (submit,
 #: dispatch, start and complete), counted by ``sys.setprofile``: a
-#: deterministic count, whatever the host.  Measured at 34.8 on CPython
-#: 3.11: 40.8 before keys, commit lines, futures and the run queue took
-#: one pass each, 89-91 before the per-task path lost its redundant
+#: deterministic count, whatever the host.  Measured at 36.8 on CPython
+#: 3.11; 34.8 while ``TaskKeyer.key_for`` hashed a lone primitive
+#: argument itself and ``_params_digest`` joined all-primitive arguments
+#: without ``_canonical``, 40.8 before keys, commit lines, futures and the run
+#: queue took one pass each, 89-91 before the per-task path lost its redundant
 #: hops, 54 before a batched drain handed a finished task's CPU straight
 #: to the next queued task and staging times were kept per node.  The
 #: budget leaves about 10 % of headroom.  CPython 3.12 inlines
 #: comprehensions, so its count can only be lower.
 STREAMED_TASK_CALL_BUDGET = 38
+
+
+def report(figure, value, budget):
+    """Print a measured figure beside its budget, so a passing run shows
+    it too (``pytest -s``); CI's footprint step runs these tests that way."""
+    print(f"\nfootprint: {figure} {value:.1f} (budget {budget})")
 
 
 def test_streamed_task_call_budget(tmp_path):
@@ -401,6 +409,7 @@ def test_streamed_task_call_budget(tmp_path):
         f"{made / n:6.2f}  {path}:{name}"
         for (path, name), made in calls.most_common()
     )
+    report("calls/task", per_task, STREAMED_TASK_CALL_BUDGET)
     assert per_task <= STREAMED_TASK_CALL_BUDGET, (
         f"{per_task:.1f} calls per task:\n{by_function}"
     )
@@ -419,6 +428,7 @@ def test_live_independent_task_stays_under_budget(tmp_path):
         finally:
             tracemalloc.stop()
         assert compss_wait_on(futures[-1]) == n
+    report("live B/task", per_task, LIVE_TASK_BUDGET_B)
     assert per_task < LIVE_TASK_BUDGET_B, f"{per_task:.0f} B per live task"
 
 
@@ -444,6 +454,7 @@ def test_queued_independent_task_stays_under_budget(tmp_path):
             tracemalloc.stop()
         assert rt.dispatcher.pending() == n
         assert compss_wait_on(futures[-1]) == n
+    report("queued B/task", per_task, QUEUED_TASK_BUDGET_B)
     assert per_task < QUEUED_TASK_BUDGET_B, f"{per_task:.0f} B per queued task"
 
 
