@@ -190,7 +190,9 @@ class RuntimeConfig:
         introspection away: ``graph.tasks()``, DOT export, and
         lineage-based recovery only see live tasks, so it is rejected
         together with ``verify_outputs`` (integrity repair re-executes
-        freed writers through the graph).
+        freed writers through the graph).  It is one of two policies on
+        the graph's count of unfinished consumers: without it, a reuse
+        cache releases consumed stage values instead (``reuse_cache``).
     journal_buffer_records:
         Write-ahead journal buffering: records are serialised into an
         in-memory buffer flushed to disk every this-many records (and
@@ -205,7 +207,16 @@ class RuntimeConfig:
         content-addressed on-disk cache
         (:class:`~repro.runtime.reuse.ReuseCache`) from which later
         studies, other processes and other ``repro serve`` tenants
-        resolve it — verified — instead of re-executing.
+        resolve it — verified — instead of re-executing.  The cache is
+        then the store of record for consumed stage states: once every
+        consumer of a value this runtime published is DONE, the driver
+        drops it and its futures read it back, verified, on demand
+        (``compss_wait_on``, a sibling joining the node, a re-run
+        consumer, a drain spill); a value whose entry is gone is
+        recomputed through lineage.  ``reuse.stats()`` counts these as
+        ``released`` / ``reloaded``, apart from hits and misses.  Not
+        with ``stream_completed`` (which frees whole tasks) or
+        ``verify_outputs``.
     cache_dir:
         Cache root directory.  ``None`` places it under
         ``<checkpoint_dir>/reuse`` (requires ``checkpoint_dir``); the

@@ -18,10 +18,17 @@ took 3.55 s, against 2.54 s for a plain serial loop
 hand-off churn: in runs of 3.0–3.7 s the two slot threads made 52,000
 to 119,000 voluntary context switches each
 (``voluntary_ctxt_switches`` in ``/proc/self/task/*/status``).
-Serialising whole steps does not recover serial speed: with one lock
-around every ``train_on_batch`` the grid still took 3.52–3.78 s against
-2.20–2.53 s serially, so it is the hand-offs, not the overlap, that
-cost.  The remedy is a process per slot: ``backend="workers"``
+A lock around every ``train_on_batch`` does not recover serial speed
+(3.52–3.78 s against 2.20–2.53 s serially): it is the hand-offs, not
+the overlap, that cost, and it is hand-offs *between cores*.  In a
+plain two-thread loop over the same configs (``OPENBLAS_NUM_THREADS=1``,
+2-core host) two unpinned threads took 2.42–3.51 s with 41,000 to
+114,000 voluntary switches per thread, and one thread pinned to each
+core 3.16–3.54 s; both threads pinned to one core
+(``os.sched_setaffinity``) took 2.47–2.99 s with 206–327 switches,
+against 1.98–2.50 s serially.  Pinning is still not the fix: it would
+serialise the GIL-free bodies (sleeping, I/O, long BLAS calls) this
+backend exists to overlap.  The remedy is a process per slot: ``backend="workers"``
 (:class:`~repro.runtime.executor.workers.WorkerPoolExecutor`, which
 replaces only where bodies run), and making it the default is ROADMAP
 item 3.  Threads remain the default for now because they need no

@@ -4,16 +4,35 @@ A :class:`Future` is an opaque placeholder for a task result; passing one
 to another task creates a dependency edge, and ``compss_wait_on`` resolves
 it to the actual value (paper §4).  Multi-return tasks yield one future
 per return slot.
+
+A future whose value was released to the reuse cache (see
+:class:`~repro.runtime.reuse.StageRelease`) holds a :class:`HeldByCache`
+stand-in instead: it is still ``done``, and reading it reloads the
+value through the cache's verified read.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task_definition import TaskInvocation
 
 _UNSET = object()
+
+
+class HeldByCache:
+    """Stand-in for a value released from driver memory to the reuse cache.
+
+    ``read(task)`` returns the task's whole result, re-verified from its
+    cache entry, or raises when the entry is gone.  One instance per
+    runtime marks every released future and task record.
+    """
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[["TaskInvocation"], Any]) -> None:
+        self.read = read
 
 
 class Future:
@@ -51,13 +70,23 @@ class Future:
         self._value = _UNSET
 
     def result(self) -> Any:
-        """The resolved value; raises if the task has not completed."""
-        if self._value is _UNSET:
+        """The resolved value; raises if the task has not completed.
+
+        A value released to the reuse cache is read back from its
+        verified entry (and not kept: the future stays released).
+        """
+        value = self._value
+        if value is _UNSET:
             raise RuntimeError(
                 f"future of {self.invocation.label} accessed before completion; "
                 "use compss_wait_on()"
             )
-        return self._value
+        if type(value) is HeldByCache:
+            task = self.invocation
+            value = value.read(task)
+            if task.definition.n_returns != 1:
+                value = list(value)[self.index]
+        return value
 
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
@@ -96,10 +125,14 @@ def substitute(obj: Any) -> Any:
     if isinstance(obj, Future):
         return obj.result()
     if isinstance(obj, list):
-        # A plain future's value is read in place; only an unresolved one
-        # goes through result() (which raises).
+        # A plain future's value is read in place; only an unresolved or
+        # released one goes through result() (which raises or reloads).
         return [
-            (i.result() if i._value is _UNSET else i._value)
+            (
+                i.result()
+                if i._value is _UNSET or type(i._value) is HeldByCache
+                else i._value
+            )
             if type(i) is Future else substitute(i)
             for i in obj
         ]

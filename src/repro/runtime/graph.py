@@ -13,11 +13,20 @@ pending count: an independent task (the common HPO shape) costs the graph
 one ``_tasks`` entry.  A :attr:`nx_graph` view is still built on demand
 for callers that want the networkx API.
 
-Streaming mode (``stream_completed``): once a completed task's consumers
-are all complete too, the task is freed — its node, edges and counters
-leave the graph so resident memory tracks the *active frontier* rather
-than the full study history.  Introspection (``tasks()``, DOT export)
-and lineage recovery then only see live tasks.
+Consumption: with counting on, the graph keeps each producer's number
+of unfinished consumers, and :meth:`TaskGraph.mark_done` acts on a DONE
+producer whose last consumer just completed.  Two policies use the one
+count:
+
+* streaming (``stream_completed``) frees the whole task — its node,
+  edges and counters leave the graph so resident memory tracks the
+  *active frontier* rather than the full study history.  Introspection
+  (``tasks()``, DOT export) and lineage recovery then only see live
+  tasks;
+* otherwise ``on_consumed`` (the runtime's
+  :class:`~repro.runtime.reuse.StageRelease`) is told, and drops a
+  published cacheable value from driver memory.  The task record and
+  its edges stay.
 """
 
 from __future__ import annotations
@@ -54,8 +63,11 @@ class TaskGraph:
         #: Streaming mode: free completed tasks whose consumers are all
         #: complete (set from ``RuntimeConfig.stream_completed``).
         self.stream_completed: bool = False
-        #: task_id -> number of its successors not yet DONE (streaming
-        #: bookkeeping; only maintained when streaming is on).
+        #: Release policy when not streaming: called with a DONE task
+        #: whose last unfinished consumer just completed.
+        self.on_consumed: Optional[Callable[[TaskInvocation], None]] = None
+        #: task_id -> number of its successors not yet DONE (kept while
+        #: streaming or ``on_consumed`` is set; no entry when zero).
         self._unfinished_succs: Dict[int, int] = {}
         #: Count of tasks freed by streaming (observability / tests).
         self.freed_tasks: int = 0
@@ -88,6 +100,11 @@ class TaskGraph:
         succ = self._succ
         pred_list: List[int] = []
         streaming = self.stream_completed
+        # A task DONE at add never reaches mark_done, so it is nobody's
+        # unfinished consumer.
+        counting = (
+            streaming or self.on_consumed is not None
+        ) and task.state is not TaskState.DONE
         pending = 0
         for dep in dependencies:
             dep_id = dep.task_id
@@ -114,7 +131,7 @@ class TaskGraph:
                     self._labels[(dep_id, tid)] = label
             if dep.state is not TaskState.DONE:
                 pending += 1
-            if streaming:
+            if counting:
                 self._unfinished_succs[dep_id] = (
                     self._unfinished_succs.get(dep_id, 0) + 1
                 )
@@ -158,10 +175,10 @@ class TaskGraph:
     def mark_done(self, task: TaskInvocation) -> List[TaskInvocation]:
         """Mark completion; returns newly-ready successor tasks.
 
-        In streaming mode this is also the point where fully-consumed
-        history is freed: the task itself (if it already has no pending
-        consumers) and any predecessor whose last unfinished consumer
-        this was.
+        This is also where consumption is decided: a DONE predecessor
+        whose last unfinished consumer this was is freed (streaming, as
+        is the task itself if it has no pending consumers) or handed to
+        ``on_consumed``.
         """
         task.state = TaskState.DONE
         tid = task.task_id
@@ -187,7 +204,8 @@ class TaskGraph:
                         succ.state = TaskState.READY
                         ready_append(succ_id)
                         newly_ready.append(succ)
-        if self.stream_completed:
+        streaming = self.stream_completed
+        if streaming or self.on_consumed is not None:
             unfinished = self._unfinished_succs
             for pred_id in self._pred.get(tid, ()):
                 left = unfinished.get(pred_id, 0) - 1
@@ -197,8 +215,11 @@ class TaskGraph:
                     unfinished.pop(pred_id, None)
                     pred = tasks.get(pred_id)
                     if pred is not None and pred.state is TaskState.DONE:
-                        self._free(pred_id)
-            if not unfinished.get(tid):
+                        if streaming:
+                            self._free(pred_id)
+                        else:
+                            self.on_consumed(pred)
+            if streaming and not unfinished.get(tid):
                 self._free(tid)
         return newly_ready
 
@@ -270,6 +291,13 @@ class TaskGraph:
             t.state = TaskState.SUBMITTED
         live = self._tasks
         pending_preds = self._pending_preds
+        if self.stream_completed or self.on_consumed is not None:
+            # A DONE member re-runs: it is an unfinished consumer again.
+            unfinished = self._unfinished_succs
+            for tid in was_done:
+                for pred_id in self._pred.get(tid, ()):
+                    if pred_id in live:
+                        unfinished[pred_id] = unfinished.get(pred_id, 0) + 1
         for tid in was_done:
             for succ_id in self._succ.get(tid, ()):
                 succ = live.get(succ_id)

@@ -10,6 +10,9 @@ it entered the graph:
   invalidated, their results reset, and the batch re-enters the graph
   (tombstoned in the dispatch engine, sealed records dropped).
 
+:func:`reacquire` brings values released to the reuse cache back before
+a task reads them, and re-runs a producer whose entry is gone.
+
 Their callers each keep their own resilience event and detail text:
 :func:`fail_descendants` (a producer died terminally), the executors'
 give-up path, :meth:`StudySessions.abandon
@@ -68,6 +71,12 @@ def rerun_writers(
     """
     graph = runtime.graph
     to_rerun: Dict[int, TaskInvocation] = {t.task_id: t for t in writers}
+    if runtime.release is not None:
+        # The writers read their inputs again.
+        reacquire(runtime, [
+            p for t in to_rerun.values() for p in graph.predecessors(t)
+            if p.task_id not in to_rerun
+        ])
     aborted: Dict[int, TaskInvocation] = {}
     for t in to_rerun.values():
         for s in graph.successors(t):
@@ -107,6 +116,34 @@ def rerun_writers(
         ]
     )
     return labels, len(aborted)
+
+
+def reacquire(
+    runtime: "COMPSsRuntime", tasks: Sequence[TaskInvocation]
+) -> int:
+    """Bring the released values of ``tasks`` back into driver memory.
+
+    Each is reloaded through the reuse cache's verified read; a producer
+    whose entry is gone (evicted, corrupt, quarantined) re-runs through
+    :func:`rerun_writers`, which reacquires that producer's own inputs
+    in turn.  Returns the number of producers sent back to run (the
+    caller wakes the executor).  Call with the runtime lock held.
+    """
+    release = runtime.release
+    if release is None:
+        return 0
+    lost = [
+        t for t in tasks if release.is_released(t) and not release.restore(t)
+    ]
+    if lost:
+        rerun_writers(runtime, lost)
+        now = runtime.executor.clock()
+        for t in lost:
+            runtime.resilience.record(
+                now, rsl.LINEAGE_RECOVERY, t.label, "",
+                detail="released value left the reuse cache; re-executing",
+            )
+    return len(lost)
 
 
 def _written(runtime: "COMPSsRuntime", task: TaskInvocation) -> str:

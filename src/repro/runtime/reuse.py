@@ -50,6 +50,22 @@ Every anomaly path — corrupt entry, vanished file, a writer that died
 before publishing, full disk, unpicklable value — degrades to
 recomputation, so a study with the cache on produces byte-identical
 best-config results to the same study with the cache off.
+
+The cache is also the **store of record for consumed stage states**
+(:class:`StageRelease`).  Once a published value's consumers are all
+DONE, the driver drops it: the task record stays, its futures hold a
+:class:`~repro.runtime.future.HeldByCache` stand-in, and driver memory
+follows the live frontier of the stage tree instead of its size.  A
+later read — a sibling joining the node, ``compss_wait_on``, a re-run
+consumer, a drain spill — reloads the value through the same verified
+read as a hit (:meth:`ReuseCache.reload`); an entry that is gone
+(evicted, corrupt, quarantined) re-runs the producer through lineage
+(:func:`~repro.runtime.lineage.reacquire`).  ``released`` counts values
+dropped, ``reloaded`` verified reads of released values; neither is a
+hit or a miss, so ``hits / (hits + misses)`` still measures the cache
+as a cross-study memo.  Release is on whenever the cache is, except
+under ``stream_completed`` (which frees whole tasks) and
+``verify_outputs`` (whose sealed records keep their values).
 """
 
 from __future__ import annotations
@@ -59,12 +75,16 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Union, TYPE_CHECKING
 
 from repro.runtime.checkpoint import CheckpointCorruptError, CheckpointStore
+from repro.runtime.future import HeldByCache, slot_futures
 from repro.util import durable
 from repro.util.logging_utils import get_logger
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.task_definition import TaskInvocation
 
 _log = get_logger("runtime.reuse")
 
@@ -140,6 +160,10 @@ class ReuseCache:
         self.publish_skipped = 0
         self.evicted = 0
         self.evicted_bytes = 0
+        #: Values the driver dropped because this cache holds them, and
+        #: verified reads of such values (see :class:`StageRelease`).
+        self.released = 0
+        self.reloaded = 0
         #: Hits returned without digest verification — zero by
         #: construction; the chaos acceptance asserts it stays zero.
         self.unverified_hits = 0
@@ -179,9 +203,21 @@ class ReuseCache:
 
         quarantined = self.is_quarantined(key)
         if not quarantined:
-            value = self._fetch_verified(key)
-            if value is not MISS:
-                return value
+            started = time.perf_counter()
+            try:
+                value = self._load_verified(key)
+            except CheckpointCorruptError as exc:
+                self._note_corrupt(key, str(exc))
+            else:
+                if value is not MISS:
+                    elapsed = time.perf_counter() - started
+                    with self._lock:
+                        self.hits += 1
+                        self.verify_time_s += elapsed
+                    if self.integrity is not None:
+                        self.integrity.note_cache_verify(True)
+                    self._event(rsl.CACHE_HIT, key=key)
+                    return value
         with self._lock:
             self.misses += 1
         self._event(
@@ -202,30 +238,39 @@ class ReuseCache:
             self.joined += 1
         self._event(rsl.CACHE_JOIN, key=key)
 
-    def _fetch_verified(self, key: str) -> Any:
-        """Verified load of ``key``; corrupt/truncated/absent == MISS."""
-        from repro.runtime import resilience as rsl
+    def reload(self, key: str) -> Any:
+        """A released value back from its entry, verified, or :data:`MISS`.
 
-        started = time.perf_counter()
+        The same verified read as a hit, counted as ``reloaded`` instead.
+        A reload never drops, counts or quarantines an entry: one it
+        finds corrupt is left for the next :meth:`acquire`, and the
+        caller recomputes the value.
+        """
+        if self.is_quarantined(key):
+            return MISS
+        try:
+            value = self._load_verified(key)
+        except CheckpointCorruptError:
+            return MISS
+        if value is not MISS:
+            with self._lock:
+                self.reloaded += 1
+        return value
+
+    def _load_verified(self, key: str) -> Any:
+        """``key``'s entry, digest proven, or MISS when there is none.
+
+        Raises :class:`CheckpointCorruptError` for a torn or rotten one.
+        """
         try:
             value = self.store.load_verified(key)
-        except CheckpointCorruptError as exc:
-            self._note_corrupt(key, str(exc))
-            return MISS
         except OSError:
             # Absent, or evicted concurrently: an ordinary miss.
             return MISS
-        elapsed = time.perf_counter() - started
         try:
             os.utime(self.store._path(key))  # LRU clock for the evictor
         except OSError:
             pass
-        with self._lock:
-            self.hits += 1
-            self.verify_time_s += elapsed
-        if self.integrity is not None:
-            self.integrity.note_cache_verify(True)
-        self._event(rsl.CACHE_HIT, key=key)
         return value
 
     def _note_corrupt(self, key: str, detail: str) -> None:
@@ -275,27 +320,29 @@ class ReuseCache:
     # Publish + evict
     # ------------------------------------------------------------------
     def publish(self, key: str, value: Any) -> bool:
-        """Atomically publish ``value`` under ``key``.
+        """Atomically publish ``value`` under ``key``; True if this call
+        wrote the entry.
 
-        A key already on disk is kept (entries are immutable); a
-        quarantined key or an unpicklable value is skipped — callers lose
-        nothing, the stage result is already in memory.
+        A key already on disk is kept (entries are immutable, the first
+        publish wins); a quarantined key or an unpicklable value is
+        skipped — callers lose nothing, the stage result is already in
+        memory.  All three return False.
         """
         if self.is_quarantined(key):
             with self._lock:
                 self.publish_skipped += 1
             return False
-        existed = self.store.has(key)
+        if self.store.has(key):
+            return False
         if not self.store.save(key, value, overwrite=False):
             with self._lock:
                 self.publish_skipped += 1
             return False
-        if not existed:
-            size = self.store.size(key)
-            with self._lock:
-                self.published += 1
-                self._bytes += size
-            self._evict_if_needed(protect=key)
+        size = self.store.size(key)
+        with self._lock:
+            self.published += 1
+            self._bytes += size
+        self._evict_if_needed(protect=key)
         return True
 
     def _evict_if_needed(self, protect: str = "") -> None:
@@ -345,6 +392,8 @@ class ReuseCache:
                 "publish_skipped": self.publish_skipped,
                 "evicted": self.evicted,
                 "evicted_bytes": self.evicted_bytes,
+                "released": self.released,
+                "reloaded": self.reloaded,
                 # Always 0 (no leases any more); kept because the
                 # benchmark suite still reads both keys.
                 "lease_waits": 0,
@@ -463,3 +512,70 @@ class ReuseCache:
         # media rot, which is what digest verification exists to catch.
         path.write_bytes(bytes(data))
         return True
+
+
+class StageRelease:
+    """The release policy: consumed stage values live in the cache only.
+
+    Installed as :attr:`TaskGraph.on_consumed
+    <repro.runtime.graph.TaskGraph.on_consumed>` (see the module
+    docstring).  A DONE task is *tracked* while the cache holds its value
+    and the driver still does — published at completion, or a verified
+    hit at submit — and released when its last consumer completes.
+    Called with the runtime lock held.
+    """
+
+    def __init__(self, cache: ReuseCache) -> None:
+        self.cache = cache
+        #: The stand-in every released future and task record holds.
+        self.held = HeldByCache(self._read)
+        self._tracked: Set[int] = set()
+
+    def track(self, task: "TaskInvocation", in_cache: bool) -> None:
+        """Note whether ``task``'s value (just set) is in the cache."""
+        if in_cache:
+            self._tracked.add(task.task_id)
+        else:
+            self._tracked.discard(task.task_id)
+
+    def release(self, task: "TaskInvocation") -> None:
+        """Drop a consumed task's value from the driver if the cache holds it."""
+        try:
+            self._tracked.remove(task.task_id)
+        except KeyError:
+            return
+        held = self.held
+        task.result = held
+        for fut in slot_futures(task.outputs):
+            fut.set_result(held)
+        with self.cache._lock:
+            self.cache.released += 1
+
+    def is_released(self, task: "TaskInvocation") -> bool:
+        return task.result is self.held
+
+    def load(self, task: "TaskInvocation") -> Any:
+        """A released task's whole result from its entry, or :data:`MISS`."""
+        return self.cache.reload(task.content_key)
+
+    def restore(self, task: "TaskInvocation") -> bool:
+        """Reload a released value into the driver; False if its entry is gone."""
+        value = self.load(task)
+        if value is MISS:
+            return False
+        task.result = value
+        futures = slot_futures(task.outputs)
+        for fut, slot in zip(futures, (value,) if len(futures) == 1 else value):
+            fut.set_result(slot)
+        self._tracked.add(task.task_id)
+        return True
+
+    def _read(self, task: "TaskInvocation") -> Any:
+        """A released value for a one-off read (the future stays released)."""
+        value = self.load(task)
+        if value is MISS:
+            raise RuntimeError(
+                f"released value of {task.label} is gone from the reuse "
+                "cache; read it through compss_wait_on, which recomputes it"
+            )
+        return value

@@ -24,10 +24,10 @@ from repro.runtime.executor.local import LocalExecutor
 from repro.runtime.executor.simulated import SimulatedExecutor
 from repro.runtime.future import Future, collect_futures, slot_futures, substitute
 from repro.runtime.graph import TaskGraph
-from repro.runtime.lineage import fail_descendants
+from repro.runtime.lineage import fail_descendants, reacquire
 from repro.pycompss_api.task_group import record_submission
 from repro.runtime.preemption import PreemptionController
-from repro.runtime.reuse import MISS as _CACHE_MISS, ReuseCache
+from repro.runtime.reuse import MISS as _CACHE_MISS, ReuseCache, StageRelease
 from repro.runtime.resilience import (
     CHECKPOINT_RESTORE,
     DRAIN_COMPLETE,
@@ -222,6 +222,16 @@ class COMPSsRuntime:
                 log=self.resilience,
                 clock=self.executor.clock,
             )
+        #: Consumed published values leave driver memory; the cache holds
+        #: them (see reuse.StageRelease).  Streaming frees whole tasks
+        #: instead, and integrity keeps every sealed value.
+        self.release: Optional[StageRelease] = None
+        config = self.config
+        if self.reuse is not None and not (
+            config.stream_completed or config.verify_outputs
+        ):
+            self.release = StageRelease(self.reuse)
+            self.graph.on_consumed = self.release.release
         #: Content-key canonicaliser for cacheable submissions.  Its own
         #: keyer (not the journal one): content keys touch no occurrence
         #: state and must exist even when journaling is off.
@@ -415,6 +425,12 @@ class COMPSsRuntime:
                 invocation.state = TaskState.DONE
                 invocation.result = restored
             dep_list = list(deps.values())
+            if self.release is not None:
+                if cache_hit:
+                    self.release.track(invocation, True)
+                elif restored is ckpt._MISSING:
+                    # It will read its inputs: bring released ones back.
+                    reacquire(self, dep_list)
             if self._locality is not None:
                 self._locality.register_dependencies(invocation, dep_list)
             self.graph.add_task(invocation, dep_list, edge_labels)
@@ -517,13 +533,19 @@ class COMPSsRuntime:
             injector = self.failure_injector
             # Chaos: a lost publication is a writer that died before
             # publishing — no entry lands; later readers miss and recompute.
+            published = False
             if injector is None or not injector.cache_publish_lost(task.label):
-                reuse.publish(task.content_key, result)
-                if injector is not None and injector.cache_corrupts(task.label):
+                published = reuse.publish(task.content_key, result)
+                if published and injector is not None and injector.cache_corrupts(
+                    task.label
+                ):
                     # Chaos: bit-rot the freshly-published entry in place
                     # (a byte flipped, digest intact).  Detection happens
                     # at the next hit's verify — never silently consumed.
                     reuse.corrupt_entry(task.content_key)
+            if self.release is not None:
+                # Only an entry this value wrote stands in for it.
+                self.release.track(task, published)
 
     def _on_task_freed(self, task: TaskInvocation) -> None:
         """Streaming: drop registry entries of a graph-freed task."""
@@ -550,6 +572,11 @@ class COMPSsRuntime:
         if any(map(operator.is_, tasks[1:], tasks)):
             tasks = [t for t, prev in zip(tasks, [None, *tasks]) if t is not prev]
         if tasks:
+            if self.release is not None:
+                with self.lock:
+                    rerun = reacquire(self, tasks)
+                if rerun:
+                    self.executor.notify_topology_change()
             if self.integrity is None:
                 self.executor.wait_for(tasks)
             else:

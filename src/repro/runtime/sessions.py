@@ -322,10 +322,15 @@ class StudySessions:
         the node is spilled to its study's checkpoint store (when
         configured, and regardless of the spill cadence), and the
         simulated integrity manager copies the node's only-good copies
-        onto other up nodes.  Returns the number of task outputs
-        protected.
+        onto other up nodes.  A value released to the reuse cache is
+        read back from its verified entry to be spilled; one whose entry
+        is gone is skipped (its next reader recomputes it).  Returns the
+        number of task outputs protected.
         """
+        from repro.runtime.reuse import MISS
+
         runtime = self._runtime
+        release = runtime.release
         protected = 0
         with runtime.lock:
             for task in runtime.graph.tasks():
@@ -337,7 +342,18 @@ class StudySessions:
                 ):
                     continue
                 store = self.store_for(task)
-                if store is not None and store.save(task.task_key, task.result):
+                if store is None:
+                    continue
+                value = task.result
+                if (
+                    release is not None
+                    and release.is_released(task)
+                    and not store.has(task.task_key)
+                ):
+                    value = release.load(task)
+                    if value is MISS:
+                        continue
+                if store.save(task.task_key, value):
                     protected += 1
             if runtime.integrity is not None:
                 targets = [
