@@ -127,11 +127,13 @@ def substitute(obj: Any) -> Any:
     if isinstance(obj, list):
         # A plain future's value is read in place; only an unresolved or
         # released one goes through result() (which raises or reloads).
+        # The slot is read once: a release may swap in the stand-in
+        # between two reads.
         return [
             (
-                i.result()
-                if i._value is _UNSET or type(i._value) is HeldByCache
-                else i._value
+                v
+                if (v := i._value) is not _UNSET and type(v) is not HeldByCache
+                else i.result()
             )
             if type(i) is Future else substitute(i)
             for i in obj

@@ -23,7 +23,7 @@ give-up path, :meth:`StudySessions.abandon
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime import resilience as rsl
 from repro.runtime.fault import UpstreamFailureError
@@ -118,23 +118,55 @@ def rerun_writers(
     return labels, len(aborted)
 
 
-def reacquire(
+def preload(
     runtime: "COMPSsRuntime", tasks: Sequence[TaskInvocation]
+) -> Dict[int, Any]:
+    """Verified reads of the released values among ``tasks``, by task id.
+
+    Each is :data:`~repro.runtime.reuse.MISS` when its entry is gone.
+    Call *without* the runtime lock and hand the result to
+    :func:`reacquire`: a verified read hashes the whole entry, and other
+    studies' submissions and completions keep flowing meanwhile.
+    """
+    release = runtime.release
+    loaded: Dict[int, Any] = {}
+    for t in tasks:
+        if t.task_id not in loaded and release.is_released(t):
+            loaded[t.task_id] = release.load(t)
+    return loaded
+
+
+def reacquire(
+    runtime: "COMPSsRuntime",
+    tasks: Sequence[TaskInvocation],
+    loaded: Optional[Dict[int, Any]] = None,
 ) -> int:
     """Bring the released values of ``tasks`` back into driver memory.
 
-    Each is reloaded through the reuse cache's verified read; a producer
-    whose entry is gone (evicted, corrupt, quarantined) re-runs through
-    :func:`rerun_writers`, which reacquires that producer's own inputs
-    in turn.  Returns the number of producers sent back to run (the
-    caller wakes the executor).  Call with the runtime lock held.
+    A value :func:`preload` read (``loaded``) is installed if its task
+    is still released; a task released since is read here, under the
+    lock.  A producer whose entry is gone (evicted, corrupt,
+    quarantined) re-runs through :func:`rerun_writers`, which
+    reacquires that producer's own inputs in turn — the recovery path
+    is the one that reads under the lock.  Returns the number of
+    producers sent back to run (the caller wakes the executor).  Call
+    with the runtime lock held.
     """
     release = runtime.release
     if release is None:
         return 0
-    lost = [
-        t for t in tasks if release.is_released(t) and not release.restore(t)
-    ]
+    from repro.runtime.reuse import MISS
+
+    loaded = loaded or {}
+    lost = []
+    for t in tasks:
+        if not release.is_released(t):
+            continue
+        value = loaded[t.task_id] if t.task_id in loaded else release.load(t)
+        if value is MISS:
+            lost.append(t)
+        else:
+            release.install(t, value)
     if lost:
         rerun_writers(runtime, lost)
         now = runtime.executor.clock()

@@ -58,7 +58,7 @@ DONE, the driver drops it: the task record stays, its futures hold a
 follows the live frontier of the stage tree instead of its size.  A
 later read — a sibling joining the node, ``compss_wait_on``, a re-run
 consumer, a drain spill — reloads the value through the same verified
-read as a hit (:meth:`ReuseCache.reload`); an entry that is gone
+read as a hit (``acquire(key, released=True)``); an entry that is gone
 (evicted, corrupt, quarantined) re-runs the producer through lineage
 (:func:`~repro.runtime.lineage.reacquire`).  ``released`` counts values
 dropped, ``reloaded`` verified reads of released values; neither is a
@@ -192,12 +192,22 @@ class ReuseCache:
     # ------------------------------------------------------------------
     # Hit path
     # ------------------------------------------------------------------
-    def acquire(self, key: str) -> Any:
+    def acquire(self, key: str, released: bool = False) -> Any:
         """Resolve ``key``: a verified value, or :data:`MISS` to compute.
 
         Never blocks: on a miss the caller computes the stage and calls
         :meth:`publish`.  A concurrent writer of the same key elsewhere
         merely duplicates the work — the first publish wins.
+
+        ``released=True`` reads back a value the driver released to this
+        cache (:class:`StageRelease`): the same verified read, counted
+        as ``reloaded`` instead of a hit, and a :data:`MISS` is not
+        counted (the caller recomputes it through lineage, not as a
+        consult).  A corrupt entry found this way is counted and logged
+        but left on disk and not held against the quarantine threshold:
+        when such a read happens depends on thread timing (a sibling
+        arriving after the last consumer finished), and the cache other
+        studies share must not.  The next consult of the key drops it.
         """
         from repro.runtime import resilience as rsl
 
@@ -207,9 +217,13 @@ class ReuseCache:
             try:
                 value = self._load_verified(key)
             except CheckpointCorruptError as exc:
-                self._note_corrupt(key, str(exc))
+                self._note_corrupt(key, str(exc), drop=not released)
             else:
                 if value is not MISS:
+                    if released:
+                        with self._lock:
+                            self.reloaded += 1
+                        return value
                     elapsed = time.perf_counter() - started
                     with self._lock:
                         self.hits += 1
@@ -218,6 +232,8 @@ class ReuseCache:
                         self.integrity.note_cache_verify(True)
                     self._event(rsl.CACHE_HIT, key=key)
                     return value
+        if released:
+            return MISS
         with self._lock:
             self.misses += 1
         self._event(
@@ -238,25 +254,6 @@ class ReuseCache:
             self.joined += 1
         self._event(rsl.CACHE_JOIN, key=key)
 
-    def reload(self, key: str) -> Any:
-        """A released value back from its entry, verified, or :data:`MISS`.
-
-        The same verified read as a hit, counted as ``reloaded`` instead.
-        A reload never drops, counts or quarantines an entry: one it
-        finds corrupt is left for the next :meth:`acquire`, and the
-        caller recomputes the value.
-        """
-        if self.is_quarantined(key):
-            return MISS
-        try:
-            value = self._load_verified(key)
-        except CheckpointCorruptError:
-            return MISS
-        if value is not MISS:
-            with self._lock:
-                self.reloaded += 1
-        return value
-
     def _load_verified(self, key: str) -> Any:
         """``key``'s entry, digest proven, or MISS when there is none.
 
@@ -273,19 +270,23 @@ class ReuseCache:
             pass
         return value
 
-    def _note_corrupt(self, key: str, detail: str) -> None:
-        """A verification failure: event, count, maybe quarantine."""
+    def _note_corrupt(self, key: str, detail: str, drop: bool = True) -> None:
+        """A verification failure: event, count; ``drop`` also removes the
+        entry and may quarantine the key."""
         from repro.runtime import resilience as rsl
 
         with self._lock:
             self.corrupt += 1
-            self.misses += 1
-            count = self._corrupt_counts.get(key, 0) + 1
-            self._corrupt_counts[key] = count
+            if drop:
+                self.misses += 1
+                count = self._corrupt_counts.get(key, 0) + 1
+                self._corrupt_counts[key] = count
         if self.integrity is not None:
             self.integrity.note_cache_verify(False)
         self._event(rsl.CACHE_CORRUPT, detail=detail, key=key)
         _log.warning("cache entry %s corrupt (%s); treating as miss", key, detail)
+        if not drop:
+            return
         # Drop the poisoned bytes so the next writer republishes cleanly
         # (save() keeps existing entries).
         freed = self.store.remove(key)
@@ -522,7 +523,9 @@ class StageRelease:
     docstring).  A DONE task is *tracked* while the cache holds its value
     and the driver still does — published at completion, or a verified
     hit at submit — and released when its last consumer completes.
-    Called with the runtime lock held.
+    Called with the runtime lock held, except :meth:`load`: a read,
+    made before the lock where it can be (see
+    :func:`~repro.runtime.lineage.preload`).
     """
 
     def __init__(self, cache: ReuseCache) -> None:
@@ -556,19 +559,15 @@ class StageRelease:
 
     def load(self, task: "TaskInvocation") -> Any:
         """A released task's whole result from its entry, or :data:`MISS`."""
-        return self.cache.reload(task.content_key)
+        return self.cache.acquire(task.content_key, released=True)
 
-    def restore(self, task: "TaskInvocation") -> bool:
-        """Reload a released value into the driver; False if its entry is gone."""
-        value = self.load(task)
-        if value is MISS:
-            return False
+    def install(self, task: "TaskInvocation", value: Any) -> None:
+        """Put a reloaded value back into the driver; it is tracked again."""
         task.result = value
         futures = slot_futures(task.outputs)
         for fut, slot in zip(futures, (value,) if len(futures) == 1 else value):
             fut.set_result(slot)
         self._tracked.add(task.task_id)
-        return True
 
     def _read(self, task: "TaskInvocation") -> Any:
         """A released value for a one-off read (the future stays released)."""

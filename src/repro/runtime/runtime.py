@@ -24,7 +24,7 @@ from repro.runtime.executor.local import LocalExecutor
 from repro.runtime.executor.simulated import SimulatedExecutor
 from repro.runtime.future import Future, collect_futures, slot_futures, substitute
 from repro.runtime.graph import TaskGraph
-from repro.runtime.lineage import fail_descendants, reacquire
+from repro.runtime.lineage import fail_descendants, preload, reacquire
 from repro.pycompss_api.task_group import record_submission
 from repro.runtime.preemption import PreemptionController
 from repro.runtime.reuse import MISS as _CACHE_MISS, ReuseCache, StageRelease
@@ -379,6 +379,15 @@ class COMPSsRuntime:
                 if joined is not None:
                     return joined
                 cached = reuse.acquire(content_key)
+        # Released inputs of a task that will run are read back here,
+        # before the lock, for the same reason.
+        loaded: Optional[Dict[int, Any]] = None
+        if self.release is not None and cached is _CACHE_MISS:
+            inputs: List[Future] = []
+            collect_futures(args, inputs)
+            collect_futures(kwargs, inputs)
+            if inputs:
+                loaded = preload(self, list(map(_INVOCATION, inputs)))
         deps: Dict[int, TaskInvocation] = {}
         edge_labels: Dict[int, str] = {}
         restored: Any = ckpt._MISSING
@@ -430,7 +439,7 @@ class COMPSsRuntime:
                     self.release.track(invocation, True)
                 elif restored is ckpt._MISSING:
                     # It will read its inputs: bring released ones back.
-                    reacquire(self, dep_list)
+                    reacquire(self, dep_list, loaded)
             if self._locality is not None:
                 self._locality.register_dependencies(invocation, dep_list)
             self.graph.add_task(invocation, dep_list, edge_labels)
@@ -536,12 +545,16 @@ class COMPSsRuntime:
             published = False
             if injector is None or not injector.cache_publish_lost(task.label):
                 published = reuse.publish(task.content_key, result)
-                if published and injector is not None and injector.cache_corrupts(
-                    task.label
+                # Chaos: bit-rot the freshly-published entry in place (a
+                # byte flipped, digest intact).  Detection happens at the
+                # next hit's verify — never silently consumed.  Drawn on
+                # every publication (the label's count keys the seeded
+                # verdicts), applied only to an entry this call wrote.
+                if (
+                    injector is not None
+                    and injector.cache_corrupts(task.label)
+                    and published
                 ):
-                    # Chaos: bit-rot the freshly-published entry in place
-                    # (a byte flipped, digest intact).  Detection happens
-                    # at the next hit's verify — never silently consumed.
                     reuse.corrupt_entry(task.content_key)
             if self.release is not None:
                 # Only an entry this value wrote stands in for it.
@@ -572,13 +585,18 @@ class COMPSsRuntime:
         if any(map(operator.is_, tasks[1:], tasks)):
             tasks = [t for t, prev in zip(tasks, [None, *tasks]) if t is not prev]
         if tasks:
-            if self.release is not None:
-                with self.lock:
-                    rerun = reacquire(self, tasks)
-                if rerun:
-                    self.executor.notify_topology_change()
             if self.integrity is None:
                 self.executor.wait_for(tasks)
+                # Released values (only DONE ones can be) come back, read
+                # before the lock; a lost one re-runs and is waited for.
+                if self.release is not None:
+                    loaded = preload(self, tasks)
+                    if loaded:
+                        with self.lock:
+                            rerun = reacquire(self, tasks, loaded)
+                        if rerun:
+                            self.executor.notify_topology_change()
+                            self.executor.wait_for(tasks)
             else:
                 self.integrity.wait_verified(self, tasks)
             if self.config.graph:  # DOT export is their only reader

@@ -75,7 +75,9 @@ class ServiceClient:
             timeout_s if timeout_s is not None else self.timeout_s
         )
         while True:
-            if proto.read_json(self.paths.request_file(sid)) is not None:
+            # Admission writes request.json, then the queued state: wait
+            # for the state, so a status() right after this finds it.
+            if proto.read_json(self.paths.state_file(sid)) is not None:
                 return sid
             rejection = proto.read_json(self.paths.rejection_file(sid))
             if rejection is not None:

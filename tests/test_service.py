@@ -404,6 +404,43 @@ class TestServiceClient:
         finally:
             service.shutdown()
 
+    def test_status_finds_a_study_as_soon_as_submit_returns(
+        self, tmp_path, monkeypatch
+    ):
+        """Admission writes ``request.json`` and then the queued state;
+        ``submit`` returns only once the state is there."""
+        import repro.service.daemon as daemon
+
+        service = make_service(tmp_path).start()
+        write_state = service._write_state
+        request_written = threading.Event()
+
+        def slow_write_state(study_id, status, **extra):
+            if request_written.is_set() and status == proto.QUEUED:
+                time.sleep(0.3)  # widen the gap between the two writes
+            write_state(study_id, status, **extra)
+
+        write = daemon.proto.atomic_write_json
+
+        def noting_write(path, payload):
+            write(path, payload)
+            if path.name == proto.REQUEST_FILE:
+                request_written.set()
+
+        monkeypatch.setattr(service, "_write_state", slow_write_state)
+        monkeypatch.setattr(daemon.proto, "atomic_write_json", noting_write)
+        client = ServiceClient(service.paths.root, poll_s=0.01)
+        server = threading.Thread(
+            target=service.serve_forever, kwargs={"poll_s": 0.01}, daemon=True
+        )
+        server.start()
+        try:
+            assert client.submit(request("early"), timeout_s=30) == "early"
+            assert client.status("early")["study_id"] == "early"
+        finally:
+            service.shutdown()
+            server.join(timeout=5)
+
     def test_unknown_study_raises_not_found(self, tmp_path):
         paths = proto.ServicePaths(tmp_path / "svc")
         paths.ensure_layout()

@@ -30,9 +30,9 @@ from repro.hpo.space import SearchSpace
 from repro.hpo.stages import StagePlan, executed_epochs, reset_epoch_counter
 from repro.pycompss_api.api import compss_wait_on
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.future import slot_futures
+from repro.runtime.future import Future, HeldByCache, slot_futures, substitute
 from repro.runtime.graph import TaskGraph
-from repro.runtime.resilience import LINEAGE_RECOVERY
+from repro.runtime.resilience import CACHE_CORRUPT, LINEAGE_RECOVERY
 from repro.runtime.runtime import COMPSsRuntime
 from repro.runtime.task_definition import TaskDefinition, TaskInvocation
 from repro.simcluster.failures import FailureInjector, FailurePlan
@@ -123,7 +123,6 @@ def test_consumed_stage_states_leave_the_driver(tmp_path, backend):
 
 def test_multi_return_values_reload_slot_by_slot(tmp_path):
     from repro.pycompss_api.task import task
-    from repro.runtime.future import HeldByCache
 
     @task(returns=2, cacheable=True)
     def split(x):
@@ -146,6 +145,29 @@ def test_multi_return_values_reload_slot_by_slot(tmp_path):
         assert a.result() == 21 and b.result() == -21
         assert compss_wait_on([a, b]) == [21, -21]
         assert rt.reuse.stats()["released"] == 1
+
+
+@pytest.mark.parametrize("reads_before_release", [0, 1, 2])
+def test_a_release_racing_a_list_read_never_yields_the_stand_in(
+    monkeypatch, reads_before_release
+):
+    """A completion on another thread releases the value while
+    ``substitute`` reads a list of futures: whatever it saw, it returns
+    the value, never the stand-in."""
+    def noop():
+        return None
+
+    value = {"weights": [1.0, 2.0]}
+    fut = Future(TaskInvocation(TaskDefinition(func=noop, name="t"), (), {}))
+    held = HeldByCache(lambda task: value)
+    reads = []
+
+    def slot(self):
+        reads.append(None)
+        return value if len(reads) <= reads_before_release else held
+
+    monkeypatch.setattr(Future, "_value", property(slot))
+    assert substitute([fut]) == [value]
 
 
 def test_graph_hands_a_consumed_task_to_the_policy_once():
@@ -187,10 +209,11 @@ def _damage(rt, key, how):
         rt.reuse._quarantine(key, rt.reuse.poison_threshold)
 
 
-def _late_sibling_run(tmp_path, reuse, how=None):
+def _late_sibling_run(tmp_path, reuse, how=None, locked_reads=None):
     """A 4-epoch trial, then a late 8-epoch sibling in the same study
     session: it joins the first trial's (released) nodes and reads the
-    [0, 4) block to train [4, 8)."""
+    [0, 4) block to train [4, 8).  ``locked_reads`` collects, per
+    reload, whether the runtime lock was held."""
     config = RuntimeConfig(
         cluster=local_machine(2), reuse_cache=reuse,
         cache_dir=str(tmp_path / "cache") if reuse else None,
@@ -206,6 +229,14 @@ def _late_sibling_run(tmp_path, reuse, how=None):
             assert rt.release.is_released(block)
             if how is not None:
                 _damage(rt, block.content_key, how)
+            if locked_reads is not None:
+                load = rt.release.load
+
+                def probed_load(task):
+                    locked_reads.append(rt.lock._is_owned())
+                    return load(task)
+
+                rt.release.load = probed_load
         reset_epoch_counter()
         late = run_grid(dict(space, num_epochs=[8]), study_name="late")
         epochs = executed_epochs()
@@ -229,15 +260,25 @@ def test_late_sibling_recomputes_a_released_node_whose_entry_is_gone(
     assert events[LINEAGE_RECOVERY] == 1
     assert stats["unverified_hits"] == 0
     assert stats["reloaded"] >= 1
+    # Rot met by a reload is counted and logged like rot met by a hit.
+    if how == "corrupt":
+        assert stats["corrupt"] == events[CACHE_CORRUPT] == 1
+    else:
+        assert stats["corrupt"] == 0
 
 
 def test_late_sibling_reloads_an_intact_released_node(tmp_path):
     late_off, _, _, _ = _late_sibling_run(tmp_path / "off", False)
-    late, epochs, events, stats = _late_sibling_run(tmp_path / "on", True)
+    locked_reads = []
+    late, epochs, events, stats = _late_sibling_run(
+        tmp_path / "on", True, locked_reads=locked_reads
+    )
     assert accuracies(late) == accuracies(late_off)
     assert epochs == 4  # only [4, 8): the shared block was reloaded
     assert LINEAGE_RECOVERY not in events
     assert stats["reloaded"] >= 1 and stats["hits"] == 0
+    # The verified reads ran before the runtime lock was taken.
+    assert locked_reads and not any(locked_reads)
 
 
 @pytest.mark.parametrize(
